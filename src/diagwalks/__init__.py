@@ -33,7 +33,6 @@ from .gp import (
 from .graphs import DenseGraph, complete_graph, complete_walks, walk_count_power
 from .neps import (
     NepsBasis,
-    cartesian_sum_walks,
     hamming_walks,
     neps_complete_walks,
     neps_construct,
@@ -55,7 +54,6 @@ __all__ = [
     "brute_force_distribution",
     "build_field",
     "build_hamming_view",
-    "cartesian_sum_walks",
     "complete_graph",
     "complete_walks",
     "convolution_count",

@@ -19,14 +19,20 @@ from .diagonal import (
     DiagonalSystem,
     brute_force_count,
     convolution_count,
-    result_record,
     walk_solution_count,
 )
+from .divisibility import remark_cases
 from .errors import DiagwalksError, KNotInteger
 from .field import FieldElement, FiniteField, build_field
 from .graphs import complete_graph, walk_count_power
-from .neps import NepsBasis, neps_construct
-from .gp import gp_graph
+from .neps import (
+    NepsBasis,
+    agreement_pattern,
+    hamming_walks,
+    neps_complete_walks,
+    neps_construct,
+)
+from .gp import build_hamming_view, gp_graph, hamming_parameters
 
 CSV_COLUMNS = ["p", "a", "b", "k", "q", "alpha", "n", "mode", "method", "count"]
 
@@ -47,8 +53,6 @@ def parse_element(field: FiniteField, literal: str) -> FieldElement:
             f"a bare integer other than 0 is ambiguous for m={field.m}; "
             f"use pow:<e> or {field.m} comma-separated coefficients"
         )
-    if len(parts) == 1:
-        return field.from_coeffs(parts)
     return field.from_coeffs(parts)
 
 
@@ -74,6 +78,22 @@ def emit(record: dict, fmt: str = "json") -> None:
         print(f"{'elapsed':>10}: {record['elapsed_ms']} ms")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def result_record(p, a, b, k, q, alpha_literal, n, mode, method, count) -> dict:
+    """The JSON result payload; counts travel as decimal strings."""
+    return {
+        "p": p,
+        "a": a,
+        "b": b,
+        "k": k,
+        "q": q,
+        "alpha": alpha_literal,
+        "r_or_s": n,
+        "mode": mode,
+        "method": method,
+        "count": str(count),
+    }
 
 
 def default_enum_cap() -> int:
@@ -123,8 +143,6 @@ def cmd_count(args) -> int:
         system.p, system.a, system.b, system.k, system.q,
         args.alpha, n, mode, method, count,
     )
-    from .divisibility import remark_cases
-
     payload["divisibility"] = remark_cases(args.p, args.a, args.b).to_dict()
     elapsed = round((time.perf_counter() - started) * 1000, 3)
     emit(
@@ -146,8 +164,6 @@ def cmd_walks(args) -> int:
         sizes = [int(v) for v in args.neps.split(",")]
         basis = NepsBasis.parse(args.basis)
         graph = neps_construct([complete_graph(m) for m in sizes], basis)
-        from .neps import agreement_pattern, neps_complete_walks
-
         vi, vj = int(args.from_vertex), int(args.to_vertex)
         pattern = agreement_pattern(sizes, vi, vj)
         formula = neps_complete_walks(sizes, basis, args.length, pattern)
@@ -162,9 +178,6 @@ def cmd_walks(args) -> int:
             "agree": formula == power,
         }
     elif args.gp:
-        from .gp import build_hamming_view, hamming_parameters
-        from .neps import hamming_walks
-
         field = build_field(args.p, args.m)
         graph = gp_graph(field, args.k)
         vi = parse_element(field, args.from_vertex).index

@@ -189,18 +189,3 @@ def convolution_count(field: FiniteField, k: int, alpha, r: int,
     idx = _as_index(field, alpha)
     return convolution_distribution(field, k, r, restrict_nonzero)[idx]
 
-
-def result_record(p, a, b, k, q, alpha_literal, n, mode, method, count) -> dict:
-    """The JSON result payload; counts travel as decimal strings."""
-    return {
-        "p": p,
-        "a": a,
-        "b": b,
-        "k": k,
-        "q": q,
-        "alpha": alpha_literal,
-        "r_or_s": n,
-        "mode": mode,
-        "method": method,
-        "count": str(count),
-    }

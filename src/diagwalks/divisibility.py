@@ -7,23 +7,10 @@ divisibility; each fired case must imply integrality (tested as a sweep).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
-from .field import is_prime, prime_factors
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs)."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from .field import factorize
 
 
 def euler_phi(n: int) -> int:
@@ -41,12 +28,10 @@ def multiplicative_order(x: int, n: int) -> int | None:
     x %= n
     if n == 1:
         return 1
-    import math
-
     if math.gcd(x, n) != 1:
         return None
     order = euler_phi(n)
-    for r in prime_factors(order):
+    for r in factorize(order):
         while order % r == 0 and pow(x, order // r, n) == 1:
             order //= r
     return order
@@ -69,8 +54,6 @@ class DivisibilityReport:
     b: int
     k_integer: bool
     cases: set = dc_field(default_factory=set)
-    # ambiguity note: case (b) tests x = +-1 modulo the odd prime part only
-    case_b_reading: str = "x congruent to +-1 mod r (r the odd prime), as written"
 
     def to_dict(self):
         return {
@@ -99,8 +82,6 @@ def remark_cases(p: int, a: int, b: int) -> DivisibilityReport:
     # (b) b = 2r with r an odd prime, x coprime to b, x = +-1 mod r
     if set(fac.values()) == {1} and len(fac) == 2 and 2 in fac:
         r = max(primes)
-        import math
-
         if r % 2 == 1 and math.gcd(x, b) == 1 and x % r in (1, r - 1):
             cases.add("b")
 

@@ -44,18 +44,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending, by trial division."""
-    out = []
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division (desk-scale inputs)."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -256,7 +255,7 @@ class FiniteField:
         n = self.q - 1
         if n == 1:
             return True
-        return all(self._pow_raw(i, n // f) != 1 for f in prime_factors(n))
+        return all(self._pow_raw(i, n // f) != 1 for f in factorize(n))
 
     def _find_primitive(self):
         for i in range(1, self.q):

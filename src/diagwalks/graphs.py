@@ -79,7 +79,7 @@ def complete_walks(m: int, r: int, same: bool) -> int:
     """Closed-form r-walk count on K_m between equal / distinct vertices.
 
     The bracketed difference is always divisible by m; the division is
-    exact integer division guarded by an assertion, never a rounding.
+    exact integer division checked for a zero remainder, never a rounding.
     """
     if m < 1:
         raise ValueError(f"m={m} must be >= 1")
@@ -88,12 +88,12 @@ def complete_walks(m: int, r: int, same: bool) -> int:
     if r == 0:
         return 1 if same else 0
     if same:
-        d = (m - 1) ** (r - 1) - (-1) ** (r - 1)
-        num = (m - 1) * d
-        assert num % m == 0, (m, r)
-        return num // m
-    if m == 1:
+        num = (m - 1) * ((m - 1) ** (r - 1) - (-1) ** (r - 1))
+    elif m == 1:
         return 0  # K_1 has no distinct vertex pair
-    d = (m - 1) ** r - (-1) ** r
-    assert d % m == 0, (m, r)
-    return d // m
+    else:
+        num = (m - 1) ** r - (-1) ** r
+    walks, rem = divmod(num, m)
+    if rem:
+        raise ArithmeticError(f"K_{m} walk numerator at r={r} is not divisible by {m}")
+    return walks

@@ -6,6 +6,8 @@ factor (1). The walk formula sums over all length-r sequences of basis
 tuples; the evaluator here aggregates those sequences by their column
 sums with a dynamic program, so the cost is polynomial in r instead of
 |B|^r. The naive enumeration is kept behind a flag as a cross-check.
+Walks in the Hamming graph H(b,q), the cartesian sum of b copies of K_q,
+come from its spectrum instead: b+1 exact terms for any r.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def neps_construct(factors, basis: NepsBasis, cap: int = DEFAULT_PRODUCT_CAP) ->
             mat = g.adj.astype(np.int64) if a else np.identity(g.n, dtype=np.int64)
             term = np.kron(term, mat)
         acc += term
-    assert acc.max() <= 1, "distinct basis tuples must give disjoint edge sets"
+    if acc.max() > 1:
+        raise ValueError("distinct basis tuples must give disjoint edge sets")
     directed = any(g.directed for g in factors)
     return DenseGraph(acc, directed=directed)
 
@@ -194,64 +197,35 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     return neps_walks(tables, basis, r, pattern=pattern)
 
 
-def weak_compositions(total: int, parts: int):
-    """Weak compositions of `total` into `parts` parts, colexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in weak_compositions(total - last, parts - 1):
-            yield rest + (last,)
-
-
-def multinomial(parts) -> int:
-    """Exact multinomial coefficient (sum parts)! / prod(part!)."""
-    out, running = 1, 0
-    for part in parts:
-        running += part
-        out *= math.comb(running, part)
-    return out
-
-
-def cartesian_sum_walks(factor_walk_tables, r: int, pattern=None) -> int:
-    """Walks in the cartesian sum G_1 + ... + G_n via the multinomial sum.
-
-    Independent of the DP path in neps_walks; the two must agree for the
-    standard basis.
-    """
-    tables = [list(tab) for tab in factor_walk_tables]
-    n = len(tables)
-    _check_tables(tables, n, r, pattern)
-    total = 0
-    for comp in weak_compositions(r, n):
-        term = multinomial(comp)
-        for t, rt in enumerate(comp):
-            term *= tables[t][rt]
-            if term == 0:
-                break
-        total += term
-    return total
+def _krawtchouk(b: int, q: int, j: int, d: int) -> int:
+    """K_j(d) of the Hamming scheme H(b,q): the weight of eigenvalue
+    b(q-1) - qj in the walk count between vertices at distance d."""
+    return sum(
+        (-1) ** i * (q - 1) ** (j - i) * math.comb(d, i) * math.comb(b - d, j - i)
+        for i in range(min(d, j) + 1)
+    )
 
 
 def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     """Walks in H(b,q) between vertices agreeing exactly where `zeros` is true.
 
-    Only the number of agreeing coordinates matters; the pattern is
-    canonicalized before evaluation, which makes the permutation
-    invariance structural.
+    Only the Hamming distance d, the number of false entries, matters.
+    H(b,q) has eigenvalues b(q-1) - qj for j = 0..b, weighted by the
+    Krawtchouk numbers K_j(d) (Delsarte 1973), so the count is
+    q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms.
     """
     zeros = tuple(bool(z) for z in zeros)
     if len(zeros) != b:
         raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
     if b < 1 or q < 2 or r < 0:
         raise ValueError(f"bad Hamming parameters b={b}, q={q}, r={r}")
-    canon = (True,) * sum(zeros) + (False,) * (b - sum(zeros))
-    total = 0
-    for comp in weak_compositions(r, b):
-        term = multinomial(comp)
-        for rt, agree in zip(comp, canon):
-            term *= complete_walks(q, rt, agree)
-            if term == 0:
-                break
-        total += term
-    return total
+    d = b - sum(zeros)
+    total = sum(
+        _krawtchouk(b, q, j, d) * (b * (q - 1) - q * j) ** r for j in range(b + 1)
+    )
+    walks, rem = divmod(total, q**b)
+    if rem:
+        raise ArithmeticError(
+            f"spectral sum for H({b},{q}) r={r} d={d} is not divisible by {q}^{b}"
+        )
+    return walks

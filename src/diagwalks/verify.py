@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
+
+import numpy as np
 
 from .diagonal import (
     DiagonalSystem,
@@ -16,8 +19,8 @@ from .diagonal import (
     walk_solution_count,
 )
 from .gp import build_hamming_view, verify_isomorphism
-from .graphs import complete_graph, walk_count_power
-from .neps import NepsBasis, neps_construct, neps_walks, walk_table
+from .graphs import DenseGraph, complete_graph, complete_walks, walk_count_power
+from .neps import NepsBasis, neps_construct, neps_walks, vertex_tuple, walk_table
 
 DEFAULT_ROSTER = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3), (3, 2, 2)]
 
@@ -131,15 +134,11 @@ def check_partition(roster=None, max_n=3) -> list[CheckResult]:
 
 def random_graph(rng: random.Random, n: int):
     """Random simple undirected graph on n vertices."""
-    import numpy as np
-
     adj = np.zeros((n, n), dtype=np.int8)
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.6:
                 adj[i, j] = adj[j, i] = 1
-    from .graphs import DenseGraph
-
     return DenseGraph(adj)
 
 
@@ -167,8 +166,6 @@ def _all_tuples(n):
 def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
                       max_r=5) -> list[CheckResult]:
     """Walk formula from factor tables vs matrix power on random NEPS."""
-    from .neps import vertex_tuple
-
     rng = random.Random(seed)
     bad = None
     for _ in range(instances):
@@ -204,23 +201,22 @@ def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
 
 def check_example_closed_forms(max_r=8) -> list[CheckResult]:
     """The two K3 x K4 displays: Kronecker closed form and binomial sum."""
-    from math import comb
-
     g1 = neps_construct([complete_graph(3), complete_graph(4)], NepsBasis([(1, 1)]))
     g2 = neps_construct(
         [complete_graph(3), complete_graph(4)], NepsBasis([(1, 0), (0, 1)])
     )
     bad = None
     for r in range(1, max_r + 1):
-        closed = (6 ** (r - 1) + (-1) ** r * (2 ** (r - 1) + 3 ** (r - 1)) + 1) // 2
-        assert (6 ** (r - 1) + (-1) ** r * (2 ** (r - 1) + 3 ** (r - 1)) + 1) % 2 == 0
+        numerator = 6 ** (r - 1) + (-1) ** r * (2 ** (r - 1) + 3 ** (r - 1)) + 1
+        closed, odd = divmod(numerator, 2)
+        if odd:
+            bad = f"Kronecker numerator {numerator} is odd at r={r}"
+            break
         if closed != walk_count_power(g1, r, 0, 0):
             bad = f"Kronecker form fails at r={r}"
             break
         total = 0
         for ell in range(r + 1):
-            from .graphs import complete_walks
-
             total += comb(r, ell) * complete_walks(3, ell, True) * complete_walks(
                 4, r - ell, True
             )

@@ -35,3 +35,20 @@ def enumerate_walks(adj, r, i, j):
         if adj[i][mid]:
             total += enumerate_walks(adj, r - 1, mid, j)
     return total
+
+
+def hamming_distance_walks(b, q, r_max):
+    """Independent Hamming walk oracle: W[r][d], the r-walks in H(b,q)
+    between vertices at distance d, by the distance-class recurrence.
+    A vertex at distance d has d neighbours at d-1, d(q-2) at d and
+    (b-d)(q-1) at d+1; O(r*b) work, no spectrum and no matrices."""
+    rows = [[1] + [0] * b]
+    for _ in range(r_max):
+        w = rows[-1]
+        rows.append([
+            (d * w[d - 1] if d else 0)
+            + d * (q - 2) * w[d]
+            + ((b - d) * (q - 1) * w[d + 1] if d < b else 0)
+            for d in range(b + 1)
+        ])
+    return rows

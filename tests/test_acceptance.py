@@ -10,13 +10,13 @@ import math
 import time
 
 import pytest
+from conftest import hamming_distance_walks
 
 from diagwalks import (
     DiagonalSystem,
     brute_force_distribution,
     build_field,
     build_hamming_view,
-    cartesian_sum_walks,
     complete_graph,
     complete_walks,
     convolution_distribution,
@@ -148,17 +148,15 @@ def test_criterion_5_hamming_identities():
         graph = neps_construct(
             [complete_graph(q) for _ in range(b)], NepsBasis.standard(b)
         )
+        recurrence = hamming_distance_walks(b, q, 6)
         for pattern in itertools.product((True, False), repeat=b):
             # a concrete vertex pair realizing the pattern
             vj = vertex_index([0 if agree else 1 for agree in pattern], sizes)
+            d = pattern.count(False)
             for r in range(7):
-                tables = [
-                    [complete_walks(q, ell, agree) for ell in range(r + 1)]
-                    for agree in pattern
-                ]
                 values = {
                     hamming_walks(b, q, r, pattern),
-                    cartesian_sum_walks(tables, r, pattern),
+                    recurrence[r][d],
                     neps_complete_walks(sizes, NepsBasis.standard(b), r, pattern),
                     walk_count_power(graph, r, 0, vj),
                 }

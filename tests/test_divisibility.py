@@ -30,6 +30,7 @@ def test_quotient_two_ways():
 
 def test_factorize_and_phi():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(1) == {}
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
     assert euler_phi(97) == 96

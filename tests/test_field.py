@@ -11,13 +11,11 @@ from diagwalks.errors import (
     NotPrime,
     ReducibleModulus,
 )
-from diagwalks.field import find_modulus, is_prime, prime_factors
+from diagwalks.field import find_modulus, is_prime
 
 
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert prime_factors(360) == [2, 3, 5]
-    assert prime_factors(1) == []
 
 
 def test_prime_field_f3():

@@ -1,12 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import hamming_distance_walks
 
 from diagwalks import (
     NepsBasis,
-    cartesian_sum_walks,
     complete_graph,
     hamming_walks,
     neps_complete_walks,
@@ -15,14 +13,7 @@ from diagwalks import (
     walk_count_power,
 )
 from diagwalks.errors import ArityMismatch, LengthTableTooShort, ProductTooLarge
-from diagwalks.neps import (
-    agreement_pattern,
-    multinomial,
-    vertex_index,
-    vertex_tuple,
-    walk_table,
-    weak_compositions,
-)
+from diagwalks.neps import agreement_pattern, vertex_index, vertex_tuple, walk_table
 
 
 def test_basis_validation():
@@ -178,36 +169,11 @@ def test_formula_matches_matrix_power_sampled():
                 )
 
 
-def test_cartesian_sum_equals_standard_basis_neps():
-    rng = random.Random(5)
-    for _ in range(15):
-        n = rng.randint(1, 3)
-        r = rng.randint(0, 5)
-        tables = [
-            [1 if ell == 0 else rng.randint(0, 4) for ell in range(r + 1)]
-            for _ in range(n)
-        ]
-        assert cartesian_sum_walks(tables, r) == neps_walks(
-            tables, NepsBasis.standard(n), r
-        )
-
-
-def test_cartesian_sum_trivia():
-    tables = [[1, 3, 9]]
-    for r in range(3):
-        assert cartesian_sum_walks(tables, r) == tables[0][r]
-    # one step must move exactly one coordinate
-    assert cartesian_sum_walks([[1, 0], [1, 0]], 1, (True, True)) == 0
-
-
 def test_h23_common_neighbours():
     # rook's graph SRG(9,4,1,2): adjacent vertices share 1 common neighbour
     g = neps_construct(
         [complete_graph(3), complete_graph(3)], NepsBasis.standard(2)
     )
-    assert cartesian_sum_walks(
-        [[1, 0, 2], [0, 1, 1]], 2, (True, False)
-    ) == 1
     assert walk_count_power(g, 2, 0, 1) == 1
     assert hamming_walks(2, 3, 2, (True, False)) == 1
 
@@ -238,25 +204,23 @@ def test_hamming_matches_matrix_power():
             assert hamming_walks(3, 4, r, pattern) == walk_count_power(g, r, i, j)
 
 
+def test_hamming_walks_match_distance_recurrence():
+    # far beyond what a composition sum over C(r+b-1, b-1) terms can reach
+    checked = 0
+    for b in range(1, 10):
+        for q in range(2, 10):
+            rows = hamming_distance_walks(b, q, 40)
+            for d in range(b + 1):
+                zeros = (True,) * (b - d) + (False,) * d
+                for r, row in enumerate(rows):
+                    assert hamming_walks(b, q, r, zeros) == row[d], (b, q, r, d)
+                    checked += 1
+    assert checked == 17_712
+
+
 def test_length_table_too_short():
     with pytest.raises(LengthTableTooShort):
         neps_walks([[1, 0]], NepsBasis([(1,)]), 2)
-
-
-def test_weak_compositions_colex_and_count():
-    comps = list(weak_compositions(3, 2))
-    assert comps[0] == (3, 0)
-    assert comps == sorted(comps, key=lambda c: tuple(reversed(c)))
-    assert len(set(comps)) == len(comps) == 4
-    assert all(sum(c) == 3 for c in comps)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 8), st.integers(1, 4))
-def test_multinomial_sums_to_power(total, parts):
-    assert sum(multinomial(c) for c in weak_compositions(total, parts)) == (
-        parts**total
-    )
 
 
 def test_walk_table_helper():
