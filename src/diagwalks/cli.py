@@ -44,7 +44,7 @@ def parse_element(field: FiniteField, literal: str) -> FieldElement:
         e = int(literal[4:])
         if e < 0:
             raise ValueError("pow exponent must be non-negative")
-        return field.omega**e
+        return field.element(field.pow_poly(field.omega_idx, e))
     parts = [int(v) for v in literal.split(",")]
     if len(parts) == 1 and field.m > 1:
         if parts[0] == 0:

@@ -18,9 +18,15 @@ import math
 import numpy as np
 
 from .divisibility import k_is_integer, remark_cases
-from .errors import BadParameters, EnumerationTooLarge, KDoesNotDivide, KNotInteger
+from .errors import (
+    BadParameters,
+    EnumerationTooLarge,
+    KDoesNotDivide,
+    KNotInteger,
+    NotPrimitiveDivisor,
+)
 from .field import FieldElement, FiniteField, build_field, kth_power_residues
-from .gp import HammingView, gp_graph
+from .gp import HammingView, gp_graph, is_primitive_divisor
 from .neps import hamming_walks
 
 DEFAULT_ENUM_CAP = 10**8
@@ -50,10 +56,18 @@ class DiagonalSystem:
                 f"p={p}, a={a}, b={b}",
                 report=report,
             )
+        m, u = a * b, b * (p**a - 1)
+        if not is_primitive_divisor(u, p, m):
+            h = next(h for h in range(1, m) if (p**h - 1) % u == 0)
+            raise NotPrimitiveDivisor(
+                f"u=b(p^a-1)={u} is not a primitive divisor of p^m-1="
+                f"{p**m - 1}: it already divides p^{h}-1={p**h - 1} with "
+                f"h={h} < m={m}"
+            )
         self.p = p
         self.a = a
         self.b = b
-        self.m = a * b
+        self.m = m
         if field is None:
             field = build_field(p, self.m)
         elif (field.p, field.m) != (p, self.m):

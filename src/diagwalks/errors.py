@@ -57,6 +57,10 @@ class EnumerationTooLarge(DiagwalksError):
     pass
 
 
+class NotPrimitiveDivisor(DiagwalksError):
+    """Raised when u = b(p^a-1) already divides some p^h-1 with h < ab."""
+
+
 class KNotInteger(DiagwalksError):
     """Raised when (p^{ab}-1)/(b(p^a-1)) is not an integer.
 

@@ -1,8 +1,14 @@
-"""Exact arithmetic in GF(p^m) backed by log/antilog tables.
+"""Exact arithmetic in GF(p^m) on canonical indices.
 
 Elements are identified by a canonical index in [0, q): the index is the
 base-p evaluation of the coefficient vector (ascending degree), so index 0
 is the zero element and indices below p are the constants.
+
+Two kinds of arithmetic live here. The formula path (field construction,
+the primitive-element search, the subfield coordinate map, omega^e) is
+polynomial arithmetic on coefficient tuples and reads no table of size q.
+The digit, exp and log tables behind add_idx, mul_idx and pow_idx are
+built on their first read, which only the oracles make.
 
 The construction is deterministic: with no modulus given, the
 lexicographically smallest monic irreducible polynomial is selected
@@ -13,6 +19,7 @@ element is the one with the smallest canonical index.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -165,7 +172,12 @@ class FieldElement:
 
 
 class FiniteField:
-    """GF(p^m) with full exp/log tables; immutable after construction."""
+    """GF(p^m); immutable after construction.
+
+    Construction does polynomial work only: the modulus search and the
+    primitive-element test. The q-sized tables (`_digits`, `exp`, `log`,
+    `add_table`, `neg_table`) are built on first read.
+    """
 
     def __init__(self, p, m, modulus=None, omega=None, table_cap=DEFAULT_TABLE_CAP):
         if not is_prime(p):
@@ -190,26 +202,11 @@ class FiniteField:
                 raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
 
-        self._digits = [self._index_digits(i) for i in range(q)]
-
         if omega is None:
             omega = self._find_primitive()
         elif not self._is_primitive(omega):
             raise ValueError(f"element {omega} is not primitive")
         self.omega_idx = omega
-
-        # exp/log: exp[i] = omega^i as an index, log inverts it on nonzeros
-        exp = [0] * (q - 1)
-        log = [None] * q
-        cur = 1  # the constant 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_raw(cur, omega)
-        if cur != 1 or any(log[i] is None for i in range(1, q)):
-            raise ValueError("exp table did not close; omega is not primitive")
-        self.exp = exp
-        self.log = log
 
         self._add_table = None
         self._neg_table = None
@@ -217,16 +214,13 @@ class FiniteField:
 
     # --- canonical index <-> digit vector ---
 
-    def _index_digits(self, i):
+    def digits(self, i: int) -> tuple[int, ...]:
         p = self.p
         out = []
         for _ in range(self.m):
-            out.append(i % p)
-            i //= p
+            i, c = divmod(i, p)
+            out.append(c)
         return tuple(out)
-
-    def digits(self, i: int) -> tuple[int, ...]:
-        return self._digits[i]
 
     def index_of(self, coeffs) -> int:
         idx = 0
@@ -234,28 +228,29 @@ class FiniteField:
             idx = idx * self.p + (c % self.p)
         return idx
 
-    # --- raw arithmetic on indices (no tables needed) ---
+    # --- polynomial arithmetic on indices (the formula path; no tables) ---
 
-    def _mul_raw(self, i, j):
-        prod = _poly_mul(self._digits[i], self._digits[j], self.p)
+    def mul_poly(self, i, j):
+        prod = _poly_mul(self.digits(i), self.digits(j), self.p)
         return self.index_of(_poly_rem(prod, self.modulus, self.p))
 
-    def _pow_raw(self, i, e):
+    def pow_poly(self, i, e):
+        """i^e by square-and-multiply; e must be >= 0."""
         acc, base = 1, i
         while e:
             if e & 1:
-                acc = self._mul_raw(acc, base)
-            base = self._mul_raw(base, base)
+                acc = self.mul_poly(acc, base)
+            base = self.mul_poly(base, base)
             e >>= 1
         return acc
 
     def _is_primitive(self, i):
-        if i == 0:
+        if not 0 < i < self.q:
             return False
         n = self.q - 1
         if n == 1:
             return True
-        return all(self._pow_raw(i, n // f) != 1 for f in factorize(n))
+        return all(self.pow_poly(i, n // f) != 1 for f in factorize(n))
 
     def _find_primitive(self):
         for i in range(1, self.q):
@@ -263,7 +258,32 @@ class FiniteField:
                 return i
         raise ValueError("no primitive element found (impossible)")
 
-    # --- table-backed arithmetic ---
+    # --- table-backed arithmetic (the oracles; tables built on first read) ---
+
+    @cached_property
+    def _digits(self):
+        return [self.digits(i) for i in range(self.q)]
+
+    @cached_property
+    def exp(self):
+        """exp[i] = omega^i as an index."""
+        n = self.q - 1
+        exp = [0] * n
+        cur = 1  # the constant 1
+        for i in range(n):
+            exp[i] = cur
+            cur = self.mul_poly(cur, self.omega_idx)
+        if cur != 1 or len(set(exp)) != n:
+            raise ValueError("exp table did not close; omega is not primitive")
+        return exp
+
+    @cached_property
+    def log(self):
+        """log[x] = i with omega^i = x, for nonzero x; log[0] is None."""
+        log = [None] * self.q
+        for i, x in enumerate(self.exp):
+            log[x] = i
+        return log
 
     def add_idx(self, i, j):
         p = self.p
@@ -438,7 +458,8 @@ class SubfieldMap:
     the a-fold Frobenius; tau = omega^{(q-1)/(p^a-1)} generates its
     multiplicative group and {1, tau, ..., tau^{a-1}} is an F_p-basis.
     One (ab)x(ab) linear system over F_p is inverted at construction, so
-    each coordinate query is a single matrix-vector product.
+    each coordinate query is a single matrix-vector product. Everything
+    here is polynomial arithmetic; no field table is read.
     """
 
     def __init__(self, field: FiniteField, a: int, b: int, k: int):
@@ -448,17 +469,16 @@ class SubfieldMap:
         self.a = a
         self.b = b
         self.k = k
-        p, q, m = field.p, field.q, field.m
-        sub_order = p**a - 1
-        n = q - 1
-        self.tau_pows = [field.exp[(j * (n // sub_order)) % n] for j in range(a)]
-        self.basis = [field.exp[(i * k) % n] for i in range(b)]
+        p, m = field.p, field.m
+        tau = field.pow_poly(field.omega_idx, (field.q - 1) // (p**a - 1))
+        omega_k = field.pow_poly(field.omega_idx, k)
+        self.tau_pows = [field.pow_poly(tau, j) for j in range(a)]
+        self.basis = [field.pow_poly(omega_k, i) for i in range(b)]
+        self._tau_digits = [field.digits(t) for t in self.tau_pows]
 
         # column (i*a + j) holds the F_p digits of tau^j * omega^{ik}
-        cols = []
-        for i in range(b):
-            for j in range(a):
-                cols.append(field.digits(field.mul_idx(self.tau_pows[j], self.basis[i])))
+        cols = [field.digits(field.mul_poly(t, w))
+                for w in self.basis for t in self.tau_pows]
         mat = [[cols[c][r] for c in range(m)] for r in range(m)]
         inv = _invert_matrix_mod_p(mat, p)
         if inv is None:
@@ -467,30 +487,35 @@ class SubfieldMap:
             )
         self._inv = inv
 
+    def solve_idx(self, x_idx: int) -> list[int]:
+        """F_p coefficients of x on the basis tau^j * omega^{ik}; block
+        i (entries i*a .. i*a+a-1) spells coordinate i in the tau-basis."""
+        p = self.field.p
+        d = self.field.digits(x_idx)
+        return [sum(r * v for r, v in zip(row, d)) % p for row in self._inv]
+
     def coords_idx(self, x_idx: int) -> tuple[int, ...]:
         """Coordinates of x as b subfield elements (canonical indices)."""
         field, p, a = self.field, self.field.p, self.a
-        d = field.digits(x_idx)
-        sol = [sum(r * v for r, v in zip(row, d)) % p for row in self._inv]
+        sol = self.solve_idx(x_idx)
         out = []
         for i in range(self.b):
-            acc = 0
-            for j in range(a):
-                c = sol[i * a + j]
-                if c:
-                    acc = field.add_idx(acc, field.mul_idx(c, self.tau_pows[j]))
-            out.append(acc)
+            acc = [0] * field.m
+            for c, t in zip(sol[i * a:(i + 1) * a], self._tau_digits):
+                acc = [(u + c * v) % p for u, v in zip(acc, t)]
+            out.append(field.index_of(acc))
         return tuple(out)
 
     def coords(self, x: FieldElement) -> tuple[FieldElement, ...]:
         return tuple(self.field.element(i) for i in self.coords_idx(x.index))
 
     def reconstruct_idx(self, coord_indices) -> int:
-        field = self.field
-        acc = 0
+        field, p = self.field, self.field.p
+        acc = [0] * field.m
         for c, w in zip(coord_indices, self.basis):
-            acc = field.add_idx(acc, field.mul_idx(c, w))
-        return acc
+            term = field.digits(field.mul_poly(c, w))
+            acc = [(u + v) % p for u, v in zip(acc, term)]
+        return field.index_of(acc)
 
 
 def subfield_coordinates(field, a, b, k, x):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KDoesNotDivide
-from .field import FieldElement, FiniteField, kth_power_residues, zero_pattern
+from .field import FieldElement, FiniteField, kth_power_residues
 from .graphs import DenseGraph
 
 
@@ -89,8 +89,10 @@ class HammingView:
         return self.map.coords(x)
 
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
-        """Zero pattern of [x]: which Hamming coordinates vanish."""
-        return zero_pattern(self.coords_idx(x_idx))
+        """Zero pattern of [x]: which Hamming coordinates vanish. A
+        coordinate vanishes exactly when its block of F_p coefficients does."""
+        sol, a = self.map.solve_idx(x_idx), self.a
+        return tuple(not any(sol[i * a:(i + 1) * a]) for i in range(self.b))
 
     def __repr__(self):
         return (

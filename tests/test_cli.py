@@ -58,6 +58,17 @@ def test_count_k_not_integer(capsys):
     assert record["divisibility"]["k_integer"] is False
 
 
+@pytest.mark.parametrize("p, method", [(3, "formula"), (3, "brute"), (7, "formula")])
+def test_count_not_primitive_divisor(capsys, p, method):
+    code, out, err = run_cli(
+        capsys, "count", "--p", str(p), "--a", "1", "--b", "4",
+        "--alpha", "0", "--s", "2", "--nonzero-only", "--method", method,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NotPrimitiveDivisor"
+
+
 def test_count_determinism(capsys):
     args = [
         "count", "--p", "5", "--a", "1", "--b", "2",

@@ -12,8 +12,16 @@ from diagwalks import (
     kth_power_residues,
     walk_solution_count,
 )
-from diagwalks.errors import BadParameters, EnumerationTooLarge, KNotInteger
+from diagwalks.cli import parse_element
+from diagwalks.errors import (
+    BadParameters,
+    EnumerationTooLarge,
+    KNotInteger,
+    NotPrimitiveDivisor,
+)
 from diagwalks.field import FiniteField
+
+from conftest import hamming_distance_walks
 
 
 def test_spot_values_f9():
@@ -49,6 +57,36 @@ def test_k_not_integer():
         DiagonalSystem(2, 1, 2)
     assert excinfo.value.report is not None
     assert not excinfo.value.report.k_integer
+
+
+@pytest.mark.parametrize("p, u, q_minus_1, h", [(3, 8, 80, 2), (7, 24, 2400, 2)])
+def test_not_primitive_divisor(p, u, q_minus_1, h):
+    # k is an integer for (p, 1, 4), but u = 4(p-1) divides p^2 - 1
+    with pytest.raises(NotPrimitiveDivisor) as excinfo:
+        DiagonalSystem(p, 1, 4)
+    message = str(excinfo.value)
+    assert f"={u} " in message
+    assert f"p^m-1={q_minus_1}" in message
+    assert f"h={h} " in message
+
+
+def test_formula_path_builds_no_field_table():
+    system = DiagonalSystem(7, 1, 6)
+    field = system.field
+    # the modulus and omega search order fixes every element index
+    assert field.modulus == (2, 0, 0, 0, 0, 0, 1)
+    assert field.omega_idx == 8
+    walks = hamming_distance_walks(system.b, 7, 10)
+    assert system.count_nonzero(0, 10) == system.k**10 * walks[10][0]
+    for alpha in (0, 1, 8, 1234, 117648):
+        for r in range(11):
+            system.count_nonzero(alpha, r)
+            system.count_all(alpha, r)
+    assert parse_element(field, "pow:12345").index not in (0, 1)
+    assert parse_element(field, "pow:117648") == field.one
+    built = {"_digits", "exp", "log"} & set(vars(field))
+    assert not built, f"tables built on the formula path: {built}"
+    assert field._add_table is None and field._neg_table is None
 
 
 def test_bad_parameters():

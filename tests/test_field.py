@@ -69,6 +69,32 @@ def test_mixed_fields_error(f9, f25):
         f9.one + f25.one
 
 
+def test_explicit_omega_must_be_primitive():
+    assert build_field(3, 2, omega=5).omega_idx == 5
+    # 1 and 2 = -1 have orders 1 and 2; 9 is out of range for GF(9)
+    for omega in (0, 1, 2, 9):
+        with pytest.raises(ValueError, match="not primitive"):
+            build_field(3, 2, omega=omega)
+
+
+def test_exp_table_checks_closure():
+    f = build_field(3, 2)
+    f.omega_idx = 2  # tampered after construction: -1 has order 2
+    with pytest.raises(ValueError, match="did not close"):
+        f.exp
+
+
+def test_polynomial_arithmetic_matches_tables(f9, f25):
+    for f in (f9, f25):
+        n = f.q - 1
+        for e in range(3 * n):
+            assert f.pow_poly(f.omega_idx, e) == f.exp[e % n]
+        for x in range(f.q):
+            assert f.pow_poly(x, 0) == 1
+            for y in range(f.q):
+                assert f.mul_poly(x, y) == f.mul_idx(x, y)
+
+
 def test_element_arithmetic(f9):
     for x in f9.elements():
         assert x + (-x) == f9.zero
