@@ -19,6 +19,7 @@ from .diagonal import (
     DiagonalSystem,
     brute_force_count,
     convolution_count,
+    diagonal_exponent,
     walk_solution_count,
 )
 from .divisibility import remark_cases
@@ -44,7 +45,7 @@ def parse_element(field: FiniteField, literal: str) -> FieldElement:
         e = int(literal[4:])
         if e < 0:
             raise ValueError("pow exponent must be non-negative")
-        return field.element(field.pow_poly(field.omega_idx, e))
+        return field.element(field.pow_idx(field.omega_idx, e))
     parts = [int(v) for v in literal.split(",")]
     if len(parts) == 1 and field.m > 1:
         if parts[0] == 0:
@@ -101,9 +102,12 @@ def default_enum_cap() -> int:
 
 
 def cmd_count(args) -> int:
+    """The formula needs a DiagonalSystem, and with it a Hamming
+    decomposition of k; the oracles need only the field and k."""
     started = time.perf_counter()
+    p, a, b = args.p, args.a, args.b
     try:
-        system = DiagonalSystem(args.p, args.a, args.b)
+        k = diagonal_exponent(p, a, b)
     except KNotInteger as exc:
         record = {
             "command": "count",
@@ -113,11 +117,15 @@ def cmd_count(args) -> int:
         }
         print(json.dumps(record), file=sys.stderr)
         return 2
-    alpha = parse_element(system.field, args.alpha)
+    method = args.method
+    if method == "formula":
+        system = DiagonalSystem(p, a, b)
+        field = system.field
+    else:
+        field = build_field(p, a * b)
+    alpha = parse_element(field, args.alpha)
     n = args.s
     mode = "nonzero" if args.nonzero_only else "all"
-    method = args.method
-    cap = default_enum_cap()
     if method == "formula":
         count = (
             system.count_nonzero(alpha, n)
@@ -125,25 +133,19 @@ def cmd_count(args) -> int:
             else system.count_all(alpha, n)
         )
     elif method == "brute":
-        if args.nonzero_only:
-            count = brute_force_count(system.field, system.k, alpha, n, True, cap)
-        else:
-            count = brute_force_count(system.field, system.k, alpha, n, False, cap)
+        count = brute_force_count(field, k, alpha, n, args.nonzero_only,
+                                  default_enum_cap())
     elif method == "convolution":
-        count = convolution_count(
-            system.field, system.k, alpha, n, args.nonzero_only
-        )
+        count = convolution_count(field, k, alpha, n, args.nonzero_only)
     elif method == "walk":
         if not args.nonzero_only:
             raise DiagwalksError("--method walk computes N_r; add --nonzero-only")
-        count = walk_solution_count(system.field, system.k, 0, alpha, n)
+        count = walk_solution_count(field, k, 0, alpha, n)
     else:
         raise DiagwalksError(f"unknown method {method!r}")
-    payload = result_record(
-        system.p, system.a, system.b, system.k, system.q,
-        args.alpha, n, mode, method, count,
-    )
-    payload["divisibility"] = remark_cases(args.p, args.a, args.b).to_dict()
+    payload = result_record(p, a, b, k, field.q, args.alpha, n, mode, method,
+                            count)
+    payload["divisibility"] = remark_cases(p, a, b).to_dict()
     elapsed = round((time.perf_counter() - started) * 1000, 3)
     emit(
         {

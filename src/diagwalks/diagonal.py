@@ -43,19 +43,26 @@ def _as_index(field: FiniteField, x) -> int:
     return x
 
 
+def diagonal_exponent(p: int, a: int, b: int) -> int:
+    """k = (p^{ab}-1)/(b(p^a-1)), the exponent of the diagonal equation;
+    raises KNotInteger, with the divisibility report, when it is not an
+    integer."""
+    if b < 2 or a < 1:
+        raise BadParameters(f"need a >= 1 and b > 1, got a={a}, b={b}")
+    if not k_is_integer(p, a, b):
+        raise KNotInteger(
+            f"(p^{{ab}}-1)/(b(p^a-1)) is not an integer for "
+            f"p={p}, a={a}, b={b}",
+            report=remark_cases(p, a, b),
+        )
+    return (p ** (a * b) - 1) // (b * (p**a - 1))
+
+
 class DiagonalSystem:
     """Counting context for fixed (p, a, b) with k = (p^{ab}-1)/(b(p^a-1))."""
 
     def __init__(self, p: int, a: int, b: int, field: FiniteField | None = None):
-        if b < 2 or a < 1:
-            raise BadParameters(f"need a >= 1 and b > 1, got a={a}, b={b}")
-        if not k_is_integer(p, a, b):
-            report = remark_cases(p, a, b)
-            raise KNotInteger(
-                f"(p^{{ab}}-1)/(b(p^a-1)) is not an integer for "
-                f"p={p}, a={a}, b={b}",
-                report=report,
-            )
+        k = diagonal_exponent(p, a, b)
         m, u = a * b, b * (p**a - 1)
         if not is_primitive_divisor(u, p, m):
             h = next(h for h in range(1, m) if (p**h - 1) % u == 0)
@@ -74,7 +81,7 @@ class DiagonalSystem:
             raise BadParameters("field does not match (p, a*b)")
         self.field = field
         self.q = field.q
-        self.k = (self.q - 1) // (b * (p**a - 1))
+        self.k = k
         self.view = HammingView(field, self.k, a, b)
 
     def count_nonzero(self, alpha, r: int) -> int:

@@ -4,11 +4,12 @@ Elements are identified by a canonical index in [0, q): the index is the
 base-p evaluation of the coefficient vector (ascending degree), so index 0
 is the zero element and indices below p are the constants.
 
-Two kinds of arithmetic live here. The formula path (field construction,
-the primitive-element search, the subfield coordinate map, omega^e) is
-polynomial arithmetic on coefficient tuples and reads no table of size q.
-The digit, exp and log tables behind add_idx, mul_idx and pow_idx are
-built on their first read, which only the oracles make.
+There is one arithmetic, polynomial arithmetic on coefficient tuples:
+digits by divmod, sums digit by digit, products reduced modulo the
+defining polynomial, powers by square-and-multiply. It reads no table of
+size q. The only q-sized tables are the numpy addition and negation
+tables, built on their first read for the graph and enumeration oracles;
+the addition table is capped in bytes.
 
 The construction is deterministic: with no modulus given, the
 lexicographically smallest monic irreducible polynomial is selected
@@ -19,7 +20,6 @@ element is the one with the smallest canonical index.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +33,11 @@ from .errors import (
     ReducibleModulus,
 )
 
-DEFAULT_TABLE_CAP = 1 << 20
+# largest field order accepted: find_modulus tries every monic divisor
+# of degree up to m/2
+MAX_FIELD_ORDER = 1 << 20
+# largest addition table (q^2 entries) that add_table will allocate
+MAX_ADD_TABLE_BYTES = 1 << 28
 
 
 def is_prime(n: int) -> bool:
@@ -172,21 +176,21 @@ class FieldElement:
 
 
 class FiniteField:
-    """GF(p^m); immutable after construction.
+    """GF(p^m) with q <= MAX_FIELD_ORDER; immutable after construction.
 
-    Construction does polynomial work only: the modulus search and the
-    primitive-element test. The q-sized tables (`_digits`, `exp`, `log`,
-    `add_table`, `neg_table`) are built on first read.
+    Every operation on indices is polynomial arithmetic, so construction
+    is the modulus search and the primitive-element test only. The numpy
+    `add_table` and `neg_table` are built on first read, for the oracles.
     """
 
-    def __init__(self, p, m, modulus=None, omega=None, table_cap=DEFAULT_TABLE_CAP):
+    def __init__(self, p, m, modulus=None, omega=None):
         if not is_prime(p):
             raise NotPrime(f"p={p} is not prime")
         if m < 1:
             raise ValueError(f"m={m} must be >= 1")
         q = p**m
-        if q > table_cap:
-            raise FieldTooLarge(f"q={q} exceeds table cap {table_cap}")
+        if q > MAX_FIELD_ORDER:
+            raise FieldTooLarge(f"q={q} exceeds the field cap {MAX_FIELD_ORDER}")
         self.p = p
         self.m = m
         self.q = q
@@ -228,19 +232,31 @@ class FiniteField:
             idx = idx * self.p + (c % self.p)
         return idx
 
-    # --- polynomial arithmetic on indices (the formula path; no tables) ---
+    # --- arithmetic on indices ---
 
-    def mul_poly(self, i, j):
+    def add_idx(self, i, j):
+        digits = zip(self.digits(i), self.digits(j))
+        return self.index_of(a + b for a, b in digits)
+
+    def neg_idx(self, i):
+        return self.index_of(-c for c in self.digits(i))
+
+    def sub_idx(self, i, j):
+        return self.add_idx(i, self.neg_idx(j))
+
+    def mul_idx(self, i, j):
         prod = _poly_mul(self.digits(i), self.digits(j), self.p)
         return self.index_of(_poly_rem(prod, self.modulus, self.p))
 
-    def pow_poly(self, i, e):
+    def pow_idx(self, i, e):
         """i^e by square-and-multiply; e must be >= 0."""
+        if e < 0:
+            raise ValueError("negative exponent")
         acc, base = 1, i
         while e:
             if e & 1:
-                acc = self.mul_poly(acc, base)
-            base = self.mul_poly(base, base)
+                acc = self.mul_idx(acc, base)
+            base = self.mul_idx(base, base)
             e >>= 1
         return acc
 
@@ -250,71 +266,13 @@ class FiniteField:
         n = self.q - 1
         if n == 1:
             return True
-        return all(self.pow_poly(i, n // f) != 1 for f in factorize(n))
+        return all(self.pow_idx(i, n // f) != 1 for f in factorize(n))
 
     def _find_primitive(self):
         for i in range(1, self.q):
             if self._is_primitive(i):
                 return i
         raise ValueError("no primitive element found (impossible)")
-
-    # --- table-backed arithmetic (the oracles; tables built on first read) ---
-
-    @cached_property
-    def _digits(self):
-        return [self.digits(i) for i in range(self.q)]
-
-    @cached_property
-    def exp(self):
-        """exp[i] = omega^i as an index."""
-        n = self.q - 1
-        exp = [0] * n
-        cur = 1  # the constant 1
-        for i in range(n):
-            exp[i] = cur
-            cur = self.mul_poly(cur, self.omega_idx)
-        if cur != 1 or len(set(exp)) != n:
-            raise ValueError("exp table did not close; omega is not primitive")
-        return exp
-
-    @cached_property
-    def log(self):
-        """log[x] = i with omega^i = x, for nonzero x; log[0] is None."""
-        log = [None] * self.q
-        for i, x in enumerate(self.exp):
-            log[x] = i
-        return log
-
-    def add_idx(self, i, j):
-        p = self.p
-        a, b = self._digits[i], self._digits[j]
-        idx = 0
-        for t in range(self.m - 1, -1, -1):
-            idx = idx * p + (a[t] + b[t]) % p
-        return idx
-
-    def neg_idx(self, i):
-        p = self.p
-        a = self._digits[i]
-        idx = 0
-        for t in range(self.m - 1, -1, -1):
-            idx = idx * p + (-a[t]) % p
-        return idx
-
-    def sub_idx(self, i, j):
-        return self.add_idx(i, self.neg_idx(j))
-
-    def mul_idx(self, i, j):
-        if i == 0 or j == 0:
-            return 0
-        return self.exp[(self.log[i] + self.log[j]) % (self.q - 1)]
-
-    def pow_idx(self, i, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        if i == 0:
-            return 0 if e > 0 else 1
-        return self.exp[(self.log[i] * e) % (self.q - 1)]
 
     def frobenius_idx(self, i, times=1):
         return self.pow_idx(i, self.p**times)
@@ -350,9 +308,17 @@ class FiniteField:
 
     @property
     def add_table(self) -> np.ndarray:
+        """add_table[i, j] = add_idx(i, j); refuses to allocate more than
+        MAX_ADD_TABLE_BYTES."""
         if self._add_table is None:
             p, q = self.p, self.q
-            dtype = np.int16 if q <= (1 << 15) - 1 else np.int32
+            dtype = np.dtype(np.int16 if q <= (1 << 15) - 1 else np.int32)
+            nbytes = q * q * dtype.itemsize
+            if nbytes > MAX_ADD_TABLE_BYTES:
+                raise FieldTooLarge(
+                    f"the addition table of GF({p}^{self.m}) needs {nbytes} "
+                    f"bytes, over the cap of {MAX_ADD_TABLE_BYTES} bytes"
+                )
             idx = np.arange(q)
             table = np.zeros((q, q), dtype=dtype)
             for t in range(self.m):
@@ -392,8 +358,8 @@ class FiniteField:
         return self._subfield_maps[key]
 
 
-def build_field(p, m, modulus=None, omega=None, table_cap=DEFAULT_TABLE_CAP):
-    return FiniteField(p, m, modulus=modulus, omega=omega, table_cap=table_cap)
+def build_field(p, m, modulus=None, omega=None):
+    return FiniteField(p, m, modulus=modulus, omega=omega)
 
 
 class ResidueSet:
@@ -427,8 +393,12 @@ def kth_power_residues(field: FiniteField, k: int) -> ResidueSet:
     n = field.q - 1
     if n % k != 0:
         raise KDoesNotDivide(f"k={k} does not divide q-1={n}")
-    members = frozenset(field.exp[(j * k) % n] for j in range(n // k))
-    return ResidueSet(field, k, members)
+    step = field.pow_idx(field.omega_idx, k)
+    members, x = [], 1
+    for _ in range(n // k):
+        members.append(x)
+        x = field.mul_idx(x, step)
+    return ResidueSet(field, k, frozenset(members))
 
 
 # --- F_p linear algebra for the subfield coordinate map ---
@@ -470,14 +440,14 @@ class SubfieldMap:
         self.b = b
         self.k = k
         p, m = field.p, field.m
-        tau = field.pow_poly(field.omega_idx, (field.q - 1) // (p**a - 1))
-        omega_k = field.pow_poly(field.omega_idx, k)
-        self.tau_pows = [field.pow_poly(tau, j) for j in range(a)]
-        self.basis = [field.pow_poly(omega_k, i) for i in range(b)]
+        tau = field.pow_idx(field.omega_idx, (field.q - 1) // (p**a - 1))
+        omega_k = field.pow_idx(field.omega_idx, k)
+        self.tau_pows = [field.pow_idx(tau, j) for j in range(a)]
+        self.basis = [field.pow_idx(omega_k, i) for i in range(b)]
         self._tau_digits = [field.digits(t) for t in self.tau_pows]
 
         # column (i*a + j) holds the F_p digits of tau^j * omega^{ik}
-        cols = [field.digits(field.mul_poly(t, w))
+        cols = [field.digits(field.mul_idx(t, w))
                 for w in self.basis for t in self.tau_pows]
         mat = [[cols[c][r] for c in range(m)] for r in range(m)]
         inv = _invert_matrix_mod_p(mat, p)
@@ -513,7 +483,7 @@ class SubfieldMap:
         field, p = self.field, self.field.p
         acc = [0] * field.m
         for c, w in zip(coord_indices, self.basis):
-            term = field.digits(field.mul_poly(c, w))
+            term = field.digits(field.mul_idx(c, w))
             acc = [(u + v) % p for u, v in zip(acc, term)]
         return field.index_of(acc)
 

@@ -113,12 +113,6 @@ def verify_isomorphism(view: HammingView, coords_fn=None) -> bool:
     """
     field = view.field
     coords_fn = coords_fn or view.coords_idx
-    residues = kth_power_residues(field, view.k)
-    coords = [coords_fn(x) for x in range(field.q)]
-    for x in range(field.q):
-        for y in range(field.q):
-            adjacent = field.sub_idx(y, x) in residues
-            dist = sum(a != b for a, b in zip(coords[x], coords[y]))
-            if adjacent != (dist == 1):
-                return False
-    return True
+    coords = np.array([coords_fn(x) for x in range(field.q)])
+    dist = (coords[:, None, :] != coords[None, :, :]).sum(axis=2)
+    return bool(np.array_equal(gp_graph(field, view.k).adj == 1, dist == 1))

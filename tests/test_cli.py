@@ -58,7 +58,7 @@ def test_count_k_not_integer(capsys):
     assert record["divisibility"]["k_integer"] is False
 
 
-@pytest.mark.parametrize("p, method", [(3, "formula"), (3, "brute"), (7, "formula")])
+@pytest.mark.parametrize("p, method", [(3, "formula"), (7, "formula")])
 def test_count_not_primitive_divisor(capsys, p, method):
     code, out, err = run_cli(
         capsys, "count", "--p", str(p), "--a", "1", "--b", "4",
@@ -67,6 +67,17 @@ def test_count_not_primitive_divisor(capsys, p, method):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "NotPrimitiveDivisor"
+
+
+@pytest.mark.parametrize("method", ["brute", "convolution", "walk"])
+def test_count_oracles_answer_non_primitive_triple(capsys, method):
+    # (3,1,4) has no Hamming decomposition, but the GF(81) oracles count it
+    code, out, _ = run_cli(
+        capsys, "count", "--p", "3", "--a", "1", "--b", "4",
+        "--alpha", "0", "--s", "2", "--nonzero-only", "--method", method,
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == "800"
 
 
 def test_count_determinism(capsys):

@@ -42,17 +42,33 @@ def test_modulus_deterministic():
     assert build_field(3, 2).modulus == build_field(3, 2).modulus
 
 
-def test_exp_log_consistency(f9):
-    for x in range(1, f9.q):
-        assert f9.exp[f9.log[x]] == x
-    assert len(set(f9.exp)) == f9.q - 1
+def test_arithmetic_exhaustive(f9, f25, f64):
+    for f in (f9, f25, f64):
+        n, x, seen = f.q - 1, 1, []
+        for e in range(n):
+            seen.append(x)
+            assert f.pow_idx(f.omega_idx, e) == x
+            x = f.mul_idx(x, f.omega_idx)
+        # omega has order exactly q - 1: its powers hit each nonzero once
+        assert x == 1
+        assert sorted(seen) == list(range(1, f.q))
+        for y in range(f.q):
+            assert f.pow_idx(y, 0) == 1
+    with pytest.raises(ValueError, match="negative exponent"):
+        f9.pow_idx(f9.omega_idx, -1)
+    for x in range(9):
+        for y in range(9):
+            for z in range(9):
+                assert f9.mul_idx(x, f9.add_idx(y, z)) == f9.add_idx(
+                    f9.mul_idx(x, y), f9.mul_idx(x, z))
 
 
-def test_exp_table_group_law(f9):
-    n = f9.q - 1
-    for i in range(n):
-        for j in range(n):
-            assert f9.mul_idx(f9.exp[i], f9.exp[j]) == f9.exp[(i + j) % n]
+def test_add_table_capped_in_bytes():
+    # q = 7^6: q^2 int32 entries are about 55 GB; refused before allocating
+    f = build_field(7, 6)
+    with pytest.raises(FieldTooLarge, match="55365148804 bytes"):
+        f.add_table
+    assert f._add_table is None
 
 
 def test_field_errors():
@@ -75,24 +91,6 @@ def test_explicit_omega_must_be_primitive():
     for omega in (0, 1, 2, 9):
         with pytest.raises(ValueError, match="not primitive"):
             build_field(3, 2, omega=omega)
-
-
-def test_exp_table_checks_closure():
-    f = build_field(3, 2)
-    f.omega_idx = 2  # tampered after construction: -1 has order 2
-    with pytest.raises(ValueError, match="did not close"):
-        f.exp
-
-
-def test_polynomial_arithmetic_matches_tables(f9, f25):
-    for f in (f9, f25):
-        n = f.q - 1
-        for e in range(3 * n):
-            assert f.pow_poly(f.omega_idx, e) == f.exp[e % n]
-        for x in range(f.q):
-            assert f.pow_poly(x, 0) == 1
-            for y in range(f.q):
-                assert f.mul_poly(x, y) == f.mul_idx(x, y)
 
 
 def test_element_arithmetic(f9):
@@ -136,7 +134,7 @@ def test_residues_closed_under_multiplication(f9):
 def test_residues_match_exp_strides(f25):
     for k in (2, 3, 4, 6):
         got = kth_power_residues(f25, k).indices
-        expect = {f25.exp[(j * k) % 24] for j in range(24 // k)}
+        expect = {f25.pow_idx(f25.omega_idx, j * k) for j in range(24 // k)}
         assert got == expect
 
 
@@ -149,7 +147,7 @@ def test_frobenius_fixed_points(f64):
 
 def test_subfield_coordinates_basis_vectors(f9):
     k = 2
-    w_k = f9.exp[k]
+    w_k = f9.pow_idx(f9.omega_idx, k)
     assert subfield_coordinates(f9, 1, 2, k, 1) == (1, 0)
     assert subfield_coordinates(f9, 1, 2, k, w_k) == (0, 1)
     assert subfield_coordinates(f9, 1, 2, k, 0) == (0, 0)

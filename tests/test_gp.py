@@ -91,7 +91,7 @@ def test_hamming_parameters_imply_undirected():
 def test_hamming_view_coordinates(f9):
     view = build_hamming_view(f9, 2, 1, 2)
     assert view.coords_idx(1) == (1, 0)
-    assert view.coords_idx(f9.exp[2]) == (0, 1)
+    assert view.coords_idx(f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
     # linearity: [x+y] = [x] + [y] componentwise
     for x in range(9):
         for y in range(9):
@@ -108,8 +108,8 @@ def test_hamming_view_coordinates(f9):
 
 def test_basis_coordinates(f64):
     view = build_hamming_view(f64, 7, 2, 3)
-    w_k = f64.exp[7]
-    w_2k = f64.exp[14]
+    w_k = f64.pow_idx(f64.omega_idx, 7)
+    w_2k = f64.pow_idx(f64.omega_idx, 14)
     assert view.coords_idx(1) == (1, 0, 0)
     assert view.coords_idx(w_k) == (0, 1, 0)
     assert view.coords_idx(w_2k) == (0, 0, 1)
