@@ -8,29 +8,18 @@ from .diagonal import (
     brute_force_distribution,
     convolution_count,
     convolution_distribution,
-    count_all_formula,
-    count_nonzero_formula,
     walk_solution_count,
 )
 from .divisibility import DivisibilityReport, k_is_integer, remark_cases
-from .field import (
-    FieldElement,
-    FiniteField,
-    ResidueSet,
-    build_field,
-    kth_power_residues,
-    subfield_coordinates,
-    zero_pattern,
-)
+from .field import FieldElement, FiniteField, build_field, kth_power_residues
 from .gp import (
     HammingView,
-    build_hamming_view,
     gp_graph,
     hamming_parameters,
     is_primitive_divisor,
     verify_isomorphism,
 )
-from .graphs import DenseGraph, complete_graph, complete_walks, walk_count_power
+from .graphs import DenseGraph, complete_graph, complete_walks
 from .neps import (
     NepsBasis,
     hamming_walks,
@@ -49,17 +38,13 @@ __all__ = [
     "FiniteField",
     "HammingView",
     "NepsBasis",
-    "ResidueSet",
     "brute_force_count",
     "brute_force_distribution",
     "build_field",
-    "build_hamming_view",
     "complete_graph",
     "complete_walks",
     "convolution_count",
     "convolution_distribution",
-    "count_all_formula",
-    "count_nonzero_formula",
     "gp_graph",
     "hamming_parameters",
     "hamming_walks",
@@ -70,9 +55,6 @@ __all__ = [
     "neps_construct",
     "neps_walks",
     "remark_cases",
-    "subfield_coordinates",
     "verify_isomorphism",
-    "walk_count_power",
     "walk_solution_count",
-    "zero_pattern",
 ]

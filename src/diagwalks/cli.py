@@ -25,7 +25,7 @@ from .diagonal import (
 from .divisibility import remark_cases
 from .errors import DiagwalksError, KNotInteger
 from .field import FieldElement, FiniteField, build_field
-from .graphs import complete_graph, walk_count_power
+from .graphs import complete_graph
 from .neps import (
     NepsBasis,
     agreement_pattern,
@@ -33,7 +33,7 @@ from .neps import (
     neps_complete_walks,
     neps_construct,
 )
-from .gp import build_hamming_view, gp_graph, hamming_parameters
+from .gp import HammingView, gp_graph, hamming_parameters
 
 CSV_COLUMNS = ["p", "a", "b", "k", "q", "alpha", "n", "mode", "method", "count"]
 
@@ -160,16 +160,24 @@ def cmd_count(args) -> int:
     return 0
 
 
+def require_options(args, graph: str, *names: str) -> None:
+    """Raise a DiagwalksError naming every option the graph needs but lacks."""
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise DiagwalksError(f"{graph} requires {', '.join(missing)}")
+
+
 def cmd_walks(args) -> int:
     started = time.perf_counter()
     if args.neps:
+        require_options(args, "--neps", "basis")
         sizes = [int(v) for v in args.neps.split(",")]
         basis = NepsBasis.parse(args.basis)
         graph = neps_construct([complete_graph(m) for m in sizes], basis)
         vi, vj = int(args.from_vertex), int(args.to_vertex)
         pattern = agreement_pattern(sizes, vi, vj)
         formula = neps_complete_walks(sizes, basis, args.length, pattern)
-        power = walk_count_power(graph, args.length, vi, vj)
+        power = graph.walk_count(args.length, vi, vj)
         payload = {
             "graph": f"NEPS({','.join(f'K{m}' for m in sizes)}; {args.basis})",
             "from": vi,
@@ -180,11 +188,12 @@ def cmd_walks(args) -> int:
             "agree": formula == power,
         }
     elif args.gp:
+        require_options(args, "--gp", "p", "m", "k")
         field = build_field(args.p, args.m)
         graph = gp_graph(field, args.k)
         vi = parse_element(field, args.from_vertex).index
         vj = parse_element(field, args.to_vertex).index
-        power = walk_count_power(graph, args.length, vi, vj)
+        power = graph.walk_count(args.length, vi, vj)
         payload = {
             "graph": f"Gamma({args.k},{field.q})",
             "from": vi,
@@ -195,7 +204,7 @@ def cmd_walks(args) -> int:
         pairs = hamming_parameters(args.p, args.m, args.k)
         if pairs:
             a, b = pairs[0]
-            view = build_hamming_view(field, args.k, a, b)
+            view = HammingView(field, args.k, a, b)
             pattern = view.pattern_idx(field.sub_idx(vj, vi))
             formula = hamming_walks(b, args.p**a, args.length, pattern)
             payload["formula"] = str(formula)

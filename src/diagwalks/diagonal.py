@@ -1,14 +1,17 @@
 """Exact solution counts for x_1^k + ... + x_s^k = alpha.
 
 N_r counts solutions with every coordinate nonzero; M_s lets coordinates
-range over the whole field. The closed formula for N_r multiplies k^r
-into the Hamming walk count determined by the zero pattern of alpha's
-subfield coordinates; M_s is assembled from the N_i by choosing which
-coordinates vanish, plus the all-zero tuple when alpha = 0.
+range over the whole field. Both are methods of `DiagonalSystem`, the
+one formula evaluator: N_r multiplies k^r into the Hamming walk count
+determined by the zero pattern of alpha's subfield coordinates
+(`HammingView.pattern_idx`); M_s is assembled from the N_i by choosing
+which coordinates vanish, plus the all-zero tuple when alpha = 0.
 
-Two independent oracles ship alongside the formulas: a literal
-enumeration of all tuples (vectorized, cached per distribution) and an
-r-fold additive convolution over the group.
+Three independent oracles ship alongside the formula: a literal
+enumeration of all tuples (vectorized, streamed over the last summand,
+cached per distribution), an r-fold additive convolution over the
+group, and the walk bridge, k^r times a matrix-power walk count on the
+generalized Paley graph.
 """
 
 from __future__ import annotations
@@ -110,14 +113,6 @@ class DiagonalSystem:
         )
 
 
-def count_nonzero_formula(p: int, a: int, b: int, alpha, r: int) -> int:
-    return DiagonalSystem(p, a, b).count_nonzero(alpha, r)
-
-
-def count_all_formula(p: int, a: int, b: int, alpha, s: int) -> int:
-    return DiagonalSystem(p, a, b).count_all(alpha, s)
-
-
 # --- walk bridge ---
 
 _gp_cache: dict = {}
@@ -151,9 +146,11 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
                              cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """Counts for every alpha at once, by enumerating all tuples.
 
-    The enumeration is literal: the value sum of every tuple is
-    materialized before a single histogram pass. Cached per
-    (field, k, r, mode) so per-alpha queries do not re-enumerate.
+    The enumeration is literal: the value sum of every tuple is computed
+    and counted. The sums of the first r-1 summands are held at once and
+    the last summand is added one value at a time, so memory grows as
+    base^(r-1), not base^r. Cached per (field, k, r, mode) so per-alpha
+    queries do not re-enumerate.
     """
     key = (field.key, k, r, restrict_nonzero)
     if key in _bf_cache:
@@ -168,9 +165,14 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     powers = np.array([field.pow_idx(x, k) for x in domain], dtype=np.int64)
     add = field.add_table
     sums = np.zeros(1, dtype=add.dtype)
-    for _ in range(r):
+    for _ in range(r - 1):
         sums = add[sums[:, None], powers[None, :]].ravel()
-    dist = np.bincount(sums, minlength=q)
+    if r == 0:
+        dist = np.bincount(sums, minlength=q)
+    else:
+        dist = np.zeros(q, dtype=np.int64)
+        for v in powers:
+            dist += np.bincount(add[sums, v], minlength=q)
     _bf_cache[key] = dist
     return dist
 
@@ -189,8 +191,7 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     """r-fold additive convolution of f(beta) = k*[beta in R_k]
     (+1 at beta = 0 when zeros are allowed); exact Python integers."""
     q = field.q
-    residues = kth_power_residues(field, k)
-    support = [(beta, k) for beta in residues.indices]
+    support = [(beta, k) for beta in kth_power_residues(field, k)]
     if not restrict_nonzero:
         support.append((0, 1))
     g = [0] * q

@@ -11,6 +11,13 @@ size q. The only q-sized tables are the numpy addition and negation
 tables, built on their first read for the graph and enumeration oracles;
 the addition table is capped in bytes.
 
+Besides the field, the module holds the two structures the count reads
+from it: `kth_power_residues`, the set R_k as a frozenset of indices,
+and `SubfieldMap`, the coordinates of an element over GF(p^a) in the
+basis {omega^{ik}}. The zero pattern of those coordinates is taken from
+the solved F_p vector by `gp.HammingView.pattern_idx`, which owns the
+map.
+
 The construction is deterministic: with no modulus given, the
 lexicographically smallest monic irreducible polynomial is selected
 (coefficients compared from the highest degree down), and the primitive
@@ -214,7 +221,6 @@ class FiniteField:
 
         self._add_table = None
         self._neg_table = None
-        self._subfield_maps = {}
 
     # --- canonical index <-> digit vector ---
 
@@ -273,9 +279,6 @@ class FiniteField:
             if self._is_primitive(i):
                 return i
         raise ValueError("no primitive element found (impossible)")
-
-    def frobenius_idx(self, i, times=1):
-        return self.pow_idx(i, self.p**times)
 
     # --- element helpers ---
 
@@ -351,45 +354,14 @@ class FiniteField:
             f"omega={self.omega_idx})"
         )
 
-    def subfield_map(self, a: int, b: int, k: int) -> "SubfieldMap":
-        key = (a, b, k)
-        if key not in self._subfield_maps:
-            self._subfield_maps[key] = SubfieldMap(self, a, b, k)
-        return self._subfield_maps[key]
-
 
 def build_field(p, m, modulus=None, omega=None):
     return FiniteField(p, m, modulus=modulus, omega=omega)
 
 
-class ResidueSet:
-    """Nonzero k-th powers R_k of a field, as a multiplicative subgroup."""
-
-    __slots__ = ("field", "k", "indices")
-
-    def __init__(self, field: FiniteField, k: int, indices: frozenset):
-        self.field = field
-        self.k = k
-        self.indices = indices
-
-    def __contains__(self, x):
-        if isinstance(x, FieldElement):
-            x = x.index
-        return x in self.indices
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(sorted(self.indices))
-
-    @property
-    def elements(self):
-        return [self.field.element(i) for i in sorted(self.indices)]
-
-
-def kth_power_residues(field: FiniteField, k: int) -> ResidueSet:
-    """R_k = {x^k : x nonzero}, of size (q-1)/k; requires k | q-1."""
+def kth_power_residues(field: FiniteField, k: int) -> frozenset[int]:
+    """R_k = {x^k : x nonzero} as canonical indices, of size (q-1)/k;
+    requires k | q-1."""
     n = field.q - 1
     if n % k != 0:
         raise KDoesNotDivide(f"k={k} does not divide q-1={n}")
@@ -398,7 +370,7 @@ def kth_power_residues(field: FiniteField, k: int) -> ResidueSet:
     for _ in range(n // k):
         members.append(x)
         x = field.mul_idx(x, step)
-    return ResidueSet(field, k, frozenset(members))
+    return frozenset(members)
 
 
 # --- F_p linear algebra for the subfield coordinate map ---
@@ -476,9 +448,6 @@ class SubfieldMap:
             out.append(field.index_of(acc))
         return tuple(out)
 
-    def coords(self, x: FieldElement) -> tuple[FieldElement, ...]:
-        return tuple(self.field.element(i) for i in self.coords_idx(x.index))
-
     def reconstruct_idx(self, coord_indices) -> int:
         field, p = self.field, self.field.p
         acc = [0] * field.m
@@ -486,20 +455,3 @@ class SubfieldMap:
             term = field.digits(field.mul_idx(c, w))
             acc = [(u + v) % p for u, v in zip(acc, term)]
         return field.index_of(acc)
-
-
-def subfield_coordinates(field, a, b, k, x):
-    """Coordinates of x in (F_{p^a})^b for the basis {1, w^k, ..., w^{(b-1)k}}."""
-    smap = field.subfield_map(a, b, k)
-    if isinstance(x, FieldElement):
-        return smap.coords(x)
-    return smap.coords_idx(x)
-
-
-def zero_pattern(coords) -> tuple[bool, ...]:
-    """Per-coordinate zero indicator; the only datum the count formula reads."""
-    out = []
-    for c in coords:
-        idx = c.index if isinstance(c, FieldElement) else c
-        out.append(idx == 0)
-    return tuple(out)

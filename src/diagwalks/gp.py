@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KDoesNotDivide
-from .field import FieldElement, FiniteField, kth_power_residues
+from .field import FiniteField, SubfieldMap, kth_power_residues
 from .graphs import DenseGraph
 
 
@@ -35,9 +35,8 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     if (q - 1) % k != 0:
         raise KDoesNotDivide(f"k={k} does not divide q-1={q - 1}")
     u = (q - 1) // k
-    residues = kth_power_residues(field, k)
     rmask = np.zeros(q, dtype=bool)
-    rmask[list(residues.indices)] = True
+    rmask[list(kth_power_residues(field, k))] = True
     # adj[i, j] = 1 iff (j - i) is a k-th power
     diff = field.add_table[field.neg_table[:, None], np.arange(q)[None, :]]
     adj = rmask[diff].astype(np.int8)
@@ -76,7 +75,7 @@ class HammingView:
         self.k = k
         self.a = a
         self.b = b
-        self.map = field.subfield_map(a, b, k)
+        self.map = SubfieldMap(field, a, b, k)
 
     @property
     def alphabet_size(self) -> int:
@@ -84,9 +83,6 @@ class HammingView:
 
     def coords_idx(self, x_idx: int) -> tuple[int, ...]:
         return self.map.coords_idx(x_idx)
-
-    def coords(self, x: FieldElement) -> tuple[FieldElement, ...]:
-        return self.map.coords(x)
 
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
         """Zero pattern of [x]: which Hamming coordinates vanish. A
@@ -99,10 +95,6 @@ class HammingView:
             f"HammingView(GF({self.field.p}^{self.field.m}), k={self.k}, "
             f"H({self.b},{self.alphabet_size}))"
         )
-
-
-def build_hamming_view(field: FiniteField, k: int, a: int, b: int) -> HammingView:
-    return HammingView(field, k, a, b)
 
 
 def verify_isomorphism(view: HammingView, coords_fn=None) -> bool:

@@ -47,25 +47,9 @@ class DenseGraph:
             raise VertexOutOfRange(f"vertices ({i},{j}) out of range for n={self.n}")
         return int(self.walk_matrix(r)[i, j])
 
-    def out_degree(self, i: int) -> int:
-        return int(self.adj[i].sum())
-
-    def to_adjacency_lines(self) -> str:
-        """Debug export: one "i: j k l" line per vertex."""
-        lines = []
-        for i in range(self.n):
-            nbrs = " ".join(str(j) for j in np.flatnonzero(self.adj[i]))
-            lines.append(f"{i}: {nbrs}".rstrip())
-        return "\n".join(lines)
-
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"DenseGraph(n={self.n}, {kind}, edges={int(self.adj.sum())})"
-
-
-def walk_count_power(G: DenseGraph, r: int, i: int, j: int) -> int:
-    """Number of r-walks from vertex i to vertex j, as entry (i,j) of A^r."""
-    return G.walk_count(r, i, j)
 
 
 def complete_graph(m: int) -> DenseGraph:

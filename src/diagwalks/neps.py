@@ -116,11 +116,6 @@ def neps_construct(factors, basis: NepsBasis, cap: int = DEFAULT_PRODUCT_CAP) ->
     return DenseGraph(acc, directed=directed)
 
 
-def walk_table(G: DenseGraph, i: int, j: int, r: int) -> list[int]:
-    """Walk counts between a fixed vertex pair for every length 0..r."""
-    return [G.walk_count(length, i, j) for length in range(r + 1)]
-
-
 @lru_cache(maxsize=None)
 def _column_sum_multiplicities(tuples, r):
     """Multiplicity of each column-sum vector over all of B^r."""
@@ -156,14 +151,16 @@ def _check_tables(tables, n, r, pattern):
                 )
 
 
-def neps_walks(factor_walk_tables, basis: NepsBasis, r: int, pattern=None,
+def neps_walks(factor_tables, basis: NepsBasis, r: int, pattern=None,
                method: str = "dp") -> int:
     """Walk count of a NEPS from per-factor walk tables for one vertex pair.
 
-    factor_walk_tables[t][length] must be the factor-t walk count between
+    factor_tables[t][length] must be the factor-t walk count between
     the projected vertices, for every length 0..r.
     """
-    tables = [list(tab) for tab in factor_walk_tables]
+    if r < 0:
+        raise ValueError(f"walk length must be >= 0, got {r}")
+    tables = [list(tab) for tab in factor_tables]
     _check_tables(tables, basis.n, r, pattern)
     if method == "naive":
         total = 0

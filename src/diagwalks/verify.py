@@ -1,5 +1,15 @@
 """Self-verification suites: every closed formula against an independent oracle.
 
+- triple agreement: `DiagonalSystem.count_nonzero` against the literal
+  enumeration and the additive convolution, for every alpha;
+- walk bridge: the same counts against k^r times matrix-power walks on
+  the generalized Paley graph;
+- isomorphism: the system's own `HammingView` against the GP-graph;
+- partition: the sums of N_r and M_s over alpha;
+- NEPS oracle: `neps_walks` from per-factor walk tables against the
+  matrix power of the constructed product, on random instances;
+- the two closed-form walk displays of the K3 x K4 examples.
+
 Each suite returns CheckResult entries; a failure carries the first
 counterexample in full so it can be reproduced from the command line.
 """
@@ -18,9 +28,9 @@ from .diagonal import (
     convolution_distribution,
     walk_solution_count,
 )
-from .gp import build_hamming_view, verify_isomorphism
-from .graphs import DenseGraph, complete_graph, complete_walks, walk_count_power
-from .neps import NepsBasis, neps_construct, neps_walks, vertex_tuple, walk_table
+from .gp import verify_isomorphism
+from .graphs import DenseGraph, complete_graph, complete_walks
+from .neps import NepsBasis, neps_construct, neps_walks, vertex_tuple
 
 DEFAULT_ROSTER = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3), (3, 2, 2)]
 
@@ -98,8 +108,7 @@ def check_isomorphisms(roster=None) -> list[CheckResult]:
     out = []
     for p, a, b in roster or DEFAULT_ROSTER:
         system = DiagonalSystem(p, a, b)
-        view = build_hamming_view(system.field, system.k, a, b)
-        ok = verify_isomorphism(view)
+        ok = verify_isomorphism(system.view)
         out.append(
             CheckResult(
                 f"isomorphism Gamma({system.k},{system.q}) ~ H({b},{p**a})", ok
@@ -163,6 +172,13 @@ def _all_tuples(n):
     return out
 
 
+def _pair_walks(g: DenseGraph, r: int) -> list[list[list[int]]]:
+    """walks[a][b][length]: walks from a to b in g, for lengths 0..r."""
+    powers = [g.walk_matrix(length) for length in range(r + 1)]
+    return [[[int(power[a, b]) for power in powers] for b in range(g.n)]
+            for a in range(g.n)]
+
+
 def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
                       max_r=5) -> list[CheckResult]:
     """Walk formula from factor tables vs matrix power on random NEPS."""
@@ -172,23 +188,17 @@ def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
         factors, basis, r = random_neps_instance(rng, max_factors, max_size, max_r)
         sizes = [g.n for g in factors]
         graph = neps_construct(factors, basis)
-        cache = {}
-        for i in range(graph.n):
-            ti = vertex_tuple(i, sizes)
-            for j in range(graph.n):
-                tj = vertex_tuple(j, sizes)
-                key = tuple(zip(ti, tj))
-                if key not in cache:
-                    tables = [
-                        walk_table(g, a, b, r)
-                        for g, (a, b) in zip(factors, key)
-                    ]
-                    cache[key] = neps_walks(tables, basis, r)
-                if cache[key] != walk_count_power(graph, r, i, j):
+        tables = [_pair_walks(g, r) for g in factors]
+        vertices = [vertex_tuple(v, sizes) for v in range(graph.n)]
+        power = graph.walk_matrix(r)
+        for i, ti in enumerate(vertices):
+            for j, tj in enumerate(vertices):
+                pair_tables = [tab[a][b] for tab, a, b in zip(tables, ti, tj)]
+                formula = neps_walks(pair_tables, basis, r)
+                if formula != power[i, j]:
                     bad = (
                         f"sizes={sizes} basis={basis} r={r} pair=({i},{j}): "
-                        f"formula={cache[key]} "
-                        f"power={walk_count_power(graph, r, i, j)}"
+                        f"formula={formula} power={power[i, j]}"
                     )
                     break
             if bad:
@@ -212,7 +222,7 @@ def check_example_closed_forms(max_r=8) -> list[CheckResult]:
         if odd:
             bad = f"Kronecker numerator {numerator} is odd at r={r}"
             break
-        if closed != walk_count_power(g1, r, 0, 0):
+        if closed != g1.walk_count(r, 0, 0):
             bad = f"Kronecker form fails at r={r}"
             break
         total = 0
@@ -220,7 +230,7 @@ def check_example_closed_forms(max_r=8) -> list[CheckResult]:
             total += comb(r, ell) * complete_walks(3, ell, True) * complete_walks(
                 4, r - ell, True
             )
-        if total != walk_count_power(g2, r, 0, 0):
+        if total != g2.walk_count(r, 0, 0):
             bad = f"binomial form fails at r={r}"
             break
     return [CheckResult(f"example closed forms (r<={max_r})", bad is None, bad or "")]

@@ -14,9 +14,9 @@ from conftest import hamming_distance_walks
 
 from diagwalks import (
     DiagonalSystem,
+    HammingView,
     brute_force_distribution,
     build_field,
-    build_hamming_view,
     complete_graph,
     complete_walks,
     convolution_distribution,
@@ -24,7 +24,6 @@ from diagwalks import (
     neps_complete_walks,
     neps_construct,
     verify_isomorphism,
-    walk_count_power,
     walk_solution_count,
 )
 from diagwalks.neps import NepsBasis, agreement_pattern, vertex_index
@@ -114,7 +113,7 @@ def test_criterion_3_example_closed_forms():
     for r in range(1, 9):
         numerator = 6 ** (r - 1) + (-1) ** r * (2 ** (r - 1) + 3 ** (r - 1)) + 1
         assert numerator % 2 == 0
-        if numerator // 2 != walk_count_power(g1, r, 0, 0):
+        if numerator // 2 != g1.walk_count(r, 0, 0):
             bad = f"Kronecker closed form at r={r}"
             break
         binom_sum = sum(
@@ -123,7 +122,7 @@ def test_criterion_3_example_closed_forms():
             * complete_walks(4, r - ell, True)
             for ell in range(r + 1)
         )
-        if binom_sum != walk_count_power(g2, r, 0, 0):
+        if binom_sum != g2.walk_count(r, 0, 0):
             bad = f"binomial sum at r={r}"
             break
     elapsed = time.perf_counter() - started
@@ -158,7 +157,7 @@ def test_criterion_5_hamming_identities():
                     hamming_walks(b, q, r, pattern),
                     recurrence[r][d],
                     neps_complete_walks(sizes, NepsBasis.standard(b), r, pattern),
-                    walk_count_power(graph, r, 0, vj),
+                    graph.walk_count(r, 0, vj),
                 }
                 if len(values) != 1:
                     bad = f"H({b},{q}) r={r} pattern={pattern}: {values}"
@@ -180,7 +179,7 @@ def test_criterion_6_isomorphisms():
     bad = ""
     for p, m, k, a, b in cases:
         field = build_field(p, m)
-        view = build_hamming_view(field, k, a, b)
+        view = HammingView(field, k, a, b)
         if not verify_isomorphism(view):
             bad = f"Gamma({k},{p**m}) vs H({b},{p**a})"
             break

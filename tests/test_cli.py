@@ -145,6 +145,21 @@ def test_walks_rooks_graph(capsys):
     assert json.loads(out)["result"]["formula"] == "1"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--neps", "3,4", "--from", "0", "--to", "5", "--length", "2"],
+     "--neps requires --basis"),
+    (["--gp", "--from", "0", "--to", "1", "--length", "2"],
+     "--gp requires --p, --m, --k"),
+    (["--neps", "3,4", "--basis", "11", "--from", "0", "--to", "5",
+      "--length", "-1"], "walk length must be >= 0"),
+])
+def test_walks_bad_options_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "walks", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in json.loads(err)["message"]
+
+
 def test_verify_small_roster(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--roster", "3,1,2", "--max-r", "3",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,10 @@ from diagwalks import (
     build_field,
     convolution_count,
     convolution_distribution,
-    count_all_formula,
-    count_nonzero_formula,
     kth_power_residues,
     walk_solution_count,
 )
+from diagwalks import diagonal
 from diagwalks.cli import parse_element
 from diagwalks.errors import (
     BadParameters,
@@ -27,8 +28,8 @@ from conftest import hamming_distance_walks
 
 def test_spot_values_f9():
     # pre-verified with a standalone enumeration before the build
-    assert count_nonzero_formula(3, 1, 2, 1, 2) == 4
-    assert count_all_formula(3, 1, 2, 0, 2) == 17
+    assert DiagonalSystem(3, 1, 2).count_nonzero(1, 2) == 4
+    assert DiagonalSystem(3, 1, 2).count_all(0, 2) == 17
 
 
 def test_n1_residue_membership(roster_systems):
@@ -41,9 +42,7 @@ def test_n1_residue_membership(roster_systems):
 
 def test_nonsquare_has_no_single_term_solution(roster_systems):
     system = roster_systems[(3, 1, 2)]
-    nonsquares = set(range(1, 9)) - set(
-        kth_power_residues(system.field, 2).indices
-    )
+    nonsquares = set(range(1, 9)) - kth_power_residues(system.field, 2)
     for nu in nonsquares:
         assert system.count_nonzero(nu, 1) == 0
 
@@ -110,6 +109,22 @@ def test_brute_force_frozen_values(f9):
 def test_enumeration_cap(f9):
     with pytest.raises(EnumerationTooLarge):
         brute_force_distribution(f9, 2, 12, cap=1000)
+
+
+def test_brute_force_streams_the_last_summand(f25, monkeypatch):
+    # 24^4 nonzero tuples; holding their sums at once would take more
+    # bytes than there are tuples
+    monkeypatch.setattr(diagonal, "_bf_cache", {})
+    f25.add_table  # the field's table, built before tracing starts
+    tracemalloc.start()
+    try:
+        dist = brute_force_distribution(f25, 3, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(dist.sum()) == 24**4
+    assert list(dist) == convolution_distribution(f25, 3, 4)
+    assert peak < 24**4, f"peak {peak} bytes"
 
 
 def test_convolution_r1_is_f(f9):
@@ -181,7 +196,7 @@ def test_convolution_recurrence(roster_systems):
             for alpha in range(system.q):
                 total = sum(
                     k * system.count_nonzero(field.sub_idx(alpha, beta), r)
-                    for beta in residues.indices
+                    for beta in residues
                 )
                 assert system.count_nonzero(alpha, r + 1) == total
 

@@ -1,8 +1,8 @@
 import pytest
 
 from diagwalks import (
+    HammingView,
     build_field,
-    build_hamming_view,
     gp_graph,
     hamming_parameters,
     is_primitive_divisor,
@@ -22,13 +22,13 @@ def test_primitive_divisor_examples():
 def test_gp_complete_for_k1(f9):
     g = gp_graph(f9, 1)
     assert not g.directed
-    assert all(g.out_degree(v) == 8 for v in range(9))
+    assert (g.adj.sum(axis=1) == 8).all()
 
 
 def test_paley_9(f9):
     g = gp_graph(f9, 2)
     assert not g.directed
-    assert all(g.out_degree(v) == 4 for v in range(9))
+    assert (g.adj.sum(axis=1) == 4).all()
     # Paley graph of order 9 is SRG(9,4,1,2)
     for x in range(9):
         for y in range(9):
@@ -43,7 +43,7 @@ def test_paley_9(f9):
 
 def test_single_connection_element(f9):
     g = gp_graph(f9, 8)  # R = {1}
-    assert all(g.out_degree(v) == 1 for v in range(9))
+    assert (g.adj.sum(axis=1) == 1).all()
 
 
 def test_directed_flag(f25):
@@ -61,7 +61,7 @@ def test_regularity_roster(f25, f64):
     for field, k in [(f25, 3), (f64, 7)]:
         g = gp_graph(field, k)
         u = (field.q - 1) // k
-        assert all(g.out_degree(v) == u for v in range(field.q))
+        assert (g.adj.sum(axis=1) == u).all()
 
 
 def test_cayley_translation_invariance(f9):
@@ -89,7 +89,7 @@ def test_hamming_parameters_imply_undirected():
 
 
 def test_hamming_view_coordinates(f9):
-    view = build_hamming_view(f9, 2, 1, 2)
+    view = HammingView(f9, 2, 1, 2)
     assert view.coords_idx(1) == (1, 0)
     assert view.coords_idx(f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
     # linearity: [x+y] = [x] + [y] componentwise
@@ -107,12 +107,22 @@ def test_hamming_view_coordinates(f9):
 
 
 def test_basis_coordinates(f64):
-    view = build_hamming_view(f64, 7, 2, 3)
+    view = HammingView(f64, 7, 2, 3)
     w_k = f64.pow_idx(f64.omega_idx, 7)
     w_2k = f64.pow_idx(f64.omega_idx, 14)
     assert view.coords_idx(1) == (1, 0, 0)
     assert view.coords_idx(w_k) == (0, 1, 0)
     assert view.coords_idx(w_2k) == (0, 0, 1)
+
+
+def test_pattern_idx_matches_coordinates(f9, f64):
+    # the zero pattern marks exactly the vanishing subfield coordinates
+    for view in (HammingView(f9, 2, 1, 2), HammingView(f64, 7, 2, 3)):
+        for x in range(view.field.q):
+            pattern = view.pattern_idx(x)
+            assert pattern == tuple(c == 0 for c in view.coords_idx(x))
+    assert HammingView(f9, 2, 1, 2).pattern_idx(1) == (False, True)
+    assert HammingView(f9, 2, 1, 2).pattern_idx(0) == (True, True)
 
 
 @pytest.mark.parametrize(
@@ -121,12 +131,12 @@ def test_basis_coordinates(f64):
 )
 def test_verify_isomorphism_roster(p, m, k, a, b):
     field = build_field(p, m)
-    view = build_hamming_view(field, k, a, b)
+    view = HammingView(field, k, a, b)
     assert verify_isomorphism(view)
 
 
 def test_verify_isomorphism_negative_control(f9):
-    view = build_hamming_view(f9, 2, 1, 2)
+    view = HammingView(f9, 2, 1, 2)
 
     def corrupted(x):
         good = view.coords_idx(x)

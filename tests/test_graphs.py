@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import enumerate_walks
-from diagwalks import DenseGraph, complete_graph, complete_walks, walk_count_power
+from diagwalks import DenseGraph, complete_graph, complete_walks
 from diagwalks.errors import VertexOutOfRange
 
 
@@ -12,14 +12,14 @@ def test_zero_length_convention():
     g = complete_graph(5)
     for i in range(5):
         for j in range(5):
-            assert walk_count_power(g, 0, i, j) == (1 if i == j else 0)
+            assert g.walk_count(0, i, j) == (1 if i == j else 0)
 
 
 def test_length_one_is_adjacency():
     g = complete_graph(4)
     for i in range(4):
         for j in range(4):
-            assert walk_count_power(g, 1, i, j) == int(g.adj[i, j])
+            assert g.walk_count(1, i, j) == int(g.adj[i, j])
 
 
 def test_k4_three_walks_off_diagonal():
@@ -27,7 +27,7 @@ def test_k4_three_walks_off_diagonal():
     g = complete_graph(4)
     adj = g.adj.tolist()
     assert enumerate_walks(adj, 3, 0, 1) == 7
-    assert walk_count_power(g, 3, 0, 1) == 7
+    assert g.walk_count(3, 0, 1) == 7
 
 
 def test_complete_graph_shapes():
@@ -54,9 +54,9 @@ def test_complete_walks_edge_cases():
 def test_complete_walks_match_matrix_power(m):
     g = complete_graph(m)
     for r in range(7):
-        assert complete_walks(m, r, same=True) == walk_count_power(g, r, 0, 0)
+        assert complete_walks(m, r, same=True) == g.walk_count(r, 0, 0)
         if m > 1:
-            assert complete_walks(m, r, same=False) == walk_count_power(g, r, 0, 1)
+            assert complete_walks(m, r, same=False) == g.walk_count(r, 0, 1)
 
 
 def test_divisibility_guard_sweep():
@@ -68,7 +68,7 @@ def test_divisibility_guard_sweep():
 def test_regular_row_sums():
     g = complete_graph(5)
     for r in range(5):
-        row = [walk_count_power(g, r, 0, j) for j in range(5)]
+        row = [g.walk_count(r, 0, j) for j in range(5)]
         assert sum(row) == 4**r
 
 
@@ -126,8 +126,3 @@ def test_matrix_power_matches_enumeration_random():
                     assert g.walk_count(r, i, j) == enumerate_walks(
                         adj.tolist(), r, i, j
                     )
-
-
-def test_adjacency_lines_export():
-    g = complete_graph(3)
-    assert g.to_adjacency_lines() == "0: 1 2\n1: 0 2\n2: 0 1"

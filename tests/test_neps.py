@@ -10,10 +10,10 @@ from diagwalks import (
     neps_complete_walks,
     neps_construct,
     neps_walks,
-    walk_count_power,
 )
+from diagwalks import verify
 from diagwalks.errors import ArityMismatch, LengthTableTooShort, ProductTooLarge
-from diagwalks.neps import agreement_pattern, vertex_index, vertex_tuple, walk_table
+from diagwalks.neps import agreement_pattern, vertex_index, vertex_tuple
 
 
 def test_basis_validation():
@@ -47,7 +47,7 @@ def test_vertex_indexing_roundtrip():
 def test_kronecker_product_construction():
     g = neps_construct([complete_graph(3), complete_graph(4)], NepsBasis([(1, 1)]))
     assert g.n == 12
-    assert all(g.out_degree(v) == 6 for v in range(12))
+    assert (g.adj.sum(axis=1) == 6).all()
 
 
 def test_unary_neps_is_identity():
@@ -61,7 +61,7 @@ def test_rooks_graph():
         [complete_graph(3), complete_graph(3)], NepsBasis.standard(2)
     )
     assert g.n == 9
-    assert all(g.out_degree(v) == 4 for v in range(9))
+    assert (g.adj.sum(axis=1) == 4).all()
 
 
 def test_construct_errors():
@@ -94,7 +94,7 @@ def test_example_g1_closed_walks():
     g = neps_construct([complete_graph(m) for m in sizes], basis)
     # closed 2-walks equal the degree: 6
     assert neps_complete_walks(sizes, basis, 2, (True, True)) == 6
-    assert walk_count_power(g, 2, 0, 0) == 6
+    assert g.walk_count(2, 0, 0) == 6
 
 
 def test_example_g2_closed_walks():
@@ -103,7 +103,7 @@ def test_example_g2_closed_walks():
     g = neps_construct([complete_graph(m) for m in sizes], basis)
     # binomial expansion at r=2: 1*1*3 + 2*0*0 + 1*2*1 = 5
     assert neps_complete_walks(sizes, basis, 2, (True, True)) == 5
-    assert walk_count_power(g, 2, 0, 0) == 5
+    assert g.walk_count(2, 0, 0) == 5
 
 
 def test_no_closed_walks_of_length_one():
@@ -165,7 +165,7 @@ def test_formula_matches_matrix_power_sampled():
                 i, j = rng.randrange(g.n), rng.randrange(g.n)
                 pattern = agreement_pattern(sizes, i, j)
                 assert neps_complete_walks(sizes, basis, r, pattern) == (
-                    walk_count_power(g, r, i, j)
+                    g.walk_count(r, i, j)
                 )
 
 
@@ -174,7 +174,7 @@ def test_h23_common_neighbours():
     g = neps_construct(
         [complete_graph(3), complete_graph(3)], NepsBasis.standard(2)
     )
-    assert walk_count_power(g, 2, 0, 1) == 1
+    assert g.walk_count(2, 0, 1) == 1
     assert hamming_walks(2, 3, 2, (True, False)) == 1
 
 
@@ -201,7 +201,7 @@ def test_hamming_matches_matrix_power():
     for r in range(5):
         for i, j in [(0, 0), (0, 1), (0, 5), (0, 21)]:
             pattern = agreement_pattern(sizes, i, j)
-            assert hamming_walks(3, 4, r, pattern) == walk_count_power(g, r, i, j)
+            assert hamming_walks(3, 4, r, pattern) == g.walk_count(r, i, j)
 
 
 def test_hamming_walks_match_distance_recurrence():
@@ -223,7 +223,17 @@ def test_length_table_too_short():
         neps_walks([[1, 0]], NepsBasis([(1,)]), 2)
 
 
-def test_walk_table_helper():
-    g = complete_graph(4)
-    assert walk_table(g, 0, 1, 3) == [0, 1, 2, 7]
-    assert walk_table(g, 0, 0, 3) == [1, 0, 3, 6]
+def test_negative_length_rejected():
+    with pytest.raises(ValueError, match="walk length"):
+        neps_walks([[1]], NepsBasis([(1,)]), -1)
+    with pytest.raises(ValueError, match="walk length"):
+        neps_complete_walks([3, 4], NepsBasis([(1, 1)]), -1, (True, True))
+
+
+def test_neps_oracle_negative_control(monkeypatch):
+    real = verify.neps_walks
+    monkeypatch.setattr(verify, "neps_walks",
+                        lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    [result] = verify.check_neps_oracle(instances=3, seed=0)
+    assert not result.ok
+    assert "pair=(0,0)" in result.detail
