@@ -57,6 +57,11 @@ class EnumerationTooLarge(DiagwalksError):
     pass
 
 
+class WalkCacheTooLarge(DiagwalksError):
+    """Raised when the cached matrix powers of a graph would pass
+    graphs.MAX_WALK_BYTES."""
+
+
 class NotPrimitiveDivisor(DiagwalksError):
     """Raised when u = b(p^a-1) already divides some p^h-1 with h < ab."""
 

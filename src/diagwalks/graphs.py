@@ -1,15 +1,25 @@
 """Dense adjacency matrices and exact walk counting by matrix powers.
 
-Matrix powers are taken with Python integers (numpy object arrays), so
-counts never overflow; powers are computed by iterated multiplication and
-cached on the graph, which makes per-length queries cheap.
+Powers A^r are computed by iterated multiplication and cached on the
+graph, which makes per-length queries cheap. Every entry of A^r is at most
+D^r, D the largest row sum of A. While D^r <= 2^53 the product runs in
+float64 on BLAS and is stored as int64, which is exact; past that bound it
+runs on Python integers (numpy object arrays), so counts never overflow.
+The cache of powers is capped at MAX_WALK_BYTES, checked before any product.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import VertexOutOfRange
+from .errors import VertexOutOfRange, WalkCacheTooLarge
+
+# float64 holds every integer up to 2^53 exactly
+FLOAT_EXACT = 1 << 53
+# largest cache of powers A^0..A^r that walk_matrix will hold
+MAX_WALK_BYTES = 1 << 30
 
 
 class DenseGraph:
@@ -28,18 +38,60 @@ class DenseGraph:
         self.adj = adj.astype(np.int8)
         self.adj.setflags(write=False)
         self.directed = directed
-        self._powers = [np.identity(self.n, dtype=object)]
+        # D, the largest row sum; A^r is a float64 product, stored as int64,
+        # for every r <= _float_reach
+        self._degree = int(self.adj.sum(axis=1, dtype=np.int64).max(initial=0))
+        self._float_reach = math.inf
+        if self._degree > 1:
+            self._float_reach = 0
+            while self._degree ** (self._float_reach + 1) <= FLOAT_EXACT:
+                self._float_reach += 1
+        self._powers = [np.identity(self.n, dtype=np.int64)]
 
     @property
     def n(self) -> int:
         return self.adj.shape[0]
 
+    def _cache_bytes(self, r: int) -> int:
+        """Bytes of the powers A^0..A^r: 8 per int64 entry; an object entry
+        is bounded by D^t, so it is estimated as an 8-byte pointer to a
+        Python int of at most t*log2(D)/30 + 1 30-bit digits (24 bytes plus
+        4 per digit)."""
+        exact = min(r, self._float_reach) + 1
+        total = 8 * self.n**2 * exact
+        objects = r + 1 - exact
+        if objects > 0:
+            t_sum = (exact + r) * objects / 2
+            digits = objects + math.log2(self._degree) / 30 * t_sum
+            total += self.n**2 * math.ceil(32 * objects + 4 * digits)
+        return total
+
     def walk_matrix(self, r: int) -> np.ndarray:
-        """A^r with exact integer entries (A^0 = identity)."""
+        """A^r with exact integer entries (A^0 = identity): an int64 array
+        while D^r <= 2^53, an object array of Python ints past it. Raises
+        WalkCacheTooLarge, before any product, when the cached powers
+        A^0..A^r would take more than MAX_WALK_BYTES."""
         if r < 0:
             raise ValueError(f"walk length must be >= 0, got {r}")
+        if r >= len(self._powers):
+            need = self._cache_bytes(r)
+            if need > MAX_WALK_BYTES:
+                raise WalkCacheTooLarge(
+                    f"the walk powers A^0..A^{r} of a {self.n}-vertex graph "
+                    f"need about {need} bytes, over the cap of "
+                    f"{MAX_WALK_BYTES} bytes"
+                )
         while len(self._powers) <= r:
-            self._powers.append(self._powers[-1] @ self.adj.astype(object))
+            t, prev = len(self._powers), self._powers[-1]
+            if t <= self._float_reach:
+                # Exact: every entry of A^t, and every partial sum BLAS
+                # forms in any order, is a non-negative integer at most
+                # D^t <= 2^53, and a double holds all such integers exactly.
+                power = (prev.astype(np.float64) @ self.adj.astype(np.float64)
+                         ).astype(np.int64)
+            else:
+                power = prev.astype(object, copy=False) @ self.adj.astype(object)
+            self._powers.append(power)
         return self._powers[r]
 
     def walk_count(self, r: int, i: int, j: int) -> int:

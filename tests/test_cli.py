@@ -4,6 +4,7 @@ import pytest
 
 from diagwalks.cli import main, parse_element
 from diagwalks import build_field
+from diagwalks.graphs import MAX_WALK_BYTES
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,18 @@ def test_walks_bad_options_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in json.loads(err)["message"]
+
+
+def test_walks_over_cache_cap_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "walks", "--gp", "--p", "3", "--m", "2", "--k", "2",
+        "--from", "0", "--to", "pow:0", "--length", "100000",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "WalkCacheTooLarge"
+    assert str(MAX_WALK_BYTES) in error["message"]
 
 
 def test_verify_small_roster(capsys):

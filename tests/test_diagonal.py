@@ -22,6 +22,7 @@ from diagwalks.errors import (
     NotPrimitiveDivisor,
 )
 from diagwalks.field import FiniteField
+from diagwalks.verify import check_walk_bridge
 
 from conftest import hamming_distance_walks
 
@@ -164,6 +165,12 @@ def test_walk_solution_count_conventions(f9):
 
 def test_walk_bridge_example(f9):
     assert walk_solution_count(f9, 2, 0, 1, 2) == 4
+
+
+def test_walk_bridge_on_gf625_and_gf729():
+    results = check_walk_bridge([(5, 1, 4), (3, 3, 2)], 3)
+    assert len(results) == 2
+    assert all(result.ok for result in results), results
 
 
 def test_k_power_divides_counts(roster_systems):

@@ -1,11 +1,14 @@
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import enumerate_walks
 from diagwalks import DenseGraph, complete_graph, complete_walks
-from diagwalks.errors import VertexOutOfRange
+from diagwalks.errors import VertexOutOfRange, WalkCacheTooLarge
+from diagwalks.graphs import MAX_WALK_BYTES
 
 
 def test_zero_length_convention():
@@ -126,3 +129,84 @@ def test_matrix_power_matches_enumeration_random():
                     assert g.walk_count(r, i, j) == enumerate_walks(
                         adj.tolist(), r, i, j
                     )
+
+
+def float_reach(adj):
+    """Largest r with D^r <= 2^53, D the largest row sum of adj."""
+    degree = int(np.asarray(adj).sum(axis=1).max())
+    r = 0
+    while degree ** (r + 1) <= 2**53:
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("r", [52, 53, 54, 55, 70])
+def test_complete_walks_across_float_bound(r):
+    g = complete_graph(3)  # D = 2: A^53 is the last float64 power
+    assert g.walk_count(r, 0, 0) == complete_walks(3, r, same=True)
+    assert g.walk_count(r, 0, 1) == complete_walks(3, r, same=False)
+
+
+def test_power_dtype_switches_at_the_bound():
+    g = complete_graph(3)
+    assert g.walk_matrix(53).dtype == np.int64
+    assert g.walk_matrix(54).dtype == object
+    assert len(g._powers) == 55  # one cache entry per power
+
+
+def test_degree_one_graph_stays_in_int64():
+    g = complete_graph(2)
+    assert g.walk_matrix(200).dtype == np.int64
+    assert g.walk_count(200, 0, 0) == complete_walks(2, 200, same=True) == 1
+    assert g.walk_count(200, 0, 1) == complete_walks(2, 200, same=False) == 0
+
+
+def test_random_directed_powers_match_object_reference():
+    rng = random.Random(5)
+    n = 7
+    adj = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.6:
+                adj[i, j] = 1
+    g = DenseGraph(adj, directed=True)
+    reach = float_reach(adj)
+    assert reach < 40  # the loop below crosses the float64 bound
+    reference = np.identity(n, dtype=object)
+    for r in range(reach + 3):
+        power = g.walk_matrix(r)
+        assert power.tolist() == reference.tolist()
+        assert power.dtype == (np.int64 if r <= reach else object)
+        reference = reference @ adj.astype(object)
+
+
+def test_graph_without_edges():
+    g = DenseGraph(np.zeros((4, 4), dtype=np.int8))
+    assert g.walk_matrix(0).tolist() == np.identity(4, dtype=int).tolist()
+    for r in (1, 2, 100):
+        assert not g.walk_matrix(r).any()
+        assert g.walk_matrix(r).dtype == np.int64
+
+
+def test_cache_estimate_bounds_object_powers():
+    g = complete_graph(20)  # D = 19: powers past A^12 are object arrays
+    g.walk_matrix(40)
+    actual = sum(
+        power.nbytes + (sum(map(sys.getsizeof, power.flat))
+                        if power.dtype == object else 0)
+        for power in g._powers
+    )
+    assert actual <= g._cache_bytes(40) <= 1.25 * actual
+
+
+def test_walk_cache_cap_checked_before_any_product():
+    g = complete_graph(2048)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WalkCacheTooLarge, match=str(MAX_WALK_BYTES)):
+            g.walk_matrix(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(g._powers) == 1
