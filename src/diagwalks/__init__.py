@@ -11,7 +11,7 @@ from .diagonal import (
     walk_solution_count,
 )
 from .divisibility import DivisibilityReport, k_is_integer, remark_cases
-from .field import FieldElement, FiniteField, build_field, kth_power_residues
+from .field import FiniteField, build_field, kth_power_residues
 from .gp import (
     HammingView,
     gp_graph,
@@ -34,7 +34,6 @@ __all__ = [
     "DiagonalSystem",
     "DenseGraph",
     "DivisibilityReport",
-    "FieldElement",
     "FiniteField",
     "HammingView",
     "NepsBasis",

@@ -16,6 +16,7 @@ import time
 
 from . import verify as verify_mod
 from .diagonal import (
+    DEFAULT_ENUM_CAP,
     DiagonalSystem,
     brute_force_count,
     convolution_count,
@@ -24,7 +25,7 @@ from .diagonal import (
 )
 from .divisibility import remark_cases
 from .errors import DiagwalksError, KNotInteger
-from .field import FieldElement, FiniteField, build_field
+from .field import FiniteField, build_field
 from .graphs import complete_graph
 from .neps import (
     NepsBasis,
@@ -38,23 +39,26 @@ from .gp import HammingView, gp_graph, hamming_parameters
 CSV_COLUMNS = ["p", "a", "b", "k", "q", "alpha", "n", "mode", "method", "count"]
 
 
-def parse_element(field: FiniteField, literal: str) -> FieldElement:
-    """Element literal: "0", "pow:<e>" for omega^e, or a coefficient vector."""
+def parse_element(field: FiniteField, literal: str) -> int:
+    """The canonical index of an element literal: "0", "pow:<e>" for
+    omega^e, or m comma-separated coefficients in ascending degree."""
     literal = literal.strip()
     if literal.startswith("pow:"):
         e = int(literal[4:])
         if e < 0:
             raise ValueError("pow exponent must be non-negative")
-        return field.element(field.pow_idx(field.omega_idx, e))
+        return field.pow_idx(field.omega_idx, e)
     parts = [int(v) for v in literal.split(",")]
     if len(parts) == 1 and field.m > 1:
         if parts[0] == 0:
-            return field.zero
+            return 0
         raise ValueError(
             f"a bare integer other than 0 is ambiguous for m={field.m}; "
             f"use pow:<e> or {field.m} comma-separated coefficients"
         )
-    return field.from_coeffs(parts)
+    if len(parts) != field.m:
+        raise ValueError(f"expected {field.m} coefficients, got {len(parts)}")
+    return field.index_of(parts)
 
 
 def parse_modulus(literal: str) -> tuple[int, ...]:
@@ -98,7 +102,7 @@ def result_record(p, a, b, k, q, alpha_literal, n, mode, method, count) -> dict:
 
 
 def default_enum_cap() -> int:
-    return int(os.environ.get("DIAGWALKS_ENUM_CAP", 10**8))
+    return int(os.environ.get("DIAGWALKS_ENUM_CAP", DEFAULT_ENUM_CAP))
 
 
 def cmd_count(args) -> int:
@@ -191,8 +195,8 @@ def cmd_walks(args) -> int:
         require_options(args, "--gp", "p", "m", "k")
         field = build_field(args.p, args.m)
         graph = gp_graph(field, args.k)
-        vi = parse_element(field, args.from_vertex).index
-        vj = parse_element(field, args.to_vertex).index
+        vi = parse_element(field, args.from_vertex)
+        vj = parse_element(field, args.to_vertex)
         power = graph.walk_count(args.length, vi, vj)
         payload = {
             "graph": f"Gamma({args.k},{field.q})",

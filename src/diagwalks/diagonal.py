@@ -8,15 +8,15 @@ determined by the zero pattern of alpha's subfield coordinates
 which coordinates vanish, plus the all-zero tuple when alpha = 0.
 
 Three independent oracles ship alongside the formula: a literal
-enumeration of all tuples (vectorized, streamed over the last summand,
-cached per distribution), an r-fold additive convolution over the
-group, and the walk bridge, k^r times a matrix-power walk count on the
-generalized Paley graph.
+enumeration of all tuples (vectorized, streamed over the last summand),
+an r-fold additive convolution over the group, and the walk bridge, k^r
+times a matrix-power walk count on the generalized Paley graph.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     KNotInteger,
     NotPrimitiveDivisor,
 )
-from .field import FieldElement, FiniteField, build_field, kth_power_residues
+from .field import FiniteField, build_field, kth_power_residues
 from .gp import HammingView, gp_graph, is_primitive_divisor
 from .neps import hamming_walks
 
@@ -36,14 +36,21 @@ DEFAULT_ENUM_CAP = 10**8
 
 
 def _as_index(field: FiniteField, x) -> int:
-    if isinstance(x, FieldElement):
-        if x.field.key != field.key:
-            raise BadParameters("element belongs to a different field")
-        return x.index
-    x = int(x)
+    """x as an element index; integers only, so 1.5 or "3" is refused."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise BadParameters(
+            f"element {x!r} is not an integer index in [0, {field.q})"
+        ) from None
     if not 0 <= x < field.q:
         raise BadParameters(f"element index {x} out of range for q={field.q}")
     return x
+
+
+def _check_length(name: str, n: int) -> None:
+    if n < 0:
+        raise BadParameters(f"{name}={n} must be >= 0")
 
 
 def diagonal_exponent(p: int, a: int, b: int) -> int:
@@ -89,8 +96,7 @@ class DiagonalSystem:
 
     def count_nonzero(self, alpha, r: int) -> int:
         """N_r(alpha): k^r times the Hamming walk count for alpha's zero pattern."""
-        if r < 0:
-            raise BadParameters(f"r={r} must be >= 0")
+        _check_length("r", r)
         idx = _as_index(self.field, alpha)
         pattern = self.view.pattern_idx(idx)
         return self.k**r * hamming_walks(self.b, self.p**self.a, r, pattern)
@@ -98,8 +104,7 @@ class DiagonalSystem:
     def count_all(self, alpha, s: int) -> int:
         """M_s(alpha): sum of binomial(s,i) N_i, plus 1 for the trivial
         solution when alpha = 0."""
-        if s < 0:
-            raise BadParameters(f"s={s} must be >= 0")
+        _check_length("s", s)
         idx = _as_index(self.field, alpha)
         total = 1 if idx == 0 else 0
         for i in range(1, s + 1):
@@ -128,6 +133,7 @@ def _gp_graph_cached(field: FiniteField, k: int):
 def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
     """k^s times the s-walk count from x to y on the GP-graph; equals the
     number of nonzero tuples with x + sum(x_i^k) = y."""
+    _check_length("s", s)
     if (field.q - 1) % k != 0:
         raise KDoesNotDivide(f"k={k} does not divide q-1={field.q - 1}")
     xi = _as_index(field, x)
@@ -138,9 +144,6 @@ def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
 
 # --- oracle 1: literal enumeration ---
 
-_bf_cache: dict = {}
-
-
 def brute_force_distribution(field: FiniteField, k: int, r: int,
                              restrict_nonzero: bool = True,
                              cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
@@ -149,12 +152,9 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     The enumeration is literal: the value sum of every tuple is computed
     and counted. The sums of the first r-1 summands are held at once and
     the last summand is added one value at a time, so memory grows as
-    base^(r-1), not base^r. Cached per (field, k, r, mode) so per-alpha
-    queries do not re-enumerate.
+    base^(r-1), not base^r.
     """
-    key = (field.key, k, r, restrict_nonzero)
-    if key in _bf_cache:
-        return _bf_cache[key]
+    _check_length("r", r)
     q = field.q
     base = (q - 1) if restrict_nonzero else q
     if base**r > cap:
@@ -173,7 +173,6 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
         dist = np.zeros(q, dtype=np.int64)
         for v in powers:
             dist += np.bincount(add[sums, v], minlength=q)
-    _bf_cache[key] = dist
     return dist
 
 
@@ -190,6 +189,7 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
                              restrict_nonzero: bool = True) -> list[int]:
     """r-fold additive convolution of f(beta) = k*[beta in R_k]
     (+1 at beta = 0 when zeros are allowed); exact Python integers."""
+    _check_length("r", r)
     q = field.q
     support = [(beta, k) for beta in kth_power_residues(field, k)]
     if not restrict_nonzero:

@@ -17,10 +17,6 @@ class FieldTooLarge(DiagwalksError):
     pass
 
 
-class MixedFields(DiagwalksError):
-    pass
-
-
 class KDoesNotDivide(DiagwalksError):
     pass
 

@@ -1,8 +1,9 @@
 """Exact arithmetic in GF(p^m) on canonical indices.
 
-Elements are identified by a canonical index in [0, q): the index is the
-base-p evaluation of the coefficient vector (ascending degree), so index 0
-is the zero element and indices below p are the constants.
+An element is a plain int, its canonical index in [0, q): the base-p
+evaluation of the coefficient vector (ascending degree), so index 0 is
+the zero element and indices below p are the constants. Every function
+of the package takes and returns elements in this one form.
 
 There is one arithmetic, polynomial arithmetic on coefficient tuples:
 digits by divmod, sums digit by digit, products reduced modulo the
@@ -35,7 +36,6 @@ from .errors import (
     DependentBasis,
     FieldTooLarge,
     KDoesNotDivide,
-    MixedFields,
     NotPrime,
     ReducibleModulus,
 )
@@ -125,61 +125,6 @@ def find_modulus(p: int, m: int) -> tuple[int, ...]:
         if _is_irreducible(f, p):
             return f
     raise ReducibleModulus(f"no irreducible polynomial found for p={p}, m={m}")
-
-
-class FieldElement:
-    """An element of a fixed FiniteField, identified by canonical index."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: "FiniteField", index: int):
-        self.field = field
-        self.index = index
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.digits(self.index)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other)!r}")
-        if other.field.key != self.field.key:
-            raise MixedFields("elements belong to different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add_idx(self.index, other.index))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub_idx(self.index, other.index))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_idx(self.index))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul_idx(self.index, other.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_idx(self.index, e))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field.key == self.field.key
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((self.field.key, self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.index} in GF({self.field.p}^{self.field.m}))"
 
 
 class FiniteField:
@@ -280,33 +225,6 @@ class FiniteField:
                 return i
         raise ValueError("no primitive element found (impossible)")
 
-    # --- element helpers ---
-
-    def element(self, index: int) -> FieldElement:
-        if not 0 <= index < self.q:
-            raise ValueError(f"index {index} out of range for q={self.q}")
-        return FieldElement(self, index)
-
-    def from_coeffs(self, coeffs) -> FieldElement:
-        if len(tuple(coeffs)) != self.m:
-            raise ValueError(f"expected {self.m} coefficients")
-        return FieldElement(self, self.index_of(coeffs))
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    @property
-    def omega(self) -> FieldElement:
-        return FieldElement(self, self.omega_idx)
-
-    def elements(self):
-        return (FieldElement(self, i) for i in range(self.q))
-
     # --- vectorized tables (built lazily; used by graph/oracle code) ---
 
     @property
@@ -341,12 +259,6 @@ class FiniteField:
     @property
     def key(self):
         return (self.p, self.m, self.modulus, self.omega_idx)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteField) and other.key == self.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return (

@@ -23,6 +23,7 @@ from math import comb
 import numpy as np
 
 from .diagonal import (
+    DEFAULT_ENUM_CAP,
     DiagonalSystem,
     brute_force_distribution,
     convolution_distribution,
@@ -47,7 +48,8 @@ class CheckResult:
         return f"[{status}] {self.name}{suffix}"
 
 
-def check_triple_agreement(roster=None, max_r=3, cap=10**8) -> list[CheckResult]:
+def check_triple_agreement(roster=None, max_r=3,
+                           cap=DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Formula vs literal enumeration vs convolution, every alpha."""
     out = []
     for p, a, b in roster or DEFAULT_ROSTER:
@@ -236,7 +238,7 @@ def check_example_closed_forms(max_r=8) -> list[CheckResult]:
     return [CheckResult(f"example closed forms (r<={max_r})", bad is None, bad or "")]
 
 
-def run_all(roster=None, max_r=3, cap=10**8, neps_instances=50,
+def run_all(roster=None, max_r=3, cap=DEFAULT_ENUM_CAP, neps_instances=50,
             seed=0) -> list[CheckResult]:
     results = []
     results += check_triple_agreement(roster, max_r, cap)

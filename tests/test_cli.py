@@ -81,6 +81,19 @@ def test_count_oracles_answer_non_primitive_triple(capsys, method):
     assert json.loads(out)["result"]["count"] == "800"
 
 
+@pytest.mark.parametrize("method", ["formula", "brute", "convolution", "walk"])
+def test_count_negative_length_exit_2(capsys, method):
+    code, out, err = run_cli(
+        capsys, "count", "--p", "3", "--a", "1", "--b", "2",
+        "--alpha", "0", "--s", "-1", "--nonzero-only", "--method", method,
+    )
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "BadParameters"
+    assert record["message"].endswith("=-1 must be >= 0")
+
+
 def test_count_determinism(capsys):
     args = [
         "count", "--p", "5", "--a", "1", "--b", "2",
@@ -198,9 +211,11 @@ def test_validation_error_exit_code(capsys):
 
 def test_parse_element_literals():
     f = build_field(3, 2)
-    assert parse_element(f, "0").index == 0
-    assert parse_element(f, "pow:0") == f.one
-    assert parse_element(f, "pow:1") == f.omega
-    assert parse_element(f, "1,2") == f.from_coeffs((1, 2))
+    assert parse_element(f, "0") == 0
+    assert parse_element(f, "pow:0") == 1
+    assert parse_element(f, "pow:1") == f.omega_idx
+    assert parse_element(f, "1,2") == 7  # 1 + 2x, base-3 digits (1, 2)
     with pytest.raises(ValueError):
         parse_element(f, "5")
+    with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
+        parse_element(f, "1,2,0")

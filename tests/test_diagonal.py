@@ -13,7 +13,6 @@ from diagwalks import (
     kth_power_residues,
     walk_solution_count,
 )
-from diagwalks import diagonal
 from diagwalks.cli import parse_element
 from diagwalks.errors import (
     BadParameters,
@@ -83,8 +82,8 @@ def test_formula_path_builds_no_field_table():
         for r in range(11):
             system.count_nonzero(alpha, r)
             system.count_all(alpha, r)
-    assert parse_element(field, "pow:12345").index not in (0, 1)
-    assert parse_element(field, "pow:117648") == field.one
+    assert parse_element(field, "pow:12345") not in (0, 1)
+    assert parse_element(field, "pow:117648") == 1
     built = [name for name, value in vars(field).items()
              if isinstance(value, (list, tuple, np.ndarray))
              and len(value) >= field.q]
@@ -95,6 +94,34 @@ def test_formula_path_builds_no_field_table():
 def test_bad_parameters():
     with pytest.raises(BadParameters):
         DiagonalSystem(3, 1, 1)
+
+
+def test_element_must_be_an_integer_index(roster_systems, f9):
+    system = roster_systems[(3, 1, 2)]
+    assert system.count_nonzero(np.int64(1), 2) == 4
+    for bad in (1.5, "3", None):
+        with pytest.raises(BadParameters, match=f"element {bad!r} is not"):
+            system.count_nonzero(bad, 2)
+        for oracle in (brute_force_count, convolution_count):
+            with pytest.raises(BadParameters, match="is not an integer"):
+                oracle(f9, 2, bad, 2)
+        with pytest.raises(BadParameters, match="is not an integer"):
+            walk_solution_count(f9, 2, 0, bad, 2)
+    with pytest.raises(BadParameters, match="index 9 out of range"):
+        system.count_nonzero(9, 2)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda field: brute_force_distribution(field, 2, -1),
+    lambda field: convolution_distribution(field, 2, -1),
+    lambda field: walk_solution_count(field, 2, 0, 1, -1),
+], ids=["brute", "convolution", "walk"])
+def test_oracles_refuse_negative_length(oracle):
+    field = build_field(3, 2)
+    with pytest.raises(BadParameters, match="=-1 must be >= 0"):
+        oracle(field)
+    # refused before any field table is read
+    assert field._add_table is None and field._neg_table is None
 
 
 def test_brute_force_r0(f9):
@@ -112,10 +139,9 @@ def test_enumeration_cap(f9):
         brute_force_distribution(f9, 2, 12, cap=1000)
 
 
-def test_brute_force_streams_the_last_summand(f25, monkeypatch):
+def test_brute_force_streams_the_last_summand(f25):
     # 24^4 nonzero tuples; holding their sums at once would take more
     # bytes than there are tuples
-    monkeypatch.setattr(diagonal, "_bf_cache", {})
     f25.add_table  # the field's table, built before tracing starts
     tracemalloc.start()
     try:
