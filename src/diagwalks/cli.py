@@ -2,21 +2,20 @@
 
 Exit codes: 0 ok, 1 usage error, 2 parameter/validation error,
 3 verification failure. Counts are serialized as decimal strings so
-arbitrary-precision values survive JSON round-trips. The enumeration cap
-can be overridden with the DIAGWALKS_ENUM_CAP environment variable.
+arbitrary-precision values survive JSON round-trips. Every error of the
+package, a cap refusal included, is one JSON record on stderr; the caps
+are module constants, not options.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import verify as verify_mod
 from .diagonal import (
-    DEFAULT_ENUM_CAP,
     DiagonalSystem,
     brute_force_count,
     convolution_count,
@@ -24,7 +23,7 @@ from .diagonal import (
     walk_solution_count,
 )
 from .divisibility import remark_cases
-from .errors import DiagwalksError, KNotInteger
+from .errors import DiagwalksError
 from .field import FiniteField, build_field
 from .graphs import complete_graph
 from .neps import (
@@ -59,10 +58,6 @@ def parse_element(field: FiniteField, literal: str) -> int:
     if len(parts) != field.m:
         raise ValueError(f"expected {field.m} coefficients, got {len(parts)}")
     return field.index_of(parts)
-
-
-def parse_modulus(literal: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in literal.split(","))
 
 
 def emit(record: dict, fmt: str = "json") -> None:
@@ -101,26 +96,12 @@ def result_record(p, a, b, k, q, alpha_literal, n, mode, method, count) -> dict:
     }
 
 
-def default_enum_cap() -> int:
-    return int(os.environ.get("DIAGWALKS_ENUM_CAP", DEFAULT_ENUM_CAP))
-
-
 def cmd_count(args) -> int:
     """The formula needs a DiagonalSystem, and with it a Hamming
     decomposition of k; the oracles need only the field and k."""
     started = time.perf_counter()
     p, a, b = args.p, args.a, args.b
-    try:
-        k = diagonal_exponent(p, a, b)
-    except KNotInteger as exc:
-        record = {
-            "command": "count",
-            "error": "KNotInteger",
-            "message": str(exc),
-            "divisibility": exc.report.to_dict() if exc.report else None,
-        }
-        print(json.dumps(record), file=sys.stderr)
-        return 2
+    k = diagonal_exponent(p, a, b)
     method = args.method
     if method == "formula":
         system = DiagonalSystem(p, a, b)
@@ -137,8 +118,7 @@ def cmd_count(args) -> int:
             else system.count_all(alpha, n)
         )
     elif method == "brute":
-        count = brute_force_count(field, k, alpha, n, args.nonzero_only,
-                                  default_enum_cap())
+        count = brute_force_count(field, k, alpha, n, args.nonzero_only)
     elif method == "convolution":
         count = convolution_count(field, k, alpha, n, args.nonzero_only)
     elif method == "walk":
@@ -241,7 +221,6 @@ def cmd_verify(args) -> int:
     results = verify_mod.run_all(
         roster=roster,
         max_r=args.max_r,
-        cap=args.cap if args.cap else default_enum_cap(),
         neps_instances=args.neps_instances,
         seed=args.seed,
     )
@@ -294,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suites")
     verify.add_argument("--roster", help='e.g. "3,1,2;5,1,2" (default full roster)')
     verify.add_argument("--max-r", type=int, default=3)
-    verify.add_argument("--cap", type=int, default=0,
-                        help="enumeration cap (default from env or 10^8)")
     verify.add_argument("--neps-instances", type=int, default=50)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
@@ -311,8 +288,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DiagwalksError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        record = {"error": type(exc).__name__, "message": str(exc)}
+        report = getattr(exc, "report", None)
+        if report is not None:
+            record["divisibility"] = report.to_dict()
+        print(json.dumps(record), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(json.dumps({"error": "ValueError", "message": str(exc)}),

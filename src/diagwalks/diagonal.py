@@ -32,7 +32,10 @@ from .field import FiniteField, build_field, kth_power_residues
 from .gp import HammingView, gp_graph, is_primitive_divisor
 from .neps import hamming_walks
 
-DEFAULT_ENUM_CAP = 10**8
+# largest number of tuples the brute-force oracle enumerates
+MAX_ENUM_TUPLES = 10**8
+# largest number of add_idx calls the convolution oracle makes
+MAX_CONVOLUTION_OPS = 10**7
 
 
 def _as_index(field: FiniteField, x) -> int:
@@ -145,21 +148,21 @@ def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
 # --- oracle 1: literal enumeration ---
 
 def brute_force_distribution(field: FiniteField, k: int, r: int,
-                             restrict_nonzero: bool = True,
-                             cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+                             restrict_nonzero: bool = True) -> np.ndarray:
     """Counts for every alpha at once, by enumerating all tuples.
 
     The enumeration is literal: the value sum of every tuple is computed
     and counted. The sums of the first r-1 summands are held at once and
     the last summand is added one value at a time, so memory grows as
-    base^(r-1), not base^r.
+    base^(r-1), not base^r. Raises EnumerationTooLarge, before any table
+    is read, when there are more than MAX_ENUM_TUPLES tuples.
     """
     _check_length("r", r)
     q = field.q
     base = (q - 1) if restrict_nonzero else q
-    if base**r > cap:
+    if base**r > MAX_ENUM_TUPLES:
         raise EnumerationTooLarge(
-            f"{base}^{r} tuples exceed the enumeration cap {cap}"
+            f"{base}^{r} tuples exceed the enumeration cap {MAX_ENUM_TUPLES}"
         )
     domain = range(1, q) if restrict_nonzero else range(q)
     powers = np.array([field.pow_idx(x, k) for x in domain], dtype=np.int64)
@@ -177,10 +180,9 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
 
 
 def brute_force_count(field: FiniteField, k: int, alpha, r: int,
-                      restrict_nonzero: bool = True,
-                      cap: int = DEFAULT_ENUM_CAP) -> int:
+                      restrict_nonzero: bool = True) -> int:
     idx = _as_index(field, alpha)
-    return int(brute_force_distribution(field, k, r, restrict_nonzero, cap)[idx])
+    return int(brute_force_distribution(field, k, r, restrict_nonzero)[idx])
 
 
 # --- oracle 2: additive convolution ---
@@ -188,12 +190,24 @@ def brute_force_count(field: FiniteField, k: int, alpha, r: int,
 def convolution_distribution(field: FiniteField, k: int, r: int,
                              restrict_nonzero: bool = True) -> list[int]:
     """r-fold additive convolution of f(beta) = k*[beta in R_k]
-    (+1 at beta = 0 when zeros are allowed); exact Python integers."""
+    (+1 at beta = 0 when zeros are allowed); exact Python integers.
+    Raises EnumerationTooLarge, before the first step, when the add_idx
+    calls could pass MAX_CONVOLUTION_OPS."""
     _check_length("r", r)
     q = field.q
     support = [(beta, k) for beta in kth_power_residues(field, k)]
     if not restrict_nonzero:
         support.append((0, 1))
+    # step t+1 adds the |S| values to at most min(|S|^t, q) nonzero
+    # weights; from t = q.bit_length() on, that minimum no longer changes
+    size, t0 = len(support), min(r, q.bit_length())
+    ops = size * (sum(min(size**t, q) for t in range(t0))
+                  + (r - t0) * min(size**t0, q))
+    if ops > MAX_CONVOLUTION_OPS:
+        raise EnumerationTooLarge(
+            f"{r} convolution steps need up to {ops} add_idx calls, over "
+            f"the cap of {MAX_CONVOLUTION_OPS}"
+        )
     g = [0] * q
     g[0] = 1
     for _ in range(r):

@@ -46,7 +46,8 @@ class DenseGraph:
             self._float_reach = 0
             while self._degree ** (self._float_reach + 1) <= FLOAT_EXACT:
                 self._float_reach += 1
-        self._powers = [np.identity(self.n, dtype=np.int64)]
+        # one entry per power A^0..A^r; A^0 stays None until it is read
+        self._powers = [None]
 
     @property
     def n(self) -> int:
@@ -83,7 +84,9 @@ class DenseGraph:
                 )
         while len(self._powers) <= r:
             t, prev = len(self._powers), self._powers[-1]
-            if t <= self._float_reach:
+            if t == 1:
+                power = self.adj.astype(np.int64)
+            elif t <= self._float_reach:
                 # Exact: every entry of A^t, and every partial sum BLAS
                 # forms in any order, is a non-negative integer at most
                 # D^t <= 2^53, and a double holds all such integers exactly.
@@ -92,6 +95,8 @@ class DenseGraph:
             else:
                 power = prev.astype(object, copy=False) @ self.adj.astype(object)
             self._powers.append(power)
+        if r == 0 and self._powers[0] is None:
+            self._powers[0] = np.identity(self.n, dtype=np.int64)
         return self._powers[r]
 
     def walk_count(self, r: int, i: int, j: int) -> int:

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ArityMismatch, LengthTableTooShort, ProductTooLarge
 from .graphs import DenseGraph, complete_walks
 
-DEFAULT_PRODUCT_CAP = 1 << 12
+# largest int64 adjacency neps_construct builds: 4096 vertices
+MAX_PRODUCT_BYTES = 1 << 27
 
 
 class NepsBasis:
@@ -94,15 +95,21 @@ def agreement_pattern(sizes, vi: int, vj: int) -> tuple[bool, ...]:
     return tuple(a == b for a, b in zip(ti, tj))
 
 
-def neps_construct(factors, basis: NepsBasis, cap: int = DEFAULT_PRODUCT_CAP) -> DenseGraph:
-    """Build the NEPS adjacency as a sum of Kronecker products."""
+def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
+    """Build the NEPS adjacency as a sum of Kronecker products. Raises
+    ProductTooLarge, before any product, when its int64 accumulator would
+    take more than MAX_PRODUCT_BYTES."""
     if basis.n != len(factors):
         raise ArityMismatch(
             f"basis arity {basis.n} != number of factors {len(factors)}"
         )
     total = math.prod(g.n for g in factors)
-    if total > cap:
-        raise ProductTooLarge(f"product has {total} vertices, cap is {cap}")
+    nbytes = 8 * total * total
+    if nbytes > MAX_PRODUCT_BYTES:
+        raise ProductTooLarge(
+            f"the adjacency of a {total}-vertex product needs {nbytes} "
+            f"bytes, over the cap of {MAX_PRODUCT_BYTES} bytes"
+        )
     acc = np.zeros((total, total), dtype=np.int64)
     for alpha in basis:
         term = np.ones((1, 1), dtype=np.int64)
@@ -131,7 +138,7 @@ def _column_sum_multiplicities(tuples, r):
     return states
 
 
-def _check_tables(tables, n, r, pattern):
+def _check_tables(tables, n, r):
     if len(tables) != n:
         raise ArityMismatch(f"{len(tables)} walk tables for arity {n}")
     for t, tab in enumerate(tables):
@@ -139,20 +146,9 @@ def _check_tables(tables, n, r, pattern):
             raise LengthTableTooShort(
                 f"factor {t} table covers lengths < {r}"
             )
-    if pattern is not None:
-        if len(pattern) != n:
-            raise ArityMismatch(f"pattern length {len(pattern)} != arity {n}")
-        for t, agree in enumerate(pattern):
-            expect = 1 if agree else 0
-            if tables[t][0] != expect:
-                raise ValueError(
-                    f"factor {t} table has w(0)={tables[t][0]} but the "
-                    f"agreement pattern says {expect}"
-                )
 
 
-def neps_walks(factor_tables, basis: NepsBasis, r: int, pattern=None,
-               method: str = "dp") -> int:
+def neps_walks(factor_tables, basis: NepsBasis, r: int, method: str = "dp") -> int:
     """Walk count of a NEPS from per-factor walk tables for one vertex pair.
 
     factor_tables[t][length] must be the factor-t walk count between
@@ -161,7 +157,7 @@ def neps_walks(factor_tables, basis: NepsBasis, r: int, pattern=None,
     if r < 0:
         raise ValueError(f"walk length must be >= 0, got {r}")
     tables = [list(tab) for tab in factor_tables]
-    _check_tables(tables, basis.n, r, pattern)
+    _check_tables(tables, basis.n, r)
     if method == "naive":
         total = 0
         for seq in itertools.product(basis.tuples, repeat=r):
@@ -191,7 +187,7 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
         [complete_walks(m, length, same) for length in range(r + 1)]
         for m, same in zip(m_list, pattern)
     ]
-    return neps_walks(tables, basis, r, pattern=pattern)
+    return neps_walks(tables, basis, r)
 
 
 def _krawtchouk(b: int, q: int, j: int, d: int) -> int:

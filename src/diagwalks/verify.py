@@ -23,7 +23,6 @@ from math import comb
 import numpy as np
 
 from .diagonal import (
-    DEFAULT_ENUM_CAP,
     DiagonalSystem,
     brute_force_distribution,
     convolution_distribution,
@@ -48,8 +47,7 @@ class CheckResult:
         return f"[{status}] {self.name}{suffix}"
 
 
-def check_triple_agreement(roster=None, max_r=3,
-                           cap=DEFAULT_ENUM_CAP) -> list[CheckResult]:
+def check_triple_agreement(roster=None, max_r=3) -> list[CheckResult]:
     """Formula vs literal enumeration vs convolution, every alpha."""
     out = []
     for p, a, b in roster or DEFAULT_ROSTER:
@@ -57,7 +55,7 @@ def check_triple_agreement(roster=None, max_r=3,
         field, k, q = system.field, system.k, system.q
         bad = None
         for r in range(max_r + 1):
-            brute = brute_force_distribution(field, k, r, True, cap)
+            brute = brute_force_distribution(field, k, r, True)
             conv = convolution_distribution(field, k, r, True)
             for alpha in range(q):
                 formula = system.count_nonzero(alpha, r)
@@ -238,10 +236,10 @@ def check_example_closed_forms(max_r=8) -> list[CheckResult]:
     return [CheckResult(f"example closed forms (r<={max_r})", bad is None, bad or "")]
 
 
-def run_all(roster=None, max_r=3, cap=DEFAULT_ENUM_CAP, neps_instances=50,
+def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
     results = []
-    results += check_triple_agreement(roster, max_r, cap)
+    results += check_triple_agreement(roster, max_r)
     results += check_walk_bridge(roster, max_r)
     results += check_isomorphisms(roster)
     results += check_partition(roster, max_r)

@@ -26,6 +26,7 @@ from diagwalks import (
     verify_isomorphism,
     walk_solution_count,
 )
+from diagwalks.diagonal import MAX_ENUM_TUPLES
 from diagwalks.neps import NepsBasis, agreement_pattern, vertex_index
 from diagwalks.verify import check_neps_oracle
 
@@ -36,8 +37,6 @@ ROSTER = [
     (2, 2, 3, 64, 7),
     (3, 2, 2, 81, 5),
 ]
-
-ENUM_CAP = 10**8
 
 
 def report(criterion, ok, detail=""):
@@ -59,9 +58,9 @@ def test_criterion_1_triple_agreement(systems):
         system = systems[(p, a, b)]
         assert (system.q, system.k) == (q, k)
         for r in range(5):
-            if (q - 1) ** r > ENUM_CAP:
+            if (q - 1) ** r > MAX_ENUM_TUPLES:
                 continue
-            brute = brute_force_distribution(system.field, k, r, True, ENUM_CAP)
+            brute = brute_force_distribution(system.field, k, r, True)
             conv = convolution_distribution(system.field, k, r, True)
             for alpha in range(q):
                 formula = system.count_nonzero(alpha, r)

@@ -199,6 +199,8 @@ def test_verify_small_roster(capsys):
 def test_usage_error(capsys):
     code, _, _ = run_cli(capsys, "count", "--p", "3")
     assert code == 1
+    code, _, _ = run_cli(capsys, "verify", "--cap", "5")  # caps are constants
+    assert code == 1
 
 
 def test_validation_error_exit_code(capsys):

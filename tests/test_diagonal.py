@@ -134,9 +134,27 @@ def test_brute_force_frozen_values(f9):
     assert brute_force_count(f9, 2, 0, 2) == 16
 
 
-def test_enumeration_cap(f9):
+def test_enumeration_cap():
+    field = build_field(3, 2)
     with pytest.raises(EnumerationTooLarge):
-        brute_force_distribution(f9, 2, 12, cap=1000)
+        brute_force_distribution(field, 2, 12)  # 8^12 > MAX_ENUM_TUPLES
+    assert field._add_table is None
+
+
+def test_convolution_cap_checked_before_any_addition(monkeypatch):
+    # (7,1,6): |R_k| = 36 in GF(7^6), so six steps need up to 10,198,332
+    # add_idx calls, about a minute in all
+    system = DiagonalSystem(7, 1, 6)
+    field, k = system.field, system.k
+    calls = []
+    add_idx = field.add_idx
+    monkeypatch.setattr(field, "add_idx",
+                        lambda i, j: calls.append(1) or add_idx(i, j))
+    with pytest.raises(EnumerationTooLarge, match="10198332"):
+        convolution_distribution(field, k, 6)
+    assert not calls
+    assert convolution_count(field, k, 1234, 2) == system.count_nonzero(1234, 2)
+    assert len(calls) == 36 * 37
 
 
 def test_brute_force_streams_the_last_summand(f25):

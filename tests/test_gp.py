@@ -9,7 +9,8 @@ from diagwalks import (
     kth_power_residues,
     verify_isomorphism,
 )
-from diagwalks.errors import KDoesNotDivide
+from diagwalks import field as field_mod
+from diagwalks.errors import FieldTooLarge, KDoesNotDivide
 
 
 def test_primitive_divisor_examples():
@@ -145,6 +146,21 @@ def test_verify_isomorphism_negative_control(f9):
         return good
 
     assert not verify_isomorphism(view, coords_fn=corrupted)
+
+
+def test_verify_isomorphism_cap_checked_before_coordinates(monkeypatch):
+    field = build_field(2, 6)  # a new field: no add table built yet
+    view = HammingView(field, 7, 2, 3)
+    monkeypatch.setattr(field_mod, "MAX_ADD_TABLE_BYTES", 1000)
+    calls = []
+
+    def coords(x):
+        calls.append(x)
+        return view.coords_idx(x)
+
+    with pytest.raises(FieldTooLarge):
+        verify_isomorphism(view, coords_fn=coords)
+    assert not calls
 
 
 def test_walk_counts_depend_only_on_difference(f64):

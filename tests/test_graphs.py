@@ -195,8 +195,23 @@ def test_cache_estimate_bounds_object_powers():
         power.nbytes + (sum(map(sys.getsizeof, power.flat))
                         if power.dtype == object else 0)
         for power in g._powers
+        if power is not None  # A^0, built only when read
     )
     assert actual <= g._cache_bytes(40) <= 1.25 * actual
+
+
+def test_identity_power_built_only_when_read():
+    n = 2048
+    tracemalloc.start()
+    try:
+        g = complete_graph(n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * n * n  # no int64 A^0 yet
+    assert g._powers == [None]
+    assert g.walk_count(1, 0, 1) == 1 and g._powers[0] is None
+    assert g.walk_count(0, 5, 5) == 1 and g.walk_count(0, 5, 6) == 0
 
 
 def test_walk_cache_cap_checked_before_any_product():

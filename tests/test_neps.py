@@ -13,7 +13,12 @@ from diagwalks import (
 )
 from diagwalks import verify
 from diagwalks.errors import ArityMismatch, LengthTableTooShort, ProductTooLarge
-from diagwalks.neps import agreement_pattern, vertex_index, vertex_tuple
+from diagwalks.neps import (
+    MAX_PRODUCT_BYTES,
+    agreement_pattern,
+    vertex_index,
+    vertex_tuple,
+)
 
 
 def test_basis_validation():
@@ -67,10 +72,9 @@ def test_rooks_graph():
 def test_construct_errors():
     with pytest.raises(ArityMismatch):
         neps_construct([complete_graph(3)], NepsBasis([(1, 1)]))
-    with pytest.raises(ProductTooLarge):
-        neps_construct(
-            [complete_graph(3), complete_graph(4)], NepsBasis([(1, 1)]), cap=10
-        )
+    with pytest.raises(ProductTooLarge, match=str(MAX_PRODUCT_BYTES)):
+        # 65^2 = 4225 vertices: 8 * 4225^2 bytes > MAX_PRODUCT_BYTES
+        neps_construct([complete_graph(65)] * 2, NepsBasis([(1, 1)]))
 
 
 def test_single_tuple_basis_collapses_to_one_term():
@@ -84,8 +88,8 @@ def test_single_tuple_basis_collapses_to_one_term():
 
 def test_zero_length_convention():
     basis = NepsBasis([(1, 1)])
-    assert neps_walks([[1], [1]], basis, 0, pattern=(True, True)) == 1
-    assert neps_walks([[0], [1]], basis, 0, pattern=(False, True)) == 0
+    assert neps_walks([[1], [1]], basis, 0) == 1
+    assert neps_walks([[0], [1]], basis, 0) == 0
 
 
 def test_example_g1_closed_walks():
