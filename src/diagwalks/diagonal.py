@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .divisibility import k_is_integer, remark_cases
+from .divisibility import k_is_integer, multiplicative_order, remark_cases
 from .errors import (
     BadParameters,
     EnumerationTooLarge,
@@ -29,12 +29,13 @@ from .errors import (
     NotPrimitiveDivisor,
 )
 from .field import FiniteField, build_field, kth_power_residues
-from .gp import HammingView, gp_graph, is_primitive_divisor
+from .gp import HammingView, gp_graph
 from .neps import hamming_walks
 
 # largest number of tuples the brute-force oracle enumerates
 MAX_ENUM_TUPLES = 10**8
-# largest number of add_idx calls the convolution oracle makes
+# largest number of add_idx calls plus scanned weights the convolution
+# oracle makes
 MAX_CONVOLUTION_OPS = 10**7
 
 
@@ -77,8 +78,8 @@ class DiagonalSystem:
     def __init__(self, p: int, a: int, b: int, field: FiniteField | None = None):
         k = diagonal_exponent(p, a, b)
         m, u = a * b, b * (p**a - 1)
-        if not is_primitive_divisor(u, p, m):
-            h = next(h for h in range(1, m) if (p**h - 1) % u == 0)
+        h = multiplicative_order(p, u)
+        if h != m:
             raise NotPrimitiveDivisor(
                 f"u=b(p^a-1)={u} is not a primitive divisor of p^m-1="
                 f"{p**m - 1}: it already divides p^{h}-1={p**h - 1} with "
@@ -123,26 +124,17 @@ class DiagonalSystem:
 
 # --- walk bridge ---
 
-_gp_cache: dict = {}
-
-
-def _gp_graph_cached(field: FiniteField, k: int):
-    key = (field.key, k)
-    if key not in _gp_cache:
-        _gp_cache[key] = gp_graph(field, k)
-    return _gp_cache[key]
-
-
 def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
     """k^s times the s-walk count from x to y on the GP-graph; equals the
-    number of nonzero tuples with x + sum(x_i^k) = y."""
+    number of nonzero tuples with x + sum(x_i^k) = y. Builds the graph on
+    every call; a caller asking for many counts builds it once with
+    `gp_graph` and reads `walk_count` on it."""
     _check_length("s", s)
     if (field.q - 1) % k != 0:
         raise KDoesNotDivide(f"k={k} does not divide q-1={field.q - 1}")
     xi = _as_index(field, x)
     yi = _as_index(field, y)
-    graph = _gp_graph_cached(field, k)
-    return k**s * graph.walk_count(s, xi, yi)
+    return k**s * gp_graph(field, k).walk_count(s, xi, yi)
 
 
 # --- oracle 1: literal enumeration ---
@@ -192,21 +184,23 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     """r-fold additive convolution of f(beta) = k*[beta in R_k]
     (+1 at beta = 0 when zeros are allowed); exact Python integers.
     Raises EnumerationTooLarge, before the first step, when the add_idx
-    calls could pass MAX_CONVOLUTION_OPS."""
+    calls plus the q weights scanned at every step could pass
+    MAX_CONVOLUTION_OPS."""
     _check_length("r", r)
     q = field.q
     support = [(beta, k) for beta in kth_power_residues(field, k)]
     if not restrict_nonzero:
         support.append((0, 1))
     # step t+1 adds the |S| values to at most min(|S|^t, q) nonzero
-    # weights; from t = q.bit_length() on, that minimum no longer changes
+    # weights; from t = q.bit_length() on, that minimum no longer changes.
+    # Every step also scans all q weights, whatever the support size
     size, t0 = len(support), min(r, q.bit_length())
     ops = size * (sum(min(size**t, q) for t in range(t0))
                   + (r - t0) * min(size**t0, q))
-    if ops > MAX_CONVOLUTION_OPS:
+    if ops + r * q > MAX_CONVOLUTION_OPS:
         raise EnumerationTooLarge(
-            f"{r} convolution steps need up to {ops} add_idx calls, over "
-            f"the cap of {MAX_CONVOLUTION_OPS}"
+            f"{r} convolution steps need up to {ops} add_idx calls and "
+            f"{r * q} weight scans, over the cap of {MAX_CONVOLUTION_OPS}"
         )
     g = [0] * q
     g[0] = 1

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .divisibility import multiplicative_order
 from .errors import KDoesNotDivide
 from .field import FiniteField, SubfieldMap, kth_power_residues
 from .graphs import DenseGraph
 
 
 def is_primitive_divisor(u: int, p: int, m: int) -> bool:
-    """u | p^m - 1 while u divides no smaller p^h - 1 (any h < m)."""
+    """u | p^m - 1 while u divides no smaller p^h - 1 (any h < m): the
+    order of p mod u is m."""
     if u < 1:
         raise ValueError(f"u={u} must be >= 1")
-    if (p**m - 1) % u != 0:
-        return False
-    return all((p**h - 1) % u != 0 for h in range(1, m))
+    return multiplicative_order(p, u) == m
 
 
 def gp_is_undirected(p: int, u: int) -> bool:

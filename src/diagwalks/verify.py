@@ -1,17 +1,23 @@
 """Self-verification suites: every closed formula against an independent oracle.
 
-- triple agreement: `DiagonalSystem.count_nonzero` against the literal
-  enumeration and the additive convolution, for every alpha;
+`run_all` builds one `DiagonalSystem` per roster triple and hands it to
+the four per-triple checks, each returning one CheckResult:
+
+- triple agreement: `count_nonzero` against the literal enumeration and
+  the additive convolution, for every alpha;
 - walk bridge: the same counts against k^r times matrix-power walks on
-  the generalized Paley graph;
+  the triple's generalized Paley graph, built once for the check;
 - isomorphism: the system's own `HammingView` against the GP-graph;
-- partition: the sums of N_r and M_s over alpha;
+- partition: the sums of N_r and M_s over alpha.
+
+Two checks do not depend on the roster:
+
 - NEPS oracle: `neps_walks` from per-factor walk tables against the
   matrix power of the constructed product, on random instances;
 - the two closed-form walk displays of the K3 x K4 examples.
 
-Each suite returns CheckResult entries; a failure carries the first
-counterexample in full so it can be reproduced from the command line.
+A failure carries the first counterexample in full so it can be
+reproduced from the command line.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from .diagonal import (
     DiagonalSystem,
     brute_force_distribution,
     convolution_distribution,
-    walk_solution_count,
 )
-from .gp import verify_isomorphism
+from .errors import BadParameters
+from .gp import gp_graph, verify_isomorphism
 from .graphs import DenseGraph, complete_graph, complete_walks
 from .neps import NepsBasis, neps_construct, neps_walks, vertex_tuple
 
@@ -47,98 +53,68 @@ class CheckResult:
         return f"[{status}] {self.name}{suffix}"
 
 
-def check_triple_agreement(roster=None, max_r=3) -> list[CheckResult]:
+def _triple(system: DiagonalSystem) -> str:
+    return f"p={system.p} a={system.a} b={system.b}"
+
+
+def check_triple_agreement(system: DiagonalSystem, max_r=3) -> CheckResult:
     """Formula vs literal enumeration vs convolution, every alpha."""
-    out = []
-    for p, a, b in roster or DEFAULT_ROSTER:
-        system = DiagonalSystem(p, a, b)
-        field, k, q = system.field, system.k, system.q
-        bad = None
-        for r in range(max_r + 1):
-            brute = brute_force_distribution(field, k, r, True)
-            conv = convolution_distribution(field, k, r, True)
-            for alpha in range(q):
-                formula = system.count_nonzero(alpha, r)
-                if not (formula == int(brute[alpha]) == conv[alpha]):
-                    bad = (
-                        f"p={p} a={a} b={b} alpha={alpha} r={r}: "
-                        f"formula={formula} brute={int(brute[alpha])} "
-                        f"conv={conv[alpha]}"
-                    )
-                    break
-            if bad:
-                break
-        out.append(
-            CheckResult(
-                f"triple-agreement p={p} a={a} b={b} (q={q}, k={k}, r<={max_r})",
-                bad is None,
-                bad or "",
-            )
-        )
-    return out
+    field, k, q = system.field, system.k, system.q
+    name = f"triple-agreement {_triple(system)} (q={q}, k={k}, r<={max_r})"
+    for r in range(max_r + 1):
+        brute = brute_force_distribution(field, k, r, True)
+        conv = convolution_distribution(field, k, r, True)
+        for alpha in range(q):
+            formula = system.count_nonzero(alpha, r)
+            if not (formula == int(brute[alpha]) == conv[alpha]):
+                return CheckResult(name, False, (
+                    f"{_triple(system)} alpha={alpha} r={r}: "
+                    f"formula={formula} brute={int(brute[alpha])} "
+                    f"conv={conv[alpha]}"
+                ))
+    return CheckResult(name, True)
 
 
-def check_walk_bridge(roster=None, max_r=3) -> list[CheckResult]:
-    """k^r * (matrix-power walks from 0 to alpha) must equal N_r(alpha)."""
-    out = []
-    for p, a, b in roster or DEFAULT_ROSTER:
-        system = DiagonalSystem(p, a, b)
-        bad = None
-        for r in range(max_r + 1):
-            for alpha in range(system.q):
-                via_walks = walk_solution_count(system.field, system.k, 0, alpha, r)
-                formula = system.count_nonzero(alpha, r)
-                if via_walks != formula:
-                    bad = (
-                        f"p={p} a={a} b={b} alpha={alpha} r={r}: "
-                        f"walks={via_walks} formula={formula}"
-                    )
-                    break
-            if bad:
-                break
-        out.append(
-            CheckResult(
-                f"walk-bridge p={p} a={a} b={b} (r<={max_r})", bad is None, bad or ""
-            )
-        )
-    return out
+def check_walk_bridge(system: DiagonalSystem, max_r=3) -> CheckResult:
+    """k^r * (walks from 0 to alpha on the GP-graph, built once here) must
+    equal N_r(alpha)."""
+    name = f"walk-bridge {_triple(system)} (r<={max_r})"
+    graph = gp_graph(system.field, system.k)
+    for r in range(max_r + 1):
+        for alpha in range(system.q):
+            via_walks = system.k**r * graph.walk_count(r, 0, alpha)
+            formula = system.count_nonzero(alpha, r)
+            if via_walks != formula:
+                return CheckResult(name, False, (
+                    f"{_triple(system)} alpha={alpha} r={r}: "
+                    f"walks={via_walks} formula={formula}"
+                ))
+    return CheckResult(name, True)
 
 
-def check_isomorphisms(roster=None) -> list[CheckResult]:
-    out = []
-    for p, a, b in roster or DEFAULT_ROSTER:
-        system = DiagonalSystem(p, a, b)
-        ok = verify_isomorphism(system.view)
-        out.append(
-            CheckResult(
-                f"isomorphism Gamma({system.k},{system.q}) ~ H({b},{p**a})", ok
-            )
-        )
-    return out
+def check_isomorphisms(system: DiagonalSystem, max_r=3) -> CheckResult:
+    """The system's coordinate map is a GP/Hamming isomorphism; max_r is
+    unused, so that all four per-triple checks share one signature."""
+    return CheckResult(
+        f"isomorphism Gamma({system.k},{system.q}) ~ "
+        f"H({system.b},{system.p**system.a})",
+        verify_isomorphism(system.view),
+    )
 
 
-def check_partition(roster=None, max_n=3) -> list[CheckResult]:
+def check_partition(system: DiagonalSystem, max_r=3) -> CheckResult:
     """Sum over alpha of N_r is (q-1)^r; of M_s is q^s."""
-    out = []
-    for p, a, b in roster or DEFAULT_ROSTER:
-        system = DiagonalSystem(p, a, b)
-        q = system.q
-        bad = None
-        for n in range(max_n + 1):
-            total_n = sum(system.count_nonzero(alpha, n) for alpha in range(q))
-            total_m = sum(system.count_all(alpha, n) for alpha in range(q))
-            if total_n != (q - 1) ** n or total_m != q**n:
-                bad = (
-                    f"p={p} a={a} b={b} n={n}: sum N={total_n} "
-                    f"(want {(q - 1) ** n}), sum M={total_m} (want {q**n})"
-                )
-                break
-        out.append(
-            CheckResult(
-                f"partition p={p} a={a} b={b} (n<={max_n})", bad is None, bad or ""
-            )
-        )
-    return out
+    q = system.q
+    name = f"partition {_triple(system)} (n<={max_r})"
+    for n in range(max_r + 1):
+        total_n = sum(system.count_nonzero(alpha, n) for alpha in range(q))
+        total_m = sum(system.count_all(alpha, n) for alpha in range(q))
+        if total_n != (q - 1) ** n or total_m != q**n:
+            return CheckResult(name, False, (
+                f"{_triple(system)} n={n}: sum N={total_n} "
+                f"(want {(q - 1) ** n}), sum M={total_m} (want {q**n})"
+            ))
+    return CheckResult(name, True)
 
 
 def random_graph(rng: random.Random, n: int):
@@ -182,8 +158,8 @@ def _pair_walks(g: DenseGraph, r: int) -> list[list[list[int]]]:
 def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
                       max_r=5) -> list[CheckResult]:
     """Walk formula from factor tables vs matrix power on random NEPS."""
+    name = f"neps-oracle ({instances} random instances)"
     rng = random.Random(seed)
-    bad = None
     for _ in range(instances):
         factors, basis, r = random_neps_instance(rng, max_factors, max_size, max_r)
         sizes = [g.n for g in factors]
@@ -196,53 +172,51 @@ def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
                 pair_tables = [tab[a][b] for tab, a, b in zip(tables, ti, tj)]
                 formula = neps_walks(pair_tables, basis, r)
                 if formula != power[i, j]:
-                    bad = (
+                    return [CheckResult(name, False, (
                         f"sizes={sizes} basis={basis} r={r} pair=({i},{j}): "
                         f"formula={formula} power={power[i, j]}"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    return [CheckResult(f"neps-oracle ({instances} random instances)",
-                        bad is None, bad or "")]
+                    ))]
+    return [CheckResult(name, True)]
 
 
 def check_example_closed_forms(max_r=8) -> list[CheckResult]:
     """The two K3 x K4 displays: Kronecker closed form and binomial sum."""
+    name = f"example closed forms (r<={max_r})"
     g1 = neps_construct([complete_graph(3), complete_graph(4)], NepsBasis([(1, 1)]))
     g2 = neps_construct(
         [complete_graph(3), complete_graph(4)], NepsBasis([(1, 0), (0, 1)])
     )
-    bad = None
     for r in range(1, max_r + 1):
         numerator = 6 ** (r - 1) + (-1) ** r * (2 ** (r - 1) + 3 ** (r - 1)) + 1
         closed, odd = divmod(numerator, 2)
         if odd:
-            bad = f"Kronecker numerator {numerator} is odd at r={r}"
-            break
+            return [CheckResult(
+                name, False, f"Kronecker numerator {numerator} is odd at r={r}")]
         if closed != g1.walk_count(r, 0, 0):
-            bad = f"Kronecker form fails at r={r}"
-            break
-        total = 0
-        for ell in range(r + 1):
-            total += comb(r, ell) * complete_walks(3, ell, True) * complete_walks(
-                4, r - ell, True
-            )
+            return [CheckResult(name, False, f"Kronecker form fails at r={r}")]
+        total = sum(
+            comb(r, ell) * complete_walks(3, ell, True)
+            * complete_walks(4, r - ell, True)
+            for ell in range(r + 1)
+        )
         if total != g2.walk_count(r, 0, 0):
-            bad = f"binomial form fails at r={r}"
-            break
-    return [CheckResult(f"example closed forms (r<={max_r})", bad is None, bad or "")]
+            return [CheckResult(name, False, f"binomial form fails at r={r}")]
+    return [CheckResult(name, True)]
 
 
 def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
-    results = []
-    results += check_triple_agreement(roster, max_r)
-    results += check_walk_bridge(roster, max_r)
-    results += check_isomorphisms(roster)
-    results += check_partition(roster, max_r)
+    """The four per-triple checks on one system per roster triple, then
+    the NEPS oracle and the examples. Raises BadParameters, before any
+    system is built, for a negative max_r or neps_instances."""
+    if max_r < 0 or neps_instances < 0:
+        raise BadParameters(
+            f"max_r={max_r} and neps_instances={neps_instances} must be >= 0"
+        )
+    systems = [DiagonalSystem(p, a, b) for p, a, b in roster or DEFAULT_ROSTER]
+    checks = (check_triple_agreement, check_walk_bridge, check_isomorphisms,
+              check_partition)
+    results = [check(system, max_r) for check in checks for system in systems]
     results += check_neps_oracle(neps_instances, seed)
     results += check_example_closed_forms()
     return results

@@ -1,8 +1,7 @@
 import pytest
 
 from diagwalks import DiagonalSystem, build_field
-
-ROSTER = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3), (3, 2, 2)]
+from diagwalks.verify import DEFAULT_ROSTER as ROSTER
 
 
 @pytest.fixture(scope="session")

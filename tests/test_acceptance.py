@@ -6,7 +6,6 @@ tolerances anywhere.
 """
 
 import itertools
-import math
 import time
 
 import pytest
@@ -15,28 +14,25 @@ from conftest import hamming_distance_walks
 from diagwalks import (
     DiagonalSystem,
     HammingView,
-    brute_force_distribution,
     build_field,
     complete_graph,
-    complete_walks,
-    convolution_distribution,
     hamming_walks,
     neps_complete_walks,
     neps_construct,
     verify_isomorphism,
-    walk_solution_count,
 )
-from diagwalks.diagonal import MAX_ENUM_TUPLES
 from diagwalks.neps import NepsBasis, agreement_pattern, vertex_index
-from diagwalks.verify import check_neps_oracle
+from diagwalks.verify import (
+    DEFAULT_ROSTER,
+    check_example_closed_forms,
+    check_neps_oracle,
+    check_partition,
+    check_triple_agreement,
+    check_walk_bridge,
+)
 
-ROSTER = [
-    (3, 1, 2, 9, 2),
-    (5, 1, 2, 25, 3),
-    (7, 1, 2, 49, 4),
-    (2, 2, 3, 64, 7),
-    (3, 2, 2, 81, 5),
-]
+# (q, k) of each DEFAULT_ROSTER triple, in roster order
+ROSTER_QK = [(9, 2), (25, 3), (49, 4), (64, 7), (81, 5)]
 
 
 def report(criterion, ok, detail=""):
@@ -46,34 +42,21 @@ def report(criterion, ok, detail=""):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
+def first_failure(results):
+    return next((result.detail for result in results if not result.ok), "")
+
+
 @pytest.fixture(scope="module")
 def systems():
-    return {(p, a, b): DiagonalSystem(p, a, b) for p, a, b, _, _ in ROSTER}
+    return {(p, a, b): DiagonalSystem(p, a, b) for p, a, b in DEFAULT_ROSTER}
 
 
 def test_criterion_1_triple_agreement(systems):
+    assert [(s.q, s.k) for s in systems.values()] == ROSTER_QK
     started = time.perf_counter()
-    bad = ""
-    for p, a, b, q, k in ROSTER:
-        system = systems[(p, a, b)]
-        assert (system.q, system.k) == (q, k)
-        for r in range(5):
-            if (q - 1) ** r > MAX_ENUM_TUPLES:
-                continue
-            brute = brute_force_distribution(system.field, k, r, True)
-            conv = convolution_distribution(system.field, k, r, True)
-            for alpha in range(q):
-                formula = system.count_nonzero(alpha, r)
-                if not (formula == int(brute[alpha]) == conv[alpha]):
-                    bad = (
-                        f"p={p} a={a} b={b} alpha={alpha} r={r}: "
-                        f"{formula}/{int(brute[alpha])}/{conv[alpha]}"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = first_failure(
+        check_triple_agreement(system, 4) for system in systems.values()
+    )
     elapsed = time.perf_counter() - started
     report(
         "1 (triple agreement, roster, r<=4)",
@@ -83,52 +66,20 @@ def test_criterion_1_triple_agreement(systems):
 
 
 def test_criterion_2_walk_bridge(systems):
-    bad = ""
-    for p, a, b, q, k in ROSTER:
-        system = systems[(p, a, b)]
-        for r in range(5):
-            for alpha in range(q):
-                walks = walk_solution_count(system.field, k, 0, alpha, r)
-                formula = system.count_nonzero(alpha, r)
-                if walks != formula:
-                    bad = f"p={p} a={a} b={b} alpha={alpha} r={r}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = first_failure(
+        check_walk_bridge(system, 4) for system in systems.values()
+    )
     report("2 (walk bridge k^r*w(r,0,alpha) = N_r)", not bad, bad)
 
 
 def test_criterion_3_example_closed_forms():
     started = time.perf_counter()
-    g1 = neps_construct(
-        [complete_graph(3), complete_graph(4)], NepsBasis([(1, 1)])
-    )
-    g2 = neps_construct(
-        [complete_graph(3), complete_graph(4)], NepsBasis([(1, 0), (0, 1)])
-    )
-    bad = ""
-    for r in range(1, 9):
-        numerator = 6 ** (r - 1) + (-1) ** r * (2 ** (r - 1) + 3 ** (r - 1)) + 1
-        assert numerator % 2 == 0
-        if numerator // 2 != g1.walk_count(r, 0, 0):
-            bad = f"Kronecker closed form at r={r}"
-            break
-        binom_sum = sum(
-            math.comb(r, ell)
-            * complete_walks(3, ell, True)
-            * complete_walks(4, r - ell, True)
-            for ell in range(r + 1)
-        )
-        if binom_sum != g2.walk_count(r, 0, 0):
-            bad = f"binomial sum at r={r}"
-            break
+    [result] = check_example_closed_forms(8)
     elapsed = time.perf_counter() - started
     report(
         "3 (closed-form walk displays, r=1..8)",
-        not bad and elapsed < 1.0,
-        bad or f"{elapsed * 1000:.0f}ms",
+        result.ok and elapsed < 1.0,
+        result.detail or f"{elapsed * 1000:.0f}ms",
     )
 
 
@@ -186,17 +137,9 @@ def test_criterion_6_isomorphisms():
 
 
 def test_criterion_7_partition_identities(systems):
-    bad = ""
-    for p, a, b, q, k in ROSTER:
-        system = systems[(p, a, b)]
-        for n in range(5):
-            sum_n = sum(system.count_nonzero(alpha, n) for alpha in range(q))
-            sum_m = sum(system.count_all(alpha, n) for alpha in range(q))
-            if sum_n != (q - 1) ** n or sum_m != q**n:
-                bad = f"p={p} a={a} b={b} n={n}"
-                break
-        if bad:
-            break
+    bad = first_failure(
+        check_partition(system, 4) for system in systems.values()
+    )
     report("7 (partition: sums over alpha)", not bad, bad)
 
 

@@ -196,6 +196,15 @@ def test_verify_small_roster(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_negative_sizes_exit_2(capsys):
+    # each used to pass vacuously: no r, no instance, ALL PASS
+    code, out, err = run_cli(capsys, "verify", "--max-r", "-1",
+                             "--neps-instances", "-5")
+    assert code == 2
+    assert "ALL PASS" not in out and "[PASS]" not in out
+    assert "must be >= 0" in err
+
+
 def test_usage_error(capsys):
     code, _, _ = run_cli(capsys, "count", "--p", "3")
     assert code == 1

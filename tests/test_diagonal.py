@@ -157,6 +157,20 @@ def test_convolution_cap_checked_before_any_addition(monkeypatch):
     assert len(calls) == 36 * 37
 
 
+def test_convolution_cap_counts_the_weight_scans(monkeypatch):
+    # k = q-1 leaves the one residue 1, so a step makes one add_idx call
+    # but scans all 1024 weights: 10^7 steps are 10^7 calls, within the
+    # cap, and about 10^10 scanned weights, far over it
+    field = build_field(2, 10)
+    calls = []
+    add_idx = field.add_idx
+    monkeypatch.setattr(field, "add_idx",
+                        lambda i, j: calls.append(1) or add_idx(i, j))
+    with pytest.raises(EnumerationTooLarge, match="10240000000 weight scans"):
+        convolution_distribution(field, 1023, 10**7)
+    assert not calls
+
+
 def test_brute_force_streams_the_last_summand(f25):
     # 24^4 nonzero tuples; holding their sums at once would take more
     # bytes than there are tuples
@@ -205,6 +219,10 @@ def test_walk_solution_count_conventions(f9):
     for y in range(9):
         expect = 2 if y in residues else 0
         assert walk_solution_count(f9, 2, 0, y, 1) == expect
+    system = DiagonalSystem(3, 1, 2, f9)
+    for alpha in range(9):
+        assert walk_solution_count(f9, 2, 0, alpha, 2) == \
+            system.count_nonzero(alpha, 2)
 
 
 def test_walk_bridge_example(f9):
@@ -212,9 +230,9 @@ def test_walk_bridge_example(f9):
 
 
 def test_walk_bridge_on_gf625_and_gf729():
-    results = check_walk_bridge([(5, 1, 4), (3, 3, 2)], 3)
-    assert len(results) == 2
-    assert all(result.ok for result in results), results
+    for p, a, b in [(5, 1, 4), (3, 3, 2)]:
+        result = check_walk_bridge(DiagonalSystem(p, a, b), 3)
+        assert result.ok, result
 
 
 def test_k_power_divides_counts(roster_systems):
