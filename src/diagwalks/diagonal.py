@@ -156,18 +156,18 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
         raise EnumerationTooLarge(
             f"{base}^{r} tuples exceed the enumeration cap {MAX_ENUM_TUPLES}"
         )
+    if r == 0:
+        return np.bincount([0], minlength=q)
     domain = range(1, q) if restrict_nonzero else range(q)
     powers = np.array([field.pow_idx(x, k) for x in domain], dtype=np.int64)
     add = field.add_table
     sums = np.zeros(1, dtype=add.dtype)
     for _ in range(r - 1):
         sums = add[sums[:, None], powers[None, :]].ravel()
-    if r == 0:
-        dist = np.bincount(sums, minlength=q)
-    else:
-        dist = np.zeros(q, dtype=np.int64)
-        for v in powers:
-            dist += np.bincount(add[sums, v], minlength=q)
+    dist = np.zeros(q, dtype=np.int64)
+    for v in powers:
+        # row v holds add[., v] contiguously, since addition commutes
+        dist += np.bincount(add[v].take(sums), minlength=q)
     return dist
 
 

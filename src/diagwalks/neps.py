@@ -5,14 +5,14 @@ coordinate, whether a step stays put (0) or moves along an edge of that
 factor (1). The walk formula sums over all length-r sequences of basis
 tuples; the evaluator here aggregates those sequences by their column
 sums with a dynamic program, so the cost is polynomial in r instead of
-|B|^r. The naive enumeration is kept behind a flag as a cross-check.
+|B|^r. The factor tables may hold numpy arrays of one broadcastable
+shape, so one call counts the walks between many vertex pairs at once.
 Walks in the Hamming graph H(b,q), the cartesian sum of b copies of K_q,
 come from its spectrum instead: b+1 exact terms for any r.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -148,34 +148,24 @@ def _check_tables(tables, n, r):
             )
 
 
-def neps_walks(factor_tables, basis: NepsBasis, r: int, method: str = "dp") -> int:
-    """Walk count of a NEPS from per-factor walk tables for one vertex pair.
+def neps_walks(factor_tables, basis: NepsBasis, r: int):
+    """Walk count of a NEPS from per-factor walk tables.
 
     factor_tables[t][length] must be the factor-t walk count between
-    the projected vertices, for every length 0..r.
+    the projected vertices, for every length 0..r. The entries are
+    integers for one vertex pair, or numpy arrays of one broadcastable
+    shape for many pairs, and the count is then an array of that shape.
     """
     if r < 0:
         raise ValueError(f"walk length must be >= 0, got {r}")
     tables = [list(tab) for tab in factor_tables]
     _check_tables(tables, basis.n, r)
-    if method == "naive":
-        total = 0
-        for seq in itertools.product(basis.tuples, repeat=r):
-            term = 1
-            for t in range(basis.n):
-                term *= tables[t][sum(beta[t] for beta in seq)]
-            total += term
-        return total
-    if method != "dp":
-        raise ValueError(f"unknown method {method!r}")
     total = 0
     for svec, mult in _column_sum_multiplicities(basis.tuples, r).items():
         term = mult
         for t, s in enumerate(svec):
-            term *= tables[t][s]
-            if term == 0:
-                break
-        total += term
+            term = term * tables[t][s]
+        total = total + term
     return total
 
 
@@ -190,12 +180,15 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     return neps_walks(tables, basis, r)
 
 
-def _krawtchouk(b: int, q: int, j: int, d: int) -> int:
-    """K_j(d) of the Hamming scheme H(b,q): the weight of eigenvalue
-    b(q-1) - qj in the walk count between vertices at distance d."""
-    return sum(
-        (-1) ** i * (q - 1) ** (j - i) * math.comb(d, i) * math.comb(b - d, j - i)
-        for i in range(min(d, j) + 1)
+@lru_cache(maxsize=1 << 12)
+def _spectrum(b: int, q: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The b+1 pairs (K_j(d), b(q-1) - qj) of H(b,q): each eigenvalue with
+    its Krawtchouk weight in the walk count between vertices at distance d."""
+    return tuple(
+        (sum((-1) ** i * (q - 1) ** (j - i) * math.comb(d, i)
+             * math.comb(b - d, j - i) for i in range(min(d, j) + 1)),
+         b * (q - 1) - q * j)
+        for j in range(b + 1)
     )
 
 
@@ -213,9 +206,7 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     if b < 1 or q < 2 or r < 0:
         raise ValueError(f"bad Hamming parameters b={b}, q={q}, r={r}")
     d = b - sum(zeros)
-    total = sum(
-        _krawtchouk(b, q, j, d) * (b * (q - 1) - q * j) ** r for j in range(b + 1)
-    )
+    total = sum(weight * theta**r for weight, theta in _spectrum(b, q, d))
     walks, rem = divmod(total, q**b)
     if rem:
         raise ArithmeticError(

@@ -13,7 +13,8 @@ the four per-triple checks, each returning one CheckResult:
 Two checks do not depend on the roster:
 
 - NEPS oracle: `neps_walks` from per-factor walk tables against the
-  matrix power of the constructed product, on random instances;
+  matrix power of the constructed product, on random instances; one
+  call per instance counts every vertex pair, in exact object arrays;
 - the two closed-form walk displays of the K3 x K4 examples.
 
 A failure carries the first counterexample in full so it can be
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .diagonal import (
 from .errors import BadParameters
 from .gp import gp_graph, verify_isomorphism
 from .graphs import DenseGraph, complete_graph, complete_walks
-from .neps import NepsBasis, neps_construct, neps_walks, vertex_tuple
+from .neps import NepsBasis, neps_construct, neps_walks
 
 DEFAULT_ROSTER = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3), (3, 2, 2)]
 
@@ -148,34 +149,38 @@ def _all_tuples(n):
     return out
 
 
-def _pair_walks(g: DenseGraph, r: int) -> list[list[list[int]]]:
-    """walks[a][b][length]: walks from a to b in g, for lengths 0..r."""
-    powers = [g.walk_matrix(length) for length in range(r + 1)]
-    return [[[int(power[a, b]) for power in powers] for b in range(g.n)]
-            for a in range(g.n)]
+def formula_walk_matrix(factors, basis: NepsBasis, r: int) -> np.ndarray:
+    """`neps_walks` for every vertex pair of the product in one call. Factor
+    t's table holds A_t^0..A_t^r as exact object arrays, shaped to
+    broadcast along the other factors' axes; the count array is reshaped to
+    the product's lexicographic vertex order."""
+    n, total = len(factors), prod(g.n for g in factors)
+    tables = []
+    for t, g in enumerate(factors):
+        shape = [1] * (2 * n)
+        shape[t] = shape[n + t] = g.n
+        tables.append([g.walk_matrix(ell).astype(object).reshape(shape)
+                       for ell in range(r + 1)])
+    return neps_walks(tables, basis, r).reshape(total, total)
 
 
 def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
                       max_r=5) -> list[CheckResult]:
-    """Walk formula from factor tables vs matrix power on random NEPS."""
+    """Walk formula from factor tables vs matrix power on random NEPS,
+    compared on every vertex pair."""
     name = f"neps-oracle ({instances} random instances)"
     rng = random.Random(seed)
     for _ in range(instances):
         factors, basis, r = random_neps_instance(rng, max_factors, max_size, max_r)
-        sizes = [g.n for g in factors]
-        graph = neps_construct(factors, basis)
-        tables = [_pair_walks(g, r) for g in factors]
-        vertices = [vertex_tuple(v, sizes) for v in range(graph.n)]
-        power = graph.walk_matrix(r)
-        for i, ti in enumerate(vertices):
-            for j, tj in enumerate(vertices):
-                pair_tables = [tab[a][b] for tab, a, b in zip(tables, ti, tj)]
-                formula = neps_walks(pair_tables, basis, r)
-                if formula != power[i, j]:
-                    return [CheckResult(name, False, (
-                        f"sizes={sizes} basis={basis} r={r} pair=({i},{j}): "
-                        f"formula={formula} power={power[i, j]}"
-                    ))]
+        formula = formula_walk_matrix(factors, basis, r)
+        power = neps_construct(factors, basis).walk_matrix(r)
+        bad = np.argwhere(formula != power)
+        if len(bad):
+            i, j = bad[0]
+            return [CheckResult(name, False, (
+                f"sizes={[g.n for g in factors]} basis={basis} r={r} "
+                f"pair=({i},{j}): formula={formula[i, j]} power={power[i, j]}"
+            ))]
     return [CheckResult(name, True)]
 
 

@@ -62,6 +62,13 @@ def test_arithmetic_exhaustive(f9, f25, f64):
                     f9.mul_idx(x, y), f9.mul_idx(x, z))
 
 
+def test_add_table_is_symmetric(f9, f64):
+    # brute force reads row v of the table in place of column v
+    for field in (f9, f64, build_field(7, 3)):
+        table = field.add_table
+        assert (table == table.T).all()
+
+
 def test_add_table_capped_in_bytes():
     # q = 7^6: q^2 int32 entries are about 55 GB; refused before allocating
     f = build_field(7, 6)

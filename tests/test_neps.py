@@ -1,5 +1,8 @@
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from conftest import hamming_distance_walks
 
@@ -132,6 +135,17 @@ def test_single_factor_reduces_to_complete_walks():
         )
 
 
+def naive_neps_walks(tables, basis, r):
+    """Reference: the walk formula summed over all |B|^r basis sequences."""
+    total = 0
+    for seq in itertools.product(basis.tuples, repeat=r):
+        term = 1
+        for t in range(basis.n):
+            term *= tables[t][sum(beta[t] for beta in seq)]
+        total += term
+    return total
+
+
 def test_dp_equals_naive():
     rng = random.Random(3)
     for _ in range(20):
@@ -151,9 +165,37 @@ def test_dp_equals_naive():
             [1 if ell == 0 else rng.randint(0, 5) for ell in range(r + 1)]
             for _ in range(n)
         ]
-        assert neps_walks(tables, basis, r, method="dp") == neps_walks(
-            tables, basis, r, method="naive"
-        )
+        assert neps_walks(tables, basis, r) == naive_neps_walks(tables, basis, r)
+
+
+def test_array_tables_equal_per_entry_calls():
+    rng = random.Random(5)
+    basis = NepsBasis([(1, 1, 0), (0, 1, 1), (1, 0, 0)])
+    r, shape = 4, (3, 4)
+    tables = [
+        [np.array([[rng.choice((0, 0, 1, 2, 7)) for _ in range(shape[1])]
+                   for _ in range(shape[0])], dtype=object)
+         for _ in range(r + 1)]
+        for _ in range(basis.n)
+    ]
+    assert any((tab == 0).any() for factor in tables for tab in factor)
+    counts = neps_walks(tables, basis, r)
+    assert counts.shape == shape
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            entry = [[tab[i, j] for tab in factor] for factor in tables]
+            assert counts[i, j] == neps_walks(entry, basis, r)
+
+
+def test_formula_walk_matrix_exact_past_int64():
+    # 6^40 closed walks: far past 2^63, so int64 arithmetic would wrap
+    factors = [complete_graph(3), complete_graph(4)]
+    basis = NepsBasis([(1, 1)])
+    formula = verify.formula_walk_matrix(factors, basis, 40)
+    power = neps_construct(factors, basis).walk_matrix(40)
+    assert formula.dtype == object and formula.shape == (12, 12)
+    assert max(formula.flat) > 2**63
+    assert (formula == power).all()
 
 
 def test_formula_matches_matrix_power_sampled():
@@ -241,3 +283,19 @@ def test_neps_oracle_negative_control(monkeypatch):
     [result] = verify.check_neps_oracle(instances=3, seed=0)
     assert not result.ok
     assert "pair=(0,0)" in result.detail
+
+
+def test_neps_oracle_names_the_corrupted_pair(monkeypatch):
+    real = verify.neps_walks
+
+    def corrupt_one_entry(*args, **kwargs):
+        counts = real(*args, **kwargs)
+        counts.flat[-2] += 1
+        return counts
+
+    monkeypatch.setattr(verify, "neps_walks", corrupt_one_entry)
+    factors, _, _ = verify.random_neps_instance(random.Random(0))
+    n = math.prod(g.n for g in factors)
+    [result] = verify.check_neps_oracle(instances=3, seed=0)
+    assert not result.ok
+    assert f"pair=({n - 1},{n - 2})" in result.detail
