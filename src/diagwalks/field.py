@@ -15,9 +15,14 @@ the addition table is capped in bytes.
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
 and `SubfieldMap`, the coordinates of an element over GF(p^a) in the
-basis {omega^{ik}}. The zero pattern of those coordinates is taken from
-the solved F_p vector by `gp.HammingView.pattern_idx`, which owns the
-map.
+basis {omega^{ik}}. The map inverts one F_p linear system at
+construction and keeps the inverse as chunk tables: the digits of an
+element are cut into chunks of at most CHUNK_ENTRIES values, and a
+solve adds one packed table entry per chunk, reducing mod p inside the
+word. The tables hold at most ceil(m/c) * max(p, CHUNK_ENTRIES) ints,
+with c digits per chunk, whatever q is. The zero pattern of the
+coordinates is read from the packed solve by
+`gp.HammingView.pattern_idx`, which owns the map.
 
 The construction is deterministic: with no modulus given, the
 lexicographically smallest monic irreducible polynomial is selected
@@ -305,15 +310,26 @@ def _invert_matrix_mod_p(mat, p):
     return [row[n:] for row in aug]
 
 
+# widest lookup table of one digit chunk: a chunk spans the most digits c
+# with p^c <= CHUNK_ENTRIES, and one digit when p itself is larger
+CHUNK_ENTRIES = 256
+
+
 class SubfieldMap:
     """Coordinates of GF(p^{ab}) over GF(p^a) in the basis {omega^{ik}}.
 
     The subfield GF(p^a) sits inside the big field as the fixed points of
     the a-fold Frobenius; tau = omega^{(q-1)/(p^a-1)} generates its
     multiplicative group and {1, tau, ..., tau^{a-1}} is an F_p-basis.
-    One (ab)x(ab) linear system over F_p is inverted at construction, so
-    each coordinate query is a single matrix-vector product. Everything
-    here is polynomial arithmetic; no field table is read.
+    One (ab)x(ab) linear system over F_p is inverted at construction and
+    turned into chunk tables ("four Russians"): the digits of x are cut
+    into chunks of c digits, and entry v of a chunk's table is the
+    inverse applied to the chunk spelling v, packed one F_p value per
+    slot. A solve is one divmod, one lookup and one packed addition per
+    chunk, so it costs ceil(m/c) word operations; the tables hold at most
+    ceil(m/c) * max(p, CHUNK_ENTRIES) ints, a bound that does not grow
+    with q. Everything here is polynomial arithmetic; no field table is
+    read.
     """
 
     def __init__(self, field: FiniteField, a: int, b: int, k: int):
@@ -339,14 +355,64 @@ class SubfieldMap:
             raise DependentBasis(
                 f"{{omega^(ik)}} is not a GF({p}^{a})-basis for k={k}"
             )
-        self._inv = inv
+
+        # A packed F_p vector holds entry i in bits [i*B, (i+1)*B), each
+        # entry reduced to [0, p-1]. Words are added two at a time, so a
+        # slot of a sum is at most 2(p-1) < 2^B with B = (2(p-1)).bit_length():
+        # no slot carries into the next. `_add` reduces the sum in the
+        # word: adding 2^(B-1) - p to a slot (>= 0, as 2^(B-1) > p-1)
+        # leaves it at most 2^(B-1) + p - 2 < 2^B and sets its top bit
+        # exactly when the slot was >= p; p is subtracted from those slots.
+        width = (2 * (p - 1)).bit_length()
+        ones = sum(1 << (i * width) for i in range(m))
+        self._width = width
+        self._p = p
+        self._bias = ones * ((1 << (width - 1)) - p)
+        self._tops = ones << (width - 1)
+        block = (1 << (a * width)) - 1
+        # coordinate i vanishes iff its a slots, under block_masks[i], do
+        self.block_masks = [block << (i * a * width) for i in range(b)]
+
+        digits = next(c for c in itertools.count(1)
+                      if p ** (c + 1) > CHUNK_ENTRIES)
+        self._chunk = p**digits
+        packed = [sum(inv[i][j] << (i * width) for i in range(m))
+                  for j in range(m)]
+        self._tables = []
+        for start in range(0, m, digits):
+            # by linearity, entry v + d*p^j is entry v + d*(column j)
+            table = [0]
+            for column in packed[start:start + digits]:
+                row = table
+                for _ in range(p - 1):
+                    row = [self._add(v, column) for v in row]
+                    table += row
+            self._tables.append(table)
+
+    def _add(self, u: int, v: int) -> int:
+        """Packed sum of two reduced packed vectors, reduced."""
+        w = u + v
+        over = ((w + self._bias) & self._tops) >> (self._width - 1)
+        return w - over * self._p
+
+    def solve_word(self, x_idx: int) -> int:
+        """The F_p coefficients of x (as `solve_idx`) packed in one word:
+        coefficient i in bits [i*B, (i+1)*B), already reduced mod p."""
+        chunk, add = self._chunk, self._add
+        tables = iter(self._tables)
+        x_idx, v = divmod(x_idx, chunk)
+        word = next(tables)[v]
+        for table in tables:
+            x_idx, v = divmod(x_idx, chunk)
+            word = add(word, table[v])
+        return word
 
     def solve_idx(self, x_idx: int) -> list[int]:
         """F_p coefficients of x on the basis tau^j * omega^{ik}; block
         i (entries i*a .. i*a+a-1) spells coordinate i in the tau-basis."""
-        p = self.field.p
-        d = self.field.digits(x_idx)
-        return [sum(r * v for r, v in zip(row, d)) % p for row in self._inv]
+        word, width = self.solve_word(x_idx), self._width
+        mask = (1 << width) - 1
+        return [(word >> (i * width)) & mask for i in range(self.field.m)]
 
     def coords_idx(self, x_idx: int) -> tuple[int, ...]:
         """Coordinates of x as b subfield elements (canonical indices)."""

@@ -2,8 +2,11 @@
 
 Gamma(k, p^m) is the Cayley graph on (F_{p^m}, +) whose connection set is
 the k-th power residues. When u = (p^m-1)/k factors as b(p^a - 1) with
-m = ab and b > 1, the graph is a Hamming graph H(b, p^a), with an explicit
+m = ab and b > 1, and u is a primitive divisor of p^m - 1 (the order of
+p mod u is m), the graph is a Hamming graph H(b, p^a), with an explicit
 coordinate isomorphism through the basis {1, w^k, ..., w^{(b-1)k}}.
+Without primitivity R_k lies in a proper subfield and the graph is not
+connected: Gamma(10, 81) is 9 copies of K_9, not H(4, 3).
 """
 
 from __future__ import annotations
@@ -44,14 +47,17 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
 
 
 def hamming_parameters(p: int, m: int, k: int) -> list[tuple[int, int]]:
-    """All (a, b) with m = ab, b > 1 and u = b(p^a - 1); may be empty.
+    """All (a, b) with m = ab, b > 1 and u = b(p^a - 1), where u is a
+    primitive divisor of p^m - 1; may be empty.
 
-    Every pair satisfying the arithmetic condition is returned; nothing
-    here assumes uniqueness.
+    Every pair satisfying the condition is returned; nothing here assumes
+    uniqueness.
     """
     if (p**m - 1) % k != 0:
         raise KDoesNotDivide(f"k={k} does not divide p^m-1={p**m - 1}")
     u = (p**m - 1) // k
+    if not is_primitive_divisor(u, p, m):
+        return []
     out = []
     for a in range(1, m + 1):
         if m % a:
@@ -86,9 +92,10 @@ class HammingView:
 
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
         """Zero pattern of [x]: which Hamming coordinates vanish. A
-        coordinate vanishes exactly when its block of F_p coefficients does."""
-        sol, a = self.map.solve_idx(x_idx), self.a
-        return tuple(not any(sol[i * a:(i + 1) * a]) for i in range(self.b))
+        coordinate vanishes exactly when its block of F_p coefficients does,
+        which one mask tests in the packed solve."""
+        word = self.map.solve_word(x_idx)
+        return tuple([not word & mask for mask in self.map.block_masks])
 
     def __repr__(self):
         return (

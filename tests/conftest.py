@@ -1,6 +1,7 @@
 import pytest
 
 from diagwalks import DiagonalSystem, build_field
+from diagwalks.field import _invert_matrix_mod_p
 from diagwalks.verify import DEFAULT_ROSTER as ROSTER
 
 
@@ -51,3 +52,19 @@ def hamming_distance_walks(b, q, r_max):
             for d in range(b + 1)
         ])
     return rows
+
+
+def list_solver(smap):
+    """Reference for `SubfieldMap.solve_idx`: the m x m inverse, rebuilt
+    from the map's basis, times the digit vector, one list product per
+    element and no packing."""
+    field, p, m = smap.field, smap.field.p, smap.field.m
+    cols = [field.digits(field.mul_idx(t, w))
+            for w in smap.basis for t in smap.tau_pows]
+    inv = _invert_matrix_mod_p(
+        [[cols[c][r] for c in range(m)] for r in range(m)], p)
+
+    def solve(x_idx):
+        d = field.digits(x_idx)
+        return [sum(r * v for r, v in zip(row, d)) % p for row in inv]
+    return solve

@@ -150,6 +150,18 @@ def test_walks_gp_reports_formula_and_power(capsys):
     assert result["agree"] is True
 
 
+def test_walks_gp_non_primitive_has_no_formula(capsys):
+    # Gamma(10, 81) is 9 copies of K_9, not H(4, 3): only the matrix power
+    code, out, _ = run_cli(
+        capsys, "walks", "--gp", "--p", "3", "--m", "4", "--k", "10",
+        "--from", "0", "--to", "pow:0", "--length", "2",
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["matrix_power"] == "7"
+    assert "formula" not in result
+
+
 def test_walks_rooks_graph(capsys):
     code, out, _ = run_cli(
         capsys, "walks", "--neps", "3,3", "--basis", "10;01",

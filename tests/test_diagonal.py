@@ -1,3 +1,5 @@
+import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -311,3 +313,33 @@ def test_nonzero_count_bounded(roster_systems):
     for r in range(4):
         for alpha in (0, 1, 7):
             assert 0 <= system.count_nonzero(alpha, r) <= (system.q - 1) ** r
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 4, 5), (3, 6, 2)])
+def test_formula_past_gf_7_6(p, a, b):
+    # alpha is built forward from chosen coordinates, so neither the zero
+    # pattern nor the count below reads the inverted system
+    system = DiagonalSystem(p, a, b)
+    field, smap, Q = system.field, system.view.map, p**a
+    walks = hamming_distance_walks(b, Q, 6)
+    rng = random.Random(7)
+
+    def subfield_element(nonzero):
+        digits = [0] * a
+        while nonzero and not any(digits):
+            digits = [rng.randrange(p) for _ in range(a)]
+        acc = 0
+        for c, t in zip(digits, smap.tau_pows):
+            acc = field.add_idx(acc, field.mul_idx(c, t))
+        return acc
+
+    for zeros in itertools.product((True, False), repeat=b):
+        d = zeros.count(False)
+        for _ in range(3):
+            coords = [subfield_element(not z) for z in zeros]
+            alpha = smap.reconstruct_idx(coords)
+            assert system.view.pattern_idx(alpha) == zeros
+            for r in range(7):
+                assert system.count_nonzero(alpha, r) == (
+                    system.k**r * walks[r][d]
+                ), (coords, r)

@@ -1,16 +1,26 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagwalks import build_field, kth_power_residues
+from diagwalks import DiagonalSystem, build_field, kth_power_residues
 from diagwalks.errors import (
     BadDecomposition,
+    DependentBasis,
     FieldTooLarge,
     KDoesNotDivide,
     NotPrime,
     ReducibleModulus,
 )
-from diagwalks.field import SubfieldMap, find_modulus, is_prime
+from diagwalks.field import (
+    CHUNK_ENTRIES,
+    SubfieldMap,
+    find_modulus,
+    is_prime,
+)
+
+from conftest import list_solver
 
 
 def test_prime_helpers():
@@ -174,3 +184,60 @@ def test_subfield_map_is_bijection(f9):
 def test_bad_decomposition(f9):
     with pytest.raises(BadDecomposition):
         SubfieldMap(f9, 2, 2, 2)
+
+
+def _subfield_maps(max_q):
+    """SubfieldMaps for every (p, a, b), b > 1, with p^(ab) <= max_q: with
+    k = 1, where {omega^i} is always a basis since omega generates the
+    field over GF(p^a), and with the diagonal exponent where the basis
+    it gives is independent."""
+    for p in (n for n in range(2, max_q) if is_prime(n) and n * n <= max_q):
+        for m in range(2, max_q.bit_length()):
+            if p**m > max_q:
+                break
+            field = build_field(p, m)
+            for a in (a for a in range(1, m) if m % a == 0):
+                b, u = m // a, (m // a) * (p**a - 1)
+                yield SubfieldMap(field, a, b, 1)
+                if (p**m - 1) % u == 0:
+                    try:
+                        yield SubfieldMap(field, a, b, (p**m - 1) // u)
+                    except DependentBasis:
+                        pass
+
+
+def test_packed_solve_exhaustive_small_fields():
+    # every element of every field with q <= 4096 against the list
+    # product, including the uneven chunk splits of 2^9, 2^12 and 3^7
+    seen = set()
+    for smap in _subfield_maps(4096):
+        field = smap.field
+        seen.add((field.p, field.m))
+        solve = list_solver(smap)
+        for x in range(field.q):
+            assert smap.solve_idx(x) == solve(x), (field, smap.a, x)
+    assert {(2, 9), (2, 12), (3, 7), (61, 2)} <= seen
+
+
+@pytest.mark.parametrize("p,a,b", [(7, 1, 6), (3, 6, 2), (2, 4, 5)])
+def test_packed_solve_sampled_large_fields(p, a, b):
+    # digits split into chunks 2+2+2, 5+5+2 and 8+8+4
+    smap = DiagonalSystem(p, a, b).view.map
+    solve = list_solver(smap)
+    rng = random.Random(20)
+    for x in [0, 1, smap.field.q - 1] + [rng.randrange(smap.field.q)
+                                         for _ in range(2000)]:
+        assert smap.solve_idx(x) == solve(x), x
+
+
+@pytest.mark.parametrize("p,a,b,sizes", [
+    (7, 1, 6, [49, 49, 49]),
+    (3, 6, 2, [243, 243, 9]),
+    (2, 4, 5, [256, 256, 16]),
+])
+def test_chunk_tables_bounded(p, a, b, sizes):
+    smap = DiagonalSystem(p, a, b).view.map
+    m = smap.field.m
+    digits = max(c for c in range(1, m + 1) if p**c <= CHUNK_ENTRIES)
+    assert [len(t) for t in smap._tables] == sizes
+    assert sum(sizes) <= -(-m // digits) * CHUNK_ENTRIES

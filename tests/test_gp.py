@@ -79,6 +79,14 @@ def test_hamming_parameters_examples():
     assert hamming_parameters(3, 2, 2) == [(1, 2)]
     assert hamming_parameters(2, 6, 7) == [(2, 3)]
     assert hamming_parameters(2, 2, 1) == []
+    # u = b(p^a - 1) holds, but u already divides p^h - 1 for some h < m,
+    # so Gamma(k, p^m) is not connected: (3, 4, 10) is 9 copies of K_9
+    for p, a, b in [(3, 1, 4), (3, 1, 8), (3, 3, 4), (5, 1, 6), (7, 1, 4),
+                    (11, 1, 4)]:
+        m = a * b
+        k = (p**m - 1) // (b * (p**a - 1))
+        assert not is_primitive_divisor(b * (p**a - 1), p, m)
+        assert hamming_parameters(p, m, k) == [], (p, a, b)
 
 
 def test_hamming_parameters_imply_undirected():
