@@ -6,7 +6,6 @@ from .diagonal import (
     DiagonalSystem,
     brute_force_count,
     brute_force_distribution,
-    convolution_count,
     convolution_distribution,
     walk_solution_count,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "build_field",
     "complete_graph",
     "complete_walks",
-    "convolution_count",
     "convolution_distribution",
     "gp_graph",
     "hamming_parameters",

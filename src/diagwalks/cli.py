@@ -18,12 +18,12 @@ from . import verify as verify_mod
 from .diagonal import (
     DiagonalSystem,
     brute_force_count,
-    convolution_count,
+    convolution_distribution,
     diagonal_exponent,
     walk_solution_count,
 )
 from .divisibility import remark_cases
-from .errors import DiagwalksError
+from .errors import BadParameters, DiagwalksError
 from .field import FiniteField, build_field
 from .graphs import complete_graph
 from .neps import (
@@ -120,7 +120,8 @@ def cmd_count(args) -> int:
     elif method == "brute":
         count = brute_force_count(field, k, alpha, n, args.nonzero_only)
     elif method == "convolution":
-        count = convolution_count(field, k, alpha, n, args.nonzero_only)
+        count = convolution_distribution(field, k, n,
+                                         args.nonzero_only)[n][alpha]
     elif method == "walk":
         if not args.nonzero_only:
             raise DiagwalksError("--method walk computes N_r; add --nonzero-only")
@@ -216,8 +217,10 @@ def cmd_verify(args) -> int:
     if args.roster:
         roster = []
         for part in args.roster.split(";"):
-            p, a, b = (int(v) for v in part.split(","))
-            roster.append((p, a, b))
+            triple = tuple(int(v) for v in part.split(","))
+            if len(triple) != 3:
+                raise BadParameters(f"roster part {part!r} is not p,a,b")
+            roster.append(triple)
     results = verify_mod.run_all(
         roster=roster,
         max_r=args.max_r,

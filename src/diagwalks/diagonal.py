@@ -8,9 +8,11 @@ determined by the zero pattern of alpha's subfield coordinates
 which coordinates vanish, plus the all-zero tuple when alpha = 0.
 
 Three independent oracles ship alongside the formula: a literal
-enumeration of all tuples (vectorized, streamed over the last summand),
-an r-fold additive convolution over the group, and the walk bridge, k^r
-times a matrix-power walk count on the generalized Paley graph.
+enumeration of all tuples (vectorized on the addition table, streamed
+over the last summand), an r-fold additive convolution over the group,
+and the walk bridge, k^r times a matrix-power walk count on the
+generalized Paley graph. The first two return the counts of every
+length t = 0..r from one pass.
 """
 
 from __future__ import annotations
@@ -24,18 +26,20 @@ from .divisibility import k_is_integer, multiplicative_order, remark_cases
 from .errors import (
     BadParameters,
     EnumerationTooLarge,
-    KDoesNotDivide,
     KNotInteger,
+    NotPrime,
     NotPrimitiveDivisor,
 )
-from .field import FiniteField, build_field, kth_power_residues
+from .field import FiniteField, build_field, is_prime, kth_power_residues
 from .gp import HammingView, gp_graph
 from .neps import hamming_walks
 
-# largest number of tuples the brute-force oracle enumerates
+# largest number of values one brute-force pass writes: the prefix sums of
+# every length and the entries of the returned rows
 MAX_ENUM_TUPLES = 10**8
 # largest number of add_idx calls plus scanned weights the convolution
-# oracle makes
+# oracle makes; as every step scans q weights, this also bounds the r+1
+# returned rows at MAX_CONVOLUTION_OPS + q entries
 MAX_CONVOLUTION_OPS = 10**7
 
 
@@ -59,8 +63,10 @@ def _check_length(name: str, n: int) -> None:
 
 def diagonal_exponent(p: int, a: int, b: int) -> int:
     """k = (p^{ab}-1)/(b(p^a-1)), the exponent of the diagonal equation;
-    raises KNotInteger, with the divisibility report, when it is not an
-    integer."""
+    raises NotPrime before any arithmetic, and KNotInteger, with the
+    divisibility report, when k is not an integer."""
+    if not is_prime(p):
+        raise NotPrime(f"p={p} is not prime")
     if b < 2 or a < 1:
         raise BadParameters(f"need a >= 1 and b > 1, got a={a}, b={b}")
     if not k_is_integer(p, a, b):
@@ -127,11 +133,9 @@ class DiagonalSystem:
 def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
     """k^s times the s-walk count from x to y on the GP-graph; equals the
     number of nonzero tuples with x + sum(x_i^k) = y. Builds the graph on
-    every call; a caller asking for many counts builds it once with
-    `gp_graph` and reads `walk_count` on it."""
+    every call, after `gp_graph` has checked k; a caller asking for many
+    counts builds it once with `gp_graph` and reads `walk_count` on it."""
     _check_length("s", s)
-    if (field.q - 1) % k != 0:
-        raise KDoesNotDivide(f"k={k} does not divide q-1={field.q - 1}")
     xi = _as_index(field, x)
     yi = _as_index(field, y)
     return k**s * gp_graph(field, k).walk_count(s, xi, yi)
@@ -141,51 +145,61 @@ def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
 
 def brute_force_distribution(field: FiniteField, k: int, r: int,
                              restrict_nonzero: bool = True) -> np.ndarray:
-    """Counts for every alpha at once, by enumerating all tuples.
+    """Counts for every length t = 0..r and every alpha, from one literal
+    enumeration of the r-tuples: row t of the (r+1, q) result counts the
+    t-tuples summing to each alpha.
 
-    The enumeration is literal: the value sum of every tuple is computed
-    and counted. The sums of the first r-1 summands are held at once and
-    the last summand is added one value at a time, so memory grows as
+    The value sum of every tuple is computed and counted. The t-prefix
+    sums are held at once for t < r, and row t is their bincount; the
+    last summand is added one value at a time, so memory grows as
     base^(r-1), not base^r. Raises EnumerationTooLarge, before any table
-    is read, when there are more than MAX_ENUM_TUPLES tuples.
+    is read, when the pass writes more than MAX_ENUM_TUPLES values.
     """
     _check_length("r", r)
     q = field.q
     base = (q - 1) if restrict_nonzero else q
-    if base**r > MAX_ENUM_TUPLES:
+    # base^t prefix sums for every t = 1..r, then (r+1)*q row entries; with
+    # base >= 2 the sums pass 2^64 by t = 64, so r is clipped there first
+    n = min(r, 64)
+    prefixes = r if base == 1 else (base ** (n + 1) - base) // (base - 1)
+    writes = prefixes + (r + 1) * q
+    if writes > MAX_ENUM_TUPLES:
         raise EnumerationTooLarge(
-            f"{base}^{r} tuples exceed the enumeration cap {MAX_ENUM_TUPLES}"
+            f"enumerating {base}^t tuples for t <= {r} writes at least "
+            f"{writes} values, over the cap {MAX_ENUM_TUPLES}"
         )
+    dist = np.zeros((r + 1, q), dtype=np.int64)
+    dist[0, 0] = 1
     if r == 0:
-        return np.bincount([0], minlength=q)
+        return dist
+    add = field.add_table  # its byte cap is checked before the powers
     domain = range(1, q) if restrict_nonzero else range(q)
     powers = np.array([field.pow_idx(x, k) for x in domain], dtype=np.int64)
-    add = field.add_table
     sums = np.zeros(1, dtype=add.dtype)
-    for _ in range(r - 1):
+    for t in range(1, r):
         sums = add[sums[:, None], powers[None, :]].ravel()
-    dist = np.zeros(q, dtype=np.int64)
+        dist[t] = np.bincount(sums, minlength=q)
     for v in powers:
         # row v holds add[., v] contiguously, since addition commutes
-        dist += np.bincount(add[v].take(sums), minlength=q)
+        dist[r] += np.bincount(add[v].take(sums), minlength=q)
     return dist
 
 
 def brute_force_count(field: FiniteField, k: int, alpha, r: int,
                       restrict_nonzero: bool = True) -> int:
     idx = _as_index(field, alpha)
-    return int(brute_force_distribution(field, k, r, restrict_nonzero)[idx])
+    return int(brute_force_distribution(field, k, r, restrict_nonzero)[r, idx])
 
 
 # --- oracle 2: additive convolution ---
 
 def convolution_distribution(field: FiniteField, k: int, r: int,
-                             restrict_nonzero: bool = True) -> list[int]:
-    """r-fold additive convolution of f(beta) = k*[beta in R_k]
-    (+1 at beta = 0 when zeros are allowed); exact Python integers.
-    Raises EnumerationTooLarge, before the first step, when the add_idx
-    calls plus the q weights scanned at every step could pass
-    MAX_CONVOLUTION_OPS."""
+                             restrict_nonzero: bool = True) -> list[list[int]]:
+    """The weight vectors g_0..g_r of the t-fold additive convolutions of
+    f(beta) = k*[beta in R_k] (+1 at beta = 0 when zeros are allowed),
+    from one pass; exact Python integers. Raises EnumerationTooLarge,
+    before the first step, when the add_idx calls plus the q weights
+    scanned at every step could pass MAX_CONVOLUTION_OPS."""
     _check_length("r", r)
     q = field.q
     support = [(beta, k) for beta in kth_power_residues(field, k)]
@@ -202,20 +216,12 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
             f"{r} convolution steps need up to {ops} add_idx calls and "
             f"{r * q} weight scans, over the cap of {MAX_CONVOLUTION_OPS}"
         )
-    g = [0] * q
-    g[0] = 1
+    rows = [[1] + [0] * (q - 1)]
     for _ in range(r):
         nxt = [0] * q
-        for alpha_idx, weight in enumerate(g):
+        for alpha_idx, weight in enumerate(rows[-1]):
             if weight:
                 for beta, f in support:
                     nxt[field.add_idx(alpha_idx, beta)] += weight * f
-        g = nxt
-    return g
-
-
-def convolution_count(field: FiniteField, k: int, alpha, r: int,
-                      restrict_nonzero: bool = True) -> int:
-    idx = _as_index(field, alpha)
-    return convolution_distribution(field, k, r, restrict_nonzero)[idx]
-
+        rows.append(nxt)
+    return rows

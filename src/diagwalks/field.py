@@ -8,9 +8,9 @@ of the package takes and returns elements in this one form.
 There is one arithmetic, polynomial arithmetic on coefficient tuples:
 digits by divmod, sums digit by digit, products reduced modulo the
 defining polynomial, powers by square-and-multiply. It reads no table of
-size q. The only q-sized tables are the numpy addition and negation
-tables, built on their first read for the graph and enumeration oracles;
-the addition table is capped in bytes.
+size q. The only q-sized table is the numpy addition table, built on
+its first read for the graph and enumeration oracles and capped in
+bytes.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
@@ -137,7 +137,7 @@ class FiniteField:
 
     Every operation on indices is polynomial arithmetic, so construction
     is the modulus search and the primitive-element test only. The numpy
-    `add_table` and `neg_table` are built on first read, for the oracles.
+    `add_table` is built on first read, for the oracles.
     """
 
     def __init__(self, p, m, modulus=None, omega=None):
@@ -170,7 +170,6 @@ class FiniteField:
         self.omega_idx = omega
 
         self._add_table = None
-        self._neg_table = None
 
     # --- canonical index <-> digit vector ---
 
@@ -254,14 +253,6 @@ class FiniteField:
         return self._add_table
 
     @property
-    def neg_table(self) -> np.ndarray:
-        if self._neg_table is None:
-            self._neg_table = np.array(
-                [self.neg_idx(i) for i in range(self.q)], dtype=np.int32
-            )
-        return self._neg_table
-
-    @property
     def key(self):
         return (self.p, self.m, self.modulus, self.omega_idx)
 
@@ -276,12 +267,19 @@ def build_field(p, m, modulus=None, omega=None):
     return FiniteField(p, m, modulus=modulus, omega=omega)
 
 
+def check_k_divides(q: int, k: int) -> None:
+    """Raise KDoesNotDivide, naming k, unless k is a positive divisor of
+    q-1; every function taking the exponent k of a field checks it here
+    before any arithmetic."""
+    if k < 1 or (q - 1) % k:
+        raise KDoesNotDivide(f"k={k} is not a positive divisor of q-1={q - 1}")
+
+
 def kth_power_residues(field: FiniteField, k: int) -> frozenset[int]:
     """R_k = {x^k : x nonzero} as canonical indices, of size (q-1)/k;
     requires k | q-1."""
+    check_k_divides(field.q, k)
     n = field.q - 1
-    if n % k != 0:
-        raise KDoesNotDivide(f"k={k} does not divide q-1={n}")
     step = field.pow_idx(field.omega_idx, k)
     members, x = [], 1
     for _ in range(n // k):

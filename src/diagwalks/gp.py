@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .divisibility import multiplicative_order
-from .errors import KDoesNotDivide
-from .field import FiniteField, SubfieldMap, kth_power_residues
+from .field import FiniteField, SubfieldMap, check_k_divides, kth_power_residues
 from .graphs import DenseGraph
 
 
@@ -34,16 +33,13 @@ def gp_is_undirected(p: int, u: int) -> bool:
 
 def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     """Cayley graph of the additive group with connection set R_k."""
-    q = field.q
-    if (q - 1) % k != 0:
-        raise KDoesNotDivide(f"k={k} does not divide q-1={q - 1}")
-    u = (q - 1) // k
-    rmask = np.zeros(q, dtype=bool)
-    rmask[list(kth_power_residues(field, k))] = True
-    # adj[i, j] = 1 iff (j - i) is a k-th power
-    diff = field.add_table[field.neg_table[:, None], np.arange(q)[None, :]]
-    adj = rmask[diff].astype(np.int8)
-    return DenseGraph(adj, directed=not gp_is_undirected(field.p, u))
+    check_k_divides(field.q, k)
+    add, q = field.add_table, field.q  # byte-capped: read before R_k, adj
+    residues = list(kth_power_residues(field, k))
+    # j - i is a k-th power iff j = i + rho for some rho in R_k
+    adj = np.zeros((q, q), dtype=np.int8)
+    adj[np.arange(q)[:, None], add[:, residues]] = 1
+    return DenseGraph(adj, directed=not gp_is_undirected(field.p, (q - 1) // k))
 
 
 def hamming_parameters(p: int, m: int, k: int) -> list[tuple[int, int]]:
@@ -53,8 +49,7 @@ def hamming_parameters(p: int, m: int, k: int) -> list[tuple[int, int]]:
     Every pair satisfying the condition is returned; nothing here assumes
     uniqueness.
     """
-    if (p**m - 1) % k != 0:
-        raise KDoesNotDivide(f"k={k} does not divide p^m-1={p**m - 1}")
+    check_k_divides(p**m, k)
     u = (p**m - 1) // k
     if not is_primitive_divisor(u, p, m):
         return []

@@ -4,7 +4,8 @@
 the four per-triple checks, each returning one CheckResult:
 
 - triple agreement: `count_nonzero` against the literal enumeration and
-  the additive convolution, for every alpha;
+  the additive convolution, for every alpha, one call to each oracle
+  giving every r <= max_r;
 - walk bridge: the same counts against k^r times matrix-power walks on
   the triple's generalized Paley graph, built once for the check;
 - isomorphism: the system's own `HammingView` against the GP-graph;
@@ -23,6 +24,7 @@ reproduced from the command line.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import comb, prod
@@ -62,16 +64,16 @@ def check_triple_agreement(system: DiagonalSystem, max_r=3) -> CheckResult:
     """Formula vs literal enumeration vs convolution, every alpha."""
     field, k, q = system.field, system.k, system.q
     name = f"triple-agreement {_triple(system)} (q={q}, k={k}, r<={max_r})"
+    brute = brute_force_distribution(field, k, max_r, True)
+    conv = convolution_distribution(field, k, max_r, True)
     for r in range(max_r + 1):
-        brute = brute_force_distribution(field, k, r, True)
-        conv = convolution_distribution(field, k, r, True)
         for alpha in range(q):
             formula = system.count_nonzero(alpha, r)
-            if not (formula == int(brute[alpha]) == conv[alpha]):
+            if not (formula == int(brute[r, alpha]) == conv[r][alpha]):
                 return CheckResult(name, False, (
                     f"{_triple(system)} alpha={alpha} r={r}: "
-                    f"formula={formula} brute={int(brute[alpha])} "
-                    f"conv={conv[alpha]}"
+                    f"formula={formula} brute={int(brute[r, alpha])} "
+                    f"conv={conv[r][alpha]}"
                 ))
     return CheckResult(name, True)
 
@@ -135,18 +137,11 @@ def random_neps_instance(rng: random.Random, max_factors=3, max_size=5, max_r=5)
         complete_graph(m) if rng.random() < 0.4 else random_graph(rng, m)
         for m in sizes
     ]
-    tuples = [t for t in _all_tuples(n) if any(t)]
+    tuples = [t for t in itertools.product((0, 1), repeat=n) if any(t)]
     count = rng.randint(1, len(tuples))
     basis = NepsBasis(rng.sample(tuples, count))
     r = rng.randint(0, max_r)
     return factors, basis, r
-
-
-def _all_tuples(n):
-    out = [()]
-    for _ in range(n):
-        out = [t + (v,) for t in out for v in (0, 1)]
-    return out
 
 
 def formula_walk_matrix(factors, basis: NepsBasis, r: int) -> np.ndarray:

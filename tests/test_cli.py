@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from diagwalks import verify as verify_mod
 from diagwalks.cli import main, parse_element
 from diagwalks import build_field
 from diagwalks.graphs import MAX_WALK_BYTES
@@ -92,6 +93,17 @@ def test_count_negative_length_exit_2(capsys, method):
     record = json.loads(err)
     assert record["error"] == "BadParameters"
     assert record["message"].endswith("=-1 must be >= 0")
+
+
+@pytest.mark.parametrize("p", ["1", "-3", "0"])
+def test_count_p_not_prime_exit_2(capsys, p):
+    code, out, err = run_cli(
+        capsys, "count", "--p", p, "--a", "1", "--b", "2",
+        "--alpha", "0", "--s", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NotPrime"
 
 
 def test_count_determinism(capsys):
@@ -186,6 +198,19 @@ def test_walks_bad_options_exit_2(capsys, argv, message):
     assert message in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_walks_gp_nonpositive_k_exit_2(capsys, k):
+    code, out, err = run_cli(
+        capsys, "walks", "--gp", "--p", "3", "--m", "2", "--k", k,
+        "--from", "0", "--to", "0", "--length", "1",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "KDoesNotDivide"
+    assert error["message"].startswith(f"k={k} ")
+
+
 def test_walks_over_cache_cap_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "walks", "--gp", "--p", "3", "--m", "2", "--k", "2",
@@ -215,6 +240,19 @@ def test_verify_negative_sizes_exit_2(capsys):
     assert code == 2
     assert "ALL PASS" not in out and "[PASS]" not in out
     assert "must be >= 0" in err
+
+
+@pytest.mark.parametrize("roster", ["3,1", "3,1,2;3,1,2,5"])
+def test_verify_malformed_roster_exit_2(capsys, monkeypatch, roster):
+    built = []
+    monkeypatch.setattr(verify_mod, "DiagonalSystem",
+                        lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, "verify", "--roster", roster)
+    assert code == 2
+    assert out == "" and built == []
+    error = json.loads(err)
+    assert error["error"] == "BadParameters"
+    assert repr(roster.split(";")[-1]) in error["message"]
 
 
 def test_usage_error(capsys):

@@ -10,16 +10,18 @@ from diagwalks import (
     brute_force_count,
     brute_force_distribution,
     build_field,
-    convolution_count,
     convolution_distribution,
     kth_power_residues,
     walk_solution_count,
 )
 from diagwalks.cli import parse_element
+from diagwalks.diagonal import diagonal_exponent
 from diagwalks.errors import (
     BadParameters,
     EnumerationTooLarge,
+    FieldTooLarge,
     KNotInteger,
+    NotPrime,
     NotPrimitiveDivisor,
 )
 from diagwalks.field import FiniteField
@@ -90,12 +92,22 @@ def test_formula_path_builds_no_field_table():
              if isinstance(value, (list, tuple, np.ndarray))
              and len(value) >= field.q]
     assert not built, f"tables built on the formula path: {built}"
-    assert field._add_table is None and field._neg_table is None
+    assert field._add_table is None
 
 
 def test_bad_parameters():
     with pytest.raises(BadParameters):
         DiagonalSystem(3, 1, 1)
+
+
+@pytest.mark.parametrize("p", [1, -3, 0])
+def test_p_must_be_prime_before_any_arithmetic(p):
+    # p = 1 used to divide by zero, p = -3 to fail primitivity and p = 0
+    # integrality, each before primality was looked at
+    with pytest.raises(NotPrime, match=f"p={p} is not prime"):
+        diagonal_exponent(p, 1, 2)
+    with pytest.raises(NotPrime, match=f"p={p} is not prime"):
+        DiagonalSystem(p, 1, 2)
 
 
 def test_element_must_be_an_integer_index(roster_systems, f9):
@@ -104,9 +116,8 @@ def test_element_must_be_an_integer_index(roster_systems, f9):
     for bad in (1.5, "3", None):
         with pytest.raises(BadParameters, match=f"element {bad!r} is not"):
             system.count_nonzero(bad, 2)
-        for oracle in (brute_force_count, convolution_count):
-            with pytest.raises(BadParameters, match="is not an integer"):
-                oracle(f9, 2, bad, 2)
+        with pytest.raises(BadParameters, match="is not an integer"):
+            brute_force_count(f9, 2, bad, 2)
         with pytest.raises(BadParameters, match="is not an integer"):
             walk_solution_count(f9, 2, 0, bad, 2)
     with pytest.raises(BadParameters, match="index 9 out of range"):
@@ -123,7 +134,7 @@ def test_oracles_refuse_negative_length(oracle):
     with pytest.raises(BadParameters, match="=-1 must be >= 0"):
         oracle(field)
     # refused before any field table is read
-    assert field._add_table is None and field._neg_table is None
+    assert field._add_table is None
 
 
 def test_brute_force_r0(f9):
@@ -143,6 +154,52 @@ def test_enumeration_cap():
     assert field._add_table is None
 
 
+def test_enumeration_cap_counts_every_written_value():
+    # GF(2) has one nonzero tuple of each length, but a pass to r = 10^8
+    # writes 10^8 prefix sums and (10^8 + 1) rows of q entries
+    field = build_field(2, 1)
+    with pytest.raises(EnumerationTooLarge, match="over the cap"):
+        brute_force_distribution(field, 1, 10**8)
+    assert field._add_table is None
+
+
+def test_brute_force_reads_the_capped_table_before_the_powers(monkeypatch):
+    # GF(2^16): 65,535 powers took 3.8 s before FieldTooLarge
+    field = build_field(2, 16)
+    monkeypatch.setattr(field, "pow_idx", lambda *args: 1 / 0)
+    with pytest.raises(FieldTooLarge, match="addition table of GF"):
+        brute_force_distribution(field, 1, 1)
+
+
+@pytest.mark.parametrize("p, m, k", [
+    (2, 2, 1), (2, 2, 3), (2, 3, 1), (3, 2, 2), (3, 2, 4),
+])
+@pytest.mark.parametrize("restrict_nonzero", [True, False])
+def test_brute_force_rows_match_direct_enumeration(p, m, k, restrict_nonzero):
+    field, r = build_field(p, m), 3
+    dist = brute_force_distribution(field, k, r, restrict_nonzero)
+    assert dist.shape == (r + 1, field.q)
+    domain = range(1 if restrict_nonzero else 0, field.q)
+    for t in range(r + 1):
+        want = [0] * field.q
+        for summands in itertools.product(domain, repeat=t):
+            total = 0
+            for x in summands:
+                total = field.add_idx(total, field.pow_idx(x, k))
+            want[total] += 1
+        assert list(dist[t]) == want, t
+
+
+@pytest.mark.parametrize("restrict_nonzero", [True, False])
+def test_oracle_rows_agree_on_roster_fields(roster_systems, restrict_nonzero):
+    for system in roster_systems.values():
+        field, k = system.field, system.k
+        brute = brute_force_distribution(field, k, 3, restrict_nonzero)
+        conv = convolution_distribution(field, k, 3, restrict_nonzero)
+        assert len(conv) == 4
+        assert brute.tolist() == conv, system
+
+
 def test_convolution_cap_checked_before_any_addition(monkeypatch):
     # (7,1,6): |R_k| = 36 in GF(7^6), so six steps need up to 10,198,332
     # add_idx calls, about a minute in all
@@ -155,7 +212,8 @@ def test_convolution_cap_checked_before_any_addition(monkeypatch):
     with pytest.raises(EnumerationTooLarge, match="10198332"):
         convolution_distribution(field, k, 6)
     assert not calls
-    assert convolution_count(field, k, 1234, 2) == system.count_nonzero(1234, 2)
+    assert convolution_distribution(field, k, 2)[2][1234] == \
+        system.count_nonzero(1234, 2)
     assert len(calls) == 36 * 37
 
 
@@ -183,8 +241,8 @@ def test_brute_force_streams_the_last_summand(f25):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert int(dist.sum()) == 24**4
-    assert list(dist) == convolution_distribution(f25, 3, 4)
+    assert int(dist[-1].sum()) == 24**4
+    assert list(dist[-1]) == convolution_distribution(f25, 3, 4)[-1]
     assert peak < 24**4, f"peak {peak} bytes"
 
 
@@ -192,25 +250,26 @@ def test_convolution_r1_is_f(f9):
     residues = kth_power_residues(f9, 2)
     for alpha in range(9):
         expect = 2 if alpha in residues else 0
-        assert convolution_count(f9, 2, alpha, 1) == expect
+        assert convolution_distribution(f9, 2, 1)[1][alpha] == expect
 
 
 def test_oracle_mass_conservation(f9, f25):
     for field, k in [(f9, 2), (f25, 3)]:
         q = field.q
         for r in range(4):
-            conv = convolution_distribution(field, k, r, True)
+            conv = convolution_distribution(field, k, r, True)[-1]
             assert sum(conv) == (q - 1) ** r
-            brute = brute_force_distribution(field, k, r, True)
+            brute = brute_force_distribution(field, k, r, True)[-1]
             assert int(brute.sum()) == (q - 1) ** r
-            full = convolution_distribution(field, k, r, False)
+            full = convolution_distribution(field, k, r, False)[-1]
             assert sum(full) == q**r
 
 
 def test_oracles_agree_f64(f64):
-    assert brute_force_count(f64, 7, 1, 3) == convolution_count(f64, 7, 1, 3)
-    brute = brute_force_distribution(f64, 7, 3, True)
-    conv = convolution_distribution(f64, 7, 3, True)
+    assert brute_force_count(f64, 7, 1, 3) == \
+        convolution_distribution(f64, 7, 3)[3][1]
+    brute = brute_force_distribution(f64, 7, 3, True)[-1]
+    conv = convolution_distribution(f64, 7, 3, True)[-1]
     assert list(brute) == conv
 
 

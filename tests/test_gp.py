@@ -8,8 +8,10 @@ from diagwalks import (
     is_primitive_divisor,
     kth_power_residues,
     verify_isomorphism,
+    walk_solution_count,
 )
 from diagwalks import field as field_mod
+from diagwalks import gp as gp_mod
 from diagwalks.errors import FieldTooLarge, KDoesNotDivide
 
 
@@ -56,6 +58,21 @@ def test_directed_flag(f25):
 def test_k_must_divide(f9):
     with pytest.raises(KDoesNotDivide):
         gp_graph(f9, 5)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+@pytest.mark.parametrize("call", [
+    lambda field, k: kth_power_residues(field, k),
+    lambda field, k: gp_graph(field, k),
+    lambda field, k: hamming_parameters(field.p, field.m, k),
+    lambda field, k: walk_solution_count(field, k, 0, 1, 1),
+], ids=["residues", "gp_graph", "hamming_parameters", "walk_bridge"])
+def test_nonpositive_k_is_refused_before_any_table(call, k):
+    # k = 0 used to divide by zero and k = -2 to fail in pow_idx
+    field = build_field(3, 2)
+    with pytest.raises(KDoesNotDivide, match=f"k={k} is not a positive"):
+        call(field, k)
+    assert field._add_table is None
 
 
 def test_regularity_roster(f25, f64):
@@ -168,6 +185,18 @@ def test_verify_isomorphism_cap_checked_before_coordinates(monkeypatch):
 
     with pytest.raises(FieldTooLarge):
         verify_isomorphism(view, coords_fn=coords)
+    assert not calls
+
+
+def test_gp_graph_cap_checked_before_residues(monkeypatch):
+    # GF(2^16): its 2^32-entry add table is over the cap, and listing the
+    # 65,535 residues before the cap was read took 1.6 s
+    field = build_field(2, 16)
+    calls = []
+    monkeypatch.setattr(gp_mod, "kth_power_residues",
+                        lambda *args: calls.append(args))
+    with pytest.raises(FieldTooLarge, match="addition table of GF"):
+        gp_graph(field, 1)
     assert not calls
 
 

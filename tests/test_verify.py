@@ -34,6 +34,21 @@ def test_run_all_refuses_negative_sizes_before_building(built, max_r,
     assert built == []
 
 
+def test_triple_agreement_calls_each_oracle_once(monkeypatch):
+    calls = []
+    for name in ("brute_force_distribution", "convolution_distribution"):
+        def counting(field, k, r, restrict_nonzero=True,
+                     name=name, oracle=getattr(verify, name)):
+            calls.append((name, r))
+            return oracle(field, k, r, restrict_nonzero)
+        monkeypatch.setattr(verify, name, counting)
+    for system in (DiagonalSystem(3, 1, 2), DiagonalSystem(2, 2, 3)):
+        calls.clear()
+        assert verify.check_triple_agreement(system, 3).ok
+        assert sorted(calls) == [("brute_force_distribution", 3),
+                                 ("convolution_distribution", 3)]
+
+
 def test_checks_report_the_first_counterexample(monkeypatch):
     system = DiagonalSystem(3, 1, 2)
     real = system.count_nonzero
