@@ -80,22 +80,6 @@ def emit(record: dict, fmt: str = "json") -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def result_record(p, a, b, k, q, alpha_literal, n, mode, method, count) -> dict:
-    """The JSON result payload; counts travel as decimal strings."""
-    return {
-        "p": p,
-        "a": a,
-        "b": b,
-        "k": k,
-        "q": q,
-        "alpha": alpha_literal,
-        "r_or_s": n,
-        "mode": mode,
-        "method": method,
-        "count": str(count),
-    }
-
-
 def cmd_count(args) -> int:
     """The formula needs a DiagonalSystem, and with it a Hamming
     decomposition of k; the oracles need only the field and k."""
@@ -128,8 +112,9 @@ def cmd_count(args) -> int:
         count = walk_solution_count(field, k, 0, alpha, n)
     else:
         raise DiagwalksError(f"unknown method {method!r}")
-    payload = result_record(p, a, b, k, field.q, args.alpha, n, mode, method,
-                            count)
+    # the count travels as a decimal string
+    payload = dict(p=p, a=a, b=b, k=k, q=field.q, alpha=args.alpha, r_or_s=n,
+                   mode=mode, method=method, count=str(count))
     payload["divisibility"] = remark_cases(p, a, b).to_dict()
     elapsed = round((time.perf_counter() - started) * 1000, 3)
     emit(

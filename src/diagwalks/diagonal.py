@@ -35,12 +35,15 @@ from .gp import HammingView, gp_graph
 from .neps import hamming_walks
 
 # largest number of values one brute-force pass writes: the prefix sums of
-# every length and the entries of the returned rows
+# every length and the entries of the returned rows; a pass also runs
+# fewer lengths than this number has bits
 MAX_ENUM_TUPLES = 10**8
 # largest number of add_idx calls plus scanned weights the convolution
-# oracle makes; as every step scans q weights, this also bounds the r+1
-# returned rows at MAX_CONVOLUTION_OPS + q entries
+# oracle makes
 MAX_CONVOLUTION_OPS = 10**7
+# largest estimated size of the rows g_0..g_r it returns, whose entries
+# grow by log2(q) bits a step
+MAX_CONVOLUTION_BYTES = 1 << 26
 
 
 def _as_index(field: FiniteField, x) -> int:
@@ -153,20 +156,21 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     sums are held at once for t < r, and row t is their bincount; the
     last summand is added one value at a time, so memory grows as
     base^(r-1), not base^r. Raises EnumerationTooLarge, before any table
-    is read, when the pass writes more than MAX_ENUM_TUPLES values.
+    is read, when the pass writes more than MAX_ENUM_TUPLES values or
+    runs to r >= log2(MAX_ENUM_TUPLES).
     """
     _check_length("r", r)
     q = field.q
     base = (q - 1) if restrict_nonzero else q
-    # base^t prefix sums for every t = 1..r, then (r+1)*q row entries; with
-    # base >= 2 the sums pass 2^64 by t = 64, so r is clipped there first
-    n = min(r, 64)
-    prefixes = r if base == 1 else (base ** (n + 1) - base) // (base - 1)
-    writes = prefixes + (r + 1) * q
-    if writes > MAX_ENUM_TUPLES:
+    # base^t prefix sums for every t = 1..r, then (r+1)*q row entries. At
+    # base 2 these pass the cap before r reaches its bit length, so no
+    # pass runs that many lengths: not even GF(2) without zeros (base 1)
+    lengths = MAX_ENUM_TUPLES.bit_length()
+    writes = (r + 1) * q + sum(base**t for t in range(1, min(r, lengths) + 1))
+    if r >= lengths or writes > MAX_ENUM_TUPLES:
         raise EnumerationTooLarge(
-            f"enumerating {base}^t tuples for t <= {r} writes at least "
-            f"{writes} values, over the cap {MAX_ENUM_TUPLES}"
+            f"a pass to r={r} writes at least {writes} values, over the cap "
+            f"of {MAX_ENUM_TUPLES} values and {lengths - 1} lengths"
         )
     dist = np.zeros((r + 1, q), dtype=np.int64)
     dist[0, 0] = 1
@@ -199,7 +203,8 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     f(beta) = k*[beta in R_k] (+1 at beta = 0 when zeros are allowed),
     from one pass; exact Python integers. Raises EnumerationTooLarge,
     before the first step, when the add_idx calls plus the q weights
-    scanned at every step could pass MAX_CONVOLUTION_OPS."""
+    scanned at every step could pass MAX_CONVOLUTION_OPS, or the rows
+    MAX_CONVOLUTION_BYTES."""
     _check_length("r", r)
     q = field.q
     support = [(beta, k) for beta in kth_power_residues(field, k)]
@@ -211,10 +216,19 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     size, t0 = len(support), min(r, q.bit_length())
     ops = size * (sum(min(size**t, q) for t in range(t0))
                   + (r - t0) * min(size**t0, q))
-    if ops + r * q > MAX_CONVOLUTION_OPS:
+    # g_t sums to base^t, so each of its q entries is estimated as an
+    # 8-byte pointer to a Python int of 24 bytes plus 4 per 30-bit digit:
+    # at most t*log2(base)/30 + 1 digits, and 2 spare ones that CPython's
+    # sums and products allocate. Each row adds a list and a pointer to it
+    base = q - 1 if restrict_nonzero else q
+    digits = (r + 1) * (3 + math.log2(base) / 30 * r / 2)
+    row_bytes = 64 * (r + 1) + q * math.ceil(32 * (r + 1) + 4 * digits)
+    if ops + r * q > MAX_CONVOLUTION_OPS or row_bytes > MAX_CONVOLUTION_BYTES:
         raise EnumerationTooLarge(
-            f"{r} convolution steps need up to {ops} add_idx calls and "
-            f"{r * q} weight scans, over the cap of {MAX_CONVOLUTION_OPS}"
+            f"{r} convolution steps need up to {ops} add_idx calls, "
+            f"{r * q} weight scans and about {row_bytes} bytes of rows, over "
+            f"the caps of {MAX_CONVOLUTION_OPS} operations and "
+            f"{MAX_CONVOLUTION_BYTES} bytes"
         )
     rows = [[1] + [0] * (q - 1)]
     for _ in range(r):

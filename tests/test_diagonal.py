@@ -14,6 +14,7 @@ from diagwalks import (
     kth_power_residues,
     walk_solution_count,
 )
+from diagwalks import cli, diagonal
 from diagwalks.cli import parse_element
 from diagwalks.diagonal import diagonal_exponent
 from diagwalks.errors import (
@@ -163,6 +164,19 @@ def test_enumeration_cap_counts_every_written_value():
     assert field._add_table is None
 
 
+def test_enumeration_cap_bounds_the_lengths():
+    # a base-2 pass passes 10^8 writes before r = 27; GF(2) without zeros
+    # writes 3r + 2 values, so only the length bound refuses r = 27
+    field = build_field(2, 1)
+    with pytest.raises(EnumerationTooLarge, match="and 26 lengths"):
+        brute_force_distribution(field, 1, 27)
+    assert field._add_table is None
+    assert brute_force_distribution(field, 1, 26)[:, 1].tolist() == \
+        [t % 2 for t in range(27)]
+    with pytest.raises(EnumerationTooLarge):
+        brute_force_distribution(build_field(2, 2), 1, 26, False)
+
+
 def test_brute_force_reads_the_capped_table_before_the_powers(monkeypatch):
     # GF(2^16): 65,535 powers took 3.8 s before FieldTooLarge
     field = build_field(2, 16)
@@ -229,6 +243,51 @@ def test_convolution_cap_counts_the_weight_scans(monkeypatch):
     with pytest.raises(EnumerationTooLarge, match="10240000000 weight scans"):
         convolution_distribution(field, 1023, 10**7)
     assert not calls
+
+
+def test_convolution_cap_bounds_the_rows_in_bytes(monkeypatch):
+    # row t of GF(4), k = 1, holds four Python ints of about 1.6t bits; at
+    # the largest r the byte cap accepts, the rows stay within it, give or
+    # take the freed tuples CPython keeps on its free lists (under 128 KiB)
+    cap = 1 << 22
+    monkeypatch.setattr(diagonal, "MAX_CONVOLUTION_BYTES", cap)
+    field = build_field(2, 2)
+    field.add_idx(0, 0)
+
+    def accepted(r):
+        field.add_idx = lambda i, j: 1 / 0  # the first step stops the pass
+        try:
+            convolution_distribution(field, 1, r)
+        except ZeroDivisionError:
+            return True
+        except EnumerationTooLarge:
+            return False
+        finally:
+            del field.add_idx
+
+    assert not accepted(4000)
+    r = max(t for t in range(0, 4000, 50) if accepted(t))
+    while accepted(r + 1):
+        r += 1
+    assert r > 2000
+    tracemalloc.start()
+    try:
+        rows = convolution_distribution(field, 1, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(rows[r]) == 3**r
+    assert peak <= cap + (1 << 17), f"peak {peak} bytes at r={r}"
+
+
+def test_convolution_cli_refuses_rows_over_the_byte_cap():
+    # (3,1,2) makes 45 operations a step: 50,000 steps pass the operation
+    # cap, but their rows would take gigabytes
+    field = build_field(3, 2)
+    with pytest.raises(EnumerationTooLarge, match="bytes of rows"):
+        convolution_distribution(field, 2, 50_000)
+    assert cli.main(["count", "--p", "3", "--a", "1", "--b", "2", "--alpha",
+                     "0", "--s", "50000", "--method", "convolution"]) == 2
 
 
 def test_brute_force_streams_the_last_summand(f25):
