@@ -11,13 +11,7 @@ from .diagonal import (
 )
 from .divisibility import DivisibilityReport, k_is_integer, remark_cases
 from .field import FiniteField, build_field, kth_power_residues
-from .gp import (
-    HammingView,
-    gp_graph,
-    hamming_parameters,
-    is_primitive_divisor,
-    verify_isomorphism,
-)
+from .gp import HammingView, gp_graph, hamming_parameters, verify_isomorphism
 from .graphs import DenseGraph, complete_graph, complete_walks
 from .neps import (
     NepsBasis,
@@ -45,7 +39,6 @@ __all__ = [
     "gp_graph",
     "hamming_parameters",
     "hamming_walks",
-    "is_primitive_divisor",
     "k_is_integer",
     "kth_power_residues",
     "neps_complete_walks",

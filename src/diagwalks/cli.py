@@ -171,14 +171,13 @@ def cmd_walks(args) -> int:
             "length": args.length,
             "matrix_power": str(power),
         }
-        pairs = hamming_parameters(args.p, args.m, args.k)
-        if pairs:
-            a, b = pairs[0]
-            view = HammingView(field, args.k, a, b)
+        if hamming_parameters(args.p, args.m, args.k) is not None:
+            view = HammingView(field, args.k)
             pattern = view.pattern_idx(field.sub_idx(vj, vi))
-            formula = hamming_walks(b, args.p**a, args.length, pattern)
+            alphabet = args.p**view.a
+            formula = hamming_walks(view.b, alphabet, args.length, pattern)
             payload["formula"] = str(formula)
-            payload["hamming"] = f"H({b},{args.p**a})"
+            payload["hamming"] = f"H({view.b},{alphabet})"
             payload["agree"] = formula == power
     else:
         raise DiagwalksError("one of --neps or --gp is required")
@@ -268,6 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # counts are exact and printed in full; interpreters from 3.10.7 on
+    # refuse to convert an int of more than 4,300 digits unless told not to
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

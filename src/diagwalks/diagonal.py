@@ -31,7 +31,7 @@ from .errors import (
     NotPrimitiveDivisor,
 )
 from .field import FiniteField, build_field, is_prime, kth_power_residues
-from .gp import HammingView, gp_graph
+from .gp import HammingView, gp_graph, hamming_parameters
 from .neps import hamming_walks
 
 # largest number of values one brute-force pass writes: the prefix sums of
@@ -86,9 +86,10 @@ class DiagonalSystem:
 
     def __init__(self, p: int, a: int, b: int, field: FiniteField | None = None):
         k = diagonal_exponent(p, a, b)
-        m, u = a * b, b * (p**a - 1)
-        h = multiplicative_order(p, u)
-        if h != m:
+        m = a * b
+        if hamming_parameters(p, m, k) is None:
+            u = b * (p**a - 1)
+            h = multiplicative_order(p, u)
             raise NotPrimitiveDivisor(
                 f"u=b(p^a-1)={u} is not a primitive divisor of p^m-1="
                 f"{p**m - 1}: it already divides p^{h}-1={p**h - 1} with "
@@ -105,7 +106,7 @@ class DiagonalSystem:
         self.field = field
         self.q = field.q
         self.k = k
-        self.view = HammingView(field, self.k, a, b)
+        self.view = HammingView(field, k)
 
     def count_nonzero(self, alpha, r: int) -> int:
         """N_r(alpha): k^r times the Hamming walk count for alpha's zero pattern."""
@@ -116,12 +117,15 @@ class DiagonalSystem:
 
     def count_all(self, alpha, s: int) -> int:
         """M_s(alpha): sum of binomial(s,i) N_i, plus 1 for the trivial
-        solution when alpha = 0."""
+        solution when alpha = 0. The binomials are taken one from the last,
+        C(s,i) = C(s,i-1)(s-i+1)/i, an exact division."""
         _check_length("s", s)
         idx = _as_index(self.field, alpha)
         total = 1 if idx == 0 else 0
+        binom = 1
         for i in range(1, s + 1):
-            total += math.comb(s, i) * self.count_nonzero(idx, i)
+            binom = binom * (s - i + 1) // i
+            total += binom * self.count_nonzero(idx, i)
         return total
 
     def __repr__(self):

@@ -24,10 +24,10 @@ with c digits per chunk, whatever q is. The zero pattern of the
 coordinates is read from the packed solve by
 `gp.HammingView.pattern_idx`, which owns the map.
 
-The construction is deterministic: with no modulus given, the
-lexicographically smallest monic irreducible polynomial is selected
-(coefficients compared from the highest degree down), and the primitive
-element is the one with the smallest canonical index.
+The construction is deterministic: the modulus is always the
+lexicographically smallest monic irreducible polynomial (coefficients
+compared from the highest degree down), and the primitive element is the
+one with the smallest canonical index unless `omega=` names another.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class FiniteField:
     `add_table` is built on first read, for the oracles.
     """
 
-    def __init__(self, p, m, modulus=None, omega=None):
+    def __init__(self, p, m, omega=None):
         if not is_prime(p):
             raise NotPrime(f"p={p} is not prime")
         if m < 1:
@@ -151,17 +151,7 @@ class FiniteField:
         self.p = p
         self.m = m
         self.q = q
-        if modulus is None:
-            modulus = find_modulus(p, m)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(
-                    f"modulus must be monic of degree {m}, got {modulus}"
-                )
-            if not _is_irreducible(modulus, p):
-                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = modulus
+        self.modulus = find_modulus(p, m)
 
         if omega is None:
             omega = self._find_primitive()
@@ -263,8 +253,8 @@ class FiniteField:
         )
 
 
-def build_field(p, m, modulus=None, omega=None):
-    return FiniteField(p, m, modulus=modulus, omega=omega)
+def build_field(p, m, omega=None):
+    return FiniteField(p, m, omega=omega)
 
 
 def check_k_divides(q: int, k: int) -> None:

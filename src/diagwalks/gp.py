@@ -7,6 +7,8 @@ p mod u is m), the graph is a Hamming graph H(b, p^a), with an explicit
 coordinate isomorphism through the basis {1, w^k, ..., w^{(b-1)k}}.
 Without primitivity R_k lies in a proper subfield and the graph is not
 connected: Gamma(10, 81) is 9 copies of K_9, not H(4, 3).
+`hamming_parameters` is the one test of that condition: `HammingView`
+and `diagonal.DiagonalSystem` read their (a, b) from it.
 """
 
 from __future__ import annotations
@@ -14,16 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .divisibility import multiplicative_order
+from .errors import BadDecomposition
 from .field import FiniteField, SubfieldMap, check_k_divides, kth_power_residues
 from .graphs import DenseGraph
-
-
-def is_primitive_divisor(u: int, p: int, m: int) -> bool:
-    """u | p^m - 1 while u divides no smaller p^h - 1 (any h < m): the
-    order of p mod u is m."""
-    if u < 1:
-        raise ValueError(f"u={u} must be >= 1")
-    return multiplicative_order(p, u) == m
 
 
 def gp_is_undirected(p: int, u: int) -> bool:
@@ -42,45 +37,42 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     return DenseGraph(adj, directed=not gp_is_undirected(field.p, (q - 1) // k))
 
 
-def hamming_parameters(p: int, m: int, k: int) -> list[tuple[int, int]]:
-    """All (a, b) with m = ab, b > 1 and u = b(p^a - 1), where u is a
-    primitive divisor of p^m - 1; may be empty.
+def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:
+    """The (a, b) with m = ab, b > 1 and u = (p^m-1)/k = b(p^a - 1), where
+    u is a primitive divisor of p^m - 1 (the order of p mod u is m); None
+    when there is no such pair.
 
-    Every pair satisfying the condition is returned; nothing here assumes
-    uniqueness.
+    At most one divisor a of m fits: b(p^a - 1) = m * (p^a - 1)/a, and
+    (p^a - 1)/a strictly increases in a for p >= 2, since
+    a(p^(a+1) - 1) - (a+1)(p^a - 1) = p^a (ap - a - 1) + 1 > 0. So
+    distinct a give distinct u, and the pair is unique.
     """
     check_k_divides(p**m, k)
     u = (p**m - 1) // k
-    if not is_primitive_divisor(u, p, m):
-        return []
-    out = []
-    for a in range(1, m + 1):
-        if m % a:
-            continue
-        b = m // a
-        if b > 1 and u == b * (p**a - 1):
-            out.append((a, b))
-    return out
+    if multiplicative_order(p, u) != m:
+        return None
+    for a in range(1, m):
+        if m % a == 0 and u == m // a * (p**a - 1):
+            return a, m // a
+    return None
 
 
 class HammingView:
-    """The (a,b) coordinate view of a GP-graph as H(b, p^a)."""
+    """The (a,b) coordinate view of a GP-graph as H(b, p^a), with (a, b)
+    from `hamming_parameters`."""
 
-    def __init__(self, field: FiniteField, k: int, a: int, b: int):
-        if (a, b) not in hamming_parameters(field.p, field.m, k):
-            raise ValueError(
-                f"(a={a}, b={b}) is not a Hamming decomposition for "
-                f"k={k} over GF({field.p}^{field.m})"
+    def __init__(self, field: FiniteField, k: int):
+        pair = hamming_parameters(field.p, field.m, k)
+        if pair is None:
+            raise BadDecomposition(
+                f"Gamma(k, p^m) is not a Hamming graph for p={field.p}, "
+                f"m={field.m}, k={k}: (p^m-1)/k is no primitive divisor "
+                f"b(p^a-1) with m = ab, b > 1"
             )
         self.field = field
         self.k = k
-        self.a = a
-        self.b = b
-        self.map = SubfieldMap(field, a, b, k)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.field.p**self.a
+        self.a, self.b = pair
+        self.map = SubfieldMap(field, self.a, self.b, k)
 
     def coords_idx(self, x_idx: int) -> tuple[int, ...]:
         return self.map.coords_idx(x_idx)
@@ -95,7 +87,7 @@ class HammingView:
     def __repr__(self):
         return (
             f"HammingView(GF({self.field.p}^{self.field.m}), k={self.k}, "
-            f"H({self.b},{self.alphabet_size}))"
+            f"H({self.b},{self.field.p**self.a}))"
         )
 
 

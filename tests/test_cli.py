@@ -4,7 +4,7 @@ import pytest
 
 from diagwalks import verify as verify_mod
 from diagwalks.cli import main, parse_element
-from diagwalks import build_field
+from diagwalks import DiagonalSystem, build_field
 from diagwalks.graphs import MAX_WALK_BYTES
 
 
@@ -104,6 +104,19 @@ def test_count_p_not_prime_exit_2(capsys, p):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "NotPrime"
+
+
+def test_count_prints_more_than_4300_digits(capsys):
+    # N_5000(0) on GF(9) has 4,515 digits; Python 3.10.7 and later refuse
+    # to print an int of more than 4,300 unless the limit is lifted
+    code, out, err = run_cli(
+        capsys, "count", "--p", "3", "--a", "1", "--b", "2",
+        "--alpha", "0", "--s", "5000", "--nonzero-only",
+    )
+    assert code == 0, err
+    count = json.loads(out)["result"]["count"]
+    assert len(count) > 4300
+    assert count == str(DiagonalSystem(3, 1, 2).count_nonzero(0, 5000))
 
 
 def test_count_determinism(capsys):

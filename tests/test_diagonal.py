@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -35,6 +36,18 @@ def test_spot_values_f9():
     # pre-verified with a standalone enumeration before the build
     assert DiagonalSystem(3, 1, 2).count_nonzero(1, 2) == 4
     assert DiagonalSystem(3, 1, 2).count_all(0, 2) == 17
+
+
+@pytest.mark.parametrize("p,a,b", [(3, 1, 2), (2, 2, 3)])
+def test_count_all_matches_binomial_sum(p, a, b):
+    # the running binomial C(s,i) = C(s,i-1)(s-i+1)/i against math.comb
+    system = DiagonalSystem(p, a, b)
+    for alpha in range(system.q):
+        nonzero = [system.count_nonzero(alpha, i) for i in range(61)]
+        for s in range(61):
+            expected = (alpha == 0) + sum(
+                math.comb(s, i) * nonzero[i] for i in range(1, s + 1))
+            assert system.count_all(alpha, s) == expected, (alpha, s)
 
 
 def test_n1_residue_membership(roster_systems):
@@ -412,10 +425,7 @@ def _second_primitive(field: FiniteField) -> int:
 @pytest.mark.parametrize("p,a,b", [(3, 1, 2), (2, 2, 3)])
 def test_representation_independence(p, a, b):
     system1 = DiagonalSystem(p, a, b)
-    field2 = build_field(
-        p, a * b, modulus=system1.field.modulus,
-        omega=_second_primitive(system1.field),
-    )
+    field2 = build_field(p, a * b, omega=_second_primitive(system1.field))
     system2 = DiagonalSystem(p, a, b, field=field2)
     assert system1.field.omega_idx != system2.field.omega_idx
     for r in range(4):

@@ -11,7 +11,6 @@ from diagwalks.errors import (
     FieldTooLarge,
     KDoesNotDivide,
     NotPrime,
-    ReducibleModulus,
 )
 from diagwalks.field import (
     CHUNK_ENTRIES,
@@ -90,8 +89,6 @@ def test_add_table_capped_in_bytes():
 def test_field_errors():
     with pytest.raises(NotPrime):
         build_field(4, 1)
-    with pytest.raises(ReducibleModulus):
-        build_field(3, 2, modulus=(0, 0, 1))  # x^2 is reducible
     with pytest.raises(FieldTooLarge):
         build_field(2, 25)
 

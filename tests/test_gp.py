@@ -5,21 +5,23 @@ from diagwalks import (
     build_field,
     gp_graph,
     hamming_parameters,
-    is_primitive_divisor,
     kth_power_residues,
     verify_isomorphism,
     walk_solution_count,
 )
 from diagwalks import field as field_mod
 from diagwalks import gp as gp_mod
-from diagwalks.errors import FieldTooLarge, KDoesNotDivide
+from diagwalks.divisibility import multiplicative_order
+from diagwalks.errors import BadDecomposition, FieldTooLarge, KDoesNotDivide
+from diagwalks.field import is_prime
 
 
 def test_primitive_divisor_examples():
-    assert is_primitive_divisor(4, 3, 2)
-    assert not is_primitive_divisor(1, 3, 2)
-    assert is_primitive_divisor(3, 2, 2)
-    assert not is_primitive_divisor(3, 2, 4)  # 3 | 2^2-1 with h=2 < 4
+    # u is a primitive divisor of p^m - 1 when the order of p mod u is m
+    assert multiplicative_order(3, 4) == 2
+    assert multiplicative_order(3, 1) == 1  # u = 1 divides p^1 - 1
+    assert multiplicative_order(2, 3) == 2
+    assert multiplicative_order(2, 3) != 4  # 3 | 2^2-1 with h=2 < 4
 
 
 def test_gp_complete_for_k1(f9):
@@ -93,29 +95,55 @@ def test_cayley_translation_invariance(f9):
 
 
 def test_hamming_parameters_examples():
-    assert hamming_parameters(3, 2, 2) == [(1, 2)]
-    assert hamming_parameters(2, 6, 7) == [(2, 3)]
-    assert hamming_parameters(2, 2, 1) == []
+    assert hamming_parameters(3, 2, 2) == (1, 2)
+    assert hamming_parameters(2, 6, 7) == (2, 3)
+    assert hamming_parameters(2, 2, 1) is None
     # u = b(p^a - 1) holds, but u already divides p^h - 1 for some h < m,
     # so Gamma(k, p^m) is not connected: (3, 4, 10) is 9 copies of K_9
     for p, a, b in [(3, 1, 4), (3, 1, 8), (3, 3, 4), (5, 1, 6), (7, 1, 4),
                     (11, 1, 4)]:
         m = a * b
         k = (p**m - 1) // (b * (p**a - 1))
-        assert not is_primitive_divisor(b * (p**a - 1), p, m)
-        assert hamming_parameters(p, m, k) == [], (p, a, b)
+        assert multiplicative_order(p, b * (p**a - 1)) < m
+        assert hamming_parameters(p, m, k) is None, (p, a, b)
+
+
+def test_hamming_candidates_are_distinct():
+    # u = (m/a)(p^a - 1) over the proper divisors a of m: (p^a - 1)/a
+    # strictly increases in a, so no two divisors give the same u
+    for p in filter(is_prime, range(60)):
+        for m in range(2, 25):
+            u = [m // a * (p**a - 1) for a in range(1, m) if m % a == 0]
+            assert len(set(u)) == len(u), (p, m)
+
+
+def test_hamming_parameters_is_the_only_pair():
+    # every divisor k of q - 1, q = p^m <= 2^20: the one pair returned is
+    # the whole list of pairs that satisfy the condition
+    for p in (2, 3, 5, 7):
+        m = 1
+        while p**m <= 1 << 20:
+            n = p**m - 1
+            for k in (d for d in range(1, n + 1) if n % d == 0):
+                u = n // k
+                pairs = [(a, m // a) for a in range(1, m) if m % a == 0
+                         and u == m // a * (p**a - 1)
+                         and multiplicative_order(p, u) == m]
+                assert len(pairs) <= 1, (p, m, k)
+                assert hamming_parameters(p, m, k) == (
+                    pairs[0] if pairs else None), (p, m, k)
+            m += 1
 
 
 def test_hamming_parameters_imply_undirected():
     for p, m, k in [(3, 2, 2), (5, 2, 3), (7, 2, 4), (2, 6, 7), (3, 4, 5)]:
-        pairs = hamming_parameters(p, m, k)
-        assert pairs
+        assert hamming_parameters(p, m, k) is not None
         u = (p**m - 1) // k
         assert p == 2 or u % 2 == 0
 
 
 def test_hamming_view_coordinates(f9):
-    view = HammingView(f9, 2, 1, 2)
+    view = HammingView(f9, 2)
     assert view.coords_idx(1) == (1, 0)
     assert view.coords_idx(f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
     # linearity: [x+y] = [x] + [y] componentwise
@@ -133,7 +161,7 @@ def test_hamming_view_coordinates(f9):
 
 
 def test_basis_coordinates(f64):
-    view = HammingView(f64, 7, 2, 3)
+    view = HammingView(f64, 7)
     w_k = f64.pow_idx(f64.omega_idx, 7)
     w_2k = f64.pow_idx(f64.omega_idx, 14)
     assert view.coords_idx(1) == (1, 0, 0)
@@ -143,12 +171,12 @@ def test_basis_coordinates(f64):
 
 def test_pattern_idx_matches_coordinates(f9, f64):
     # the zero pattern marks exactly the vanishing subfield coordinates
-    for view in (HammingView(f9, 2, 1, 2), HammingView(f64, 7, 2, 3)):
+    for view in (HammingView(f9, 2), HammingView(f64, 7)):
         for x in range(view.field.q):
             pattern = view.pattern_idx(x)
             assert pattern == tuple(c == 0 for c in view.coords_idx(x))
-    assert HammingView(f9, 2, 1, 2).pattern_idx(1) == (False, True)
-    assert HammingView(f9, 2, 1, 2).pattern_idx(0) == (True, True)
+    assert HammingView(f9, 2).pattern_idx(1) == (False, True)
+    assert HammingView(f9, 2).pattern_idx(0) == (True, True)
 
 
 @pytest.mark.parametrize(
@@ -157,12 +185,23 @@ def test_pattern_idx_matches_coordinates(f9, f64):
 )
 def test_verify_isomorphism_roster(p, m, k, a, b):
     field = build_field(p, m)
-    view = HammingView(field, k, a, b)
+    view = HammingView(field, k)
+    assert (view.a, view.b) == (a, b)
     assert verify_isomorphism(view)
 
 
+@pytest.mark.parametrize("p,m,k", [(3, 4, 10), (2, 2, 1)])
+def test_hamming_view_refuses_a_non_hamming_graph(p, m, k, monkeypatch):
+    # (3, 4, 10): u = 8 = 4(3-1) but divides 3^2 - 1; (2, 2, 1): u = 3 is
+    # no b(2^a - 1) with b > 1. Refused before the subfield map is built
+    field = build_field(p, m)
+    monkeypatch.setattr(gp_mod, "SubfieldMap", None)
+    with pytest.raises(BadDecomposition, match=f"p={p}, m={m}, k={k}"):
+        HammingView(field, k)
+
+
 def test_verify_isomorphism_negative_control(f9):
-    view = HammingView(f9, 2, 1, 2)
+    view = HammingView(f9, 2)
 
     def corrupted(x):
         good = view.coords_idx(x)
@@ -175,7 +214,7 @@ def test_verify_isomorphism_negative_control(f9):
 
 def test_verify_isomorphism_cap_checked_before_coordinates(monkeypatch):
     field = build_field(2, 6)  # a new field: no add table built yet
-    view = HammingView(field, 7, 2, 3)
+    view = HammingView(field, 7)
     monkeypatch.setattr(field_mod, "MAX_ADD_TABLE_BYTES", 1000)
     calls = []
 
