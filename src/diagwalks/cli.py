@@ -198,10 +198,13 @@ def cmd_walks(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     roster = None
-    if args.roster:
+    if args.roster is not None:
         roster = []
         for part in args.roster.split(";"):
-            triple = tuple(int(v) for v in part.split(","))
+            try:
+                triple = tuple(int(v) for v in part.split(","))
+            except ValueError:
+                triple = ()
             if len(triple) != 3:
                 raise BadParameters(f"roster part {part!r} is not p,a,b")
             roster.append(triple)

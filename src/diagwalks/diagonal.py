@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
 from .errors import (
@@ -33,6 +32,9 @@ from .errors import (
 from .field import FiniteField, build_field, is_prime, kth_power_residues
 from .gp import HammingView, gp_graph, hamming_parameters
 from .neps import hamming_walks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # largest number of values one brute-force pass writes: the prefix sums of
 # every length and the entries of the returned rows; a pass also runs
@@ -176,6 +178,8 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
             f"a pass to r={r} writes at least {writes} values, over the cap "
             f"of {MAX_ENUM_TUPLES} values and {lengths - 1} lengths"
         )
+    import numpy as np
+
     dist = np.zeros((r + 1, q), dtype=np.int64)
     dist[0, 0] = 1
     if r == 0:

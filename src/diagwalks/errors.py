@@ -58,6 +58,11 @@ class WalkCacheTooLarge(DiagwalksError):
     graphs.MAX_WALK_BYTES."""
 
 
+class NepsWalkTooLarge(DiagwalksError):
+    """Raised when the column-sum dynamic program of a NEPS walk count
+    could pass neps.MAX_NEPS_DP_OPS."""
+
+
 class NotPrimitiveDivisor(DiagwalksError):
     """Raised when u = b(p^a-1) already divides some p^h-1 with h < ab."""
 

@@ -8,9 +8,10 @@ of the package takes and returns elements in this one form.
 There is one arithmetic, polynomial arithmetic on coefficient tuples:
 digits by divmod, sums digit by digit, products reduced modulo the
 defining polynomial, powers by square-and-multiply. It reads no table of
-size q. The only q-sized table is the numpy addition table, built on
-its first read for the graph and enumeration oracles and capped in
-bytes.
+size q, and it does not import numpy. The only q-sized table is the
+numpy addition table, built on its first read for the graph and
+enumeration oracles and capped in bytes; numpy is imported there, so
+the formula path never loads it.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
@@ -33,8 +34,7 @@ one with the smallest canonical index unless `omega=` names another.
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadDecomposition,
@@ -44,6 +44,9 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # largest field order accepted: find_modulus tries every monic divisor
 # of degree up to m/2
@@ -137,7 +140,8 @@ class FiniteField:
 
     Every operation on indices is polynomial arithmetic, so construction
     is the modulus search and the primitive-element test only. The numpy
-    `add_table` is built on first read, for the oracles.
+    `add_table` is built on first read, for the oracles, and numpy is
+    imported only then.
     """
 
     def __init__(self, p, m, omega=None):
@@ -226,6 +230,8 @@ class FiniteField:
         """add_table[i, j] = add_idx(i, j); refuses to allocate more than
         MAX_ADD_TABLE_BYTES."""
         if self._add_table is None:
+            import numpy as np
+
             p, q = self.p, self.q
             dtype = np.dtype(np.int16 if q <= (1 << 15) - 1 else np.int32)
             nbytes = q * q * dtype.itemsize

@@ -13,8 +13,6 @@ and `diagonal.DiagonalSystem` read their (a, b) from it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .divisibility import multiplicative_order
 from .errors import BadDecomposition
 from .field import FiniteField, SubfieldMap, check_k_divides, kth_power_residues
@@ -28,6 +26,8 @@ def gp_is_undirected(p: int, u: int) -> bool:
 
 def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     """Cayley graph of the additive group with connection set R_k."""
+    import numpy as np
+
     check_k_divides(field.q, k)
     add, q = field.add_table, field.q  # byte-capped: read before R_k, adj
     residues = list(kth_power_residues(field, k))
@@ -98,6 +98,8 @@ def verify_isomorphism(view: HammingView, coords_fn=None) -> bool:
     tests); it defaults to the view's own map. The graph's capped add
     table is read first; the distances then take only q^2 bytes.
     """
+    import numpy as np
+
     field = view.field
     adj = gp_graph(field, view.k).adj
     coords_fn = coords_fn or view.coords_idx

@@ -6,15 +6,22 @@ D^r, D the largest row sum of A. While D^r <= 2^53 the product runs in
 float64 on BLAS and is stored as int64, which is exact; past that bound it
 runs on Python integers (numpy object arrays), so counts never overflow.
 The cache of powers is capped at MAX_WALK_BYTES, checked before any product.
+
+numpy is imported where an array is built: in `DenseGraph.__init__`,
+`complete_graph`, and the branch of `walk_matrix` that computes new
+powers. `complete_walks`, the closed form, and `walk_count` on a cached
+power import nothing, so the formula path never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import VertexOutOfRange, WalkCacheTooLarge
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # float64 holds every integer up to 2^53 exactly
 FLOAT_EXACT = 1 << 53
@@ -26,6 +33,8 @@ class DenseGraph:
     """Simple (possibly directed) graph given by its 0/1 adjacency matrix."""
 
     def __init__(self, adj, directed: bool = False):
+        import numpy as np
+
         adj = np.asarray(adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
@@ -74,6 +83,10 @@ class DenseGraph:
         A^0..A^r would take more than MAX_WALK_BYTES."""
         if r < 0:
             raise ValueError(f"walk length must be >= 0, got {r}")
+        if r < len(self._powers) and self._powers[r] is not None:
+            return self._powers[r]
+        import numpy as np
+
         if r >= len(self._powers):
             need = self._cache_bytes(r)
             if need > MAX_WALK_BYTES:
@@ -95,7 +108,7 @@ class DenseGraph:
             else:
                 power = prev.astype(object, copy=False) @ self.adj.astype(object)
             self._powers.append(power)
-        if r == 0 and self._powers[0] is None:
+        if r == 0:
             self._powers[0] = np.identity(self.n, dtype=np.int64)
         return self._powers[r]
 
@@ -112,6 +125,8 @@ class DenseGraph:
 def complete_graph(m: int) -> DenseGraph:
     if m < 1:
         raise ValueError(f"m={m} must be >= 1")
+    import numpy as np
+
     adj = np.ones((m, m), dtype=np.int8) - np.identity(m, dtype=np.int8)
     return DenseGraph(adj)
 

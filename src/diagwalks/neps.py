@@ -5,8 +5,11 @@ coordinate, whether a step stays put (0) or moves along an edge of that
 factor (1). The walk formula sums over all length-r sequences of basis
 tuples; the evaluator here aggregates those sequences by their column
 sums with a dynamic program, so the cost is polynomial in r instead of
-|B|^r. The factor tables may hold numpy arrays of one broadcastable
-shape, so one call counts the walks between many vertex pairs at once.
+|B|^r; its work is capped by MAX_NEPS_DP_OPS, checked before the first
+step, and its results are kept in a memo of MEMO_ENTRIES entries. The
+factor tables may hold numpy arrays of one broadcastable shape, so one
+call counts the walks between many vertex pairs at once; the module
+itself imports numpy only to build a product in `neps_construct`.
 Walks in the Hamming graph H(b,q), the cartesian sum of b copies of K_q,
 come from its spectrum instead: b+1 exact terms for any r.
 """
@@ -16,13 +19,22 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import ArityMismatch, LengthTableTooShort, ProductTooLarge
+from .errors import (
+    ArityMismatch,
+    LengthTableTooShort,
+    NepsWalkTooLarge,
+    ProductTooLarge,
+)
 from .graphs import DenseGraph, complete_walks
 
 # largest int64 adjacency neps_construct builds: 4096 vertices
 MAX_PRODUCT_BYTES = 1 << 27
+# largest number of state updates (one column-sum state plus one basis
+# tuple) the walk DP may make; the states of its last step, which the
+# memo keeps, are fewer than this
+MAX_NEPS_DP_OPS = 10**7
+# column-sum tables kept by the walk DP's memo
+MEMO_ENTRIES = 32
 
 
 class NepsBasis:
@@ -110,6 +122,8 @@ def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
             f"the adjacency of a {total}-vertex product needs {nbytes} "
             f"bytes, over the cap of {MAX_PRODUCT_BYTES} bytes"
         )
+    import numpy as np
+
     acc = np.zeros((total, total), dtype=np.int64)
     for alpha in basis:
         term = np.ones((1, 1), dtype=np.int64)
@@ -123,10 +137,30 @@ def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
     return DenseGraph(acc, directed=directed)
 
 
-@lru_cache(maxsize=None)
+def _dp_updates(n: int, size: int, r: int) -> int:
+    """Upper bound on the state updates of the walk DP to length r over a
+    basis of `size` n-tuples. Step t < r updates each of its states once
+    per tuple. It holds at most (t+1)^n states, the vectors with entries
+    in [0, t], and at most C(t+size-1, size-1), the multisets of t tuples.
+    Summed over t, these are below (r+1)^(n+1)/(n+1), as u^n is at most
+    the integral of x^n over [u, u+1], and equal to C(r+size-1, size)."""
+    return size * min((r + 1) ** (n + 1) // (n + 1),
+                      math.comb(r + size - 1, size))
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
 def _column_sum_multiplicities(tuples, r):
-    """Multiplicity of each column-sum vector over all of B^r."""
+    """Multiplicity of each column-sum vector over all of B^r. Raises
+    NepsWalkTooLarge, before the first step, when the updates could pass
+    MAX_NEPS_DP_OPS."""
     n = len(tuples[0])
+    updates = _dp_updates(n, len(tuples), r)
+    if updates > MAX_NEPS_DP_OPS:
+        raise NepsWalkTooLarge(
+            f"the NEPS walk sum over {len(tuples)} basis tuples of arity {n} "
+            f"to length {r} may make up to {updates} state updates, "
+            f"over the cap MAX_NEPS_DP_OPS of {MAX_NEPS_DP_OPS}"
+        )
     states = {(0,) * n: 1}
     for _ in range(r):
         nxt = {}

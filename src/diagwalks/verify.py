@@ -28,8 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb, prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagonal import (
     DiagonalSystem,
@@ -40,6 +39,9 @@ from .errors import BadParameters
 from .gp import gp_graph, verify_isomorphism
 from .graphs import DenseGraph, complete_graph, complete_walks
 from .neps import NepsBasis, neps_construct, neps_walks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ROSTER = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3), (3, 2, 2)]
 
@@ -122,6 +124,8 @@ def check_partition(system: DiagonalSystem, max_r=3) -> CheckResult:
 
 def random_graph(rng: random.Random, n: int):
     """Random simple undirected graph on n vertices."""
+    import numpy as np
+
     adj = np.zeros((n, n), dtype=np.int8)
     for i in range(n):
         for j in range(i + 1, n):
@@ -163,6 +167,8 @@ def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
                       max_r=5) -> list[CheckResult]:
     """Walk formula from factor tables vs matrix power on random NEPS,
     compared on every vertex pair."""
+    import numpy as np
+
     name = f"neps-oracle ({instances} random instances)"
     rng = random.Random(seed)
     for _ in range(instances):
@@ -206,14 +212,17 @@ def check_example_closed_forms(max_r=8) -> list[CheckResult]:
 
 def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
-    """The four per-triple checks on one system per roster triple, then
-    the NEPS oracle and the examples. Raises BadParameters, before any
-    system is built, for a negative max_r or neps_instances."""
+    """The four per-triple checks on one system per roster triple
+    (DEFAULT_ROSTER when roster is None), then the NEPS oracle and the
+    examples. Raises BadParameters, before any system is built, for a
+    negative max_r or neps_instances."""
     if max_r < 0 or neps_instances < 0:
         raise BadParameters(
             f"max_r={max_r} and neps_instances={neps_instances} must be >= 0"
         )
-    systems = [DiagonalSystem(p, a, b) for p, a, b in roster or DEFAULT_ROSTER]
+    if roster is None:
+        roster = DEFAULT_ROSTER
+    systems = [DiagonalSystem(p, a, b) for p, a, b in roster]
     checks = (check_triple_agreement, check_walk_bridge, check_isomorphisms,
               check_partition)
     results = [check(system, max_r) for check in checks for system in systems]

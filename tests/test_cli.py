@@ -236,6 +236,19 @@ def test_walks_over_cache_cap_exit_2(capsys):
     assert str(MAX_WALK_BYTES) in error["message"]
 
 
+def test_walks_neps_over_dp_cap_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "walks", "--neps", "2,2,2",
+        "--basis", "100;010;001;110;101;011;111",
+        "--from", "0", "--to", "7", "--length", "200",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "NepsWalkTooLarge"
+    assert "MAX_NEPS_DP_OPS" in error["message"]
+
+
 def test_verify_small_roster(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--roster", "3,1,2", "--max-r", "3",
@@ -255,7 +268,8 @@ def test_verify_negative_sizes_exit_2(capsys):
     assert "must be >= 0" in err
 
 
-@pytest.mark.parametrize("roster", ["3,1", "3,1,2;3,1,2,5"])
+@pytest.mark.parametrize(
+    "roster", ["3,1", "3,1,2;3,1,2,5", "", "3,1,2;", "3,x,2"])
 def test_verify_malformed_roster_exit_2(capsys, monkeypatch, roster):
     built = []
     monkeypatch.setattr(verify_mod, "DiagonalSystem",

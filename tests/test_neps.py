@@ -15,9 +15,19 @@ from diagwalks import (
     neps_walks,
 )
 from diagwalks import verify
-from diagwalks.errors import ArityMismatch, LengthTableTooShort, ProductTooLarge
+from diagwalks import neps
+from diagwalks.errors import (
+    ArityMismatch,
+    LengthTableTooShort,
+    NepsWalkTooLarge,
+    ProductTooLarge,
+)
 from diagwalks.neps import (
+    MAX_NEPS_DP_OPS,
     MAX_PRODUCT_BYTES,
+    MEMO_ENTRIES,
+    _column_sum_multiplicities,
+    _dp_updates,
     agreement_pattern,
     vertex_index,
     vertex_tuple,
@@ -166,6 +176,59 @@ def test_dp_equals_naive():
             for _ in range(n)
         ]
         assert neps_walks(tables, basis, r) == naive_neps_walks(tables, basis, r)
+
+
+class NoSteps(tuple):
+    """A basis whose tuples cannot be iterated, as every DP step does."""
+
+    def __iter__(self):
+        raise RuntimeError("a DP step ran")
+
+
+def test_dp_cap_refuses_before_any_step():
+    # K2 x K2 x K2 with all seven tuples: about r^4 updates, 4.9e6 at r = 40
+    tuples = NoSteps(t for t in itertools.product((0, 1), repeat=3) if any(t))
+    with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_DP_OPS"):
+        _column_sum_multiplicities(tuples, 200)
+    with pytest.raises(RuntimeError, match="a DP step ran"):
+        _column_sum_multiplicities(tuples, 3)  # under the cap: steps run
+
+
+def test_dp_bound_covers_every_update():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        tuples = [t for t in itertools.product((0, 1), repeat=n) if any(t)]
+        basis = tuple(sorted(rng.sample(tuples, rng.randint(1, len(tuples)))))
+        r = rng.randint(0, 10)
+        updates = sum(len(basis) * len(_column_sum_multiplicities(basis, t))
+                      for t in range(r))
+        assert updates <= _dp_updates(n, len(basis), r)
+    # the K3 x K4 tensor product at length 40 and the verify instances
+    # (3 factors, r <= 5) stay far under the cap
+    assert _dp_updates(2, 1, 40) == 40
+    assert _dp_updates(3, 7, 5) < MAX_NEPS_DP_OPS // 1000
+    assert _dp_updates(3, 7, 40) < MAX_NEPS_DP_OPS < _dp_updates(3, 7, 200)
+
+
+def test_dp_cap_changes_no_count(monkeypatch):
+    basis = NepsBasis([(1, 0), (0, 1), (1, 1)])
+    tables = [[1, 0, 2, 2, 6], [1, 0, 3, 6, 21]]
+    want = naive_neps_walks(tables, basis, 4)
+    _column_sum_multiplicities.cache_clear()
+    monkeypatch.setattr(neps, "MAX_NEPS_DP_OPS", _dp_updates(2, 3, 4))
+    assert neps_walks(tables, basis, 4) == want
+    _column_sum_multiplicities.cache_clear()
+    monkeypatch.setattr(neps, "MAX_NEPS_DP_OPS", _dp_updates(2, 3, 4) - 1)
+    with pytest.raises(NepsWalkTooLarge):
+        neps_walks(tables, basis, 4)
+
+
+def test_dp_memo_is_bounded():
+    basis = NepsBasis([(1, 0), (0, 1)])
+    for r in range(2 * MEMO_ENTRIES):
+        neps_walks([[1] * (r + 1)] * 2, basis, r)
+    assert _column_sum_multiplicities.cache_info().currsize <= MEMO_ENTRIES
 
 
 def test_array_tables_equal_per_entry_calls():

@@ -1,0 +1,83 @@
+"""The formula path never loads numpy; the oracles and graphs do.
+
+Each snippet runs in a fresh interpreter, because this test process has
+numpy loaded already."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def numpy_loaded_after(code: str) -> bool:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        raise RuntimeError(proc.stderr)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def cli_count(*argv: str) -> str:
+    return (
+        "import diagwalks.cli\n"
+        f"rc = diagwalks.cli.main({['count', *argv]!r})\n"
+        "if rc:\n"
+        "    raise SystemExit(rc)"
+    )
+
+
+FORMULA_PATH = {
+    "import": "import diagwalks, diagwalks.cli",
+    "system": (
+        "from diagwalks import DiagonalSystem\n"
+        "s = DiagonalSystem(7, 1, 6)\n"
+        "if s.count_nonzero(5, 7) <= 0 or s.count_all(5, 5) <= 0:\n"
+        "    raise SystemExit('no count')"
+    ),
+    "count-formula": cli_count("--p", "7", "--a", "1", "--b", "6",
+                               "--alpha", "pow:1", "--s", "5"),
+    "count-formula-nonzero": cli_count("--p", "2", "--a", "4", "--b", "5",
+                                       "--alpha", "pow:1", "--s", "6",
+                                       "--nonzero-only"),
+    "count-convolution": cli_count("--p", "2", "--a", "2", "--b", "3",
+                                   "--alpha", "pow:3", "--s", "3",
+                                   "--nonzero-only", "--method",
+                                   "convolution"),
+    "neps-closed-form": (
+        "from diagwalks import NepsBasis, neps_complete_walks\n"
+        "neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 40, (True, True))"
+    ),
+}
+
+ORACLES = {
+    "brute-force": (
+        "from diagwalks import brute_force_count, build_field\n"
+        "brute_force_count(build_field(3, 2), 2, 0, 2)"
+    ),
+    "verify": (
+        "import diagwalks.cli\n"
+        "diagwalks.cli.main(['verify', '--roster', '3,1,2', '--max-r', '1',"
+        " '--neps-instances', '1'])"
+    ),
+    "walk-count": cli_count("--p", "3", "--a", "1", "--b", "2", "--alpha",
+                            "0", "--s", "2", "--nonzero-only", "--method",
+                            "walk"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMULA_PATH))
+def test_formula_path_never_loads_numpy(name):
+    assert not numpy_loaded_after(FORMULA_PATH[name])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracles_load_numpy(name):
+    assert numpy_loaded_after(ORACLES[name])
