@@ -29,7 +29,8 @@ from .errors import (
     NotPrime,
     NotPrimitiveDivisor,
 )
-from .field import FiniteField, build_field, is_prime, kth_power_residues
+from .field import (FiniteField, build_field, check_k_divides, is_prime,
+                    kth_power_residues)
 from .gp import HammingView, gp_graph, hamming_parameters
 from .neps import hamming_walks
 
@@ -86,7 +87,7 @@ def diagonal_exponent(p: int, a: int, b: int) -> int:
 class DiagonalSystem:
     """Counting context for fixed (p, a, b) with k = (p^{ab}-1)/(b(p^a-1))."""
 
-    def __init__(self, p: int, a: int, b: int, field: FiniteField | None = None):
+    def __init__(self, p: int, a: int, b: int):
         k = diagonal_exponent(p, a, b)
         m = a * b
         if hamming_parameters(p, m, k) is None:
@@ -101,14 +102,10 @@ class DiagonalSystem:
         self.a = a
         self.b = b
         self.m = m
-        if field is None:
-            field = build_field(p, self.m)
-        elif (field.p, field.m) != (p, self.m):
-            raise BadParameters("field does not match (p, a*b)")
-        self.field = field
-        self.q = field.q
+        self.field = build_field(p, m)
+        self.q = self.field.q
         self.k = k
-        self.view = HammingView(field, k)
+        self.view = HammingView(self.field, k)
 
     def count_nonzero(self, alpha, r: int) -> int:
         """N_r(alpha): k^r times the Hamming walk count for alpha's zero pattern."""
@@ -161,10 +158,11 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     The value sum of every tuple is computed and counted. The t-prefix
     sums are held at once for t < r, and row t is their bincount; the
     last summand is added one value at a time, so memory grows as
-    base^(r-1), not base^r. Raises EnumerationTooLarge, before any table
-    is read, when the pass writes more than MAX_ENUM_TUPLES values or
-    runs to r >= log2(MAX_ENUM_TUPLES).
+    base^(r-1), not base^r. Raises KDoesNotDivide, and EnumerationTooLarge
+    when the pass writes more than MAX_ENUM_TUPLES values or runs to
+    r >= log2(MAX_ENUM_TUPLES), before any table is read.
     """
+    check_k_divides(field.q, k)
     _check_length("r", r)
     q = field.q
     base = (q - 1) if restrict_nonzero else q

@@ -59,8 +59,8 @@ class WalkCacheTooLarge(DiagwalksError):
 
 
 class NepsWalkTooLarge(DiagwalksError):
-    """Raised when the column-sum dynamic program of a NEPS walk count
-    could pass neps.MAX_NEPS_DP_OPS."""
+    """Raised when a NEPS walk count, by the column-sum dynamic program or
+    the complete-graph spectral sum, could pass neps.MAX_NEPS_OPS."""
 
 
 class NotPrimitiveDivisor(DiagwalksError):

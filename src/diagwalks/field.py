@@ -28,7 +28,7 @@ coordinates is read from the packed solve by
 The construction is deterministic: the modulus is always the
 lexicographically smallest monic irreducible polynomial (coefficients
 compared from the highest degree down), and the primitive element is the
-one with the smallest canonical index unless `omega=` names another.
+one with the smallest canonical index.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class FiniteField:
     imported only then.
     """
 
-    def __init__(self, p, m, omega=None):
+    def __init__(self, p, m):
         if not is_prime(p):
             raise NotPrime(f"p={p} is not prime")
         if m < 1:
@@ -156,13 +156,7 @@ class FiniteField:
         self.m = m
         self.q = q
         self.modulus = find_modulus(p, m)
-
-        if omega is None:
-            omega = self._find_primitive()
-        elif not self._is_primitive(omega):
-            raise ValueError(f"element {omega} is not primitive")
-        self.omega_idx = omega
-
+        self.omega_idx = self._find_primitive()
         self._add_table = None
 
     # --- canonical index <-> digit vector ---
@@ -210,8 +204,6 @@ class FiniteField:
         return acc
 
     def _is_primitive(self, i):
-        if not 0 < i < self.q:
-            return False
         n = self.q - 1
         if n == 1:
             return True
@@ -259,8 +251,8 @@ class FiniteField:
         )
 
 
-def build_field(p, m, omega=None):
-    return FiniteField(p, m, omega=omega)
+def build_field(p, m):
+    return FiniteField(p, m)
 
 
 def check_k_divides(q: int, k: int) -> None:

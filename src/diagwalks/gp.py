@@ -91,19 +91,15 @@ class HammingView:
         )
 
 
-def verify_isomorphism(view: HammingView, coords_fn=None) -> bool:
-    """Exhaustively check: y - x in R_k  <=>  dist([x],[y]) = 1.
-
-    coords_fn overrides the coordinate map (used as a negative control in
-    tests); it defaults to the view's own map. The graph's capped add
-    table is read first; the distances then take only q^2 bytes.
-    """
+def verify_isomorphism(view: HammingView) -> bool:
+    """Exhaustively check: y - x in R_k  <=>  dist([x],[y]) = 1, with the
+    view's coordinate map. The graph's capped add table is read first;
+    the distances then take only q^2 bytes."""
     import numpy as np
 
     field = view.field
     adj = gp_graph(field, view.k).adj
-    coords_fn = coords_fn or view.coords_idx
-    coords = np.array([coords_fn(x) for x in range(field.q)])
+    coords = np.array([view.coords_idx(x) for x in range(field.q)])
     dist = np.zeros((field.q, field.q), dtype=np.int8)
     for column in coords.T:
         dist += column[:, None] != column[None, :]

@@ -132,24 +132,16 @@ def complete_graph(m: int) -> DenseGraph:
 
 
 def complete_walks(m: int, r: int, same: bool) -> int:
-    """Closed-form r-walk count on K_m between equal / distinct vertices.
-
-    The bracketed difference is always divisible by m; the division is
-    exact integer division checked for a zero remainder, never a rounding.
-    """
+    """Closed-form r-walk count on K_m between equal / distinct vertices,
+    from its eigenpairs m-1 and -1: ((m-1)^r + (m[same]-1)(-1)^r)/m, an
+    exact integer division checked for a zero remainder."""
     if m < 1:
         raise ValueError(f"m={m} must be >= 1")
     if r < 0:
         raise ValueError(f"r={r} must be >= 0")
-    if r == 0:
-        return 1 if same else 0
-    if same:
-        num = (m - 1) * ((m - 1) ** (r - 1) - (-1) ** (r - 1))
-    elif m == 1:
+    if m == 1 and not same:
         return 0  # K_1 has no distinct vertex pair
-    else:
-        num = (m - 1) ** r - (-1) ** r
-    walks, rem = divmod(num, m)
+    walks, rem = divmod((m - 1) ** r + (m * bool(same) - 1) * (-1) ** r, m)
     if rem:
         raise ArithmeticError(f"K_{m} walk numerator at r={r} is not divisible by {m}")
     return walks

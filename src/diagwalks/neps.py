@@ -2,20 +2,20 @@
 
 A NEPS is driven by a basis of 0/1 tuples: each tuple says, per
 coordinate, whether a step stays put (0) or moves along an edge of that
-factor (1). The walk formula sums over all length-r sequences of basis
-tuples; the evaluator here aggregates those sequences by their column
-sums with a dynamic program, so the cost is polynomial in r instead of
-|B|^r; its work is capped by MAX_NEPS_DP_OPS, checked before the first
-step, and its results are kept in a memo of MEMO_ENTRIES entries. The
-factor tables may hold numpy arrays of one broadcastable shape, so one
-call counts the walks between many vertex pairs at once; the module
-itself imports numpy only to build a product in `neps_construct`.
-Walks in the Hamming graph H(b,q), the cartesian sum of b copies of K_q,
-come from its spectrum instead: b+1 exact terms for any r.
+factor (1). For any factors, `neps_walks` sums the walk formula over all
+length-r sequences of basis tuples, aggregated by their column sums with
+a dynamic program, so the cost is polynomial in r instead of |B|^r; its
+factor tables may hold numpy arrays of one broadcastable shape, to count
+many vertex pairs at once. A NEPS of complete graphs needs no table: its
+walks come from its spectrum, 2^n |B| terms for any r, and in the Hamming
+graph H(b,q) those group into b+1 Krawtchouk terms. Both sums are checked
+against MAX_NEPS_OPS before the first step. numpy is imported only to
+build a product in `neps_construct`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -25,16 +25,14 @@ from .errors import (
     NepsWalkTooLarge,
     ProductTooLarge,
 )
-from .graphs import DenseGraph, complete_walks
+from .graphs import DenseGraph
 
 # largest int64 adjacency neps_construct builds: 4096 vertices
 MAX_PRODUCT_BYTES = 1 << 27
 # largest number of state updates (one column-sum state plus one basis
-# tuple) the walk DP may make; the states of its last step, which the
-# memo keeps, are fewer than this
-MAX_NEPS_DP_OPS = 10**7
-# column-sum tables kept by the walk DP's memo
-MEMO_ENTRIES = 32
+# tuple) the walk DP may make, and of terms (one eigenvalue sign vector
+# plus one basis tuple) the complete-graph spectral sum may take
+MAX_NEPS_OPS = 10**7
 
 
 class NepsBasis:
@@ -148,18 +146,17 @@ def _dp_updates(n: int, size: int, r: int) -> int:
                       math.comb(r + size - 1, size))
 
 
-@lru_cache(maxsize=MEMO_ENTRIES)
 def _column_sum_multiplicities(tuples, r):
     """Multiplicity of each column-sum vector over all of B^r. Raises
     NepsWalkTooLarge, before the first step, when the updates could pass
-    MAX_NEPS_DP_OPS."""
+    MAX_NEPS_OPS."""
     n = len(tuples[0])
     updates = _dp_updates(n, len(tuples), r)
-    if updates > MAX_NEPS_DP_OPS:
+    if updates > MAX_NEPS_OPS:
         raise NepsWalkTooLarge(
             f"the NEPS walk sum over {len(tuples)} basis tuples of arity {n} "
             f"to length {r} may make up to {updates} state updates, "
-            f"over the cap MAX_NEPS_DP_OPS of {MAX_NEPS_DP_OPS}"
+            f"over the cap MAX_NEPS_OPS of {MAX_NEPS_OPS}"
         )
     states = {(0,) * n: 1}
     for _ in range(r):
@@ -204,14 +201,40 @@ def neps_walks(factor_tables, basis: NepsBasis, r: int):
 
 
 def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
-    """NEPS of complete graphs: factor walks come from the closed form."""
-    if len(m_list) != basis.n:
-        raise ArityMismatch(f"{len(m_list)} sizes for arity {basis.n}")
-    tables = [
-        [complete_walks(m, length, same) for length in range(r + 1)]
-        for m, same in zip(m_list, pattern)
-    ]
-    return neps_walks(tables, basis, r)
+    """Walks in the NEPS of K_{m_1}, ..., K_{m_n} between vertices agreeing
+    where `pattern` is true. Each K_m has eigenvalue mu = m-1 with
+    projector entries c/m, c = 1, and mu = -1 with c = m[same] - 1
+    (Cvetkovic, Doob & Sachs, Spectra of Graphs, 2.5), so prod m_i * W is
+    the sum over the 2^n choices of prod_i c_i (sum_B prod_i mu_i^beta_i)^r,
+    and the division is exact. Raises NepsWalkTooLarge before the first
+    term when the 2^n |B| terms pass MAX_NEPS_OPS."""
+    if r < 0:
+        raise ValueError(f"walk length must be >= 0, got {r}")
+    n = basis.n
+    if len(m_list) != n or len(pattern) != n:
+        raise ArityMismatch(f"{len(m_list)} sizes and pattern length "
+                            f"{len(pattern)} for arity {n}")
+    if any(m < 1 for m in m_list):
+        raise ValueError(f"complete graph sizes must be >= 1, got {m_list}")
+    if 2**n * len(basis) > MAX_NEPS_OPS:
+        raise NepsWalkTooLarge(
+            f"the spectral NEPS walk sum takes {2**n * len(basis)} terms, "
+            f"over the cap MAX_NEPS_OPS of {MAX_NEPS_OPS}"
+        )
+    if any(m == 1 and not s for m, s in zip(m_list, pattern)):
+        return 0  # K_1 has no distinct vertex pair
+    weights = {}  # Lambda -> summed coefficients of its terms
+    for eps in itertools.product((0, 1), repeat=n):
+        mu = [-1 if e else m - 1 for m, e in zip(m_list, eps)]
+        lam = sum(math.prod(x for x, b in zip(mu, t) if b) for t in basis)
+        weights[lam] = weights.get(lam, 0) + math.prod(
+            (m * bool(s) - 1) ** e for m, s, e in zip(m_list, pattern, eps))
+    total = sum(coef * lam**r for lam, coef in weights.items())
+    walks, rem = divmod(total, math.prod(m_list))
+    if rem:
+        raise ArithmeticError(f"spectral NEPS sum at r={r} is not "
+                              f"divisible by {math.prod(m_list)}")
+    return walks
 
 
 @lru_cache(maxsize=1 << 12)

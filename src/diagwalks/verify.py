@@ -134,9 +134,9 @@ def random_graph(rng: random.Random, n: int):
     return DenseGraph(adj)
 
 
-def random_neps_instance(rng: random.Random, max_factors=3, max_size=5, max_r=5):
-    n = rng.randint(1, max_factors)
-    sizes = [rng.randint(2, max_size) for _ in range(n)]
+def random_neps_instance(rng: random.Random):
+    n = rng.randint(1, 3)
+    sizes = [rng.randint(2, 5) for _ in range(n)]
     factors = [
         complete_graph(m) if rng.random() < 0.4 else random_graph(rng, m)
         for m in sizes
@@ -144,7 +144,7 @@ def random_neps_instance(rng: random.Random, max_factors=3, max_size=5, max_r=5)
     tuples = [t for t in itertools.product((0, 1), repeat=n) if any(t)]
     count = rng.randint(1, len(tuples))
     basis = NepsBasis(rng.sample(tuples, count))
-    r = rng.randint(0, max_r)
+    r = rng.randint(0, 5)
     return factors, basis, r
 
 
@@ -163,8 +163,7 @@ def formula_walk_matrix(factors, basis: NepsBasis, r: int) -> np.ndarray:
     return neps_walks(tables, basis, r).reshape(total, total)
 
 
-def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
-                      max_r=5) -> list[CheckResult]:
+def check_neps_oracle(instances=50, seed=0) -> list[CheckResult]:
     """Walk formula from factor tables vs matrix power on random NEPS,
     compared on every vertex pair."""
     import numpy as np
@@ -172,7 +171,7 @@ def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
     name = f"neps-oracle ({instances} random instances)"
     rng = random.Random(seed)
     for _ in range(instances):
-        factors, basis, r = random_neps_instance(rng, max_factors, max_size, max_r)
+        factors, basis, r = random_neps_instance(rng)
         formula = formula_walk_matrix(factors, basis, r)
         power = neps_construct(factors, basis).walk_matrix(r)
         bad = np.argwhere(formula != power)
@@ -185,14 +184,14 @@ def check_neps_oracle(instances=50, seed=0, max_factors=3, max_size=5,
     return [CheckResult(name, True)]
 
 
-def check_example_closed_forms(max_r=8) -> list[CheckResult]:
-    """The two K3 x K4 displays: Kronecker closed form and binomial sum."""
-    name = f"example closed forms (r<={max_r})"
+def check_example_closed_forms() -> list[CheckResult]:
+    """The two K3 x K4 displays for r <= 8: Kronecker form, binomial sum."""
+    name = "example closed forms (r<=8)"
     g1 = neps_construct([complete_graph(3), complete_graph(4)], NepsBasis([(1, 1)]))
     g2 = neps_construct(
         [complete_graph(3), complete_graph(4)], NepsBasis([(1, 0), (0, 1)])
     )
-    for r in range(1, max_r + 1):
+    for r in range(1, 9):
         numerator = 6 ** (r - 1) + (-1) ** r * (2 ** (r - 1) + 3 ** (r - 1)) + 1
         closed, odd = divmod(numerator, 2)
         if odd:

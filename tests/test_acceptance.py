@@ -74,7 +74,7 @@ def test_criterion_2_walk_bridge(systems):
 
 def test_criterion_3_example_closed_forms():
     started = time.perf_counter()
-    [result] = check_example_closed_forms(8)
+    [result] = check_example_closed_forms()
     elapsed = time.perf_counter() - started
     report(
         "3 (closed-form walk displays, r=1..8)",
@@ -84,8 +84,7 @@ def test_criterion_3_example_closed_forms():
 
 
 def test_criterion_4_neps_oracle():
-    results = check_neps_oracle(instances=200, seed=42, max_factors=3,
-                                max_size=5, max_r=5)
+    results = check_neps_oracle(instances=200, seed=42)
     report("4 (NEPS formula vs matrix power, 200 instances)",
            results[0].ok, results[0].detail)
 

@@ -236,17 +236,18 @@ def test_walks_over_cache_cap_exit_2(capsys):
     assert str(MAX_WALK_BYTES) in error["message"]
 
 
-def test_walks_neps_over_dp_cap_exit_2(capsys):
-    code, out, err = run_cli(
+def test_walks_neps_all_tuples_at_length_200(capsys):
+    # K2 x K2 x K2 with all seven tuples is K_8; the walk DP refused this
+    # length (2.9e9 updates), the spectral sum takes 8 * 7 terms
+    code, out, _ = run_cli(
         capsys, "walks", "--neps", "2,2,2",
         "--basis", "100;010;001;110;101;011;111",
         "--from", "0", "--to", "7", "--length", "200",
     )
-    assert code == 2
-    assert out == ""
-    error = json.loads(err)
-    assert error["error"] == "NepsWalkTooLarge"
-    assert "MAX_NEPS_DP_OPS" in error["message"]
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["agree"] is True
+    assert result["formula"] == str((7**200 - 1) // 8)
 
 
 def test_verify_small_roster(capsys):

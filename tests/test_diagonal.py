@@ -22,6 +22,7 @@ from diagwalks.errors import (
     BadParameters,
     EnumerationTooLarge,
     FieldTooLarge,
+    KDoesNotDivide,
     KNotInteger,
     NotPrime,
     NotPrimitiveDivisor,
@@ -190,6 +191,17 @@ def test_enumeration_cap_bounds_the_lengths():
         brute_force_distribution(build_field(2, 2), 1, 26, False)
 
 
+@pytest.mark.parametrize("k", [0, 3, 16])
+@pytest.mark.parametrize("r", [0, 2])
+def test_brute_force_refuses_k_not_dividing_q_minus_1(k, r):
+    # the same inputs the convolution oracle refuses; nothing is built
+    field = build_field(3, 2)
+    for oracle in (brute_force_distribution, convolution_distribution):
+        with pytest.raises(KDoesNotDivide, match=f"k={k} is not a positive"):
+            oracle(field, k, r)
+    assert field._add_table is None
+
+
 def test_brute_force_reads_the_capped_table_before_the_powers(monkeypatch):
     # GF(2^16): 65,535 powers took 3.8 s before FieldTooLarge
     field = build_field(2, 16)
@@ -352,7 +364,7 @@ def test_walk_solution_count_conventions(f9):
     for y in range(9):
         expect = 2 if y in residues else 0
         assert walk_solution_count(f9, 2, 0, y, 1) == expect
-    system = DiagonalSystem(3, 1, 2, f9)
+    system = DiagonalSystem(3, 1, 2)  # the same field as f9
     for alpha in range(9):
         assert walk_solution_count(f9, 2, 0, alpha, 2) == \
             system.count_nonzero(alpha, 2)
@@ -423,10 +435,11 @@ def _second_primitive(field: FiniteField) -> int:
 
 
 @pytest.mark.parametrize("p,a,b", [(3, 1, 2), (2, 2, 3)])
-def test_representation_independence(p, a, b):
+def test_representation_independence(p, a, b, monkeypatch):
     system1 = DiagonalSystem(p, a, b)
-    field2 = build_field(p, a * b, omega=_second_primitive(system1.field))
-    system2 = DiagonalSystem(p, a, b, field=field2)
+    second = _second_primitive(system1.field)
+    monkeypatch.setattr(FiniteField, "_find_primitive", lambda self: second)
+    system2 = DiagonalSystem(p, a, b)
     assert system1.field.omega_idx != system2.field.omega_idx
     for r in range(4):
         for alpha in range(system1.q):

@@ -93,14 +93,6 @@ def test_field_errors():
         build_field(2, 25)
 
 
-def test_explicit_omega_must_be_primitive():
-    assert build_field(3, 2, omega=5).omega_idx == 5
-    # 1 and 2 = -1 have orders 1 and 2; 9 is out of range for GF(9)
-    for omega in (0, 1, 2, 9):
-        with pytest.raises(ValueError, match="not primitive"):
-            build_field(3, 2, omega=omega)
-
-
 def test_element_arithmetic(f9):
     for x in range(f9.q):
         assert f9.add_idx(x, f9.neg_idx(x)) == 0

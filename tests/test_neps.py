@@ -9,13 +9,13 @@ from conftest import hamming_distance_walks
 from diagwalks import (
     NepsBasis,
     complete_graph,
+    complete_walks,
     hamming_walks,
     neps_complete_walks,
     neps_construct,
     neps_walks,
 )
-from diagwalks import verify
-from diagwalks import neps
+from diagwalks import graphs, neps, verify
 from diagwalks.errors import (
     ArityMismatch,
     LengthTableTooShort,
@@ -23,9 +23,8 @@ from diagwalks.errors import (
     ProductTooLarge,
 )
 from diagwalks.neps import (
-    MAX_NEPS_DP_OPS,
+    MAX_NEPS_OPS,
     MAX_PRODUCT_BYTES,
-    MEMO_ENTRIES,
     _column_sum_multiplicities,
     _dp_updates,
     agreement_pattern,
@@ -133,8 +132,6 @@ def test_no_closed_walks_of_length_one():
 
 
 def test_single_factor_reduces_to_complete_walks():
-    from diagwalks import complete_walks
-
     basis = NepsBasis([(1,)])
     for r in range(6):
         assert neps_complete_walks([5], basis, r, (True,)) == complete_walks(
@@ -188,7 +185,7 @@ class NoSteps(tuple):
 def test_dp_cap_refuses_before_any_step():
     # K2 x K2 x K2 with all seven tuples: about r^4 updates, 4.9e6 at r = 40
     tuples = NoSteps(t for t in itertools.product((0, 1), repeat=3) if any(t))
-    with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_DP_OPS"):
+    with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_OPS"):
         _column_sum_multiplicities(tuples, 200)
     with pytest.raises(RuntimeError, match="a DP step ran"):
         _column_sum_multiplicities(tuples, 3)  # under the cap: steps run
@@ -207,28 +204,101 @@ def test_dp_bound_covers_every_update():
     # the K3 x K4 tensor product at length 40 and the verify instances
     # (3 factors, r <= 5) stay far under the cap
     assert _dp_updates(2, 1, 40) == 40
-    assert _dp_updates(3, 7, 5) < MAX_NEPS_DP_OPS // 1000
-    assert _dp_updates(3, 7, 40) < MAX_NEPS_DP_OPS < _dp_updates(3, 7, 200)
+    assert _dp_updates(3, 7, 5) < MAX_NEPS_OPS // 1000
+    assert _dp_updates(3, 7, 40) < MAX_NEPS_OPS < _dp_updates(3, 7, 200)
 
 
 def test_dp_cap_changes_no_count(monkeypatch):
     basis = NepsBasis([(1, 0), (0, 1), (1, 1)])
     tables = [[1, 0, 2, 2, 6], [1, 0, 3, 6, 21]]
     want = naive_neps_walks(tables, basis, 4)
-    _column_sum_multiplicities.cache_clear()
-    monkeypatch.setattr(neps, "MAX_NEPS_DP_OPS", _dp_updates(2, 3, 4))
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", _dp_updates(2, 3, 4))
     assert neps_walks(tables, basis, 4) == want
-    _column_sum_multiplicities.cache_clear()
-    monkeypatch.setattr(neps, "MAX_NEPS_DP_OPS", _dp_updates(2, 3, 4) - 1)
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", _dp_updates(2, 3, 4) - 1)
     with pytest.raises(NepsWalkTooLarge):
         neps_walks(tables, basis, 4)
 
 
-def test_dp_memo_is_bounded():
-    basis = NepsBasis([(1, 0), (0, 1)])
-    for r in range(2 * MEMO_ENTRIES):
-        neps_walks([[1] * (r + 1)] * 2, basis, r)
-    assert _column_sum_multiplicities.cache_info().currsize <= MEMO_ENTRIES
+def random_complete_instance(rng):
+    """1 to 4 complete factors on 1 to 7 vertices, a random basis, a random
+    agreement pattern, and r <= 12; r <= 6 on four factors, where the DP
+    oracle's (r+1)^5 updates would take most of a second."""
+    n = rng.randint(1, 4)
+    sizes = [rng.randint(1, 7) for _ in range(n)]
+    tuples = [t for t in itertools.product((0, 1), repeat=n) if any(t)]
+    basis = NepsBasis(rng.sample(tuples, rng.randint(1, len(tuples))))
+    pattern = tuple(rng.random() < 0.5 for _ in range(n))
+    return sizes, basis, rng.randint(0, 12 if n < 4 else 6), pattern
+
+
+def test_spectral_form_equals_dp_on_complete_tables():
+    rng = random.Random(16)
+    for _ in range(500):
+        sizes, basis, r, pattern = random_complete_instance(rng)
+        tables = [[complete_walks(m, ell, same) for ell in range(r + 1)]
+                  for m, same in zip(sizes, pattern)]
+        assert neps_complete_walks(sizes, basis, r, pattern) == neps_walks(
+            tables, basis, r), (sizes, basis, r, pattern)
+
+
+def test_spectral_form_equals_matrix_power_with_k1():
+    rng = random.Random(17)
+    for _ in range(40):
+        sizes = [1] + [rng.randint(1, 6) for _ in range(rng.randint(1, 2))]
+        tuples = [t for t in itertools.product((0, 1), repeat=len(sizes))
+                  if any(t)]
+        basis = NepsBasis(rng.sample(tuples, rng.randint(1, len(tuples))))
+        g = neps_construct([complete_graph(m) for m in sizes], basis)
+        r = rng.randint(0, 8)
+        power = g.walk_matrix(r)
+        for j in range(g.n):
+            pattern = agreement_pattern(sizes, 0, j)
+            assert neps_complete_walks(sizes, basis, r, pattern) == (
+                power[0, j]), (sizes, basis, r, j)
+
+
+def test_spectral_form_builds_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a walk table was built")
+
+    monkeypatch.setattr(neps, "neps_walks", refuse)
+    monkeypatch.setattr(neps, "_column_sum_multiplicities", refuse)
+    monkeypatch.setattr(graphs, "complete_walks", refuse)
+    basis = NepsBasis(t for t in itertools.product((0, 1), repeat=3) if any(t))
+    # K2 x K2 x K2 with all seven tuples is K_8: 7^r + 7 (-1)^r over 8
+    assert neps_complete_walks([2, 2, 2], basis, 200, (True,) * 3) == (
+        7**200 + 7) // 8
+    assert neps_complete_walks([3], NepsBasis([(1,)]), 30_000, (True,)) == (
+        2**30_000 + 2) // 3
+
+
+class NoTerms(NepsBasis):
+    """A basis whose tuples cannot be iterated, as every spectral term does."""
+
+    def __iter__(self):
+        raise RuntimeError("a term was taken")
+
+
+def test_spectral_cap_refuses_before_any_term(monkeypatch):
+    basis = NoTerms([(1, 0), (0, 1), (1, 1)])
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 4 * 3 - 1)
+    with pytest.raises(NepsWalkTooLarge, match="12 terms.*MAX_NEPS_OPS"):
+        neps_complete_walks([3, 4], basis, 5, (True, False))
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 4 * 3)
+    with pytest.raises(RuntimeError, match="a term was taken"):
+        neps_complete_walks([3, 4], basis, 5, (True, False))
+
+
+def test_spectral_form_checks_its_arguments_before_any_term():
+    basis = NoTerms([(1, 0), (0, 1)])
+    for pattern in [(True, True, False), (True,)]:
+        with pytest.raises(ArityMismatch, match=f"pattern length {len(pattern)}"):
+            neps_complete_walks([3, 4], basis, 2, pattern)
+    with pytest.raises(ArityMismatch, match="1 sizes"):
+        neps_complete_walks([3], basis, 2, (True, True))
+    for sizes in ([0, 3], [3, -1]):
+        with pytest.raises(ValueError, match="sizes must be >= 1"):
+            neps_complete_walks(sizes, basis, 2, (True, True))
 
 
 def test_array_tables_equal_per_entry_calls():
