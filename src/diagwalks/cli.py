@@ -32,6 +32,7 @@ from .neps import (
     hamming_walks,
     neps_complete_walks,
     neps_construct,
+    product_order,
 )
 from .gp import HammingView, gp_graph, hamming_parameters
 
@@ -85,12 +86,12 @@ def cmd_count(args) -> int:
     decomposition of k; the oracles need only the field and k."""
     started = time.perf_counter()
     p, a, b = args.p, args.a, args.b
-    k = diagonal_exponent(p, a, b)
     method = args.method
     if method == "formula":
         system = DiagonalSystem(p, a, b)
-        field = system.field
+        field, k = system.field, system.k
     else:
+        k = diagonal_exponent(p, a, b)
         field = build_field(p, a * b)
     alpha = parse_element(field, args.alpha)
     n = args.s
@@ -143,6 +144,7 @@ def cmd_walks(args) -> int:
         require_options(args, "--neps", "basis")
         sizes = [int(v) for v in args.neps.split(",")]
         basis = NepsBasis.parse(args.basis)
+        product_order(sizes)
         graph = neps_construct([complete_graph(m) for m in sizes], basis)
         vi, vj = int(args.from_vertex), int(args.to_vertex)
         pattern = agreement_pattern(sizes, vi, vj)

@@ -135,6 +135,22 @@ def find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ReducibleModulus(f"no irreducible polynomial found for p={p}, m={m}")
 
 
+def check_field_order(p: int, m: int) -> None:
+    """Raise FieldTooLarge, naming p and m, unless p^m <= MAX_FIELD_ORDER;
+    p >= 2 and m >= 1. The power is built one factor at a time and never
+    past the cap, so a huge p or m stops within 21 steps; callers run this
+    before any primality or divisibility test."""
+    q = 1
+    for _ in range(m):
+        if q > MAX_FIELD_ORDER // p:
+            # a decimal of over 4,300 digits would itself raise ValueError
+            shown = (f"p={p}, m={m}" if max(p, m) < 1 << 64 else
+                     f"p, m of {p.bit_length()}, {m.bit_length()} bits")
+            raise FieldTooLarge(f"p^m with {shown} exceeds the field cap "
+                                f"{MAX_FIELD_ORDER}")
+        q *= p
+
+
 class FiniteField:
     """GF(p^m) with q <= MAX_FIELD_ORDER; immutable after construction.
 
@@ -145,16 +161,16 @@ class FiniteField:
     """
 
     def __init__(self, p, m):
-        if not is_prime(p):
+        if p < 2:
             raise NotPrime(f"p={p} is not prime")
         if m < 1:
             raise ValueError(f"m={m} must be >= 1")
-        q = p**m
-        if q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"q={q} exceeds the field cap {MAX_FIELD_ORDER}")
+        check_field_order(p, m)
+        if not is_prime(p):
+            raise NotPrime(f"p={p} is not prime")
         self.p = p
         self.m = m
-        self.q = q
+        self.q = p**m
         self.modulus = find_modulus(p, m)
         self.omega_idx = self._find_primitive()
         self._add_table = None

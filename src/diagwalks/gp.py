@@ -19,13 +19,9 @@ from .field import FiniteField, SubfieldMap, check_k_divides, kth_power_residues
 from .graphs import DenseGraph
 
 
-def gp_is_undirected(p: int, u: int) -> bool:
-    """R_k is symmetric iff p = 2 or u is even."""
-    return p == 2 or u % 2 == 0
-
-
 def gp_graph(field: FiniteField, k: int) -> DenseGraph:
-    """Cayley graph of the additive group with connection set R_k."""
+    """Cayley graph of the additive group with connection set R_k; it is
+    undirected exactly when -1 is in R_k, that is when p = 2 or u is even."""
     import numpy as np
 
     check_k_divides(field.q, k)
@@ -34,7 +30,7 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     # j - i is a k-th power iff j = i + rho for some rho in R_k
     adj = np.zeros((q, q), dtype=np.int8)
     adj[np.arange(q)[:, None], add[:, residues]] = 1
-    return DenseGraph(adj, directed=not gp_is_undirected(field.p, (q - 1) // k))
+    return DenseGraph(adj)
 
 
 def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:

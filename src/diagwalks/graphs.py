@@ -30,23 +30,22 @@ MAX_WALK_BYTES = 1 << 30
 
 
 class DenseGraph:
-    """Simple (possibly directed) graph given by its 0/1 adjacency matrix."""
+    """Simple graph given by its 0/1 adjacency matrix, kept read-only as
+    int8; it is directed exactly when the matrix is not symmetric."""
 
-    def __init__(self, adj, directed: bool = False):
+    def __init__(self, adj):
         import numpy as np
 
         adj = np.asarray(adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if not np.isin(adj, (0, 1)).all():
+        if not ((adj == 0) | (adj == 1)).all():
             raise ValueError("adjacency entries must be 0/1")
         if np.diagonal(adj).any():
             raise ValueError("self-loops are not allowed (nonzero diagonal)")
-        if not directed and (adj != adj.T).any():
-            raise ValueError("undirected graph requires a symmetric adjacency")
         self.adj = adj.astype(np.int8)
         self.adj.setflags(write=False)
-        self.directed = directed
+        self.directed = bool((self.adj != self.adj.T).any())
         # D, the largest row sum; A^r is a float64 product, stored as int64,
         # for every r <= _float_reach
         self._degree = int(self.adj.sum(axis=1, dtype=np.int64).max(initial=0))

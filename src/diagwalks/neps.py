@@ -27,8 +27,8 @@ from .errors import (
 )
 from .graphs import DenseGraph
 
-# largest int64 adjacency neps_construct builds: 4096 vertices
-MAX_PRODUCT_BYTES = 1 << 27
+# largest int8 adjacency neps_construct builds: 4096 vertices
+MAX_PRODUCT_BYTES = 1 << 24
 # largest number of state updates (one column-sum state plus one basis
 # tuple) the walk DP may make, and of terms (one eigenvalue sign vector
 # plus one basis tuple) the complete-graph spectral sum may take
@@ -105,34 +105,40 @@ def agreement_pattern(sizes, vi: int, vj: int) -> tuple[bool, ...]:
     return tuple(a == b for a, b in zip(ti, tj))
 
 
+def product_order(sizes) -> int:
+    """Vertices of a product of graphs with `sizes` vertices each. Raises
+    ProductTooLarge when its int8 adjacency would take more than
+    MAX_PRODUCT_BYTES, so a caller can check before building a factor."""
+    total = math.prod(sizes)
+    if total * total > MAX_PRODUCT_BYTES:
+        raise ProductTooLarge(
+            f"the adjacency of a {total}-vertex product needs {total * total} "
+            f"bytes, over the cap of {MAX_PRODUCT_BYTES} bytes"
+        )
+    return total
+
+
 def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
-    """Build the NEPS adjacency as a sum of Kronecker products. Raises
-    ProductTooLarge, before any product, when its int64 accumulator would
-    take more than MAX_PRODUCT_BYTES."""
+    """Build the NEPS adjacency as an int8 sum of Kronecker products of the
+    factors' adjacencies and identities. Raises ProductTooLarge, before any
+    product, through `product_order`."""
     if basis.n != len(factors):
         raise ArityMismatch(
             f"basis arity {basis.n} != number of factors {len(factors)}"
         )
-    total = math.prod(g.n for g in factors)
-    nbytes = 8 * total * total
-    if nbytes > MAX_PRODUCT_BYTES:
-        raise ProductTooLarge(
-            f"the adjacency of a {total}-vertex product needs {nbytes} "
-            f"bytes, over the cap of {MAX_PRODUCT_BYTES} bytes"
-        )
+    total = product_order([g.n for g in factors])
     import numpy as np
 
-    acc = np.zeros((total, total), dtype=np.int64)
+    # The terms have disjoint supports, so the sum stays 0/1: two distinct
+    # tuples differ at some i, where one term needs u_i = v_i and the other
+    # an edge u_i v_i, and a DenseGraph has no loops.
+    acc = np.zeros((total, total), dtype=np.int8)
     for alpha in basis:
-        term = np.ones((1, 1), dtype=np.int64)
+        term = np.ones((1, 1), dtype=np.int8)
         for g, a in zip(factors, alpha):
-            mat = g.adj.astype(np.int64) if a else np.identity(g.n, dtype=np.int64)
-            term = np.kron(term, mat)
+            term = np.kron(term, g.adj if a else np.identity(g.n, dtype=np.int8))
         acc += term
-    if acc.max() > 1:
-        raise ValueError("distinct basis tuples must give disjoint edge sets")
-    directed = any(g.directed for g in factors)
-    return DenseGraph(acc, directed=directed)
+    return DenseGraph(acc)
 
 
 def _dp_updates(n: int, size: int, r: int) -> int:

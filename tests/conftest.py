@@ -1,6 +1,9 @@
 import pytest
 
 from diagwalks import DiagonalSystem, build_field
+from diagwalks import diagonal as diagonal_mod
+from diagwalks import field as field_mod
+from diagwalks import gp as gp_mod
 from diagwalks.field import _invert_matrix_mod_p
 from diagwalks.verify import DEFAULT_ROSTER as ROSTER
 
@@ -18,6 +21,20 @@ def f25():
 @pytest.fixture(scope="session")
 def f64():
     return build_field(2, 6)
+
+
+@pytest.fixture
+def no_number_theory(monkeypatch):
+    """Make every primality, integrality and order test raise, to show a
+    refusal comes before any of them."""
+    def refuse(*args):
+        raise RuntimeError("number theory ran before the field order check")
+
+    for module, name in [(field_mod, "is_prime"), (diagonal_mod, "is_prime"),
+                         (diagonal_mod, "k_is_integer"),
+                         (diagonal_mod, "multiplicative_order"),
+                         (gp_mod, "multiplicative_order")]:
+        monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from diagwalks import cli as cli_mod
 from diagwalks import verify as verify_mod
 from diagwalks.cli import main, parse_element
 from diagwalks import DiagonalSystem, build_field
@@ -104,6 +105,20 @@ def test_count_p_not_prime_exit_2(capsys, p):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "NotPrime"
+
+
+@pytest.mark.parametrize("method", ["formula", "brute", "convolution", "walk"])
+@pytest.mark.parametrize("p, a, b", [("1000000000000000003", "1", "2"),
+                                     ("2", "1", "1000000"),
+                                     ("3", "1000", "2")])
+def test_count_field_order_exit_2(capsys, no_number_theory, method, p, a, b):
+    code, out, err = run_cli(
+        capsys, "count", "--p", p, "--a", a, "--b", b, "--alpha", "0",
+        "--s", "1", "--nonzero-only", "--method", method,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FieldTooLarge"
 
 
 def test_count_prints_more_than_4300_digits(capsys):
@@ -234,6 +249,21 @@ def test_walks_over_cache_cap_exit_2(capsys):
     error = json.loads(err)
     assert error["error"] == "WalkCacheTooLarge"
     assert str(MAX_WALK_BYTES) in error["message"]
+
+
+def test_walks_neps_size_checked_before_any_factor(capsys, monkeypatch):
+    # K_6000 alone is 36 MB of int8; the product cap refuses it first
+    def refuse(m):
+        raise RuntimeError(f"built K_{m} before the product size check")
+
+    monkeypatch.setattr(cli_mod, "complete_graph", refuse)
+    code, out, err = run_cli(
+        capsys, "walks", "--neps", "6000", "--basis", "1",
+        "--from", "0", "--to", "1", "--length", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ProductTooLarge"
 
 
 def test_walks_neps_all_tuples_at_length_200(capsys):

@@ -125,6 +125,18 @@ def test_p_must_be_prime_before_any_arithmetic(p):
         DiagonalSystem(p, 1, 2)
 
 
+@pytest.mark.parametrize("p, a, b", [(10**18 + 3, 1, 2), (2, 1, 10**6),
+                                     (3, 1000, 2)])
+def test_field_order_refused_before_any_number_theory(no_number_theory,
+                                                      p, a, b):
+    # unpatched, trial division of p, the b-term repunit and the factoring
+    # of phi(2(3^1000-1)) each ran for more than 5 s before this refusal
+    with pytest.raises(FieldTooLarge, match=f"m={a * b} exceeds"):
+        diagonal_exponent(p, a, b)
+    with pytest.raises(FieldTooLarge, match=f"m={a * b} exceeds"):
+        DiagonalSystem(p, a, b)
+
+
 def test_element_must_be_an_integer_index(roster_systems, f9):
     system = roster_systems[(3, 1, 2)]
     assert system.count_nonzero(np.int64(1), 2) == 4

@@ -87,10 +87,22 @@ def test_add_table_capped_in_bytes():
 
 
 def test_field_errors():
-    with pytest.raises(NotPrime):
-        build_field(4, 1)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(NotPrime):
+            build_field(p, 1)
     with pytest.raises(FieldTooLarge):
         build_field(2, 25)
+
+
+@pytest.mark.parametrize("p, m", [(2, 10**5), (10**18 + 3, 1), (10**5000, 1)],
+                         ids=["2^100000", "(10^18+3)^1", "(10^5000)^1"])
+def test_field_order_refused_before_primality(no_number_theory, p, m):
+    # p^m is never formed past the cap, and no decimal of 4,300 digits is
+    # printed: the message stays short (the CLI lifts Python's digit limit
+    # for the whole process, so its length is what is asserted)
+    with pytest.raises(FieldTooLarge) as info:
+        build_field(p, m)
+    assert len(str(info.value)) < 200
 
 
 def test_element_arithmetic(f9):

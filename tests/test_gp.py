@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from diagwalks import (
@@ -51,10 +53,33 @@ def test_single_connection_element(f9):
     assert (g.adj.sum(axis=1) == 1).all()
 
 
-def test_directed_flag(f25):
-    # k=8 -> u=3 odd, p odd: directed
-    g = gp_graph(f25, 8)
-    assert g.directed
+def test_directed_flag():
+    # DenseGraph reads `directed` from the matrix; R_k is closed under
+    # negation exactly when p = 2 or u = (q-1)/k is even. The sweep takes
+    # every k on the benchmark roster's fields, GF(25) k=8 and GF(81) k=10
+    # (u = 3 and 8) among them.
+    for p, m in [(3, 2), (5, 2), (7, 2), (2, 6), (3, 4), (7, 3)]:
+        field = build_field(p, m)
+        for k in range(1, field.q):
+            if (field.q - 1) % k == 0:
+                u = (field.q - 1) // k
+                directed = gp_graph(field, k).directed
+                assert directed == (not (p == 2 or u % 2 == 0)), (p, m, k)
+
+
+def test_gp_graph_peak_memory_per_entry():
+    # the add table is read first; then the graph holds one int8 matrix
+    # and its checks take bool temporaries (13 bytes per entry before)
+    field = build_field(2, 12)
+    field.add_table
+    tracemalloc.start()
+    try:
+        graph = gp_graph(field, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n == 4096 and not graph.directed
+    assert peak <= 8 * graph.n**2
 
 
 def test_k_must_divide(f9):

@@ -100,9 +100,8 @@ def test_walk_monotonicity_under_edge_addition():
 def test_validation():
     with pytest.raises(ValueError):
         DenseGraph(np.identity(3, dtype=np.int8))  # self-loops
-    with pytest.raises(ValueError):
-        DenseGraph(np.array([[0, 1], [0, 0]]))  # asymmetric but undirected
-    DenseGraph(np.array([[0, 1], [0, 0]]), directed=True)
+    assert DenseGraph(np.array([[0, 1], [0, 0]])).directed is True
+    assert DenseGraph(np.array([[0, 1], [1, 0]])).directed is False
     with pytest.raises(ValueError):
         DenseGraph(np.array([[0, 2], [2, 0]]))  # non-0/1 entries
 
@@ -169,7 +168,7 @@ def test_random_directed_powers_match_object_reference():
         for j in range(n):
             if i != j and rng.random() < 0.6:
                 adj[i, j] = 1
-    g = DenseGraph(adj, directed=True)
+    g = DenseGraph(adj)
     reach = float_reach(adj)
     assert reach < 40  # the loop below crosses the float64 bound
     reference = np.identity(n, dtype=object)

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import hamming_distance_walks
 
 from diagwalks import (
+    DenseGraph,
     NepsBasis,
     complete_graph,
     complete_walks,
@@ -28,6 +30,7 @@ from diagwalks.neps import (
     _column_sum_multiplicities,
     _dp_updates,
     agreement_pattern,
+    product_order,
     vertex_index,
     vertex_tuple,
 )
@@ -85,8 +88,45 @@ def test_construct_errors():
     with pytest.raises(ArityMismatch):
         neps_construct([complete_graph(3)], NepsBasis([(1, 1)]))
     with pytest.raises(ProductTooLarge, match=str(MAX_PRODUCT_BYTES)):
-        # 65^2 = 4225 vertices: 8 * 4225^2 bytes > MAX_PRODUCT_BYTES
+        # 65^2 = 4225 vertices: 4225^2 int8 bytes > MAX_PRODUCT_BYTES
         neps_construct([complete_graph(65)] * 2, NepsBasis([(1, 1)]))
+
+
+def test_product_order_cap_is_4096_vertices():
+    assert product_order([64, 64]) == 4096
+    assert product_order([2] * 12) == 4096
+    for sizes in ([65, 65], [4097], [2] * 13):
+        with pytest.raises(ProductTooLarge):
+            product_order(sizes)
+
+
+def test_construct_peak_memory_per_entry():
+    # the int8 sum of Kronecker terms; an int64 accumulator took 35 bytes
+    # per entry
+    factors = [complete_graph(64)] * 2
+    tracemalloc.start()
+    try:
+        graph = neps_construct(factors, NepsBasis([(1, 1)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n == 4096 and not graph.directed
+    assert graph.adj.dtype == np.int8
+    assert peak <= 8 * graph.n**2
+
+
+def test_construct_directed_factor():
+    # one arc on two vertices, times K3: directed when a tuple moves in it
+    arc = DenseGraph(np.array([[0, 1], [0, 0]]))
+    for basis in (NepsBasis([(1, 1)]), NepsBasis.standard(2)):
+        graph = neps_construct([arc, complete_graph(3)], basis)
+        assert graph.directed
+        assert set(np.unique(graph.adj)) <= {0, 1}
+    assert not neps_construct([complete_graph(2), complete_graph(3)],
+                              NepsBasis.standard(2)).directed
+    # I x K3: the basis never moves in the directed factor
+    assert not neps_construct([arc, complete_graph(3)],
+                              NepsBasis([(0, 1)])).directed
 
 
 def test_single_tuple_basis_collapses_to_one_term():
