@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -23,7 +24,7 @@ from .diagonal import (
     walk_solution_count,
 )
 from .divisibility import remark_cases
-from .errors import BadParameters, DiagwalksError
+from .errors import BadParameters, CountTooLarge, DiagwalksError
 from .field import FiniteField, build_field
 from .graphs import complete_graph
 from .neps import (
@@ -35,6 +36,10 @@ from .neps import (
     product_order,
 )
 from .gp import HammingView, gp_graph, hamming_parameters
+
+# largest count, in bits, that `count` prints: CPython's int-to-decimal
+# conversion is quadratic, and a 2^20-bit count takes about 2 s to print
+MAX_PRINT_BITS = 1 << 20
 
 CSV_COLUMNS = ["p", "a", "b", "k", "q", "alpha", "n", "mode", "method", "count"]
 
@@ -95,6 +100,15 @@ def cmd_count(args) -> int:
         field = build_field(p, a * b)
     alpha = parse_element(field, args.alpha)
     n = args.s
+    # the count is at most q^n, of about n*log2(q) bits; an int
+    # compares exactly with a float, so a huge n cannot overflow here
+    max_n = MAX_PRINT_BITS / math.log2(field.q)
+    if n > max_n:
+        raise CountTooLarge(
+            f"s={n} summands over GF({field.q}) give a count of up to "
+            f"s*log2(q) bits, over the print cap of {MAX_PRINT_BITS} bits, "
+            f"which admits s <= {math.floor(max_n)} here"
+        )
     mode = "nonzero" if args.nonzero_only else "all"
     if method == "formula":
         count = (
@@ -148,8 +162,9 @@ def cmd_walks(args) -> int:
         graph = neps_construct([complete_graph(m) for m in sizes], basis)
         vi, vj = int(args.from_vertex), int(args.to_vertex)
         pattern = agreement_pattern(sizes, vi, vj)
-        formula = neps_complete_walks(sizes, basis, args.length, pattern)
+        # the power's byte cap is checked before the spectral sum runs
         power = graph.walk_count(args.length, vi, vj)
+        formula = neps_complete_walks(sizes, basis, args.length, pattern)
         payload = {
             "graph": f"NEPS({','.join(f'K{m}' for m in sizes)}; {args.basis})",
             "from": vi,

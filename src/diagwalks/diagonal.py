@@ -26,11 +26,10 @@ from .errors import (
     BadParameters,
     EnumerationTooLarge,
     KNotInteger,
-    NotPrime,
     NotPrimitiveDivisor,
 )
-from .field import (FiniteField, build_field, check_field_order,
-                    check_k_divides, is_prime, kth_power_residues)
+from .field import (FiniteField, build_field, check_field, check_k_divides,
+                    kth_power_residues)
 from .gp import HammingView, gp_graph, hamming_parameters
 from .neps import hamming_walks
 
@@ -69,17 +68,14 @@ def _check_length(name: str, n: int) -> None:
 
 def diagonal_exponent(p: int, a: int, b: int) -> int:
     """k = (p^{ab}-1)/(b(p^a-1)), the exponent of the diagonal equation.
-    Raises, in this order and each before the next test runs: NotPrime for
-    p < 2, BadParameters for a < 1 or b < 2, FieldTooLarge past
-    MAX_FIELD_ORDER, NotPrime for a composite p, and KNotInteger, with
+    Raises, in this order and each before the next test runs:
+    BadParameters for a < 1 or b < 2; the errors of `field.check_field`
+    for GF(p^{ab}), NotPrime for p < 2, FieldTooLarge past
+    MAX_FIELD_ORDER and NotPrime for a composite p; and KNotInteger, with
     the divisibility report, when k is not an integer."""
-    if p < 2:
-        raise NotPrime(f"p={p} is not prime")
     if b < 2 or a < 1:
         raise BadParameters(f"need a >= 1 and b > 1, got a={a}, b={b}")
-    check_field_order(p, a * b)
-    if not is_prime(p):
-        raise NotPrime(f"p={p} is not prime")
+    check_field(p, a * b)
     if not k_is_integer(p, a, b):
         raise KNotInteger(
             f"(p^{{ab}}-1)/(b(p^a-1)) is not an integer for "

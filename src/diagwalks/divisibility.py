@@ -1,8 +1,9 @@
 """Integrality of k = (p^{ab}-1)/(b(p^a-1)) and sufficient-condition catalogue.
 
-k is an integer exactly when b divides 1 + x + ... + x^{b-1} with x = p^a.
-The catalogue evaluates six published sufficient conditions for that
-divisibility; each fired case must imply integrality (tested as a sweep).
+k is an integer exactly when b divides 1 + x + ... + x^{b-1} with x = p^a,
+that is when x^b = 1 mod b(x-1): one modular power. The catalogue
+evaluates six published sufficient conditions for that divisibility;
+each fired case must imply integrality (tested as a sweep).
 """
 
 from __future__ import annotations
@@ -38,13 +39,23 @@ def multiplicative_order(x: int, n: int) -> int | None:
 
 
 def repunit(x: int, b: int) -> int:
-    """1 + x + ... + x^{b-1}, evaluated exactly."""
+    """1 + x + ... + x^{b-1}, evaluated exactly; the reference the tests
+    hold `k_is_integer` to."""
     return sum(x**j for j in range(b))
 
 
 def k_is_integer(p: int, a: int, b: int) -> bool:
-    """Whether b divides (p^{ab}-1)/(p^a-1)."""
-    return repunit(p**a, b) % b == 0
+    """Whether b divides (p^{ab}-1)/(p^a-1), that is whether b(p^a-1)
+    divides p^{ab}-1; one modular power, never the repunit itself."""
+    modulus = b * (p**a - 1)
+    return pow(p, a * b, modulus) == 1 % modulus
+
+
+def _order_below(x: int, r: int, t: int) -> bool:
+    """Whether ord_{r^t}(x) exists and is r^h for some h < t. Both hold
+    exactly when x^{r^{t-1}} = 1 mod r^t: that power is 1 only for x
+    coprime to r, and then the order divides r^{t-1}."""
+    return pow(x, r ** (t - 1), r**t) == 1
 
 
 @dataclass
@@ -101,32 +112,15 @@ def remark_cases(p: int, a: int, b: int) -> DivisibilityReport:
             cases.add("d")
 
     # (e) b = r^t prime power with ord_b(x) = r^h for some 0 <= h < t
-    if len(fac) == 1:
-        r = primes[0]
-        t = fac[r]
-        order = multiplicative_order(x, b)
-        if order is not None:
-            of = factorize(order)
-            is_power_of_r = not of or set(of) == {r}
-            h = of.get(r, 0)
-            if is_power_of_r and h < t:
-                cases.add("e")
+    if len(fac) == 1 and _order_below(x, primes[0], fac[primes[0]]):
+        cases.add("e")
 
     # (f) b a product of >= 2 prime powers, primes different from p,
     #     ord_{r_i^{t_i}}(x) = r_i^{h_i} with h_i <= t_i - 1 for all i
-    if len(fac) >= 2 and p not in fac:
-        ok = True
-        for r, t in fac.items():
-            order = multiplicative_order(x, r**t)
-            if order is None:
-                ok = False
-                break
-            of = factorize(order)
-            if (of and set(of) != {r}) or of.get(r, 0) > t - 1:
-                ok = False
-                break
-        if ok:
-            cases.add("f")
+    if len(fac) >= 2 and p not in fac and all(
+        _order_below(x, r, t) for r, t in fac.items()
+    ):
+        cases.add("f")
 
     return DivisibilityReport(p=p, a=a, b=b, k_integer=k_is_integer(p, a, b),
                               cases=cases)

@@ -63,6 +63,11 @@ class NepsWalkTooLarge(DiagwalksError):
     the complete-graph spectral sum, could pass neps.MAX_NEPS_OPS."""
 
 
+class CountTooLarge(DiagwalksError):
+    """Raised when a count could have more bits than cli.MAX_PRINT_BITS
+    allows the CLI to print."""
+
+
 class NotPrimitiveDivisor(DiagwalksError):
     """Raised when u = b(p^a-1) already divides some p^h-1 with h < ab."""
 

@@ -25,6 +25,12 @@ with c digits per chunk, whatever q is. The zero pattern of the
 coordinates is read from the packed solve by
 `gp.HammingView.pattern_idx`, which owns the map.
 
+`check_field` is the one admission of GF(p^m): `FiniteField`,
+`diagonal.diagonal_exponent` and `gp.hamming_parameters` run it before
+any other number theory. It refuses p < 2, m < 1 and p^m over
+MAX_FIELD_ORDER before it tests p for primality, and that test is
+`factorize`, the package's one trial division.
+
 The construction is deterministic: the modulus is always the
 lexicographically smallest monic irreducible polynomial (coefficients
 compared from the highest degree down), and the primitive element is the
@@ -56,18 +62,7 @@ MAX_ADD_TABLE_BYTES = 1 << 28
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -135,11 +130,17 @@ def find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ReducibleModulus(f"no irreducible polynomial found for p={p}, m={m}")
 
 
-def check_field_order(p: int, m: int) -> None:
-    """Raise FieldTooLarge, naming p and m, unless p^m <= MAX_FIELD_ORDER;
-    p >= 2 and m >= 1. The power is built one factor at a time and never
-    past the cap, so a huge p or m stops within 21 steps; callers run this
-    before any primality or divisibility test."""
+def check_field(p: int, m: int) -> None:
+    """The one admission of GF(p^m). Raises, in this order and each before
+    the next test runs: NotPrime for p < 2, ValueError for m < 1,
+    FieldTooLarge, naming p and m, unless p^m <= MAX_FIELD_ORDER, and
+    NotPrime for a composite p. The power is built one factor at a time
+    and never past the cap, so a huge p or m stops within 21 steps, and
+    the trial division sees no p over the cap."""
+    if p < 2:
+        raise NotPrime(f"p={p} is not prime")
+    if m < 1:
+        raise ValueError(f"m={m} must be >= 1")
     q = 1
     for _ in range(m):
         if q > MAX_FIELD_ORDER // p:
@@ -149,6 +150,8 @@ def check_field_order(p: int, m: int) -> None:
             raise FieldTooLarge(f"p^m with {shown} exceeds the field cap "
                                 f"{MAX_FIELD_ORDER}")
         q *= p
+    if not is_prime(p):
+        raise NotPrime(f"p={p} is not prime")
 
 
 class FiniteField:
@@ -161,13 +164,7 @@ class FiniteField:
     """
 
     def __init__(self, p, m):
-        if p < 2:
-            raise NotPrime(f"p={p} is not prime")
-        if m < 1:
-            raise ValueError(f"m={m} must be >= 1")
-        check_field_order(p, m)
-        if not is_prime(p):
-            raise NotPrime(f"p={p} is not prime")
+        check_field(p, m)
         self.p = p
         self.m = m
         self.q = p**m

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from .divisibility import multiplicative_order
 from .errors import BadDecomposition
-from .field import FiniteField, SubfieldMap, check_k_divides, kth_power_residues
+from .field import (FiniteField, SubfieldMap, check_field, check_k_divides,
+                    kth_power_residues)
 from .graphs import DenseGraph
 
 
@@ -42,7 +43,10 @@ def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:
     (p^a - 1)/a strictly increases in a for p >= 2, since
     a(p^(a+1) - 1) - (a+1)(p^a - 1) = p^a (ap - a - 1) + 1 > 0. So
     distinct a give distinct u, and the pair is unique.
+
+    `field.check_field` admits GF(p^m) before any order is computed.
     """
+    check_field(p, m)
     check_k_divides(p**m, k)
     u = (p**m - 1) // k
     if multiplicative_order(p, u) != m:

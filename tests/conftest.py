@@ -30,7 +30,7 @@ def no_number_theory(monkeypatch):
     def refuse(*args):
         raise RuntimeError("number theory ran before the field order check")
 
-    for module, name in [(field_mod, "is_prime"), (diagonal_mod, "is_prime"),
+    for module, name in [(field_mod, "is_prime"),
                          (diagonal_mod, "k_is_integer"),
                          (diagonal_mod, "multiplicative_order"),
                          (gp_mod, "multiplicative_order")]:

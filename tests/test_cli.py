@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,28 @@ def test_count_prints_more_than_4300_digits(capsys):
     assert count == str(DiagonalSystem(3, 1, 2).count_nonzero(0, 5000))
 
 
+@pytest.mark.parametrize("s, mode", [("1000000", ["--nonzero-only"]),
+                                     ("10000000", [])], ids=["N_s", "M_s"])
+def test_count_over_print_cap_exit_2(capsys, monkeypatch, s, mode):
+    # N_(10^6)(0) on GF(9) is counted in 0.02 s but took over 14 s to print
+    def refuse(*args):
+        raise RuntimeError("counted before the print cap check")
+
+    monkeypatch.setattr(DiagonalSystem, "count_nonzero", refuse)
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "count", "--p", "3", "--a", "1", "--b", "2",
+        "--alpha", "0", "--s", s, *mode,
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "CountTooLarge"
+    assert f"s={s} " in record["message"]
+    assert str(cli_mod.MAX_PRINT_BITS) in record["message"]
+
+
 def test_count_determinism(capsys):
     args = [
         "count", "--p", "5", "--a", "1", "--b", "2",
@@ -264,6 +287,24 @@ def test_walks_neps_size_checked_before_any_factor(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ProductTooLarge"
+
+
+def test_walks_neps_power_cap_checked_before_the_formula(capsys, monkeypatch):
+    # the spectral sum, raising 3 to the power 10^8, ran for over a
+    # minute; the power cache cap refuses the length at once
+    def refuse(*args):
+        raise RuntimeError("summed the spectrum before the power cap check")
+
+    monkeypatch.setattr(cli_mod, "neps_complete_walks", refuse)
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "walks", "--neps", "4", "--basis", "1",
+        "--from", "0", "--to", "0", "--length", "100000000",
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "WalkCacheTooLarge"
 
 
 def test_walks_neps_all_tuples_at_length_200(capsys):

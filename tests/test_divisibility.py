@@ -1,3 +1,7 @@
+import time
+
+import pytest
+
 from diagwalks import k_is_integer, remark_cases
 from diagwalks.divisibility import (
     euler_phi,
@@ -12,6 +16,23 @@ def test_k_is_integer_examples():
     assert k_is_integer(3, 1, 2)  # 4 / 2
     assert not k_is_integer(2, 1, 2)  # 3 / 2
     assert k_is_integer(2, 2, 3)  # 21 / 3
+
+
+def test_k_is_integer_against_the_repunit():
+    # b(x-1) | x^b - 1 by one modular power, against b | 1 + x + ... + x^{b-1}
+    for p in filter(is_prime, range(50)):
+        for a in range(1, 5):
+            for b in range(1, 200):
+                assert k_is_integer(p, a, b) == (repunit(p**a, b) % b == 0), \
+                    (p, a, b)
+
+
+def test_k_is_integer_never_builds_the_repunit():
+    # the b-term repunit took 17 s at b = 10^5; the modular power takes
+    # microseconds at b = 10^6
+    started = time.perf_counter()
+    assert not k_is_integer(2, 1, 10**6)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_repunit():
@@ -74,6 +95,28 @@ def test_case_e_fires():
     report = remark_cases(2, 2, 9)
     assert "e" in report.cases
     assert report.k_integer
+
+
+@pytest.mark.parametrize("p, a, b, cases, k_integer", [
+    (11, 1, 16, {"e"}, True),
+    (11, 2, 27, {"e"}, True),
+    (3, 1, 4, {"e"}, True),
+    (2, 3, 7, {"a", "e"}, True),
+    (11, 1, 20, {"f"}, True),
+    (7, 2, 36, {"f"}, True),
+    (11, 2, 30, {"d", "f"}, True),
+    (7, 1, 6, {"b", "d", "f"}, True),
+    (11, 1, 12, set(), True),
+    (11, 1, 18, set(), True),
+    (11, 1, 13, set(), False),
+    (3, 1, 9, set(), False),
+])
+def test_case_sets_pinned(p, a, b, cases, k_integer):
+    # (e) and (f) share one order test; these sets are the ones the two
+    # separate spellings of it gave, over triples that fire each and none
+    report = remark_cases(p, a, b)
+    assert report.cases == cases
+    assert report.k_integer is k_integer
 
 
 def test_soundness_sweep():

@@ -14,7 +14,8 @@ from diagwalks import (
 from diagwalks import field as field_mod
 from diagwalks import gp as gp_mod
 from diagwalks.divisibility import multiplicative_order
-from diagwalks.errors import BadDecomposition, FieldTooLarge, KDoesNotDivide
+from diagwalks.errors import (BadDecomposition, FieldTooLarge, KDoesNotDivide,
+                              NotPrime)
 from diagwalks.field import is_prime
 
 
@@ -131,6 +132,19 @@ def test_hamming_parameters_examples():
         k = (p**m - 1) // (b * (p**a - 1))
         assert multiplicative_order(p, b * (p**a - 1)) < m
         assert hamming_parameters(p, m, k) is None, (p, a, b)
+
+
+def test_hamming_parameters_admits_the_field_first(no_number_theory):
+    # unpatched, the order of 3 mod (3^1000-1)/2 was still being computed
+    # after 5 s
+    with pytest.raises(FieldTooLarge, match="p=3, m=1000 exceeds"):
+        hamming_parameters(3, 1000, 2)
+
+
+def test_hamming_parameters_refuses_a_composite_p():
+    # p = 4 used to reach the order test, which answered None
+    with pytest.raises(NotPrime, match="p=4 is not prime"):
+        hamming_parameters(4, 2, 3)
 
 
 def test_hamming_candidates_are_distinct():
