@@ -4,8 +4,9 @@ N_r counts solutions with every coordinate nonzero; M_s lets coordinates
 range over the whole field. Both are methods of `DiagonalSystem`, the
 one formula evaluator: N_r multiplies k^r into the Hamming walk count
 determined by the zero pattern of alpha's subfield coordinates
-(`HammingView.pattern_idx`); M_s is assembled from the N_i by choosing
-which coordinates vanish, plus the all-zero tuple when alpha = 0.
+(`HammingView.pattern_idx`), solved once for a run of calls on one
+alpha; M_s is assembled from the N_i by choosing which coordinates
+vanish, plus the all-zero tuple when alpha = 0.
 
 Three independent oracles ship alongside the formula: a literal
 enumeration of all tuples (vectorized on the addition table, streamed
@@ -18,7 +19,6 @@ length t = 0..r from one pass.
 from __future__ import annotations
 
 import math
-import operator
 from typing import TYPE_CHECKING
 
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
@@ -28,8 +28,8 @@ from .errors import (
     KNotInteger,
     NotPrimitiveDivisor,
 )
-from .field import (FiniteField, build_field, check_field, check_k_divides,
-                    kth_power_residues)
+from .field import (FiniteField, as_index, build_field, check_field,
+                    check_k_divides, kth_power_residues)
 from .gp import HammingView, gp_graph, hamming_parameters
 from .neps import hamming_walks
 
@@ -46,19 +46,6 @@ MAX_CONVOLUTION_OPS = 10**7
 # largest estimated size of the rows g_0..g_r it returns, whose entries
 # grow by log2(q) bits a step
 MAX_CONVOLUTION_BYTES = 1 << 26
-
-
-def _as_index(field: FiniteField, x) -> int:
-    """x as an element index; integers only, so 1.5 or "3" is refused."""
-    try:
-        x = operator.index(x)
-    except TypeError:
-        raise BadParameters(
-            f"element {x!r} is not an integer index in [0, {field.q})"
-        ) from None
-    if not 0 <= x < field.q:
-        raise BadParameters(f"element index {x} out of range for q={field.q}")
-    return x
 
 
 def _check_length(name: str, n: int) -> None:
@@ -105,22 +92,32 @@ class DiagonalSystem:
         self.m = m
         self.field = build_field(p, m)
         self.q = self.field.q
+        self.Q = p**a
         self.k = k
         self.view = HammingView(self.field, k)
+        # one-slot memo (index, zero pattern) of the last alpha solved
+        self._pattern = (-1, ())
 
     def count_nonzero(self, alpha, r: int) -> int:
-        """N_r(alpha): k^r times the Hamming walk count for alpha's zero pattern."""
+        """N_r(alpha): k^r times the Hamming walk count for alpha's zero
+        pattern. r and alpha are checked on every call; the pattern is
+        solved only when alpha differs from the previous call's, so a run
+        of calls on one alpha solves it once."""
         _check_length("r", r)
-        idx = _as_index(self.field, alpha)
-        pattern = self.view.pattern_idx(idx)
-        return self.k**r * hamming_walks(self.b, self.p**self.a, r, pattern)
+        idx = as_index(self.field, alpha)
+        memo_idx, pattern = self._pattern
+        if idx != memo_idx:
+            pattern = self.view.pattern_idx(idx)
+            self._pattern = (idx, pattern)
+        return self.k**r * hamming_walks(self.b, self.Q, r, pattern)
 
     def count_all(self, alpha, s: int) -> int:
         """M_s(alpha): sum of binomial(s,i) N_i, plus 1 for the trivial
         solution when alpha = 0. The binomials are taken one from the last,
-        C(s,i) = C(s,i-1)(s-i+1)/i, an exact division."""
+        C(s,i) = C(s,i-1)(s-i+1)/i, an exact division. Its s
+        `count_nonzero` calls share one solve of alpha's zero pattern."""
         _check_length("s", s)
-        idx = _as_index(self.field, alpha)
+        idx = as_index(self.field, alpha)
         total = 1 if idx == 0 else 0
         binom = 1
         for i in range(1, s + 1):
@@ -143,8 +140,8 @@ def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
     every call, after `gp_graph` has checked k; a caller asking for many
     counts builds it once with `gp_graph` and reads `walk_count` on it."""
     _check_length("s", s)
-    xi = _as_index(field, x)
-    yi = _as_index(field, y)
+    xi = as_index(field, x)
+    yi = as_index(field, y)
     return k**s * gp_graph(field, k).walk_count(s, xi, yi)
 
 
@@ -198,7 +195,7 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
 
 def brute_force_count(field: FiniteField, k: int, alpha, r: int,
                       restrict_nonzero: bool = True) -> int:
-    idx = _as_index(field, alpha)
+    idx = as_index(field, alpha)
     return int(brute_force_distribution(field, k, r, restrict_nonzero)[r, idx])
 
 

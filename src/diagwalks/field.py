@@ -23,7 +23,8 @@ solve adds one packed table entry per chunk, reducing mod p inside the
 word. The tables hold at most ceil(m/c) * max(p, CHUNK_ENTRIES) ints,
 with c digits per chunk, whatever q is. The zero pattern of the
 coordinates is read from the packed solve by
-`gp.HammingView.pattern_idx`, which owns the map.
+`gp.HammingView.pattern_idx`, which owns the map. `as_index` is the one
+element-index check; the solve, the counts and the oracles run it.
 
 `check_field` is the one admission of GF(p^m): `FiniteField`,
 `diagonal.diagonal_exponent` and `gp.hamming_parameters` run it before
@@ -40,10 +41,12 @@ one with the smallest canonical index.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING
 
 from .errors import (
     BadDecomposition,
+    BadParameters,
     DependentBasis,
     FieldTooLarge,
     KDoesNotDivide,
@@ -268,6 +271,21 @@ def build_field(p, m):
     return FiniteField(p, m)
 
 
+def as_index(field: FiniteField, x) -> int:
+    """x as an element index of `field`, the one element-index check:
+    BadParameters unless x is an integer (so 1.5 or "3" is refused) in
+    [0, q)."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise BadParameters(
+            f"element {x!r} is not an integer index in [0, {field.q})"
+        ) from None
+    if not 0 <= x < field.q:
+        raise BadParameters(f"element index {x} out of range for q={field.q}")
+    return x
+
+
 def check_k_divides(q: int, k: int) -> None:
     """Raise KDoesNotDivide, naming k, unless k is a positive divisor of
     q-1; every function taking the exponent k of a field checks it here
@@ -396,7 +414,11 @@ class SubfieldMap:
 
     def solve_word(self, x_idx: int) -> int:
         """The F_p coefficients of x (as `solve_idx`) packed in one word:
-        coefficient i in bits [i*B, (i+1)*B), already reduced mod p."""
+        coefficient i in bits [i*B, (i+1)*B), already reduced mod p.
+        Raises BadParameters, through `as_index`, unless x is an element
+        index in [0, q); `solve_idx`, `coords_idx` and
+        `gp.HammingView.pattern_idx` all solve here."""
+        x_idx = as_index(self.field, x_idx)
         chunk, add = self._chunk, self._add
         tables = iter(self._tables)
         x_idx, v = divmod(x_idx, chunk)

@@ -263,13 +263,13 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     Krawtchouk numbers K_j(d) (Delsarte 1973), so the count is
     q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms.
     """
-    zeros = tuple(bool(z) for z in zeros)
+    zeros = tuple(map(bool, zeros))
     if len(zeros) != b:
         raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
     if b < 1 or q < 2 or r < 0:
         raise ValueError(f"bad Hamming parameters b={b}, q={q}, r={r}")
     d = b - sum(zeros)
-    total = sum(weight * theta**r for weight, theta in _spectrum(b, q, d))
+    total = sum([weight * theta**r for weight, theta in _spectrum(b, q, d)])
     walks, rem = divmod(total, q**b)
     if rem:
         raise ArithmeticError(

@@ -68,8 +68,9 @@ def check_triple_agreement(system: DiagonalSystem, max_r=3) -> CheckResult:
     name = f"triple-agreement {_triple(system)} (q={q}, k={k}, r<={max_r})"
     brute = brute_force_distribution(field, k, max_r, True)
     conv = convolution_distribution(field, k, max_r, True)
-    for r in range(max_r + 1):
-        for alpha in range(q):
+    # alpha outer, so the r <= max_r calls on one alpha share its solve
+    for alpha in range(q):
+        for r in range(max_r + 1):
             formula = system.count_nonzero(alpha, r)
             if not (formula == int(brute[r, alpha]) == conv[r][alpha]):
                 return CheckResult(name, False, (
@@ -85,8 +86,8 @@ def check_walk_bridge(system: DiagonalSystem, max_r=3) -> CheckResult:
     equal N_r(alpha)."""
     name = f"walk-bridge {_triple(system)} (r<={max_r})"
     graph = gp_graph(system.field, system.k)
-    for r in range(max_r + 1):
-        for alpha in range(system.q):
+    for alpha in range(system.q):
+        for r in range(max_r + 1):
             via_walks = system.k**r * graph.walk_count(r, 0, alpha)
             formula = system.count_nonzero(alpha, r)
             if via_walks != formula:
@@ -102,7 +103,7 @@ def check_isomorphisms(system: DiagonalSystem, max_r=3) -> CheckResult:
     unused, so that all four per-triple checks share one signature."""
     return CheckResult(
         f"isomorphism Gamma({system.k},{system.q}) ~ "
-        f"H({system.b},{system.p**system.a})",
+        f"H({system.b},{system.Q})",
         verify_isomorphism(system.view),
     )
 

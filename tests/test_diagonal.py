@@ -12,6 +12,7 @@ from diagwalks import (
     brute_force_distribution,
     build_field,
     convolution_distribution,
+    hamming_walks,
     kth_power_residues,
     walk_solution_count,
 )
@@ -49,6 +50,60 @@ def test_count_all_matches_binomial_sum(p, a, b):
             expected = (alpha == 0) + sum(
                 math.comb(s, i) * nonzero[i] for i in range(1, s + 1))
             assert system.count_all(alpha, s) == expected, (alpha, s)
+
+
+def _count_solves(monkeypatch, system):
+    """Wrap the pattern solve of this one system's view; return its calls."""
+    calls = []
+    solve = system.view.pattern_idx
+
+    def counted(x_idx):
+        calls.append(x_idx)
+        return solve(x_idx)
+
+    monkeypatch.setattr(system.view, "pattern_idx", counted)
+    return calls
+
+
+def test_a_run_of_queries_on_one_alpha_solves_it_once(monkeypatch):
+    system = DiagonalSystem(7, 1, 6)
+    calls = _count_solves(monkeypatch, system)
+    system.count_all(1234, 20)
+    assert calls == [1234]
+    calls.clear()
+    for alpha in (5, 5, 6, 5):
+        system.count_nonzero(alpha, 3)
+    assert calls == [5, 6, 5]
+    # the element checks run before the memo is read, hit or miss
+    for bad in (5.0, "5", system.q, -1):
+        with pytest.raises(BadParameters):
+            system.count_nonzero(bad, 3)
+        with pytest.raises(BadParameters):
+            system.count_all(bad, 3)
+    with pytest.raises(BadParameters, match="r=-1"):
+        system.count_nonzero(5, -1)
+    assert calls == [5, 6, 5]
+
+
+@pytest.mark.parametrize("p,a,b", [(7, 1, 3), (2, 2, 3)])
+def test_memo_matches_a_memo_free_reference(p, a, b):
+    system = DiagonalSystem(p, a, b)
+    view, k, Q = system.view, system.k, p**a
+
+    def nonzero(alpha, r):
+        return k**r * hamming_walks(b, Q, r, view.pattern_idx(alpha))
+
+    rng = random.Random(20)
+    pool = [0, 1, rng.randrange(system.q), system.q - 1]
+    for _ in range(500):
+        alpha = rng.choice(pool) if rng.random() < 0.7 else rng.randrange(system.q)
+        n = rng.randrange(13)
+        if rng.random() < 0.5:
+            assert system.count_nonzero(alpha, n) == nonzero(alpha, n)
+        else:
+            want = (alpha == 0) + sum(math.comb(n, i) * nonzero(alpha, i)
+                                      for i in range(1, n + 1))
+            assert system.count_all(alpha, n) == want, (alpha, n)
 
 
 def test_n1_residue_membership(roster_systems):

@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from diagwalks import (
+    DiagonalSystem,
     HammingView,
     build_field,
     gp_graph,
@@ -14,8 +15,8 @@ from diagwalks import (
 from diagwalks import field as field_mod
 from diagwalks import gp as gp_mod
 from diagwalks.divisibility import multiplicative_order
-from diagwalks.errors import (BadDecomposition, FieldTooLarge, KDoesNotDivide,
-                              NotPrime)
+from diagwalks.errors import (BadDecomposition, BadParameters, FieldTooLarge,
+                              KDoesNotDivide, NotPrime)
 from diagwalks.field import is_prime
 
 
@@ -216,6 +217,18 @@ def test_pattern_idx_matches_coordinates(f9, f64):
             assert pattern == tuple(c == 0 for c in view.coords_idx(x))
     assert HammingView(f9, 2).pattern_idx(1) == (False, True)
     assert HammingView(f9, 2).pattern_idx(0) == (True, True)
+
+
+@pytest.mark.parametrize("p, a, b", [(7, 1, 6), (2, 4, 5), (3, 1, 2)])
+def test_solve_refuses_a_non_element_index(p, a, b):
+    view = DiagonalSystem(p, a, b).view
+    q = view.field.q
+    for bad in (-1, q, 1.5):
+        for solve in (view.map.solve_word, view.coords_idx, view.pattern_idx):
+            with pytest.raises(BadParameters):
+                solve(bad)
+    assert view.pattern_idx(0) == (True,) * b
+    assert view.pattern_idx(q - 1) != view.pattern_idx(0)
 
 
 @pytest.mark.parametrize(

@@ -403,6 +403,16 @@ def test_hamming_walks_trivia():
     assert hamming_walks(3, 4, 0, (True, False, True)) == 0
 
 
+def test_hamming_walks_pattern_forms():
+    # a generator, 0/1 ints and bools name the same distance-1 pattern
+    want = hamming_walks(3, 4, 5, (True, True, False))
+    assert hamming_walks(3, 4, 5, (z == 0 for z in (0, 0, 2))) == want
+    assert hamming_walks(3, 4, 5, [1, 1, 0]) == want
+    for wrong in ((True, False), [1, 1, 0, 0], (z for z in (1, 0))):
+        with pytest.raises(ArityMismatch, match="pattern length"):
+            hamming_walks(3, 4, 5, wrong)
+
+
 def test_hamming_pattern_permutation_invariance():
     for r in range(6):
         patterns = [
