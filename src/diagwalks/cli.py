@@ -12,8 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+
+# The oracles multiply matrices of at most a few hundred vertices, where
+# OpenBLAS's thread pool only costs: on a 2-vCPU machine `import numpy`
+# took 173-206 ms with its default two threads and 109-135 ms with one,
+# and a 343-vertex float64 product after an idle pause 13-16 ms against
+# 2-3 ms. Two threads win only from about 3000 vertices (a 4096-vertex
+# product: 1.6-1.7 s against 2.3 s). Set before the first import that can
+# load numpy, and only in the command-line process, so a library caller's
+# process is left alone; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import verify as verify_mod
 from .diagonal import (

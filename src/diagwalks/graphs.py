@@ -3,9 +3,12 @@
 Powers A^r are computed by iterated multiplication and cached on the
 graph, which makes per-length queries cheap. Every entry of A^r is at most
 D^r, D the largest row sum of A. While D^r <= 2^53 the product runs in
-float64 on BLAS and is stored as int64, which is exact; past that bound it
-runs on Python integers (numpy object arrays), so counts never overflow.
-The cache of powers is capped at MAX_WALK_BYTES, checked before any product.
+float64 on BLAS, against one float64 copy of A kept per graph, and is
+stored as int64, which is exact; past that bound it runs on Python
+integers (numpy object arrays), so counts never overflow. A^0 and A^1 are
+built as int64 arrays only when read through `walk_matrix`; `walk_count`
+reads a length-1 count from the int8 adjacency itself. The cache of powers
+is capped at MAX_WALK_BYTES, checked before any product.
 
 numpy is imported where an array is built: in `DenseGraph.__init__`,
 `complete_graph`, and the branch of `walk_matrix` that computes new
@@ -48,22 +51,24 @@ class DenseGraph:
         self.directed = bool((self.adj != self.adj.T).any())
         # D, the largest row sum; A^r is a float64 product, stored as int64,
         # for every r <= _float_reach
-        self._degree = int(self.adj.sum(axis=1, dtype=np.int64).max(initial=0))
+        self.degree = int(self.adj.sum(axis=1, dtype=np.int64).max(initial=0))
         self._float_reach = math.inf
-        if self._degree > 1:
+        if self.degree > 1:
             self._float_reach = 0
-            while self._degree ** (self._float_reach + 1) <= FLOAT_EXACT:
+            while self.degree ** (self._float_reach + 1) <= FLOAT_EXACT:
                 self._float_reach += 1
-        # one entry per power A^0..A^r; A^0 stays None until it is read
+        # one entry per power A^0..A^r; A^0 and A^1 stay None until read
         self._powers = [None]
+        self._adj_float = None  # float64 A, made at the first float product
 
     @property
     def n(self) -> int:
         return self.adj.shape[0]
 
     def _cache_bytes(self, r: int) -> int:
-        """Bytes of the powers A^0..A^r: 8 per int64 entry; an object entry
-        is bounded by D^t, so it is estimated as an 8-byte pointer to a
+        """Bytes of the powers A^0..A^r: 8 per int64 entry (for A^1, per
+        entry of the float64 copy of A that the products read); an object
+        entry is bounded by D^t, so it is estimated as an 8-byte pointer to a
         Python int of at most t*log2(D)/30 + 1 30-bit digits (24 bytes plus
         4 per digit)."""
         exact = min(r, self._float_reach) + 1
@@ -71,7 +76,7 @@ class DenseGraph:
         objects = r + 1 - exact
         if objects > 0:
             t_sum = (exact + r) * objects / 2
-            digits = objects + math.log2(self._degree) / 30 * t_sum
+            digits = objects + math.log2(self.degree) / 30 * t_sum
             total += self.n**2 * math.ceil(32 * objects + 4 * digits)
         return total
 
@@ -95,25 +100,31 @@ class DenseGraph:
                     f"{MAX_WALK_BYTES} bytes"
                 )
         while len(self._powers) <= r:
-            t, prev = len(self._powers), self._powers[-1]
+            t = len(self._powers)
+            prev = self.adj if t == 2 else self._powers[-1]
             if t == 1:
-                power = self.adj.astype(np.int64)
+                power = None
             elif t <= self._float_reach:
+                if self._adj_float is None:
+                    self._adj_float = self.adj.astype(np.float64)
                 # Exact: every entry of A^t, and every partial sum BLAS
                 # forms in any order, is a non-negative integer at most
                 # D^t <= 2^53, and a double holds all such integers exactly.
-                power = (prev.astype(np.float64) @ self.adj.astype(np.float64)
+                power = (prev.astype(np.float64) @ self._adj_float
                          ).astype(np.int64)
             else:
                 power = prev.astype(object, copy=False) @ self.adj.astype(object)
             self._powers.append(power)
-        if r == 0:
-            self._powers[0] = np.identity(self.n, dtype=np.int64)
+        if self._powers[r] is None:
+            self._powers[r] = (np.identity(self.n, dtype=np.int64) if r == 0
+                               else self.adj.astype(np.int64))
         return self._powers[r]
 
     def walk_count(self, r: int, i: int, j: int) -> int:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise VertexOutOfRange(f"vertices ({i},{j}) out of range for n={self.n}")
+        if r == 1:
+            return int(self.adj[i, j])
         return int(self.walk_matrix(r)[i, j])
 
     def __repr__(self):

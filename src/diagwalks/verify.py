@@ -15,7 +15,9 @@ Two checks do not depend on the roster:
 
 - NEPS oracle: `neps_walks` from per-factor walk tables against the
   matrix power of the constructed product, on random instances; one
-  call per instance counts every vertex pair, in exact object arrays;
+  call per instance counts every vertex pair, in int64 arrays where a
+  bound proves that exact (`formula_walk_matrix`), in object arrays of
+  Python ints past it;
 - the two closed-form walk displays of the K3 x K4 examples.
 
 A failure carries the first counterexample in full so it can be
@@ -42,6 +44,9 @@ from .neps import NepsBasis, neps_construct, neps_walks
 
 if TYPE_CHECKING:
     import numpy as np
+
+# int64 holds every integer below 2^63
+INT64_LIMIT = 1 << 63
 
 DEFAULT_ROSTER = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3), (3, 2, 2)]
 
@@ -112,9 +117,13 @@ def check_partition(system: DiagonalSystem, max_r=3) -> CheckResult:
     """Sum over alpha of N_r is (q-1)^r; of M_s is q^s."""
     q = system.q
     name = f"partition {_triple(system)} (n<={max_r})"
-    for n in range(max_r + 1):
-        total_n = sum(system.count_nonzero(alpha, n) for alpha in range(q))
-        total_m = sum(system.count_all(alpha, n) for alpha in range(q))
+    sums_n, sums_m = [0] * (max_r + 1), [0] * (max_r + 1)
+    # alpha outer, so the n <= max_r calls on one alpha share its solve
+    for alpha in range(q):
+        for n in range(max_r + 1):
+            sums_n[n] += system.count_nonzero(alpha, n)
+            sums_m[n] += system.count_all(alpha, n)
+    for n, total_n, total_m in zip(range(max_r + 1), sums_n, sums_m):
         if total_n != (q - 1) ** n or total_m != q**n:
             return CheckResult(name, False, (
                 f"{_triple(system)} n={n}: sum N={total_n} "
@@ -151,15 +160,33 @@ def random_neps_instance(rng: random.Random):
 
 def formula_walk_matrix(factors, basis: NepsBasis, r: int) -> np.ndarray:
     """`neps_walks` for every vertex pair of the product in one call. Factor
-    t's table holds A_t^0..A_t^r as exact object arrays, shaped to
-    broadcast along the other factors' axes; the count array is reshaped to
-    the product's lexicographic vertex order."""
+    t's table holds A_t^0..A_t^r, shaped to broadcast along the other
+    factors' axes, as int64 arrays when D^r < 2^63 (see below) and as
+    exact object arrays otherwise; the count array is reshaped to the
+    product's lexicographic vertex order.
+
+    Exact in int64 when D^r < 2^63, D = sum over beta in B of
+    prod_t d_t^beta_t, d_t = max(1, largest row sum of factor t). A term of
+    the sum is c(s) * prod_t A_t^{s_t}[i_t, j_t], c(s) the number of words
+    in B^r with column sums s, and every entry of A_t^{s_t} is a
+    non-negative integer at most d_t^{s_t}. As every d_t >= 1, each
+    partial product, a prefix of a term (c(s) alone included), is at most
+    c(s) * prod_t d_t^{s_t}, and each partial sum of the non-negative
+    terms is at most the sum of those bounds over all s, which is D^r by
+    the multinomial expansion of (sum_beta prod_t d_t^beta_t)^r."""
+    import numpy as np
+
     n, total = len(factors), prod(g.n for g in factors)
+    bound = sum(prod(max(g.degree, 1) ** b for g, b in zip(factors, beta))
+                for beta in basis.tuples) ** r
+    # every table is cast: a factor's powers turn to object arrays at its
+    # own float bound, not at this one
+    dtype = np.int64 if bound < INT64_LIMIT else object
     tables = []
     for t, g in enumerate(factors):
         shape = [1] * (2 * n)
         shape[t] = shape[n + t] = g.n
-        tables.append([g.walk_matrix(ell).astype(object).reshape(shape)
+        tables.append([g.walk_matrix(ell).astype(dtype).reshape(shape)
                        for ell in range(r + 1)])
     return neps_walks(tables, basis, r).reshape(total, total)
 

@@ -213,6 +213,27 @@ def test_identity_power_built_only_when_read():
     assert g.walk_count(0, 5, 5) == 1 and g.walk_count(0, 5, 6) == 0
 
 
+def test_walk_powers_peak_memory_per_entry():
+    # A^1 is read from the int8 adjacency, and the products read one
+    # float64 copy of it kept per graph: A^2 peaks at that copy, its own
+    # float64 product and the int64 result (32 bytes per entry before, with
+    # an int64 A^1 and a fresh float64 A at every step)
+    n = 1024
+    g = complete_graph(n)
+    tracemalloc.start()
+    try:
+        assert g.walk_count(1, 0, 1) == 1 and g.walk_count(1, 3, 3) == 0
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert g.walk_count(2, 0, 0) == n - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < n * n  # no int64 copy of A^1
+    assert peak <= 3 * 8 * n * n + (1 << 16)
+    assert len(g._powers) == 3 and g._powers[1] is None
+
+
 def test_walk_cache_cap_checked_before_any_product():
     g = complete_graph(2048)
     tracemalloc.start()

@@ -371,6 +371,44 @@ def test_formula_walk_matrix_exact_past_int64():
     assert (formula == power).all()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_formula_walk_matrix_random_instances_run_in_int64(seed):
+    # the instances check_neps_oracle draws (r <= 5, at most 5 vertices a
+    # factor) all stay under the int64 bound
+    rng = random.Random(seed)
+    for _ in range(50):
+        factors, basis, r = verify.random_neps_instance(rng)
+        formula = verify.formula_walk_matrix(factors, basis, r)
+        power = neps_construct(factors, basis).walk_matrix(r)
+        assert formula.dtype == np.int64
+        assert (formula == power).all()
+
+
+@pytest.mark.parametrize("r, dtype", [(13, np.int64), (14, object)])
+def test_formula_walk_matrix_dtype_follows_the_bound(r, dtype):
+    # K5 x K5 with basis 11;10;01: D = 4*4 + 4 + 4 = 24, and
+    # 24^13 < 2^63 <= 24^14
+    factors = [complete_graph(5), complete_graph(5)]
+    basis = NepsBasis.parse("11;10;01")
+    assert (24**r < verify.INT64_LIMIT) == (dtype is np.int64)
+    formula = verify.formula_walk_matrix(factors, basis, r)
+    power = neps_construct(factors, basis).walk_matrix(r)
+    assert formula.dtype == dtype and formula.shape == (25, 25)
+    assert (formula == power).all()
+
+
+def test_formula_walk_matrix_bound_counts_an_edgeless_factor_as_one():
+    # K2 x (2 isolated vertices) with basis 10;01;11: with the row sum 0 in
+    # place of 1, D would be 1 and pick int64, but the word counts c(s) of
+    # B^50 reach 2^73, and D = 3 gives 3^50 > 2^63
+    empty = DenseGraph(np.zeros((2, 2), dtype=np.int8))
+    factors, basis = [complete_graph(2), empty], NepsBasis.parse("10;01;11")
+    formula = verify.formula_walk_matrix(factors, basis, 50)
+    power = neps_construct(factors, basis).walk_matrix(50)
+    assert formula.dtype == object
+    assert (formula == power).all()
+
+
 def test_formula_matches_matrix_power_sampled():
     rng = random.Random(9)
     for sizes, basis in [

@@ -1,4 +1,6 @@
-"""The formula path never loads numpy; the oracles and graphs do.
+"""The formula path never loads numpy; the oracles and graphs do. The CLI
+sets one OpenBLAS thread before numpy can load, and the package alone
+does not.
 
 Each snippet runs in a fresh interpreter, because this test process has
 numpy loaded already."""
@@ -13,16 +15,27 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def numpy_loaded_after(code: str) -> bool:
+def last_line_after(code: str, report: str, env_update=None) -> str:
+    """The last line printed by code and then report, run in a fresh
+    interpreter on this source tree with env_update applied (a None value
+    unsets the variable)."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
-    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    for name, value in (env_update or {}).items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                          env=env, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         raise RuntimeError(proc.stderr)
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1]
+
+
+def numpy_loaded_after(code: str) -> bool:
+    return last_line_after(
+        code, "import sys\nprint('numpy' in sys.modules)") == "True"
 
 
 def cli_count(*argv: str) -> str:
@@ -81,3 +94,27 @@ def test_formula_path_never_loads_numpy(name):
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_oracles_load_numpy(name):
     assert numpy_loaded_after(ORACLES[name])
+
+
+
+def blas_threads_after(code: str, preset=None) -> tuple[str, bool]:
+    """OPENBLAS_NUM_THREADS ("-" when unset) and whether numpy is loaded
+    after code runs in an interpreter started with the variable unset, or
+    set to preset."""
+    line = last_line_after(
+        code, "import os, sys\nprint(os.environ.get('OPENBLAS_NUM_THREADS',"
+        " '-'), 'numpy' in sys.modules)", {"OPENBLAS_NUM_THREADS": preset})
+    threads, loaded = line.split()
+    return threads, loaded == "True"
+
+
+def test_cli_sets_one_blas_thread_before_numpy_loads():
+    assert blas_threads_after("import diagwalks.cli") == ("1", False)
+
+
+def test_cli_keeps_the_users_blas_threads():
+    assert blas_threads_after("import diagwalks.cli", "3") == ("3", False)
+
+
+def test_library_import_leaves_blas_threads_alone():
+    assert blas_threads_after("import diagwalks") == ("-", False)
