@@ -9,10 +9,10 @@ alpha; M_s is assembled from the N_i by choosing which coordinates
 vanish, plus the all-zero tuple when alpha = 0.
 
 Three independent oracles ship alongside the formula: a literal
-enumeration of all tuples (vectorized on the addition table, streamed
-over the last summand), an r-fold additive convolution over the group,
-and the walk bridge, k^r times a matrix-power walk count on the
-generalized Paley graph. The first two return the counts of every
+enumeration of all tuples (each value sum a carry-free integer sum of
+packed digit words, streamed over the last summand), an r-fold additive
+convolution over the group, and the walk bridge, k^r times a
+matrix-power walk count on the generalized Paley graph. The first two return the counts of every
 length t = 0..r from one pass.
 """
 
@@ -37,9 +37,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 # largest number of values one brute-force pass writes: the prefix sums of
-# every length and the entries of the returned rows; a pass also runs
-# fewer lengths than this number has bits
+# every length, the bins it counts them in and the entries of the
+# returned rows; a pass also runs fewer lengths than this number has bits
 MAX_ENUM_TUPLES = 10**8
+# largest number of field powers one brute-force pass takes, one per
+# summand value; over the q <= 11,585 a pass on the q^2 addition table
+# could answer, and GF(2^16) is refused before its first power
+MAX_ENUM_POWERS = 1 << 14
 # largest number of add_idx calls plus scanned weights the convolution
 # oracle makes
 MAX_CONVOLUTION_OPS = 10**7
@@ -153,22 +157,33 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     enumeration of the r-tuples: row t of the (r+1, q) result counts the
     t-tuples summing to each alpha.
 
-    The value sum of every tuple is computed and counted. The t-prefix
-    sums are held at once for t < r, and row t is their bincount; the
-    last summand is added one value at a time, so memory grows as
-    base^(r-1), not base^r. Raises KDoesNotDivide, and EnumerationTooLarge
-    when the pass writes more than MAX_ENUM_TUPLES values or runs to
-    r >= log2(MAX_ENUM_TUPLES), before any table is read.
+    Each power x^k is written as its m base-p digits packed in base
+    R = r(p-1)+1. A sum of t <= r such words adds digit by digit with no
+    carry, as no digit sum passes r(p-1) < R, so the value sum of every
+    tuple is one integer sum, counted in one of R^m bins; a row is its
+    bins folded onto the q elements, each base-R digit taken mod p. The
+    t-prefix sums are held at once for t < r, and row t counts them; the
+    last summand is added a block of values at a time, so memory grows
+    as base^(r-1), not base^r. Raises KDoesNotDivide, and, before the
+    first power, EnumerationTooLarge when the pass writes more than
+    MAX_ENUM_TUPLES values, runs to r >= log2(MAX_ENUM_TUPLES) or takes
+    more than MAX_ENUM_POWERS powers.
     """
     check_k_divides(field.q, k)
     _check_length("r", r)
-    q = field.q
+    p, m, q = field.p, field.m, field.q
     base = (q - 1) if restrict_nonzero else q
-    # base^t prefix sums for every t = 1..r, then (r+1)*q row entries. At
-    # base 2 these pass the cap before r reaches its bit length, so no
-    # pass runs that many lengths: not even GF(2) without zeros (base 1)
+    # base^t prefix sums for every t = 1..r, the R^m bins of each row
+    # and (r+1)*q row entries. The last row is counted a block at a time,
+    # and every block but the final one counts at least R^m tuples, so
+    # its bins add at most base^r values more than this. At base 2 these
+    # pass the cap before r reaches its bit length, so no pass runs that
+    # many lengths: not even GF(2) without zeros (base 1)
     lengths = MAX_ENUM_TUPLES.bit_length()
-    writes = (r + 1) * q + sum(base**t for t in range(1, min(r, lengths) + 1))
+    runs = min(r, lengths)
+    radix = runs * (p - 1) + 1
+    bins = radix**m
+    writes = (r + 1) * q + r * bins + sum(base**t for t in range(1, runs + 1))
     if r >= lengths or writes > MAX_ENUM_TUPLES:
         raise EnumerationTooLarge(
             f"a pass to r={r} writes at least {writes} values, over the cap "
@@ -180,17 +195,53 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     dist[0, 0] = 1
     if r == 0:
         return dist
-    add = field.add_table  # its byte cap is checked before the powers
+    if base > MAX_ENUM_POWERS:
+        raise EnumerationTooLarge(
+            f"a pass over GF({p}^{m}) takes {base} field powers, over the "
+            f"cap of {MAX_ENUM_POWERS}"
+        )
     domain = range(1, q) if restrict_nonzero else range(q)
-    powers = np.array([field.pow_idx(x, k) for x in domain], dtype=np.int64)
-    sums = np.zeros(1, dtype=add.dtype)
+    powers = np.array([field.pow_idx(x, k) for x in domain], dtype=np.intp)
+    words = np.zeros_like(powers)
+    for t in range(m):
+        words += powers // p**t % p * radix**t
+    # intp throughout, so no bincount casts its input
+    sums = np.zeros(1, dtype=np.intp)
     for t in range(1, r):
-        sums = add[sums[:, None], powers[None, :]].ravel()
-        dist[t] = np.bincount(sums, minlength=q)
-    for v in powers:
-        # row v holds add[., v] contiguously, since addition commutes
-        dist[r] += np.bincount(add[v].take(sums), minlength=q)
+        sums = (sums[:, None] + words).ravel()
+        dist[t] = _fold_digits(np.bincount(sums, minlength=bins), radix, p, m)
+    # blocks of `size` last summands, so a bincount of R^m bins counts
+    # at least R^m tuples; one buffer serves every block
+    size = -(-bins // len(sums))
+    buffer = np.empty(len(sums) * min(size, base), dtype=np.intp)
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(0, base, size):
+        block = words[start:start + size]
+        out = buffer[:len(sums) * len(block)].reshape(len(sums), len(block))
+        np.add(sums[:, None], block, out=out)
+        counts += np.bincount(out.ravel(), minlength=bins)
+    dist[r] = _fold_digits(counts, radix, p, m)
     return dist
+
+
+def _fold_digits(counts: np.ndarray, radix: int, p: int,
+                 m: int) -> np.ndarray:
+    """counts over the packed words sum_t e_t radix^t, e_t < radix, summed
+    exactly in int64 onto the q elements sum_t (e_t mod p) p^t: one axis
+    per digit, each cut into blocks of p (zero-padded) and summed."""
+    import numpy as np
+
+    folded = counts.reshape((radix,) * m)  # axis 0 holds the top digit
+    blocks = -(-radix // p)
+    for axis in range(m):
+        if blocks * p != radix:
+            widths = [(0, 0)] * m
+            widths[axis] = (0, blocks * p - radix)
+            folded = np.pad(folded, widths)
+        shape = folded.shape
+        folded = folded.reshape(
+            shape[:axis] + (blocks, p) + shape[axis + 1:]).sum(axis=axis)
+    return folded.reshape(-1)
 
 
 def brute_force_count(field: FiniteField, k: int, alpha, r: int,

@@ -9,7 +9,7 @@ each fired case must imply integrality (tested as a sweep).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .field import factorize
 
@@ -58,13 +58,12 @@ def _order_below(x: int, r: int, t: int) -> bool:
     return pow(x, r ** (t - 1), r**t) == 1
 
 
-@dataclass
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     p: int
     a: int
     b: int
     k_integer: bool
-    cases: set = dc_field(default_factory=set)
+    cases: frozenset = frozenset()
 
     def to_dict(self):
         return {

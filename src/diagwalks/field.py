@@ -5,13 +5,13 @@ evaluation of the coefficient vector (ascending degree), so index 0 is
 the zero element and indices below p are the constants. Every function
 of the package takes and returns elements in this one form.
 
-There is one arithmetic, polynomial arithmetic on coefficient tuples:
-digits by divmod, sums digit by digit, products reduced modulo the
-defining polynomial, powers by square-and-multiply. It reads no table of
-size q, and it does not import numpy. The only q-sized table is the
-numpy addition table, built on its first read for the graph and
-enumeration oracles and capped in bytes; numpy is imported there, so
-the formula path never loads it.
+There is one arithmetic, on plain ints: sums by one divmod loop over
+both indices (XOR for p = 2), products as one Kronecker-substituted
+integer product reduced in the word, powers by square-and-multiply on
+packed words. It reads no table of size q, and it does not import
+numpy. The only q-sized table is the numpy addition table, built on its
+first read for the GP-graph and capped in bytes; numpy is imported
+there, so the formula path never loads it.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
@@ -91,15 +91,6 @@ def _trim(c):
     return c[:i]
 
 
-def _poly_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(tuple(out))
-
-
 def _poly_rem(f, g, p):
     """Remainder of f modulo monic g."""
     f = list(f)
@@ -160,10 +151,12 @@ def check_field(p: int, m: int) -> None:
 class FiniteField:
     """GF(p^m) with q <= MAX_FIELD_ORDER; immutable after construction.
 
-    Every operation on indices is polynomial arithmetic, so construction
-    is the modulus search and the primitive-element test only. The numpy
-    `add_table` is built on first read, for the oracles, and numpy is
-    imported only then.
+    Every operation on indices is integer arithmetic: a sum is one divmod
+    loop (XOR for p = 2), a product one integer product of packed digit
+    words (`_product`), a power square-and-multiply on packed words.
+    Construction is the modulus search and the primitive-element test
+    only. The numpy `add_table` is built on first read, for the GP-graph,
+    and numpy is imported only then.
     """
 
     def __init__(self, p, m):
@@ -172,6 +165,27 @@ class FiniteField:
         self.m = m
         self.q = p**m
         self.modulus = find_modulus(p, m)
+        # Kronecker substitution (von zur Gathen & Gerhard, Modern
+        # Computer Algebra, 8.4): digit t of an element sits in bits
+        # [t*B, (t+1)*B) of its packed word, and the product of two
+        # packed elements, digits in [0, p-1], is one integer product.
+        # Its slot t is sum_{i+j=t} a_i b_j, at most m(p-1)^2. Each slot
+        # t = m..2m-2 is taken mod p, to c, and c times the packed digits
+        # of x^t mod f (each in [0, p-1]) is added to the low m slots, so
+        # a low slot takes at most m-1 folds of at most (p-1)^2 and stays
+        # at most (2m-1)(p-1)^2 < 2m(p-1)^2 < 2^B with
+        # B = (2m(p-1)^2).bit_length(): no slot carries into the next.
+        slot = (2 * m * (p - 1) ** 2).bit_length()
+        self._slot = slot
+        self._slot_mask = (1 << slot) - 1
+        self._low_bits = m * slot
+        self._low_mask = (1 << self._low_bits) - 1
+        x_m = [(-c) % p for c in self.modulus[:m]]  # x^m mod f
+        x_t, self._folds = x_m, []
+        for _ in range(m - 1):  # x^t mod f, packed, for t = m..2m-2
+            self._folds.append(sum(c << (i * slot) for i, c in enumerate(x_t)))
+            top = x_t[-1]
+            x_t = [(c + top * f) % p for c, f in zip([0] + x_t[:-1], x_m)]
         self.omega_idx = self._find_primitive()
         self._add_table = None
 
@@ -191,33 +205,97 @@ class FiniteField:
             idx = idx * self.p + (c % self.p)
         return idx
 
+    # --- packed words: digit t of an element in slot t ---
+    # (like `digits`, the loops over an index take its m low digits, so
+    # they end on any int)
+
+    def _word(self, i: int) -> int:
+        p, slot = self.p, self._slot
+        word = 0
+        for shift in range(0, self._low_bits, slot):
+            i, c = divmod(i, p)
+            word |= c << shift
+        return word
+
+    def _index(self, word: int) -> int:
+        """The element whose digit t is slot t of word mod p."""
+        p, slot, mask = self.p, self._slot, self._slot_mask
+        idx, place = 0, 1
+        while word:
+            idx += (word & mask) % p * place
+            word >>= slot
+            place *= p
+        return idx
+
+    def _reduce(self, word: int) -> int:
+        """word with every slot taken mod p."""
+        p, slot, mask = self.p, self._slot, self._slot_mask
+        out = shift = 0
+        while word:
+            out |= (word & mask) % p << shift
+            word >>= slot
+            shift += slot
+        return out
+
+    def _product(self, u: int, v: int) -> int:
+        """The m low slots of u*v mod f, for reduced words u and v, each
+        slot below 2^B but not yet taken mod p (see __init__)."""
+        p, slot, mask = self.p, self._slot, self._slot_mask
+        word = u * v
+        low, high = word & self._low_mask, word >> self._low_bits
+        for fold in self._folds:
+            c = (high & mask) % p
+            if c:
+                low += c * fold
+            high >>= slot
+        return low
+
     # --- arithmetic on indices ---
 
     def add_idx(self, i, j):
-        digits = zip(self.digits(i), self.digits(j))
-        return self.index_of(a + b for a, b in digits)
+        p = self.p
+        if p == 2:
+            return i ^ j
+        out, place = 0, 1
+        for _ in range(self.m):
+            i, a = divmod(i, p)
+            j, b = divmod(j, p)
+            a += b
+            out += (a - p if a >= p else a) * place
+            place *= p
+        return out
 
     def neg_idx(self, i):
-        return self.index_of(-c for c in self.digits(i))
+        p = self.p
+        if p == 2:
+            return i
+        out, place = 0, 1
+        for _ in range(self.m):
+            i, a = divmod(i, p)
+            if a:
+                out += (p - a) * place
+            place *= p
+        return out
 
     def sub_idx(self, i, j):
         return self.add_idx(i, self.neg_idx(j))
 
     def mul_idx(self, i, j):
-        prod = _poly_mul(self.digits(i), self.digits(j), self.p)
-        return self.index_of(_poly_rem(prod, self.modulus, self.p))
+        return self._index(self._product(self._word(i), self._word(j)))
 
     def pow_idx(self, i, e):
-        """i^e by square-and-multiply; e must be >= 0."""
+        """i^e by square-and-multiply on packed words; e must be >= 0."""
         if e < 0:
             raise ValueError("negative exponent")
-        acc, base = 1, i
+        product, reduce = self._product, self._reduce
+        acc, base = 1, self._word(i)
         while e:
             if e & 1:
-                acc = self.mul_idx(acc, base)
-            base = self.mul_idx(base, base)
+                acc = reduce(product(acc, base))
             e >>= 1
-        return acc
+            if e:
+                base = reduce(product(base, base))
+        return self._index(acc)
 
     def _is_primitive(self, i):
         n = self.q - 1
@@ -345,8 +423,8 @@ class SubfieldMap:
     slot. A solve is one divmod, one lookup and one packed addition per
     chunk, so it costs ceil(m/c) word operations; the tables hold at most
     ceil(m/c) * max(p, CHUNK_ENTRIES) ints, a bound that does not grow
-    with q. Everything here is polynomial arithmetic; no field table is
-    read.
+    with q. The solve word is the one coordinate form: coordinate i is
+    the word under `block_masks[i]`. No field table is read.
     """
 
     def __init__(self, field: FiniteField, a: int, b: int, k: int):
@@ -359,13 +437,12 @@ class SubfieldMap:
         p, m = field.p, field.m
         tau = field.pow_idx(field.omega_idx, (field.q - 1) // (p**a - 1))
         omega_k = field.pow_idx(field.omega_idx, k)
-        self.tau_pows = [field.pow_idx(tau, j) for j in range(a)]
-        self.basis = [field.pow_idx(omega_k, i) for i in range(b)]
-        self._tau_digits = [field.digits(t) for t in self.tau_pows]
+        tau_pows = [field.pow_idx(tau, j) for j in range(a)]
+        basis = [field.pow_idx(omega_k, i) for i in range(b)]
 
         # column (i*a + j) holds the F_p digits of tau^j * omega^{ik}
         cols = [field.digits(field.mul_idx(t, w))
-                for w in self.basis for t in self.tau_pows]
+                for w in basis for t in tau_pows]
         mat = [[cols[c][r] for c in range(m)] for r in range(m)]
         inv = _invert_matrix_mod_p(mat, p)
         if inv is None:
@@ -413,11 +490,13 @@ class SubfieldMap:
         return w - over * self._p
 
     def solve_word(self, x_idx: int) -> int:
-        """The F_p coefficients of x (as `solve_idx`) packed in one word:
-        coefficient i in bits [i*B, (i+1)*B), already reduced mod p.
+        """The F_p coefficients of x on the basis tau^j * omega^{ik},
+        packed in one word: coefficient i*a + j in bits [(i*a+j)*B,
+        (i*a+j+1)*B), already reduced mod p, so `block_masks[i]` selects
+        the a coefficients that spell coordinate i in the tau-basis.
         Raises BadParameters, through `as_index`, unless x is an element
-        index in [0, q); `solve_idx`, `coords_idx` and
-        `gp.HammingView.pattern_idx` all solve here."""
+        index in [0, q); `gp.HammingView.pattern_idx` and
+        `gp.verify_isomorphism` both solve here."""
         x_idx = as_index(self.field, x_idx)
         chunk, add = self._chunk, self._add
         tables = iter(self._tables)
@@ -427,30 +506,3 @@ class SubfieldMap:
             x_idx, v = divmod(x_idx, chunk)
             word = add(word, table[v])
         return word
-
-    def solve_idx(self, x_idx: int) -> list[int]:
-        """F_p coefficients of x on the basis tau^j * omega^{ik}; block
-        i (entries i*a .. i*a+a-1) spells coordinate i in the tau-basis."""
-        word, width = self.solve_word(x_idx), self._width
-        mask = (1 << width) - 1
-        return [(word >> (i * width)) & mask for i in range(self.field.m)]
-
-    def coords_idx(self, x_idx: int) -> tuple[int, ...]:
-        """Coordinates of x as b subfield elements (canonical indices)."""
-        field, p, a = self.field, self.field.p, self.a
-        sol = self.solve_idx(x_idx)
-        out = []
-        for i in range(self.b):
-            acc = [0] * field.m
-            for c, t in zip(sol[i * a:(i + 1) * a], self._tau_digits):
-                acc = [(u + c * v) % p for u, v in zip(acc, t)]
-            out.append(field.index_of(acc))
-        return tuple(out)
-
-    def reconstruct_idx(self, coord_indices) -> int:
-        field, p = self.field, self.field.p
-        acc = [0] * field.m
-        for c, w in zip(coord_indices, self.basis):
-            term = field.digits(field.mul_idx(c, w))
-            acc = [(u + v) % p for u, v in zip(acc, term)]
-        return field.index_of(acc)

@@ -74,9 +74,6 @@ class HammingView:
         self.a, self.b = pair
         self.map = SubfieldMap(field, self.a, self.b, k)
 
-    def coords_idx(self, x_idx: int) -> tuple[int, ...]:
-        return self.map.coords_idx(x_idx)
-
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
         """Zero pattern of [x]: which Hamming coordinates vanish. A
         coordinate vanishes exactly when its block of F_p coefficients does,
@@ -93,14 +90,22 @@ class HammingView:
 
 def verify_isomorphism(view: HammingView) -> bool:
     """Exhaustively check: y - x in R_k  <=>  dist([x],[y]) = 1, with the
-    view's coordinate map. The graph's capped add table is read first;
-    the distances then take only q^2 bytes."""
+    view's coordinate map. Coordinate i of x is its packed solve word
+    under `block_masks[i]`, and two coordinates are equal exactly when
+    those bits are, so the distance is read from the words. The graph's
+    capped add table is read first; the distances then take only q^2
+    bytes."""
     import numpy as np
 
-    field = view.field
+    field, smap = view.field, view.map
     adj = gp_graph(field, view.k).adj
-    coords = np.array([view.coords_idx(x) for x in range(field.q)])
+    # a word has m slots of (2(p-1)).bit_length() <= log2(p) + 2 bits, so
+    # at most log2(q) + 2m <= 60 bits under MAX_FIELD_ORDER; numpy raises
+    # OverflowError rather than wrap a wider one
+    words = np.array([smap.solve_word(x) for x in range(field.q)],
+                     dtype=np.int64)
     dist = np.zeros((field.q, field.q), dtype=np.int8)
-    for column in coords.T:
+    for mask in smap.block_masks:
+        column = words & mask
         dist += column[:, None] != column[None, :]
     return bool(np.array_equal(adj == 1, dist == 1))

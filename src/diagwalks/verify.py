@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .diagonal import (
     DiagonalSystem,
@@ -51,8 +50,7 @@ INT64_LIMIT = 1 << 63
 DEFAULT_ROSTER = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 3), (3, 2, 2)]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -4,7 +4,7 @@ from diagwalks import DiagonalSystem, build_field
 from diagwalks import diagonal as diagonal_mod
 from diagwalks import field as field_mod
 from diagwalks import gp as gp_mod
-from diagwalks.field import _invert_matrix_mod_p
+from diagwalks.field import _invert_matrix_mod_p, _poly_rem
 from diagwalks.verify import DEFAULT_ROSTER as ROSTER
 
 
@@ -71,13 +71,54 @@ def hamming_distance_walks(b, q, r_max):
     return rows
 
 
+def subfield_basis(smap):
+    """The tau powers and the basis {omega^{ik}} of a SubfieldMap,
+    recomputed from its field, a, b and k."""
+    field, a = smap.field, smap.a
+    tau = field.pow_idx(field.omega_idx, (field.q - 1) // (field.p**a - 1))
+    omega_k = field.pow_idx(field.omega_idx, smap.k)
+    return ([field.pow_idx(tau, j) for j in range(a)],
+            [field.pow_idx(omega_k, i) for i in range(smap.b)])
+
+
+def solve_list(smap, x_idx):
+    """The m F_p coefficients packed in `solve_word(x)`, one per slot."""
+    word, width = smap.solve_word(x_idx), smap._width
+    return [(word >> (i * width)) & ((1 << width) - 1)
+            for i in range(smap.field.m)]
+
+
+def coordinates(smap, x_idx):
+    """Coordinates of x as b subfield elements: block i of the solve,
+    sum_j c_{ia+j} tau^j, summed in field arithmetic."""
+    field, a = smap.field, smap.a
+    tau_pows, _ = subfield_basis(smap)
+    sol = solve_list(smap, x_idx)
+    out = []
+    for i in range(smap.b):
+        acc = 0
+        for c, t in zip(sol[i * a:(i + 1) * a], tau_pows):
+            acc = field.add_idx(acc, field.mul_idx(c, t))
+        out.append(acc)
+    return tuple(out)
+
+
+def reconstruct(smap, coords):
+    """The element sum_i c_i omega^{ik} with the given coordinates."""
+    field = smap.field
+    acc = 0
+    for c, w in zip(coords, subfield_basis(smap)[1]):
+        acc = field.add_idx(acc, field.mul_idx(c, w))
+    return acc
+
+
 def list_solver(smap):
-    """Reference for `SubfieldMap.solve_idx`: the m x m inverse, rebuilt
-    from the map's basis, times the digit vector, one list product per
-    element and no packing."""
+    """Reference for `SubfieldMap.solve_word`, unpacked by `solve_list`:
+    the m x m inverse, rebuilt from the map's basis, times the digit
+    vector, one list product per element and no packing."""
     field, p, m = smap.field, smap.field.p, smap.field.m
-    cols = [field.digits(field.mul_idx(t, w))
-            for w in smap.basis for t in smap.tau_pows]
+    tau_pows, basis = subfield_basis(smap)
+    cols = [field.digits(field.mul_idx(t, w)) for w in basis for t in tau_pows]
     inv = _invert_matrix_mod_p(
         [[cols[c][r] for c in range(m)] for r in range(m)], p)
 
@@ -85,3 +126,22 @@ def list_solver(smap):
         d = field.digits(x_idx)
         return [sum(r * v for r, v in zip(row, d)) % p for row in inv]
     return solve
+
+
+def poly_mul(f, g, p):
+    """Schoolbook product of two coefficient vectors over F_p (ascending
+    degree), trailing zeros trimmed: the reference for `mul_idx`."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def schoolbook_mul(field, i, j):
+    """i * j in `field` by the schoolbook product reduced modulo f."""
+    prod = poly_mul(field.digits(i), field.digits(j), field.p)
+    return field.index_of(_poly_rem(prod, field.modulus, field.p))

@@ -31,7 +31,7 @@ from diagwalks.errors import (
 from diagwalks.field import FiniteField
 from diagwalks.verify import check_walk_bridge
 
-from conftest import hamming_distance_walks
+from conftest import hamming_distance_walks, reconstruct, subfield_basis
 
 
 def test_spot_values_f9():
@@ -247,7 +247,8 @@ def test_enumeration_cap_counts_every_written_value():
 
 def test_enumeration_cap_bounds_the_lengths():
     # a base-2 pass passes 10^8 writes before r = 27; GF(2) without zeros
-    # writes 3r + 2 values, so only the length bound refuses r = 27
+    # writes 3r + 2 values and r(r+1) bins, so only the length bound
+    # refuses r = 27
     field = build_field(2, 1)
     with pytest.raises(EnumerationTooLarge, match="and 26 lengths"):
         brute_force_distribution(field, 1, 27)
@@ -270,11 +271,46 @@ def test_brute_force_refuses_k_not_dividing_q_minus_1(k, r):
 
 
 def test_brute_force_reads_the_capped_table_before_the_powers(monkeypatch):
-    # GF(2^16): 65,535 powers took 3.8 s before FieldTooLarge
+    # GF(2^16): 65,535 powers took 3.8 s before a refusal; the powers cap
+    # now refuses them before the first
     field = build_field(2, 16)
     monkeypatch.setattr(field, "pow_idx", lambda *args: 1 / 0)
-    with pytest.raises(FieldTooLarge, match="addition table of GF"):
+    with pytest.raises(EnumerationTooLarge, match="65535 field powers"):
         brute_force_distribution(field, 1, 1)
+    assert brute_force_distribution(field, 1, 0)[0, 0] == 1
+
+
+def test_brute_force_never_reads_the_add_table():
+    field = build_field(7, 2)
+    dist = brute_force_distribution(field, 4, 3)
+    assert field._add_table is None
+    assert list(dist[3]) == convolution_distribution(field, 4, 3)[3]
+
+
+def test_enumeration_cap_counts_the_bins(monkeypatch):
+    # GF(2^12) at r = 2 counts in 3^12 bins, two rows of them
+    field = build_field(2, 12)
+    writes = 3 * 4096 + 2 * 3**12 + 4095 + 4095**2
+    monkeypatch.setattr(diagonal, "MAX_ENUM_TUPLES", writes - 1)
+    with pytest.raises(EnumerationTooLarge, match=f"at least {writes} "):
+        brute_force_distribution(field, 1, 2)
+
+
+def test_brute_force_blocks_count_at_least_their_bins(monkeypatch):
+    # GF(2^10) at r = 2: 1023 prefix sums and 3^10 bins, so the last
+    # summand goes in blocks of 58 values; every bincount but the last
+    # counts at least as many tuples as it writes bins
+    calls, bincount = [], np.bincount
+
+    def counted(values, minlength=0):
+        calls.append((len(values), minlength))
+        return bincount(values, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    dist = brute_force_distribution(build_field(2, 10), 3, 2)
+    last = calls[1:]
+    assert len(last) == 18 and all(n >= bins for n, bins in last[:-1])
+    assert sum(n for n, _ in last) == 1023**2 == int(dist[2].sum())
 
 
 @pytest.mark.parametrize("p, m, k", [
@@ -537,7 +573,7 @@ def test_formula_past_gf_7_6(p, a, b):
         while nonzero and not any(digits):
             digits = [rng.randrange(p) for _ in range(a)]
         acc = 0
-        for c, t in zip(digits, smap.tau_pows):
+        for c, t in zip(digits, subfield_basis(smap)[0]):
             acc = field.add_idx(acc, field.mul_idx(c, t))
         return acc
 
@@ -545,7 +581,7 @@ def test_formula_past_gf_7_6(p, a, b):
         d = zeros.count(False)
         for _ in range(3):
             coords = [subfield_element(not z) for z in zeros]
-            alpha = smap.reconstruct_idx(coords)
+            alpha = reconstruct(smap, coords)
             assert system.view.pattern_idx(alpha) == zeros
             for r in range(7):
                 assert system.count_nonzero(alpha, r) == (

@@ -19,7 +19,8 @@ from diagwalks.field import (
     is_prime,
 )
 
-from conftest import list_solver
+from conftest import (coordinates, list_solver, reconstruct, schoolbook_mul,
+                      solve_list)
 
 
 def test_prime_helpers():
@@ -71,8 +72,61 @@ def test_arithmetic_exhaustive(f9, f25, f64):
                     f9.mul_idx(x, y), f9.mul_idx(x, z))
 
 
+def test_mul_idx_against_schoolbook_every_pair(f9, f25, f64):
+    # every pair of five fields, m = 2, 3 and 4 at odd p, m = 6 at p = 2.
+    # In GF(125), 99 * 99 fills a low slot to 64 = 2^(B-1) after the
+    # folds, so one bit less than B would carry
+    for field in (f9, f25, f64, build_field(3, 4), build_field(5, 3)):
+        for i in range(field.q):
+            for j in range(field.q):
+                assert field.mul_idx(i, j) == schoolbook_mul(field, i, j), \
+                    (field, i, j)
+
+
+@pytest.mark.parametrize("p, m", [(7, 3), (1021, 2), (2, 20), (3, 12),
+                                  (1048573, 1)])
+def test_mul_idx_against_schoolbook_sampled(p, m):
+    # the slot-width extremes: the widest slots (p near 2^10 and 2^20)
+    # and the most slots (m = 20 and 12). (q-1)^2, all digits p-1 on
+    # both sides, fills the middle product slot to its bound m(p-1)^2
+    field = build_field(p, m)
+    top = field.q - 1
+    rng = random.Random(22)
+    pairs = [(top, top), (top, 1), (0, top)] + [
+        (rng.randrange(field.q), rng.randrange(field.q)) for _ in range(500)]
+    for i, j in pairs:
+        assert field.mul_idx(i, j) == schoolbook_mul(field, i, j), (i, j)
+    x = rng.randrange(1, field.q)
+    assert field.pow_idx(x, field.q - 1) == 1
+    assert field.pow_idx(x, field.q) == x
+
+
+def test_add_and_neg_against_digit_sums(f9, f64):
+    # digit by digit mod p, every pair; XOR for p = 2
+    for field in (f9, f64, build_field(7, 2)):
+        p = field.p
+        for i in range(field.q):
+            assert field.neg_idx(i) == field.index_of(
+                -c for c in field.digits(i))
+            for j in range(field.q):
+                assert field.add_idx(i, j) == field.index_of(
+                    a + b for a, b in zip(field.digits(i),
+                                          field.digits(j))), (p, i, j)
+
+
+def test_index_arithmetic_reads_m_digits_of_any_int(f9):
+    # like `digits`, the packed loops take the m low base-p digits, so an
+    # unchecked -1 (digits 2, 2) or 17 (digits 2, 2, 1) acts as 8 and
+    # ends; a loop run until the index is 0 never ends on -1
+    for bad in (-1, 17):
+        assert f9.mul_idx(bad, 2) == f9.mul_idx(8, 2)
+        assert f9.add_idx(bad, 1) == f9.add_idx(8, 1)
+        assert f9.neg_idx(bad) == f9.neg_idx(8)
+        assert f9.pow_idx(bad, 3) == f9.pow_idx(8, 3)
+
+
 def test_add_table_is_symmetric(f9, f64):
-    # brute force reads row v of the table in place of column v
+    # addition commutes, so the GP-graph's table is symmetric
     for field in (f9, f64, build_field(7, 3)):
         table = field.add_table
         assert (table == table.T).all()
@@ -161,16 +215,16 @@ def test_subfield_map_basis_vectors(f9):
     k = 2
     w_k = f9.pow_idx(f9.omega_idx, k)
     smap = SubfieldMap(f9, 1, 2, k)
-    assert smap.coords_idx(1) == (1, 0)
-    assert smap.coords_idx(w_k) == (0, 1)
-    assert smap.coords_idx(0) == (0, 0)
+    assert coordinates(smap, 1) == (1, 0)
+    assert coordinates(smap, w_k) == (0, 1)
+    assert coordinates(smap, 0) == (0, 0)
 
 
 def test_subfield_roundtrip_exhaustive(f64):
     smap = SubfieldMap(f64, 2, 3, 7)
     for x in range(64):
-        coords = smap.coords_idx(x)
-        assert smap.reconstruct_idx(coords) == x
+        coords = coordinates(smap, x)
+        assert reconstruct(smap, coords) == x
         # coordinates really live in the subfield (Frobenius-fixed)
         for c in coords:
             assert f64.pow_idx(c, 2**2) == c
@@ -178,7 +232,7 @@ def test_subfield_roundtrip_exhaustive(f64):
 
 def test_subfield_map_is_bijection(f9):
     smap = SubfieldMap(f9, 1, 2, 2)
-    seen = {smap.coords_idx(x) for x in range(9)}
+    seen = {coordinates(smap, x) for x in range(9)}
     assert len(seen) == 9
 
 
@@ -216,7 +270,7 @@ def test_packed_solve_exhaustive_small_fields():
         seen.add((field.p, field.m))
         solve = list_solver(smap)
         for x in range(field.q):
-            assert smap.solve_idx(x) == solve(x), (field, smap.a, x)
+            assert solve_list(smap, x) == solve(x), (field, smap.a, x)
     assert {(2, 9), (2, 12), (3, 7), (61, 2)} <= seen
 
 
@@ -228,7 +282,7 @@ def test_packed_solve_sampled_large_fields(p, a, b):
     rng = random.Random(20)
     for x in [0, 1, smap.field.q - 1] + [rng.randrange(smap.field.q)
                                          for _ in range(2000)]:
-        assert smap.solve_idx(x) == solve(x), x
+        assert solve_list(smap, x) == solve(x), x
 
 
 @pytest.mark.parametrize("p,a,b,sizes", [

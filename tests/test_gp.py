@@ -19,6 +19,8 @@ from diagwalks.errors import (BadDecomposition, BadParameters, FieldTooLarge,
                               KDoesNotDivide, NotPrime)
 from diagwalks.field import is_prime
 
+from conftest import coordinates
+
 
 def test_primitive_divisor_examples():
     # u is a primitive divisor of p^m - 1 when the order of p mod u is m
@@ -184,17 +186,13 @@ def test_hamming_parameters_imply_undirected():
 
 def test_hamming_view_coordinates(f9):
     view = HammingView(f9, 2)
-    assert view.coords_idx(1) == (1, 0)
-    assert view.coords_idx(f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
+    assert coordinates(view.map, 1) == (1, 0)
+    assert coordinates(view.map, f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
     # linearity: [x+y] = [x] + [y] componentwise
     for x in range(9):
         for y in range(9):
             s = f9.add_idx(x, y)
-            cx, cy, cs = (
-                view.coords_idx(x),
-                view.coords_idx(y),
-                view.coords_idx(s),
-            )
+            cx, cy, cs = (coordinates(view.map, v) for v in (x, y, s))
             assert cs == tuple(
                 f9.add_idx(a, b) for a, b in zip(cx, cy)
             )
@@ -204,9 +202,9 @@ def test_basis_coordinates(f64):
     view = HammingView(f64, 7)
     w_k = f64.pow_idx(f64.omega_idx, 7)
     w_2k = f64.pow_idx(f64.omega_idx, 14)
-    assert view.coords_idx(1) == (1, 0, 0)
-    assert view.coords_idx(w_k) == (0, 1, 0)
-    assert view.coords_idx(w_2k) == (0, 0, 1)
+    assert coordinates(view.map, 1) == (1, 0, 0)
+    assert coordinates(view.map, w_k) == (0, 1, 0)
+    assert coordinates(view.map, w_2k) == (0, 0, 1)
 
 
 def test_pattern_idx_matches_coordinates(f9, f64):
@@ -214,7 +212,7 @@ def test_pattern_idx_matches_coordinates(f9, f64):
     for view in (HammingView(f9, 2), HammingView(f64, 7)):
         for x in range(view.field.q):
             pattern = view.pattern_idx(x)
-            assert pattern == tuple(c == 0 for c in view.coords_idx(x))
+            assert pattern == tuple(c == 0 for c in coordinates(view.map, x))
     assert HammingView(f9, 2).pattern_idx(1) == (False, True)
     assert HammingView(f9, 2).pattern_idx(0) == (True, True)
 
@@ -224,7 +222,7 @@ def test_solve_refuses_a_non_element_index(p, a, b):
     view = DiagonalSystem(p, a, b).view
     q = view.field.q
     for bad in (-1, q, 1.5):
-        for solve in (view.map.solve_word, view.coords_idx, view.pattern_idx):
+        for solve in (view.map.solve_word, view.pattern_idx):
             with pytest.raises(BadParameters):
                 solve(bad)
     assert view.pattern_idx(0) == (True,) * b
@@ -254,16 +252,23 @@ def test_hamming_view_refuses_a_non_hamming_graph(p, m, k, monkeypatch):
 
 def test_verify_isomorphism_negative_control(f9, monkeypatch):
     view = HammingView(f9, 2)
-    good_coords = view.coords_idx
+    smap = view.map
+    solve = smap.solve_word
+    low, high = smap.block_masks
+    shift = smap.a * smap._width
 
     def corrupted(x):
-        good = good_coords(x)
-        if x == 5:  # swap one vertex's coordinates
-            return (good[1], good[0]) if good[0] != good[1] else (good[0], 1)
-        return good
+        # swap vertex 5's two coordinate blocks; its coordinates are
+        # (2, 2), equal blocks, so the second is set to 1 instead
+        word = solve(x)
+        if x == 5:
+            swapped = (word & low) << shift | (word & high) >> shift
+            return swapped if swapped != word else word & low | 1 << shift
+        return word
 
+    assert coordinates(smap, 5) == (2, 2) and corrupted(5) != solve(5)
     assert verify_isomorphism(view)
-    monkeypatch.setattr(view, "coords_idx", corrupted)
+    monkeypatch.setattr(smap, "solve_word", corrupted)
     assert not verify_isomorphism(view)
 
 
@@ -272,7 +277,7 @@ def test_verify_isomorphism_cap_checked_before_coordinates(monkeypatch):
     view = HammingView(field, 7)
     monkeypatch.setattr(field_mod, "MAX_ADD_TABLE_BYTES", 1000)
     calls = []
-    monkeypatch.setattr(view, "coords_idx", calls.append)
+    monkeypatch.setattr(view.map, "solve_word", calls.append)
     with pytest.raises(FieldTooLarge):
         verify_isomorphism(view)
     assert not calls

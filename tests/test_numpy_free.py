@@ -118,3 +118,12 @@ def test_cli_keeps_the_users_blas_threads():
 
 def test_library_import_leaves_blas_threads_alone():
     assert blas_threads_after("import diagwalks") == ("-", False)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize, about 9 ms in
+    # every process; the two result records are NamedTuples
+    assert last_line_after(
+        "import diagwalks.cli",
+        "import sys\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    ) == "[]"
