@@ -19,15 +19,13 @@ length t = 0..r from one pass.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
-from .errors import (
-    BadParameters,
-    EnumerationTooLarge,
-    KNotInteger,
-    NotPrimitiveDivisor,
-)
+from .errors import (MAX_COUNT_BITS, BadParameters, EnumerationTooLarge,
+                     KNotInteger, NotPrimitiveDivisor, as_integer,
+                     check_length)
 from .field import (FiniteField, as_index, build_field, check_field,
                     check_k_divides, kth_power_residues)
 from .gp import HammingView, gp_graph, hamming_parameters
@@ -52,21 +50,17 @@ MAX_CONVOLUTION_OPS = 10**7
 MAX_CONVOLUTION_BYTES = 1 << 26
 
 
-def _check_length(name: str, n: int) -> None:
-    if n < 0:
-        raise BadParameters(f"{name}={n} must be >= 0")
-
-
 def diagonal_exponent(p: int, a: int, b: int) -> int:
     """k = (p^{ab}-1)/(b(p^a-1)), the exponent of the diagonal equation.
     Raises, in this order and each before the next test runs:
-    BadParameters for a < 1 or b < 2; the errors of `field.check_field`
-    for GF(p^{ab}), NotPrime for p < 2, FieldTooLarge past
-    MAX_FIELD_ORDER and NotPrime for a composite p; and KNotInteger, with
-    the divisibility report, when k is not an integer."""
+    BadParameters unless a >= 1 and b >= 2 are integers; the errors of
+    `field.check_field` for GF(p^{ab}) (BadParameters, NotPrime,
+    FieldTooLarge); and KNotInteger, with the divisibility report, when k
+    is not an integer."""
+    a, b = as_integer("a", a), as_integer("b", b)
     if b < 2 or a < 1:
         raise BadParameters(f"need a >= 1 and b > 1, got a={a}, b={b}")
-    check_field(p, a * b)
+    p, _ = check_field(p, a * b)
     if not k_is_integer(p, a, b):
         raise KNotInteger(
             f"(p^{{ab}}-1)/(b(p^a-1)) is not an integer for "
@@ -81,6 +75,7 @@ class DiagonalSystem:
 
     def __init__(self, p: int, a: int, b: int):
         k = diagonal_exponent(p, a, b)
+        p, a, b = map(operator.index, (p, a, b))  # admitted as ints above
         m = a * b
         if hamming_parameters(p, m, k) is None:
             u = b * (p**a - 1)
@@ -99,6 +94,8 @@ class DiagonalSystem:
         self.Q = p**a
         self.k = k
         self.view = HammingView(self.field, k)
+        # N_r <= (q-1)^r and M_s <= q^s: past this, check_length decides
+        self._max_n = MAX_COUNT_BITS // self.q.bit_length()
         # one-slot memo (index, zero pattern) of the last alpha solved
         self._pattern = (-1, ())
 
@@ -107,7 +104,8 @@ class DiagonalSystem:
         pattern. r and alpha are checked on every call; the pattern is
         solved only when alpha differs from the previous call's, so a run
         of calls on one alpha solves it once."""
-        _check_length("r", r)
+        if type(r) is not int or not 0 <= r <= self._max_n:
+            r = check_length("r", r, self.q - 1)
         idx = as_index(self.field, alpha)
         memo_idx, pattern = self._pattern
         if idx != memo_idx:
@@ -120,7 +118,8 @@ class DiagonalSystem:
         solution when alpha = 0. The binomials are taken one from the last,
         C(s,i) = C(s,i-1)(s-i+1)/i, an exact division. Its s
         `count_nonzero` calls share one solve of alpha's zero pattern."""
-        _check_length("s", s)
+        if type(s) is not int or not 0 <= s <= self._max_n:
+            s = check_length("s", s, self.q)
         idx = as_index(self.field, alpha)
         total = 1 if idx == 0 else 0
         binom = 1
@@ -143,7 +142,7 @@ def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
     number of nonzero tuples with x + sum(x_i^k) = y. Builds the graph on
     every call, after `gp_graph` has checked k; a caller asking for many
     counts builds it once with `gp_graph` and reads `walk_count` on it."""
-    _check_length("s", s)
+    s = check_length("s", s, field.q - 1)
     xi = as_index(field, x)
     yi = as_index(field, y)
     return k**s * gp_graph(field, k).walk_count(s, xi, yi)
@@ -160,30 +159,30 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     Each power x^k is written as its m base-p digits packed in base
     R = r(p-1)+1. A sum of t <= r such words adds digit by digit with no
     carry, as no digit sum passes r(p-1) < R, so the value sum of every
-    tuple is one integer sum, counted in one of R^m bins; a row is its
-    bins folded onto the q elements, each base-R digit taken mod p. The
-    t-prefix sums are held at once for t < r, and row t counts them; the
-    last summand is added a block of values at a time, so memory grows
-    as base^(r-1), not base^r. Raises KDoesNotDivide, and, before the
-    first power, EnumerationTooLarge when the pass writes more than
-    MAX_ENUM_TUPLES values, runs to r >= log2(MAX_ENUM_TUPLES) or takes
-    more than MAX_ENUM_POWERS powers.
+    tuple is one integer sum, counted in one of R^m bins; one map per pass
+    takes each base-R digit of a bin mod p, and adds the bins of a row
+    exactly onto the q elements. The t-prefix sums are held at once for
+    t < r, and row t counts them; the last summand is added a block of
+    values at a time, so memory grows as base^(r-1), not base^r. Raises
+    KDoesNotDivide, and, before the first power, EnumerationTooLarge when
+    the pass writes more than MAX_ENUM_TUPLES values, runs to
+    r >= log2(MAX_ENUM_TUPLES) or takes more than MAX_ENUM_POWERS powers.
     """
-    check_k_divides(field.q, k)
-    _check_length("r", r)
+    k = check_k_divides(field.q, k)
+    r = check_length("r", r)
     p, m, q = field.p, field.m, field.q
     base = (q - 1) if restrict_nonzero else q
-    # base^t prefix sums for every t = 1..r, the R^m bins of each row
-    # and (r+1)*q row entries. The last row is counted a block at a time,
-    # and every block but the final one counts at least R^m tuples, so
-    # its bins add at most base^r values more than this. At base 2 these
+    # base^t prefix sums for every t = 1..r, R^m bins for each row and the
+    # bin map, and (r+1)*q row entries. The last row is counted a block at
+    # a time, and every block but the final one counts at least R^m tuples,
+    # so its bins add at most base^r values more than this. At base 2 these
     # pass the cap before r reaches its bit length, so no pass runs that
     # many lengths: not even GF(2) without zeros (base 1)
     lengths = MAX_ENUM_TUPLES.bit_length()
     runs = min(r, lengths)
     radix = runs * (p - 1) + 1
     bins = radix**m
-    writes = (r + 1) * q + r * bins + sum(base**t for t in range(1, runs + 1))
+    writes = (r + 1) * (q + bins) + sum(base**t for t in range(1, runs + 1))
     if r >= lengths or writes > MAX_ENUM_TUPLES:
         raise EnumerationTooLarge(
             f"a pass to r={r} writes at least {writes} values, over the cap "
@@ -205,11 +204,14 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     words = np.zeros_like(powers)
     for t in range(m):
         words += powers // p**t % p * radix**t
+    # bin w goes to the element whose digit t is digit t of w mod p
+    bin_ids = np.arange(bins, dtype=np.intp)
+    elements = sum(bin_ids // radix**t % radix % p * p**t for t in range(m))
     # intp throughout, so no bincount casts its input
     sums = np.zeros(1, dtype=np.intp)
     for t in range(1, r):
         sums = (sums[:, None] + words).ravel()
-        dist[t] = _fold_digits(np.bincount(sums, minlength=bins), radix, p, m)
+        np.add.at(dist[t], elements, np.bincount(sums, minlength=bins))
     # blocks of `size` last summands, so a bincount of R^m bins counts
     # at least R^m tuples; one buffer serves every block
     size = -(-bins // len(sums))
@@ -220,28 +222,8 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
         out = buffer[:len(sums) * len(block)].reshape(len(sums), len(block))
         np.add(sums[:, None], block, out=out)
         counts += np.bincount(out.ravel(), minlength=bins)
-    dist[r] = _fold_digits(counts, radix, p, m)
+    np.add.at(dist[r], elements, counts)
     return dist
-
-
-def _fold_digits(counts: np.ndarray, radix: int, p: int,
-                 m: int) -> np.ndarray:
-    """counts over the packed words sum_t e_t radix^t, e_t < radix, summed
-    exactly in int64 onto the q elements sum_t (e_t mod p) p^t: one axis
-    per digit, each cut into blocks of p (zero-padded) and summed."""
-    import numpy as np
-
-    folded = counts.reshape((radix,) * m)  # axis 0 holds the top digit
-    blocks = -(-radix // p)
-    for axis in range(m):
-        if blocks * p != radix:
-            widths = [(0, 0)] * m
-            widths[axis] = (0, blocks * p - radix)
-            folded = np.pad(folded, widths)
-        shape = folded.shape
-        folded = folded.reshape(
-            shape[:axis] + (blocks, p) + shape[axis + 1:]).sum(axis=axis)
-    return folded.reshape(-1)
 
 
 def brute_force_count(field: FiniteField, k: int, alpha, r: int,
@@ -260,7 +242,7 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     before the first step, when the add_idx calls plus the q weights
     scanned at every step could pass MAX_CONVOLUTION_OPS, or the rows
     MAX_CONVOLUTION_BYTES."""
-    _check_length("r", r)
+    r = check_length("r", r)
     q = field.q
     support = [(beta, k) for beta in kth_power_residues(field, k)]
     if not restrict_nonzero:

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and `check_length`, the
+one admission of a length that every count evaluator runs."""
+
+import math
+import operator
+
+# largest count, in bits, that an evaluator builds: CPython's int-to-decimal
+# conversion is quadratic, and a 2^20-bit count takes about 2 s to print
+MAX_COUNT_BITS = 1 << 20
 
 
 class DiagwalksError(Exception):
@@ -45,8 +53,8 @@ class LengthTableTooShort(DiagwalksError):
     pass
 
 
-class BadParameters(DiagwalksError):
-    pass
+class BadParameters(DiagwalksError, ValueError):
+    """A ValueError too, so callers that catch ValueError keep working."""
 
 
 class EnumerationTooLarge(DiagwalksError):
@@ -64,8 +72,8 @@ class NepsWalkTooLarge(DiagwalksError):
 
 
 class CountTooLarge(DiagwalksError):
-    """Raised when a count could have more bits than cli.MAX_PRINT_BITS
-    allows the CLI to print."""
+    """Raised by `check_length`, before the first power, when a count could
+    have more than MAX_COUNT_BITS bits."""
 
 
 class NotPrimitiveDivisor(DiagwalksError):
@@ -81,3 +89,33 @@ class KNotInteger(DiagwalksError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def shown(n: int) -> str:
+    """n for a message; a decimal of over 4,300 digits would raise."""
+    return str(n) if abs(n) < 1 << 64 else f"<{n.bit_length()}-bit integer>"
+
+
+def as_integer(name: str, value) -> int:
+    """value through operator.index (a numpy int too); else BadParameters."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameters(f"{name}={value!r} is not an integer") from None
+
+
+def check_length(name: str, n, base: int = 1) -> int:
+    """The one admission of a length n, returned as a Python int: raises
+    BadParameters unless n is an integer >= 0, and CountTooLarge when a count
+    of at most base^n could pass MAX_COUNT_BITS (never for base <= 1)."""
+    n = as_integer(name, n)
+    if n < 0:
+        raise BadParameters(f"{name}={shown(n)} must be >= 0")
+    # an int compares exactly with the float cap, and is never cast
+    cap = MAX_COUNT_BITS / math.log2(base) if base > 1 else math.inf
+    if n > cap:
+        raise CountTooLarge(
+            f"{name}={shown(n)} gives a count of up to {name}*log2"
+            f"({shown(base)}) bits, over the cap MAX_COUNT_BITS of "
+            f"{MAX_COUNT_BITS} bits: {name} <= {math.floor(cap)} here")
+    return n

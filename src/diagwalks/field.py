@@ -41,7 +41,6 @@ one with the smallest canonical index.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -52,6 +51,8 @@ from .errors import (
     KDoesNotDivide,
     NotPrime,
     ReducibleModulus,
+    as_integer,
+    shown,
 )
 
 if TYPE_CHECKING:
@@ -124,28 +125,28 @@ def find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ReducibleModulus(f"no irreducible polynomial found for p={p}, m={m}")
 
 
-def check_field(p: int, m: int) -> None:
-    """The one admission of GF(p^m). Raises, in this order and each before
-    the next test runs: NotPrime for p < 2, ValueError for m < 1,
+def check_field(p: int, m: int) -> tuple[int, int]:
+    """The one admission of GF(p^m); returns p and m as Python ints. Raises,
+    in this order and each before the next test runs: BadParameters unless
+    p and m are integers, NotPrime for p < 2, BadParameters for m < 1,
     FieldTooLarge, naming p and m, unless p^m <= MAX_FIELD_ORDER, and
     NotPrime for a composite p. The power is built one factor at a time
     and never past the cap, so a huge p or m stops within 21 steps, and
     the trial division sees no p over the cap."""
+    p, m = as_integer("p", p), as_integer("m", m)
     if p < 2:
         raise NotPrime(f"p={p} is not prime")
     if m < 1:
-        raise ValueError(f"m={m} must be >= 1")
+        raise BadParameters(f"m={m} must be >= 1")
     q = 1
     for _ in range(m):
         if q > MAX_FIELD_ORDER // p:
-            # a decimal of over 4,300 digits would itself raise ValueError
-            shown = (f"p={p}, m={m}" if max(p, m) < 1 << 64 else
-                     f"p, m of {p.bit_length()}, {m.bit_length()} bits")
-            raise FieldTooLarge(f"p^m with {shown} exceeds the field cap "
-                                f"{MAX_FIELD_ORDER}")
+            raise FieldTooLarge(f"p^m with p={shown(p)}, m={shown(m)} exceeds "
+                                f"the field cap {MAX_FIELD_ORDER}")
         q *= p
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
+    return p, m
 
 
 class FiniteField:
@@ -160,7 +161,7 @@ class FiniteField:
     """
 
     def __init__(self, p, m):
-        check_field(p, m)
+        p, m = check_field(p, m)
         self.p = p
         self.m = m
         self.q = p**m
@@ -353,29 +354,27 @@ def as_index(field: FiniteField, x) -> int:
     """x as an element index of `field`, the one element-index check:
     BadParameters unless x is an integer (so 1.5 or "3" is refused) in
     [0, q)."""
-    try:
-        x = operator.index(x)
-    except TypeError:
-        raise BadParameters(
-            f"element {x!r} is not an integer index in [0, {field.q})"
-        ) from None
+    if type(x) is not int:
+        x = as_integer("element", x)
     if not 0 <= x < field.q:
         raise BadParameters(f"element index {x} out of range for q={field.q}")
     return x
 
 
-def check_k_divides(q: int, k: int) -> None:
-    """Raise KDoesNotDivide, naming k, unless k is a positive divisor of
-    q-1; every function taking the exponent k of a field checks it here
-    before any arithmetic."""
+def check_k_divides(q: int, k: int) -> int:
+    """k as a Python int: BadParameters unless it is an integer, and
+    KDoesNotDivide, naming k, unless it divides q-1; every function taking
+    the exponent k of a field checks it here before any arithmetic."""
+    k = as_integer("k", k)
     if k < 1 or (q - 1) % k:
         raise KDoesNotDivide(f"k={k} is not a positive divisor of q-1={q - 1}")
+    return k
 
 
 def kth_power_residues(field: FiniteField, k: int) -> frozenset[int]:
     """R_k = {x^k : x nonzero} as canonical indices, of size (q-1)/k;
     requires k | q-1."""
-    check_k_divides(field.q, k)
+    k = check_k_divides(field.q, k)
     n = field.q - 1
     step = field.pow_idx(field.omega_idx, k)
     members, x = [], 1

@@ -25,7 +25,7 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     undirected exactly when -1 is in R_k, that is when p = 2 or u is even."""
     import numpy as np
 
-    check_k_divides(field.q, k)
+    k = check_k_divides(field.q, k)
     add, q = field.add_table, field.q  # byte-capped: read before R_k, adj
     residues = list(kth_power_residues(field, k))
     # j - i is a k-th power iff j = i + rho for some rho in R_k
@@ -46,8 +46,8 @@ def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:
 
     `field.check_field` admits GF(p^m) before any order is computed.
     """
-    check_field(p, m)
-    check_k_divides(p**m, k)
+    p, m = check_field(p, m)
+    k = check_k_divides(p**m, k)
     u = (p**m - 1) // k
     if multiplicative_order(p, u) != m:
         return None

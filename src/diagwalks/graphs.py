@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import VertexOutOfRange, WalkCacheTooLarge
+from .errors import VertexOutOfRange, WalkCacheTooLarge, check_length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,8 +85,7 @@ class DenseGraph:
         while D^r <= 2^53, an object array of Python ints past it. Raises
         WalkCacheTooLarge, before any product, when the cached powers
         A^0..A^r would take more than MAX_WALK_BYTES."""
-        if r < 0:
-            raise ValueError(f"walk length must be >= 0, got {r}")
+        r = check_length("r", r)
         if r < len(self._powers) and self._powers[r] is not None:
             return self._powers[r]
         import numpy as np
@@ -147,8 +146,7 @@ def complete_walks(m: int, r: int, same: bool) -> int:
     exact integer division checked for a zero remainder."""
     if m < 1:
         raise ValueError(f"m={m} must be >= 1")
-    if r < 0:
-        raise ValueError(f"r={r} must be >= 0")
+    r = check_length("r", r, m - 1)
     if m == 1 and not same:
         return 0  # K_1 has no distinct vertex pair
     walks, rem = divmod((m - 1) ** r + (m * bool(same) - 1) * (-1) ** r, m)

@@ -19,12 +19,8 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import (
-    ArityMismatch,
-    LengthTableTooShort,
-    NepsWalkTooLarge,
-    ProductTooLarge,
-)
+from .errors import (MAX_COUNT_BITS, ArityMismatch, LengthTableTooShort,
+                     NepsWalkTooLarge, ProductTooLarge, check_length)
 from .graphs import DenseGraph
 
 # largest int8 adjacency neps_construct builds: 4096 vertices
@@ -193,8 +189,7 @@ def neps_walks(factor_tables, basis: NepsBasis, r: int):
     integers for one vertex pair, or numpy arrays of one broadcastable
     shape for many pairs, and the count is then an array of that shape.
     """
-    if r < 0:
-        raise ValueError(f"walk length must be >= 0, got {r}")
+    r = check_length("r", r)
     tables = [list(tab) for tab in factor_tables]
     _check_tables(tables, basis.n, r)
     total = 0
@@ -213,9 +208,8 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     (Cvetkovic, Doob & Sachs, Spectra of Graphs, 2.5), so prod m_i * W is
     the sum over the 2^n choices of prod_i c_i (sum_B prod_i mu_i^beta_i)^r,
     and the division is exact. Raises NepsWalkTooLarge before the first
-    term when the 2^n |B| terms pass MAX_NEPS_OPS."""
-    if r < 0:
-        raise ValueError(f"walk length must be >= 0, got {r}")
+    term when the 2^n |B| terms pass MAX_NEPS_OPS; r is checked, against
+    the largest |Lambda|, once the terms are grouped."""
     n = basis.n
     if len(m_list) != n or len(pattern) != n:
         raise ArityMismatch(f"{len(m_list)} sizes and pattern length "
@@ -227,14 +221,15 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
             f"the spectral NEPS walk sum takes {2**n * len(basis)} terms, "
             f"over the cap MAX_NEPS_OPS of {MAX_NEPS_OPS}"
         )
-    if any(m == 1 and not s for m, s in zip(m_list, pattern)):
-        return 0  # K_1 has no distinct vertex pair
     weights = {}  # Lambda -> summed coefficients of its terms
     for eps in itertools.product((0, 1), repeat=n):
         mu = [-1 if e else m - 1 for m, e in zip(m_list, eps)]
         lam = sum(math.prod(x for x, b in zip(mu, t) if b) for t in basis)
         weights[lam] = weights.get(lam, 0) + math.prod(
             (m * bool(s) - 1) ** e for m, s, e in zip(m_list, pattern, eps))
+    r = check_length("r", r, max(abs(lam) for lam in weights))
+    if any(m == 1 and not s for m, s in zip(m_list, pattern)):
+        return 0  # K_1 has no distinct vertex pair
     total = sum(coef * lam**r for lam, coef in weights.items())
     walks, rem = divmod(total, math.prod(m_list))
     if rem:
@@ -244,10 +239,11 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
 
 
 @lru_cache(maxsize=1 << 12)
-def _spectrum(b: int, q: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The b+1 pairs (K_j(d), b(q-1) - qj) of H(b,q): each eigenvalue with
+def _spectrum(b: int, q: int, d: int) -> tuple[int, tuple]:
+    """The largest r whose bits alone keep b(q-1)^r within MAX_COUNT_BITS,
+    and the b+1 pairs (K_j(d), b(q-1) - qj) of H(b,q): each eigenvalue with
     its Krawtchouk weight in the walk count between vertices at distance d."""
-    return tuple(
+    return MAX_COUNT_BITS // (b * (q - 1)).bit_length(), tuple(
         (sum((-1) ** i * (q - 1) ** (j - i) * math.comb(d, i)
              * math.comb(b - d, j - i) for i in range(min(d, j) + 1)),
          b * (q - 1) - q * j)
@@ -261,15 +257,19 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     Only the Hamming distance d, the number of false entries, matters.
     H(b,q) has eigenvalues b(q-1) - qj for j = 0..b, weighted by the
     Krawtchouk numbers K_j(d) (Delsarte 1973), so the count is
-    q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms.
+    q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms, at most
+    b(q-1)^r, the bound `check_length` takes past the cap cached with them.
     """
     zeros = tuple(map(bool, zeros))
     if len(zeros) != b:
         raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
-    if b < 1 or q < 2 or r < 0:
-        raise ValueError(f"bad Hamming parameters b={b}, q={q}, r={r}")
+    if b < 1 or q < 2:
+        raise ValueError(f"bad Hamming parameters b={b}, q={q}")
     d = b - sum(zeros)
-    total = sum([weight * theta**r for weight, theta in _spectrum(b, q, d)])
+    cap, spectrum = _spectrum(b, q, d)
+    if type(r) is not int or not 0 <= r <= cap:
+        r = check_length("r", r, b * (q - 1))
+    total = sum([weight * theta**r for weight, theta in spectrum])
     walks, rem = divmod(total, q**b)
     if rem:
         raise ArithmeticError(

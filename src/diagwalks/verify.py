@@ -36,7 +36,7 @@ from .diagonal import (
     brute_force_distribution,
     convolution_distribution,
 )
-from .errors import BadParameters
+from .errors import check_length
 from .gp import gp_graph, verify_isomorphism
 from .graphs import DenseGraph, complete_graph, complete_walks
 from .neps import NepsBasis, neps_construct, neps_walks
@@ -239,12 +239,10 @@ def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
     """The four per-triple checks on one system per roster triple
     (DEFAULT_ROSTER when roster is None), then the NEPS oracle and the
-    examples. Raises BadParameters, before any system is built, for a
-    negative max_r or neps_instances."""
-    if max_r < 0 or neps_instances < 0:
-        raise BadParameters(
-            f"max_r={max_r} and neps_instances={neps_instances} must be >= 0"
-        )
+    examples. Raises BadParameters, before any system is built, unless
+    max_r and neps_instances are integers >= 0 (`check_length`)."""
+    max_r = check_length("max_r", max_r)
+    neps_instances = check_length("neps_instances", neps_instances)
     if roster is None:
         roster = DEFAULT_ROSTER
     systems = [DiagonalSystem(p, a, b) for p, a, b in roster]

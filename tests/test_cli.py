@@ -4,9 +4,11 @@ import time
 import pytest
 
 from diagwalks import cli as cli_mod
+from diagwalks import diagonal as diagonal_mod
 from diagwalks import verify as verify_mod
 from diagwalks.cli import main, parse_element
 from diagwalks import DiagonalSystem, build_field
+from diagwalks.errors import MAX_COUNT_BITS, BadParameters
 from diagwalks.graphs import MAX_WALK_BYTES
 
 
@@ -138,11 +140,12 @@ def test_count_prints_more_than_4300_digits(capsys):
 @pytest.mark.parametrize("s, mode", [("1000000", ["--nonzero-only"]),
                                      ("10000000", [])], ids=["N_s", "M_s"])
 def test_count_over_print_cap_exit_2(capsys, monkeypatch, s, mode):
-    # N_(10^6)(0) on GF(9) is counted in 0.02 s but took over 14 s to print
+    # N_(10^6)(0) on GF(9) is counted in 0.02 s but took over 14 s to print;
+    # count_nonzero and count_all refuse it before their first power
     def refuse(*args):
-        raise RuntimeError("counted before the print cap check")
+        raise RuntimeError("counted before the count cap check")
 
-    monkeypatch.setattr(DiagonalSystem, "count_nonzero", refuse)
+    monkeypatch.setattr(diagonal_mod, "hamming_walks", refuse)
     started = time.perf_counter()
     code, out, err = run_cli(
         capsys, "count", "--p", "3", "--a", "1", "--b", "2",
@@ -153,8 +156,8 @@ def test_count_over_print_cap_exit_2(capsys, monkeypatch, s, mode):
     assert out == ""
     record = json.loads(err)
     assert record["error"] == "CountTooLarge"
-    assert f"s={s} " in record["message"]
-    assert str(cli_mod.MAX_PRINT_BITS) in record["message"]
+    assert f"={s} " in record["message"]
+    assert str(MAX_COUNT_BITS) == "1048576" in record["message"]
 
 
 def test_count_determinism(capsys):
@@ -240,7 +243,7 @@ def test_walks_rooks_graph(capsys):
     (["--gp", "--from", "0", "--to", "1", "--length", "2"],
      "--gp requires --p, --m, --k"),
     (["--neps", "3,4", "--basis", "11", "--from", "0", "--to", "5",
-      "--length", "-1"], "walk length must be >= 0"),
+      "--length", "-1"], "r=-1 must be >= 0"),
 ])
 def test_walks_bad_options_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, "walks", *argv)
@@ -367,6 +370,16 @@ def test_validation_error_exit_code(capsys):
         "--alpha", "9,9,9", "--s", "1",
     )
     assert code == 2
+    # 1,7 once counted alpha = 1 + x, 7 taken mod 3
+    code, out, err = run_cli(
+        capsys, "count", "--p", "3", "--a", "1", "--b", "2",
+        "--alpha", "1,7", "--s", "1",
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "BadParameters"
+    assert "coefficient 7 of x^1" in error["message"]
+    assert "p=3" in error["message"]
 
 
 def test_parse_element_literals():
@@ -379,3 +392,7 @@ def test_parse_element_literals():
         parse_element(f, "5")
     with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
         parse_element(f, "1,2,0")
+    # a coefficient outside [0, p) is refused, not reduced mod p
+    for literal, bad in (("1,7", 7), ("1,-1", -1), ("3,0", 3)):
+        with pytest.raises(BadParameters, match=f"coefficient {bad} of x"):
+            parse_element(f, literal)

@@ -196,7 +196,7 @@ def test_element_must_be_an_integer_index(roster_systems, f9):
     system = roster_systems[(3, 1, 2)]
     assert system.count_nonzero(np.int64(1), 2) == 4
     for bad in (1.5, "3", None):
-        with pytest.raises(BadParameters, match=f"element {bad!r} is not"):
+        with pytest.raises(BadParameters, match=f"element={bad!r} is not"):
             system.count_nonzero(bad, 2)
         with pytest.raises(BadParameters, match="is not an integer"):
             brute_force_count(f9, 2, bad, 2)
@@ -288,9 +288,10 @@ def test_brute_force_never_reads_the_add_table():
 
 
 def test_enumeration_cap_counts_the_bins(monkeypatch):
-    # GF(2^12) at r = 2 counts in 3^12 bins, two rows of them
+    # GF(2^12) at r = 2 counts in 3^12 bins, two rows of them and the map
+    # from bins to elements
     field = build_field(2, 12)
-    writes = 3 * 4096 + 2 * 3**12 + 4095 + 4095**2
+    writes = 3 * 4096 + 3 * 3**12 + 4095 + 4095**2
     monkeypatch.setattr(diagonal, "MAX_ENUM_TUPLES", writes - 1)
     with pytest.raises(EnumerationTooLarge, match=f"at least {writes} "):
         brute_force_distribution(field, 1, 2)

@@ -20,6 +20,7 @@ from diagwalks import (
 from diagwalks import graphs, neps, verify
 from diagwalks.errors import (
     ArityMismatch,
+    BadParameters,
     LengthTableTooShort,
     NepsWalkTooLarge,
     ProductTooLarge,
@@ -491,9 +492,9 @@ def test_length_table_too_short():
 
 
 def test_negative_length_rejected():
-    with pytest.raises(ValueError, match="walk length"):
+    with pytest.raises(BadParameters, match="r=-1 must be >= 0"):
         neps_walks([[1]], NepsBasis([(1,)]), -1)
-    with pytest.raises(ValueError, match="walk length"):
+    with pytest.raises(BadParameters, match="r=-1 must be >= 0"):
         neps_complete_walks([3, 4], NepsBasis([(1, 1)]), -1, (True, True))
 
 
