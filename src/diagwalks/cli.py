@@ -74,7 +74,16 @@ def parse_element(field: FiniteField, literal: str) -> int:
     return field.index_of(parts)
 
 
-def emit(record: dict, fmt: str = "json") -> None:
+def emit(args, payload: dict, method: str, started: float,
+         fmt: str = "json") -> None:
+    """Print the record of one command: its options, result and time."""
+    record = {
+        "command": args.command,
+        "params": {k: v for k, v in vars(args).items() if k != "func"},
+        "result": payload,
+        "method": method,
+        "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
+    }
     if fmt == "json":
         print(json.dumps(record, sort_keys=False))
     elif fmt == "csv":
@@ -130,17 +139,7 @@ def cmd_count(args) -> int:
     payload = dict(p=p, a=a, b=b, k=k, q=field.q, alpha=args.alpha, r_or_s=n,
                    mode=mode, method=method, count=str(count))
     payload["divisibility"] = remark_cases(p, a, b).to_dict()
-    elapsed = round((time.perf_counter() - started) * 1000, 3)
-    emit(
-        {
-            "command": "count",
-            "params": {k: v for k, v in vars(args).items() if k != "func"},
-            "result": payload,
-            "method": method,
-            "elapsed_ms": elapsed,
-        },
-        args.format,
-    )
+    emit(args, payload, method, started, args.format)
     return 0
 
 
@@ -197,17 +196,7 @@ def cmd_walks(args) -> int:
             payload["agree"] = formula == power
     else:
         raise DiagwalksError("one of --neps or --gp is required")
-    elapsed = round((time.perf_counter() - started) * 1000, 3)
-    emit(
-        {
-            "command": "walks",
-            "params": {k: v for k, v in vars(args).items() if k != "func"},
-            "result": payload,
-            "method": "walks",
-            "elapsed_ms": elapsed,
-        },
-        "json",
-    )
+    emit(args, payload, "walks", started)
     return 0
 
 

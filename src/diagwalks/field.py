@@ -5,13 +5,14 @@ evaluation of the coefficient vector (ascending degree), so index 0 is
 the zero element and indices below p are the constants. Every function
 of the package takes and returns elements in this one form.
 
-There is one arithmetic, on plain ints: sums by one divmod loop over
-both indices (XOR for p = 2), products as one Kronecker-substituted
-integer product reduced in the word, powers by square-and-multiply on
-packed words. It reads no table of size q, and it does not import
-numpy. The only q-sized table is the numpy addition table, built on its
-first read for the GP-graph and capped in bytes; numpy is imported
-there, so the formula path never loads it.
+There is one polynomial arithmetic, `PackedRing`: F_p[x] mod a monic f
+on packed words, a product one Kronecker-substituted integer product
+reduced in the word, a power square-and-multiply. The modulus search runs
+Rabin's test on each candidate's ring, and `FiniteField` is the ring of
+the modulus found, with sums by one divmod loop (XOR for p = 2). It reads
+no table of size q and does not import numpy. The only q-sized table is
+the numpy addition table, built on its first read for the GP-graph and
+capped in bytes, so the formula path never loads numpy.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
@@ -34,8 +35,9 @@ MAX_FIELD_ORDER before it tests p for primality, and that test is
 
 The construction is deterministic: the modulus is always the
 lexicographically smallest monic irreducible polynomial (coefficients
-compared from the highest degree down), and the primitive element is the
-one with the smallest canonical index.
+compared from the highest degree down), the first candidate in that
+order to pass Rabin's test, and the primitive element is the one with
+the smallest canonical index.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# largest field order accepted: find_modulus tries every monic divisor
-# of degree up to m/2
+# largest field order accepted: it bounds the trial division of q-1 in
+# the primitive test, the scan of indices for the primitive element, and
+# the q-sized oracle tables and gp.verify_isomorphism's int64 words
 MAX_FIELD_ORDER = 1 << 20
 # largest addition table (q^2 entries) that add_table will allocate
 MAX_ADD_TABLE_BYTES = 1 << 28
@@ -81,48 +84,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-# --- polynomial helpers over F_p; coefficients ascending by degree ---
-
-def _trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_rem(f, g, p):
-    """Remainder of f modulo monic g."""
-    f = list(f)
-    dg = len(g) - 1
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % p
-        if c:
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
-    return _trim(tuple(f[:dg]))
-
-
-def _is_irreducible(f, p):
-    m = len(f) - 1
-    if m == 1:
-        return True
-    for d in range(1, m // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            g = low + (1,)
-            if not _poly_rem(f, g, p):
-                return False
-    return True
-
-
-def find_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m (high-degree-first lex order)."""
-    for high_first in itertools.product(range(p), repeat=m):
-        f = tuple(reversed(high_first)) + (1,)
-        if _is_irreducible(f, p):
-            return f
-    raise ReducibleModulus(f"no irreducible polynomial found for p={p}, m={m}")
 
 
 def check_field(p: int, m: int) -> tuple[int, int]:
@@ -149,33 +110,25 @@ def check_field(p: int, m: int) -> tuple[int, int]:
     return p, m
 
 
-class FiniteField:
-    """GF(p^m) with q <= MAX_FIELD_ORDER; immutable after construction.
+class PackedRing:
+    """F_p[x]/(f) for a monic f of degree m >= 1: a word holds the
+    coefficient of x^t in slot t, bits [t*B, (t+1)*B)."""
 
-    Every operation on indices is integer arithmetic: a sum is one divmod
-    loop (XOR for p = 2), a product one integer product of packed digit
-    words (`_product`), a power square-and-multiply on packed words.
-    Construction is the modulus search and the primitive-element test
-    only. The numpy `add_table` is built on first read, for the GP-graph,
-    and numpy is imported only then.
-    """
-
-    def __init__(self, p, m):
-        p, m = check_field(p, m)
+    def __init__(self, p: int, modulus):
+        m = len(modulus) - 1
         self.p = p
         self.m = m
-        self.q = p**m
-        self.modulus = find_modulus(p, m)
+        self.modulus = tuple(modulus)
         # Kronecker substitution (von zur Gathen & Gerhard, Modern
-        # Computer Algebra, 8.4): digit t of an element sits in bits
-        # [t*B, (t+1)*B) of its packed word, and the product of two
-        # packed elements, digits in [0, p-1], is one integer product.
-        # Its slot t is sum_{i+j=t} a_i b_j, at most m(p-1)^2. Each slot
-        # t = m..2m-2 is taken mod p, to c, and c times the packed digits
-        # of x^t mod f (each in [0, p-1]) is added to the low m slots, so
-        # a low slot takes at most m-1 folds of at most (p-1)^2 and stays
-        # at most (2m-1)(p-1)^2 < 2m(p-1)^2 < 2^B with
-        # B = (2m(p-1)^2).bit_length(): no slot carries into the next.
+        # Computer Algebra, 8.4): the product of two packed words, digits
+        # in [0, p-1], is one integer product. Its slot t is
+        # sum_{i+j=t} a_i b_j, at most m(p-1)^2. Each slot t = m..2m-2 is
+        # taken mod p, to c, and c times the packed digits of x^t mod f
+        # (each in [0, p-1]) is added to the low m slots, so a low slot
+        # takes at most m-1 folds of at most (p-1)^2 and stays at most
+        # (2m-1)(p-1)^2 < 2m(p-1)^2 < 2^B with B = (2m(p-1)^2).bit_length():
+        # no slot carries into the next. The bound uses only that f is
+        # monic of degree m, not that it is irreducible.
         slot = (2 * m * (p - 1) ** 2).bit_length()
         self._slot = slot
         self._slot_mask = (1 << slot) - 1
@@ -187,28 +140,9 @@ class FiniteField:
             self._folds.append(sum(c << (i * slot) for i, c in enumerate(x_t)))
             top = x_t[-1]
             x_t = [(c + top * f) % p for c, f in zip([0] + x_t[:-1], x_m)]
-        self.omega_idx = self._find_primitive()
-        self._add_table = None
 
-    # --- canonical index <-> digit vector ---
-
-    def digits(self, i: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            i, c = divmod(i, p)
-            out.append(c)
-        return tuple(out)
-
-    def index_of(self, coeffs) -> int:
-        idx = 0
-        for c in reversed(tuple(coeffs)):
-            idx = idx * self.p + (c % self.p)
-        return idx
-
-    # --- packed words: digit t of an element in slot t ---
-    # (like `digits`, the loops over an index take its m low digits, so
-    # they end on any int)
+    # (like `FiniteField.digits`, the loops over an index take its m low
+    # digits, so they end on any int)
 
     def _word(self, i: int) -> int:
         p, slot = self.p, self._slot
@@ -251,6 +185,85 @@ class FiniteField:
             high >>= slot
         return low
 
+    def _power(self, word: int, e: int) -> int:
+        """word^e, reduced, by square-and-multiply, for a reduced word and
+        e >= 0."""
+        product, reduce = self._product, self._reduce
+        acc = 1
+        while e:
+            if e & 1:
+                acc = reduce(product(acc, word))
+            e >>= 1
+            if e:
+                word = reduce(product(word, word))
+        return acc
+
+    def is_field(self) -> bool:
+        """Whether f is irreducible, by Rabin's test (Rabin, "Probabilistic
+        algorithms in finite fields", SIAM J. Comput. 1980): x^(p^m) = x,
+        and for each prime r | m, g = x^(p^(m/r)) - x has g^(p^m-1) = 1."""
+        p, m = self.p, self.m
+        if m == 1:
+            return True
+        power, x, n = self._power, 1 << self._slot, p**m
+        if power(x, n) != x:
+            return False
+        # Now f divides x^(p^m) - x, the product of the monic irreducibles
+        # of degree dividing m, so f is squarefree and the ring is a product
+        # of fields GF(p^d), d | m (CRT). As p^d - 1 divides p^m - 1,
+        # g^(p^m-1) is 1 in each where g is nonzero and 0 where it is zero,
+        # so it is 1 exactly when gcd(g, f) = 1, with no polynomial gcd. A
+        # factor of degree d < m divides x^(p^(m/r)) - x for a prime r with
+        # d | m/r; one of degree m divides none of them.
+        minus_x = (p - 1) << self._slot
+        return all(power(self._reduce(power(x, p ** (m // r)) + minus_x),
+                         n - 1) == 1
+                   for r in factorize(m))
+
+
+def find_modulus(p: int, m: int) -> tuple[int, ...]:
+    """Smallest monic irreducible of degree m (high-degree-first lex order):
+    the first candidate whose packed ring passes Rabin's test."""
+    for high_first in itertools.product(range(p), repeat=m):
+        f = tuple(reversed(high_first)) + (1,)
+        if PackedRing(p, f).is_field():
+            return f
+    raise ReducibleModulus(f"no irreducible polynomial found for p={p}, m={m}")
+
+
+class FiniteField(PackedRing):
+    """GF(p^m) with q <= MAX_FIELD_ORDER; immutable after construction.
+
+    The packed ring of `find_modulus(p, m)` on element indices: a sum is
+    one divmod loop (XOR for p = 2), a product one `_product`, a power one
+    `_power`. Construction is the modulus search and the primitive test,
+    both on packed words. The numpy `add_table` is built on first read,
+    for the GP-graph, and numpy is imported only then.
+    """
+
+    def __init__(self, p, m):
+        p, m = check_field(p, m)
+        super().__init__(p, find_modulus(p, m))
+        self.q = p**m
+        self.omega_idx = self._find_primitive()
+        self._add_table = None
+
+    # --- canonical index <-> digit vector ---
+
+    def digits(self, i: int) -> tuple[int, ...]:
+        p = self.p
+        out = []
+        for _ in range(self.m):
+            i, c = divmod(i, p)
+            out.append(c)
+        return tuple(out)
+
+    def index_of(self, coeffs) -> int:
+        idx = 0
+        for c in reversed(tuple(coeffs)):
+            idx = idx * self.p + (c % self.p)
+        return idx
+
     # --- arithmetic on indices ---
 
     def add_idx(self, i, j):
@@ -288,27 +301,14 @@ class FiniteField:
         """i^e by square-and-multiply on packed words; e must be >= 0."""
         if e < 0:
             raise ValueError("negative exponent")
-        product, reduce = self._product, self._reduce
-        acc, base = 1, self._word(i)
-        while e:
-            if e & 1:
-                acc = reduce(product(acc, base))
-            e >>= 1
-            if e:
-                base = reduce(product(base, base))
-        return self._index(acc)
+        return self._index(self._power(self._word(i), e))
 
     def _is_primitive(self, i):
-        n = self.q - 1
-        if n == 1:
-            return True
+        n = self.q - 1  # no prime divides 1, so GF(2) takes omega = 1
         return all(self.pow_idx(i, n // f) != 1 for f in factorize(n))
 
     def _find_primitive(self):
-        for i in range(1, self.q):
-            if self._is_primitive(i):
-                return i
-        raise ValueError("no primitive element found (impossible)")
+        return next(i for i in range(1, self.q) if self._is_primitive(i))
 
     # --- vectorized tables (built lazily; used by graph/oracle code) ---
 

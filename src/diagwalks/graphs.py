@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import VertexOutOfRange, WalkCacheTooLarge, check_length
+from .errors import (BadParameters, VertexOutOfRange, WalkCacheTooLarge,
+                     as_integer, check_length)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,6 +121,9 @@ class DenseGraph:
         return self._powers[r]
 
     def walk_count(self, r: int, i: int, j: int) -> int:
+        """A^r[i, j]; r is admitted by `check_length` before any read."""
+        if type(r) is not int or r < 0:
+            r = check_length("r", r)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise VertexOutOfRange(f"vertices ({i},{j}) out of range for n={self.n}")
         if r == 1:
@@ -132,8 +136,9 @@ class DenseGraph:
 
 
 def complete_graph(m: int) -> DenseGraph:
+    m = as_integer("m", m)
     if m < 1:
-        raise ValueError(f"m={m} must be >= 1")
+        raise BadParameters(f"m={m} must be >= 1")
     import numpy as np
 
     adj = np.ones((m, m), dtype=np.int8) - np.identity(m, dtype=np.int8)
@@ -144,8 +149,9 @@ def complete_walks(m: int, r: int, same: bool) -> int:
     """Closed-form r-walk count on K_m between equal / distinct vertices,
     from its eigenpairs m-1 and -1: ((m-1)^r + (m[same]-1)(-1)^r)/m, an
     exact integer division checked for a zero remainder."""
+    m = as_integer("m", m)
     if m < 1:
-        raise ValueError(f"m={m} must be >= 1")
+        raise BadParameters(f"m={m} must be >= 1")
     r = check_length("r", r, m - 1)
     if m == 1 and not same:
         return 0  # K_1 has no distinct vertex pair

@@ -19,8 +19,9 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import (MAX_COUNT_BITS, ArityMismatch, LengthTableTooShort,
-                     NepsWalkTooLarge, ProductTooLarge, check_length)
+from .errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
+                     LengthTableTooShort, NepsWalkTooLarge, ProductTooLarge,
+                     as_integer, check_length)
 from .graphs import DenseGraph
 
 # largest int8 adjacency neps_construct builds: 4096 vertices
@@ -214,8 +215,9 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     if len(m_list) != n or len(pattern) != n:
         raise ArityMismatch(f"{len(m_list)} sizes and pattern length "
                             f"{len(pattern)} for arity {n}")
+    m_list = [as_integer("m", m) for m in m_list]
     if any(m < 1 for m in m_list):
-        raise ValueError(f"complete graph sizes must be >= 1, got {m_list}")
+        raise BadParameters(f"complete graph sizes must be >= 1, got {m_list}")
     if 2**n * len(basis) > MAX_NEPS_OPS:
         raise NepsWalkTooLarge(
             f"the spectral NEPS walk sum takes {2**n * len(basis)} terms, "
@@ -260,11 +262,13 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms, at most
     b(q-1)^r, the bound `check_length` takes past the cap cached with them.
     """
+    if type(b) is not int or type(q) is not int:
+        b, q = as_integer("b", b), as_integer("q", q)
     zeros = tuple(map(bool, zeros))
     if len(zeros) != b:
         raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
     if b < 1 or q < 2:
-        raise ValueError(f"bad Hamming parameters b={b}, q={q}")
+        raise BadParameters(f"bad Hamming parameters b={b}, q={q}")
     d = b - sum(zeros)
     cap, spectrum = _spectrum(b, q, d)
     if type(r) is not int or not 0 <= r <= cap:

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from diagwalks import DiagonalSystem, build_field
 from diagwalks import diagonal as diagonal_mod
 from diagwalks import field as field_mod
 from diagwalks import gp as gp_mod
-from diagwalks.field import _invert_matrix_mod_p, _poly_rem
+from diagwalks.field import _invert_matrix_mod_p
 from diagwalks.verify import DEFAULT_ROSTER as ROSTER
 
 
@@ -141,7 +143,34 @@ def poly_mul(f, g, p):
     return tuple(out)
 
 
+def poly_rem(f, g, p):
+    """Remainder of f modulo monic g over F_p by long division, for f
+    with coefficients in [0, p), trailing zeros trimmed (ascending degree,
+    like `poly_mul`)."""
+    f, dg = list(f), len(g) - 1
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i]
+        if c:
+            for j in range(dg + 1):
+                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
+    rem = f[:dg]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(rem)
+
+
 def schoolbook_mul(field, i, j):
     """i * j in `field` by the schoolbook product reduced modulo f."""
     prod = poly_mul(field.digits(i), field.digits(j), field.p)
-    return field.index_of(_poly_rem(prod, field.modulus, field.p))
+    return field.index_of(poly_rem(prod, field.modulus, field.p))
+
+
+def smallest_irreducible(p, m):
+    """Reference for `find_modulus`: the first monic f of degree m, in
+    high-degree-first order, that no monic g of degree 1..m/2 divides."""
+    for high_first in itertools.product(range(p), repeat=m):
+        f = tuple(reversed(high_first)) + (1,)
+        if all(poly_rem(f, low + (1,), p)
+               for d in range(1, m // 2 + 1)
+               for low in itertools.product(range(p), repeat=d)):
+            return f

@@ -47,6 +47,7 @@ def _cases():
     f4, f9 = build_field(2, 2), build_field(3, 2)
     s716 = DiagonalSystem(7, 1, 6)
     k3 = [complete_walks(3, t, True) for t in range(9)]
+    k3_graph = complete_graph(3)
     return {
         "count_nonzero": Case(lambda n: s716.count_nonzero(1, n), 117648,
                               (diagonal, "hamming_walks")),
@@ -64,6 +65,7 @@ def _cases():
         "neps_walks": Case(
             lambda n: neps_walks([k3, k3], NepsBasis.standard(2), n)),
         "walk_matrix": Case(lambda n: complete_graph(4).walk_matrix(n)),
+        "walk_count": Case(lambda n: k3_graph.walk_count(n, 0, 1)),
         "brute_force_distribution": Case(
             lambda n: brute_force_distribution(f4, 1, n)),
         "convolution_distribution": Case(
@@ -87,7 +89,8 @@ def _same(got, want):
 @pytest.mark.parametrize("name", list(CASES))
 def test_every_evaluator_admits_its_length(monkeypatch, name):
     case = CASES[name]
-    for bad in (2.0, 2.5, -1):
+    # 1.0 too: walk_count once answered length 1 before its check
+    for bad in (1.0, 2.0, 2.5, -1):
         with pytest.raises(BadParameters, match=f"={bad!r} "):
             case.call(bad)
     assert _same(case.call(np.int64(8)), case.call(8))
@@ -147,3 +150,33 @@ def test_numpy_field_parameters_count_as_ints():
         check_k_divides(9, 2.0)
     k = check_k_divides(9, np.int64(2))
     assert type(k) is int and k == 2
+
+
+def test_closed_forms_admit_their_sizes():
+    zeros = (True,) * 5 + (False,)
+    assert _same(hamming_walks(np.int64(6), np.int64(7), 22, zeros),
+                 hamming_walks(6, 7, 22, zeros))
+    assert _same(complete_walks(np.int64(3), 5, False),
+                 complete_walks(3, 5, False))
+    assert _same(neps_complete_walks([np.int64(3), 4], NepsBasis([(1, 1)]), 5,
+                                     (True, False)),
+                 neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 5,
+                                     (True, False)))
+    assert complete_graph(np.int64(3)).n == 3
+    for call in (lambda: hamming_walks(2.0, 3, 2, (True, False)),
+                 lambda: hamming_walks(2, 3.0, 2, (True, False)),
+                 lambda: complete_walks(2.5, 1, True),
+                 lambda: neps_complete_walks([2.5], NepsBasis([(1,)]), 1,
+                                             (True,)),
+                 lambda: complete_graph(2.5)):
+        with pytest.raises(BadParameters, match="=[23].[05] is not an integer"):
+            call()
+    # a size out of range is BadParameters, still a ValueError
+    for call in (lambda: hamming_walks(0, 3, 2, ()),
+                 lambda: hamming_walks(2, 1, 2, (True, False)),
+                 lambda: complete_walks(0, 1, True),
+                 lambda: neps_complete_walks([0], NepsBasis([(1,)]), 1,
+                                             (True,)),
+                 lambda: complete_graph(0)):
+        with pytest.raises(BadParameters):
+            call()

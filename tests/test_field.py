@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,15 @@ from diagwalks.errors import (
 )
 from diagwalks.field import (
     CHUNK_ENTRIES,
+    MAX_FIELD_ORDER,
+    PackedRing,
     SubfieldMap,
     find_modulus,
     is_prime,
 )
 
 from conftest import (coordinates, list_solver, reconstruct, schoolbook_mul,
-                      solve_list)
+                      smallest_irreducible, solve_list)
 
 
 def test_prime_helpers():
@@ -49,6 +52,40 @@ def test_modulus_deterministic():
     # x^2 + 1 is the smallest monic irreducible over F_3 (high-degree-first)
     assert find_modulus(3, 2) == (1, 0, 1)
     assert build_field(3, 2).modulus == build_field(3, 2).modulus
+
+
+def test_modulus_is_the_smallest_irreducible_for_every_field():
+    # Rabin's test against trial division by every monic divisor of degree
+    # up to m/2, on every field under the cap with p < 2048 (551 of them)
+    fields = [(p, m) for p in range(2, 2048) if is_prime(p)
+              for m in range(1, 21) if p**m <= MAX_FIELD_ORDER]
+    assert len(fields) == 551
+    for p, m in fields:
+        assert find_modulus(p, m) == smallest_irreducible(p, m), (p, m)
+
+
+def test_rabin_refuses_a_product_of_factors_of_degree_dividing_m():
+    # f = (x+1)(x^2+x+1)(x^3+x+1) = 1 + x + x^4 + x^6 over F_2 has
+    # x^(2^6) = x, and x^(2^3), x^(2^2) are not x: a second step that only
+    # asked x^(p^(m/r)) != x would accept it, but gcd(x^(2^3) - x, f) and
+    # gcd(x^(2^2) - x, f) are not 1
+    ring = PackedRing(2, (1, 1, 0, 0, 1, 0, 1))
+    x = ring._word(2)
+    assert ring._power(x, 2**6) == x
+    assert ring._power(x, 2**3) != x and ring._power(x, 2**2) != x
+    assert not ring.is_field()
+    assert PackedRing(2, find_modulus(2, 6)).is_field()
+    # x^2 + 1 = (x+1)^2 is not squarefree, so it fails the first step
+    assert not PackedRing(2, (1, 0, 1)).is_field()
+
+
+def test_modulus_search_past_the_field_cap_is_fast():
+    # on a 2-vCPU machine, trial division by every divisor of degree up to
+    # 16 took about 2.8 s, and Rabin's test takes about 0.1 s
+    started = time.perf_counter()
+    f = find_modulus(2, 32)
+    assert time.perf_counter() - started < 1
+    assert f == (1, 0, 1, 1, 0, 0, 0, 1) + (0,) * 24 + (1,)
 
 
 def test_arithmetic_exhaustive(f9, f25, f64):
