@@ -79,7 +79,7 @@ class DiagonalSystem:
         m = a * b
         if hamming_parameters(p, m, k) is None:
             u = b * (p**a - 1)
-            h = multiplicative_order(p, u)
+            h = multiplicative_order(p, u, m)  # u divides p^m - 1
             raise NotPrimitiveDivisor(
                 f"u=b(p^a-1)={u} is not a primitive divisor of p^m-1="
                 f"{p**m - 1}: it already divides p^{h}-1={p**h - 1} with "

@@ -3,7 +3,8 @@
 k is an integer exactly when b divides 1 + x + ... + x^{b-1} with x = p^a,
 that is when x^b = 1 mod b(x-1): one modular power. The catalogue
 evaluates six published sufficient conditions for that divisibility;
-each fired case must imply integrality (tested as a sweep).
+each fired case must imply integrality (tested as a sweep). The order
+test factors only an exponent its caller knows, never n or phi(n).
 """
 
 from __future__ import annotations
@@ -11,29 +12,20 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .errors import BadParameters, shown
 from .field import factorize
 
 
-def euler_phi(n: int) -> int:
-    phi = 1
-    for r, t in factorize(n).items():
-        phi *= (r - 1) * r ** (t - 1)
-    return phi
-
-
-def multiplicative_order(x: int, n: int) -> int | None:
-    """Order of x modulo n, or None if gcd(x, n) != 1.
-
-    Starts from phi(n) and strips prime factors while the power stays 1.
-    """
-    x %= n
-    if n == 1:
-        return 1
-    if math.gcd(x, n) != 1:
-        return None
-    order = euler_phi(n)
-    for r in factorize(order):
-        while order % r == 0 and pow(x, order // r, n) == 1:
+def multiplicative_order(x: int, n: int, e: int) -> int:
+    """Order of x modulo n, given e >= 1 with x^e = 1 mod n (else
+    BadParameters): it divides e, so strip each prime of e from e while
+    the power stays 1."""
+    one = 1 % n  # the order of anything mod 1 is 1
+    if e < 1 or pow(x, e, n) != one:
+        raise BadParameters(f"{shown(x)}^{shown(e)} is not 1 modulo {shown(n)}")
+    order = e
+    for r in factorize(e):
+        while order % r == 0 and pow(x, order // r, n) == one:
             order //= r
     return order
 

@@ -37,7 +37,7 @@ The construction is deterministic: the modulus is always the
 lexicographically smallest monic irreducible polynomial (coefficients
 compared from the highest degree down), the first candidate in that
 order to pass Rabin's test, and the primitive element is the one with
-the smallest canonical index.
+the smallest canonical index, found with q-1 factored once per field.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# largest field order accepted: it bounds the trial division of q-1 in
-# the primitive test, the scan of indices for the primitive element, and
-# the q-sized oracle tables and gp.verify_isomorphism's int64 words
+# largest field order accepted: it bounds the one trial division of q-1
+# per field, the scan of indices for the primitive element, and the
+# q-sized oracle tables and gp.verify_isomorphism's int64 words
 MAX_FIELD_ORDER = 1 << 20
 # largest addition table (q^2 entries) that add_table will allocate
 MAX_ADD_TABLE_BYTES = 1 << 28
@@ -245,6 +245,8 @@ class FiniteField(PackedRing):
         p, m = check_field(p, m)
         super().__init__(p, find_modulus(p, m))
         self.q = p**m
+        # x is primitive when no x^((q-1)/r), r a prime of q-1, is 1
+        self._cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
         self.omega_idx = self._find_primitive()
         self._add_table = None
 
@@ -304,11 +306,12 @@ class FiniteField(PackedRing):
         return self._index(self._power(self._word(i), e))
 
     def _is_primitive(self, i):
-        n = self.q - 1  # no prime divides 1, so GF(2) takes omega = 1
-        return all(self.pow_idx(i, n // f) != 1 for f in factorize(n))
+        return all(self.pow_idx(i, e) != 1 for e in self._cofactors)
 
     def _find_primitive(self):
-        return next(i for i in range(1, self.q) if self._is_primitive(i))
+        # for m > 1 the constants 1..p-1 have orders dividing p - 1 < q - 1
+        start = self.p if self.m > 1 else 1
+        return next(i for i in range(start, self.q) if self._is_primitive(i))
 
     # --- vectorized tables (built lazily; used by graph/oracle code) ---
 

@@ -44,12 +44,13 @@ def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:
     a(p^(a+1) - 1) - (a+1)(p^a - 1) = p^a (ap - a - 1) + 1 > 0. So
     distinct a give distinct u, and the pair is unique.
 
-    `field.check_field` admits GF(p^m) before any order is computed.
+    `field.check_field` admits GF(p^m) before any order is computed; as u
+    divides p^m - 1, the order test factors only m.
     """
     p, m = check_field(p, m)
     k = check_k_divides(p**m, k)
     u = (p**m - 1) // k
-    if multiplicative_order(p, u) != m:
+    if multiplicative_order(p, u, m) != m:
         return None
     for a in range(1, m):
         if m % a == 0 and u == m // a * (p**a - 1):

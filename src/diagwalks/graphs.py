@@ -121,9 +121,11 @@ class DenseGraph:
         return self._powers[r]
 
     def walk_count(self, r: int, i: int, j: int) -> int:
-        """A^r[i, j]; r is admitted by `check_length` before any read."""
+        """A^r[i, j]; r, i and j are admitted before any read."""
         if type(r) is not int or r < 0:
             r = check_length("r", r)
+        if type(i) is not int or type(j) is not int:
+            i, j = as_integer("i", i), as_integer("j", j)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise VertexOutOfRange(f"vertices ({i},{j}) out of range for n={self.n}")
         if r == 1:

@@ -37,19 +37,20 @@ class NepsBasis:
     rejected because it would put a loop at every vertex."""
 
     def __init__(self, tuples):
-        tuples = [tuple(int(v) for v in t) for t in tuples]
+        tuples = [tuple(as_integer("basis entry", v) for v in t)
+                  for t in tuples]
         if not tuples:
-            raise ValueError("basis must be non-empty")
+            raise BadParameters("basis must be non-empty")
         n = len(tuples[0])
         for t in tuples:
             if len(t) != n:
-                raise ValueError(f"mixed tuple lengths in basis: {tuples}")
+                raise BadParameters(f"mixed tuple lengths in basis: {tuples}")
             if any(v not in (0, 1) for v in t):
-                raise ValueError(f"basis entries must be 0/1, got {t}")
+                raise BadParameters(f"basis entries must be 0/1, got {t}")
             if not any(t):
-                raise ValueError("all-zero tuple would create self-loops")
+                raise BadParameters("all-zero tuple would create self-loops")
         if len(set(tuples)) != len(tuples):
-            raise ValueError(f"duplicate tuples in basis: {tuples}")
+            raise BadParameters(f"duplicate tuples in basis: {tuples}")
         self.n = n
         self.tuples = tuple(sorted(tuples))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -6,7 +7,7 @@ from diagwalks import DiagonalSystem, build_field
 from diagwalks import diagonal as diagonal_mod
 from diagwalks import field as field_mod
 from diagwalks import gp as gp_mod
-from diagwalks.field import _invert_matrix_mod_p
+from diagwalks.field import MAX_FIELD_ORDER, _invert_matrix_mod_p, is_prime
 from diagwalks.verify import DEFAULT_ROSTER as ROSTER
 
 
@@ -37,6 +38,34 @@ def no_number_theory(monkeypatch):
                          (diagonal_mod, "multiplicative_order"),
                          (gp_mod, "multiplicative_order")]:
         monkeypatch.setattr(module, name, refuse)
+
+
+def fields_under(limit=MAX_FIELD_ORDER):
+    """Every (p, m) with p < 2048 prime and p^m <= limit: under the field
+    cap, the 551 fields the censuses sweep."""
+    return [(p, m) for p in range(2, 2048) if is_prime(p)
+            for m in range(1, 21) if p**m <= limit]
+
+
+def order_by_multiplication(x, times, one):
+    """Reference for `multiplicative_order` and the primitive search: the
+    least t >= 1 with x^t = one, by repeated `times(acc, x)`, no factoring.
+    x must lie in a finite group with identity `one`."""
+    acc, t = x, 1
+    while acc != one:
+        acc, t = times(acc, x), t + 1
+    return t
+
+
+def order_mod(x, n):
+    """The order of x modulo n, for x coprime to n, by iteration."""
+    return order_by_multiplication(x % n, lambda s, t: s * t % n, 1 % n)
+
+
+def divisors(n):
+    """The divisors of n >= 1, by trial up to its square root."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 @pytest.fixture(scope="session")

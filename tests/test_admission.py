@@ -163,13 +163,23 @@ def test_closed_forms_admit_their_sizes():
                  neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 5,
                                      (True, False)))
     assert complete_graph(np.int64(3)).n == 3
+    assert _same(complete_graph(3).walk_count(2, np.int64(0), np.int64(1)),
+                 complete_graph(3).walk_count(2, 0, 1))
     for call in (lambda: hamming_walks(2.0, 3, 2, (True, False)),
                  lambda: hamming_walks(2, 3.0, 2, (True, False)),
                  lambda: complete_walks(2.5, 1, True),
                  lambda: neps_complete_walks([2.5], NepsBasis([(1,)]), 1,
                                              (True,)),
-                 lambda: complete_graph(2.5)):
+                 lambda: complete_graph(2.5),
+                 lambda: complete_graph(3).walk_count(1, 2.5, 1),
+                 lambda: complete_graph(3).walk_count(2, 0, 2.0),
+                 lambda: NepsBasis([(2.5, 1)])):
         with pytest.raises(BadParameters, match="=[23].[05] is not an integer"):
+            call()
+    # a vertex or basis entry that is no integer at all is refused as such
+    for call in (lambda: complete_graph(3).walk_count(2, "0", 1),
+                 lambda: NepsBasis([("1", 1)])):
+        with pytest.raises(BadParameters, match="='[01]' is not an integer"):
             call()
     # a size out of range is BadParameters, still a ValueError
     for call in (lambda: hamming_walks(0, 3, 2, ()),

@@ -1,15 +1,14 @@
+import math
 import time
 
 import pytest
 
 from diagwalks import k_is_integer, remark_cases
-from diagwalks.divisibility import (
-    euler_phi,
-    factorize,
-    multiplicative_order,
-    repunit,
-)
+from diagwalks.divisibility import factorize, multiplicative_order, repunit
+from diagwalks.errors import BadParameters
 from diagwalks.field import is_prime
+
+from conftest import order_mod
 
 
 def test_k_is_integer_examples():
@@ -49,30 +48,32 @@ def test_quotient_two_ways():
                 assert repunit(x, b) == (x**b - 1) // (x - 1)
 
 
-def test_factorize_and_phi():
+def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(97) == 96
 
 
 def test_multiplicative_order():
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(3, 7) == 6
-    assert multiplicative_order(4, 8) is None
-    assert multiplicative_order(1, 5) == 1
-    # cross-check by iteration
+    assert multiplicative_order(2, 7, 6) == 3
+    assert multiplicative_order(3, 7, 6) == 6
+    assert multiplicative_order(1, 5, 4) == 1
+    assert multiplicative_order(3, 1, 1) == 1  # everything is 1 mod 1
+    # 4^3 = 0 mod 8, and 4 has no order mod 8
+    with pytest.raises(BadParameters, match="4\\^3 is not 1 modulo 8"):
+        multiplicative_order(4, 8, 3)
+    with pytest.raises(BadParameters):
+        multiplicative_order(2, 7, 0)
+    # every exponent e < 2n: the order by iteration when x^e = 1, else
+    # a refusal
     for n in range(2, 40):
         for x in range(1, n):
-            order = multiplicative_order(x, n)
-            if order is None:
-                continue
-            acc, count = x % n, 1
-            while acc != 1:
-                acc = acc * x % n
-                count += 1
-            assert order == count
+            order = order_mod(x, n) if math.gcd(x, n) == 1 else None
+            for e in range(1, 2 * n):
+                if order and e % order == 0:
+                    assert multiplicative_order(x, n, e) == order, (x, n, e)
+                else:
+                    with pytest.raises(BadParameters):
+                        multiplicative_order(x, n, e)
 
 
 def test_case_a_examples():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagwalks import DiagonalSystem, build_field, kth_power_residues
+from diagwalks import field as field_mod
 from diagwalks.errors import (
     BadDecomposition,
     DependentBasis,
@@ -15,14 +16,15 @@ from diagwalks.errors import (
 )
 from diagwalks.field import (
     CHUNK_ENTRIES,
-    MAX_FIELD_ORDER,
     PackedRing,
     SubfieldMap,
+    factorize,
     find_modulus,
     is_prime,
 )
 
-from conftest import (coordinates, list_solver, reconstruct, schoolbook_mul,
+from conftest import (coordinates, fields_under, list_solver,
+                      order_by_multiplication, reconstruct, schoolbook_mul,
                       smallest_irreducible, solve_list)
 
 
@@ -57,11 +59,35 @@ def test_modulus_deterministic():
 def test_modulus_is_the_smallest_irreducible_for_every_field():
     # Rabin's test against trial division by every monic divisor of degree
     # up to m/2, on every field under the cap with p < 2048 (551 of them)
-    fields = [(p, m) for p in range(2, 2048) if is_prime(p)
-              for m in range(1, 21) if p**m <= MAX_FIELD_ORDER]
+    fields = fields_under()
     assert len(fields) == 551
     for p, m in fields:
         assert find_modulus(p, m) == smallest_irreducible(p, m), (p, m)
+
+
+def test_omega_is_the_smallest_primitive_index():
+    # by repeated multiplication, on every field with q <= 2^10: omega has
+    # order q - 1 and no smaller index does
+    for p, m in fields_under(1 << 10):
+        field = build_field(p, m)
+        assert order_by_multiplication(field.omega_idx, field.mul_idx,
+                                       1) == field.q - 1, (p, m)
+        for i in range(1, field.omega_idx):
+            assert order_by_multiplication(i, field.mul_idx, 1) < field.q - 1
+
+
+def test_a_field_factors_q_minus_1_once(monkeypatch):
+    # the primitive search once factored q - 1 = 923,520 for each of the
+    # 34 candidates of GF(31^4)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(field_mod, "factorize", counted)
+    assert build_field(31, 4).omega_idx == 34
+    assert calls.count(31**4 - 1) == 1
 
 
 def test_rabin_refuses_a_product_of_factors_of_degree_dividing_m():

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -19,15 +20,14 @@ from diagwalks.errors import (BadDecomposition, BadParameters, FieldTooLarge,
                               KDoesNotDivide, NotPrime)
 from diagwalks.field import is_prime
 
-from conftest import coordinates
+from conftest import coordinates, divisors, fields_under, order_mod
 
 
 def test_primitive_divisor_examples():
     # u is a primitive divisor of p^m - 1 when the order of p mod u is m
-    assert multiplicative_order(3, 4) == 2
-    assert multiplicative_order(3, 1) == 1  # u = 1 divides p^1 - 1
-    assert multiplicative_order(2, 3) == 2
-    assert multiplicative_order(2, 3) != 4  # 3 | 2^2-1 with h=2 < 4
+    assert multiplicative_order(3, 4, 2) == 2
+    assert multiplicative_order(3, 1, 1) == 1  # u = 1 divides p^1 - 1
+    assert multiplicative_order(2, 3, 4) == 2  # 3 | 2^2-1 with h=2 < 4
 
 
 def test_gp_complete_for_k1(f9):
@@ -133,7 +133,7 @@ def test_hamming_parameters_examples():
                     (11, 1, 4)]:
         m = a * b
         k = (p**m - 1) // (b * (p**a - 1))
-        assert multiplicative_order(p, b * (p**a - 1)) < m
+        assert order_mod(p, b * (p**a - 1)) < m
         assert hamming_parameters(p, m, k) is None, (p, a, b)
 
 
@@ -142,6 +142,15 @@ def test_hamming_parameters_admits_the_field_first(no_number_theory):
     # after 5 s
     with pytest.raises(FieldTooLarge, match="p=3, m=1000 exceeds"):
         hamming_parameters(3, 1000, 2)
+
+
+def test_hamming_parameters_past_the_field_cap_factors_only_m(monkeypatch):
+    # the order of 2 mod u = (2^62-1)/3 from the primes of m = 62: three
+    # modular powers, where trial division of phi(u) ran past 20 s
+    monkeypatch.setattr(field_mod, "MAX_FIELD_ORDER", 1 << 64)
+    started = time.perf_counter()
+    assert hamming_parameters(2, 62, 3) is None
+    assert time.perf_counter() - started < 1
 
 
 def test_hamming_parameters_refuses_a_composite_p():
@@ -160,21 +169,21 @@ def test_hamming_candidates_are_distinct():
 
 
 def test_hamming_parameters_is_the_only_pair():
-    # every divisor k of q - 1, q = p^m <= 2^20: the one pair returned is
-    # the whole list of pairs that satisfy the condition
-    for p in (2, 3, 5, 7):
-        m = 1
-        while p**m <= 1 << 20:
-            n = p**m - 1
-            for k in (d for d in range(1, n + 1) if n % d == 0):
-                u = n // k
-                pairs = [(a, m // a) for a in range(1, m) if m % a == 0
-                         and u == m // a * (p**a - 1)
-                         and multiplicative_order(p, u) == m]
-                assert len(pairs) <= 1, (p, m, k)
-                assert hamming_parameters(p, m, k) == (
-                    pairs[0] if pairs else None), (p, m, k)
-            m += 1
+    # every divisor k of q - 1 on the 551 fields under the cap: the one
+    # pair returned is the whole list of pairs that satisfy the condition,
+    # with the order of p mod u by iteration
+    hamming = 0
+    for p, m in fields_under():
+        n = p**m - 1
+        for k in divisors(n):
+            u = n // k
+            pairs = [(a, m // a) for a in range(1, m) if m % a == 0
+                     and u == m // a * (p**a - 1) and order_mod(p, u) == m]
+            assert len(pairs) <= 1, (p, m, k)
+            assert hamming_parameters(p, m, k) == (
+                pairs[0] if pairs else None), (p, m, k)
+            hamming += bool(pairs)
+    assert hamming == 215
 
 
 def test_hamming_parameters_imply_undirected():
