@@ -186,8 +186,9 @@ def cmd_walks(args) -> int:
             "length": args.length,
             "matrix_power": str(power),
         }
-        if hamming_parameters(args.p, args.m, args.k) is not None:
-            view = HammingView(field, args.k)
+        pair = hamming_parameters(args.p, args.m, args.k)
+        if pair is not None:
+            view = HammingView(field, *pair)
             pattern = view.pattern_idx(field.sub_idx(vj, vi))
             alphabet = args.p**view.a
             formula = hamming_walks(view.b, alphabet, args.length, pattern)

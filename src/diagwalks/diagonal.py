@@ -28,7 +28,7 @@ from .errors import (MAX_COUNT_BITS, BadParameters, EnumerationTooLarge,
                      check_length)
 from .field import (FiniteField, as_index, build_field, check_field,
                     check_k_divides, kth_power_residues)
-from .gp import HammingView, gp_graph, hamming_parameters
+from .gp import HammingView, gp_graph
 from .neps import hamming_walks
 
 if TYPE_CHECKING:
@@ -76,10 +76,9 @@ class DiagonalSystem:
     def __init__(self, p: int, a: int, b: int):
         k = diagonal_exponent(p, a, b)
         p, a, b = map(operator.index, (p, a, b))  # admitted as ints above
-        m = a * b
-        if hamming_parameters(p, m, k) is None:
-            u = b * (p**a - 1)
-            h = multiplicative_order(p, u, m)  # u divides p^m - 1
+        m, u = a * b, b * (p**a - 1)
+        h = multiplicative_order(p, u, m)  # u divides p^m - 1
+        if h != m:
             raise NotPrimitiveDivisor(
                 f"u=b(p^a-1)={u} is not a primitive divisor of p^m-1="
                 f"{p**m - 1}: it already divides p^{h}-1={p**h - 1} with "
@@ -93,7 +92,7 @@ class DiagonalSystem:
         self.q = self.field.q
         self.Q = p**a
         self.k = k
-        self.view = HammingView(self.field, k)
+        self.view = HammingView(self.field, a, b)
         # N_r <= (q-1)^r and M_s <= q^s: past this, check_length decides
         self._max_n = MAX_COUNT_BITS // self.q.bit_length()
         # one-slot memo (index, zero pattern) of the last alpha solved

@@ -62,7 +62,7 @@ if TYPE_CHECKING:
 
 # largest field order accepted: it bounds the one trial division of q-1
 # per field, the scan of indices for the primitive element, and the
-# q-sized oracle tables and gp.verify_isomorphism's int64 words
+# q-sized oracle tables
 MAX_FIELD_ORDER = 1 << 20
 # largest addition table (q^2 entries) that add_table will allocate
 MAX_ADD_TABLE_BYTES = 1 << 28
@@ -448,9 +448,8 @@ class SubfieldMap:
         mat = [[cols[c][r] for c in range(m)] for r in range(m)]
         inv = _invert_matrix_mod_p(mat, p)
         if inv is None:
-            raise DependentBasis(
-                f"{{omega^(ik)}} is not a GF({p}^{a})-basis for k={k}"
-            )
+            raise DependentBasis(f"{{omega^(ik)}} is not a GF(p^a)-basis "
+                                 f"for p={p}, m={m}, k={k}, a={a}")
 
         # A packed F_p vector holds entry i in bits [i*B, (i+1)*B), each
         # entry reduced to [0, p-1]. Words are added two at a time, so a

@@ -6,15 +6,15 @@ m = ab and b > 1, and u is a primitive divisor of p^m - 1 (the order of
 p mod u is m), the graph is a Hamming graph H(b, p^a), with an explicit
 coordinate isomorphism through the basis {1, w^k, ..., w^{(b-1)k}}.
 Without primitivity R_k lies in a proper subfield and the graph is not
-connected: Gamma(10, 81) is 9 copies of K_9, not H(4, 3).
-`hamming_parameters` is the one test of that condition: `HammingView`
-and `diagonal.DiagonalSystem` read their (a, b) from it.
+connected: Gamma(10, 81) is 9 copies of K_9, not H(4, 3). `HammingView`
+takes (a, b) from its caller and decides primitivity by that basis, and
+`verify_isomorphism` checks the map from R_k alone.
 """
 
 from __future__ import annotations
 
 from .divisibility import multiplicative_order
-from .errors import BadDecomposition
+from .errors import BadDecomposition, as_integer
 from .field import (FiniteField, SubfieldMap, check_field, check_k_divides,
                     kth_power_residues)
 from .graphs import DenseGraph
@@ -37,7 +37,7 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
 def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:
     """The (a, b) with m = ab, b > 1 and u = (p^m-1)/k = b(p^a - 1), where
     u is a primitive divisor of p^m - 1 (the order of p mod u is m); None
-    when there is no such pair.
+    when there is no such pair. For callers that know only k (`walks --gp`).
 
     At most one divisor a of m fits: b(p^a - 1) = m * (p^a - 1)/a, and
     (p^a - 1)/a strictly increases in a for p >= 2, since
@@ -59,21 +59,26 @@ def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:
 
 
 class HammingView:
-    """The (a,b) coordinate view of a GP-graph as H(b, p^a), with (a, b)
-    from `hamming_parameters`."""
+    """The coordinate view of Gamma(k, p^m) as H(b, p^a) for the caller's
+    pair, k = (p^m-1)/(b(p^a-1)); BadDecomposition unless m = ab, b > 1 and
+    k is an integer. The map's inversion decides primitivity: w^k has order
+    u = b(p^a-1), so it lies in GF(p^h), h = ord_u(p), and a | h | m. If
+    h < m, the w^{ik} span h/a < b dimensions over GF(p^a) and `SubfieldMap`
+    raises DependentBasis (naming p, m, k); if h = m, GF(p^a)(w^k) = GF(p^m)
+    has degree b, so they are a basis: the pair of `hamming_parameters`."""
 
-    def __init__(self, field: FiniteField, k: int):
-        pair = hamming_parameters(field.p, field.m, k)
-        if pair is None:
+    def __init__(self, field: FiniteField, a: int, b: int):
+        a, b = as_integer("a", a), as_integer("b", b)
+        p, m, n = field.p, field.m, field.q - 1
+        # a*b == m is tested first, so p^a is formed only for 1 <= a < m
+        if b < 2 or a * b != m or n % (b * (p**a - 1)):
             raise BadDecomposition(
-                f"Gamma(k, p^m) is not a Hamming graph for p={field.p}, "
-                f"m={field.m}, k={k}: (p^m-1)/k is no primitive divisor "
-                f"b(p^a-1) with m = ab, b > 1"
-            )
-        self.field = field
-        self.k = k
-        self.a, self.b = pair
-        self.map = SubfieldMap(field, self.a, self.b, k)
+                f"Gamma(k, p^m) is not a Hamming graph H(b, p^a) for p={p}, "
+                f"m={m}, k=(p^m-1)/(b(p^a-1)), a={a}, b={b}: k needs m = ab, "
+                f"b > 1 and b(p^a-1) dividing p^m-1")
+        self.field, self.a, self.b = field, a, b
+        self.k = n // (b * (p**a - 1))
+        self.map = SubfieldMap(field, a, b, self.k)
 
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
         """Zero pattern of [x]: which Hamming coordinates vanish. A
@@ -90,23 +95,25 @@ class HammingView:
 
 
 def verify_isomorphism(view: HammingView) -> bool:
-    """Exhaustively check: y - x in R_k  <=>  dist([x],[y]) = 1, with the
-    view's coordinate map. Coordinate i of x is its packed solve word
-    under `block_masks[i]`, and two coordinates are equal exactly when
-    those bits are, so the distance is read from the words. The graph's
-    capped add table is read first; the distances then take only q^2
-    bytes."""
-    import numpy as np
-
+    """Exhaustively check y - x in R_k <=> dist([x],[y]) = 1 for the view's
+    coordinate map [.], from R_k and 2q solves, with no table: [0] = 0;
+    [x] = [x - p^t] + [p^t] for each x >= 1, t its highest nonzero digit,
+    so [.] is F_p-linear by induction on the digit sum; and [x] has weight
+    (nonzero coordinates) 1 exactly when x is in R_k and 0 exactly when
+    x = 0. So [.] has no kernel and is a bijection, and dist([x],[y]), the
+    weight of [y - x], is 1 exactly when y - x is in R_k."""
     field, smap = view.field, view.map
-    adj = gp_graph(field, view.k).adj
-    # a word has m slots of (2(p-1)).bit_length() <= log2(p) + 2 bits, so
-    # at most log2(q) + 2m <= 60 bits under MAX_FIELD_ORDER; numpy raises
-    # OverflowError rather than wrap a wider one
-    words = np.array([smap.solve_word(x) for x in range(field.q)],
-                     dtype=np.int64)
-    dist = np.zeros((field.q, field.q), dtype=np.int8)
-    for mask in smap.block_masks:
-        column = words & mask
-        dist += column[:, None] != column[None, :]
-    return bool(np.array_equal(adj == 1, dist == 1))
+    solve, masks = smap.solve_word, smap.block_masks
+    residues = kth_power_residues(field, view.k)
+    if solve(0):
+        return False
+    for t in range(field.m):
+        unit = field.p**t
+        unit_word = solve(unit)
+        for x in range(unit, unit * field.p):  # digit t is x's highest
+            word = solve(x)
+            weight = sum(1 for mask in masks if word & mask)
+            if (word != smap._add(solve(x - unit), unit_word) or not weight
+                    or (weight == 1) != (x in residues)):
+                return False
+    return True

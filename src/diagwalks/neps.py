@@ -37,8 +37,11 @@ class NepsBasis:
     rejected because it would put a loop at every vertex."""
 
     def __init__(self, tuples):
-        tuples = [tuple(as_integer("basis entry", v) for v in t)
-                  for t in tuples]
+        try:
+            tuples = [tuple(as_integer("basis entry", v) for v in t)
+                      for t in tuples]
+        except TypeError:  # tuples, or one of its items, is not iterable
+            raise BadParameters(f"basis must hold tuples: {tuples!r}") from None
         if not tuples:
             raise BadParameters("basis must be non-empty")
         n = len(tuples[0])
@@ -61,8 +64,9 @@ class NepsBasis:
 
     @classmethod
     def parse(cls, literal: str) -> "NepsBasis":
-        """Parse the CLI literal, e.g. "11", "10;01", "11;10;01"."""
-        return cls([tuple(int(c) for c in part) for part in literal.split(";")])
+        """Parse a literal like "10;01"; the constructor refuses a non-digit."""
+        return cls([tuple(int(c) if c.isdecimal() else c for c in part)
+                    for part in literal.split(";")])
 
     def __repr__(self):
         return f"NepsBasis({';'.join(''.join(map(str, t)) for t in self.tuples)})"

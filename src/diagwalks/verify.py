@@ -8,7 +8,7 @@ the four per-triple checks, each returning one CheckResult:
   giving every r <= max_r;
 - walk bridge: the same counts against k^r times matrix-power walks on
   the triple's generalized Paley graph, built once for the check;
-- isomorphism: the system's own `HammingView` against the GP-graph;
+- isomorphism: the system's own `HammingView` against R_k;
 - partition: the sums of N_r and M_s over alpha.
 
 Two checks do not depend on the roster:

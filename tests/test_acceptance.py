@@ -128,7 +128,7 @@ def test_criterion_6_isomorphisms():
     bad = ""
     for p, m, k, a, b in cases:
         field = build_field(p, m)
-        view = HammingView(field, k)
+        view = HammingView(field, a, b)
         if not verify_isomorphism(view):
             bad = f"Gamma({k},{p**m}) vs H({b},{p**a})"
             break

@@ -252,6 +252,15 @@ def test_walks_bad_options_exit_2(capsys, argv, message):
     assert message in json.loads(err)["message"]
 
 
+def test_walks_bad_basis_literal_is_a_parameter_error(capsys):
+    code, out, err = run_cli(
+        capsys, "walks", "--neps", "3,4", "--basis", "1x",
+        "--from", "0", "--to", "0", "--length", "2",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BadParameters"
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_walks_gp_nonpositive_k_exit_2(capsys, k):
     code, out, err = run_cli(

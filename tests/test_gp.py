@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -13,11 +14,14 @@ from diagwalks import (
     verify_isomorphism,
     walk_solution_count,
 )
+from diagwalks import cli as cli_mod
+from diagwalks import diagonal as diagonal_mod
 from diagwalks import field as field_mod
 from diagwalks import gp as gp_mod
 from diagwalks.divisibility import multiplicative_order
-from diagwalks.errors import (BadDecomposition, BadParameters, FieldTooLarge,
-                              KDoesNotDivide, NotPrime)
+from diagwalks.errors import (BadDecomposition, BadParameters, DependentBasis,
+                              DiagwalksError, FieldTooLarge, KDoesNotDivide,
+                              NotPrime)
 from diagwalks.field import is_prime
 
 from conftest import coordinates, divisors, fields_under, order_mod
@@ -194,7 +198,7 @@ def test_hamming_parameters_imply_undirected():
 
 
 def test_hamming_view_coordinates(f9):
-    view = HammingView(f9, 2)
+    view = HammingView(f9, 1, 2)
     assert coordinates(view.map, 1) == (1, 0)
     assert coordinates(view.map, f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
     # linearity: [x+y] = [x] + [y] componentwise
@@ -208,7 +212,7 @@ def test_hamming_view_coordinates(f9):
 
 
 def test_basis_coordinates(f64):
-    view = HammingView(f64, 7)
+    view = HammingView(f64, 2, 3)
     w_k = f64.pow_idx(f64.omega_idx, 7)
     w_2k = f64.pow_idx(f64.omega_idx, 14)
     assert coordinates(view.map, 1) == (1, 0, 0)
@@ -218,12 +222,12 @@ def test_basis_coordinates(f64):
 
 def test_pattern_idx_matches_coordinates(f9, f64):
     # the zero pattern marks exactly the vanishing subfield coordinates
-    for view in (HammingView(f9, 2), HammingView(f64, 7)):
+    for view in (HammingView(f9, 1, 2), HammingView(f64, 2, 3)):
         for x in range(view.field.q):
             pattern = view.pattern_idx(x)
             assert pattern == tuple(c == 0 for c in coordinates(view.map, x))
-    assert HammingView(f9, 2).pattern_idx(1) == (False, True)
-    assert HammingView(f9, 2).pattern_idx(0) == (True, True)
+    assert HammingView(f9, 1, 2).pattern_idx(1) == (False, True)
+    assert HammingView(f9, 1, 2).pattern_idx(0) == (True, True)
 
 
 @pytest.mark.parametrize("p, a, b", [(7, 1, 6), (2, 4, 5), (3, 1, 2)])
@@ -244,23 +248,84 @@ def test_solve_refuses_a_non_element_index(p, a, b):
 )
 def test_verify_isomorphism_roster(p, m, k, a, b):
     field = build_field(p, m)
-    view = HammingView(field, k)
-    assert (view.a, view.b) == (a, b)
+    view = HammingView(field, a, b)
+    assert view.k == k
     assert verify_isomorphism(view)
 
 
-@pytest.mark.parametrize("p,m,k", [(3, 4, 10), (2, 2, 1)])
-def test_hamming_view_refuses_a_non_hamming_graph(p, m, k, monkeypatch):
-    # (3, 4, 10): u = 8 = 4(3-1) but divides 3^2 - 1; (2, 2, 1): u = 3 is
-    # no b(2^a - 1) with b > 1. Refused before the subfield map is built
-    field = build_field(p, m)
+def test_hamming_view_refuses_a_non_hamming_graph(monkeypatch):
+    # (3, 1, 4) on GF(81): k = 10 and u = 8 = 4(3-1), but u divides 3^2 - 1,
+    # so {w^(10i)} spans GF(9), and the subfield map finds it dependent
+    with pytest.raises(DependentBasis, match="p=3, m=4, k=10"):
+        HammingView(build_field(3, 4), 1, 4)
+    # (1, 2) on GF(4): b(p^a - 1) = 2 does not divide 3; refused before the
+    # subfield map is built
     monkeypatch.setattr(gp_mod, "SubfieldMap", None)
-    with pytest.raises(BadDecomposition, match=f"p={p}, m={m}, k={k}"):
-        HammingView(field, k)
+    with pytest.raises(BadDecomposition,
+                       match=re.escape("p=2, m=2, k=(p^m-1)/(b(p^a-1))")):
+        HammingView(build_field(2, 2), 1, 2)
+
+
+@pytest.mark.parametrize("a, b", [(6, 1), (2, 2), (10**9, 2)])
+def test_hamming_view_refuses_a_pair_that_is_no_decomposition(a, b):
+    # m = ab and b > 1 are tested before p^a is formed
+    with pytest.raises(BadDecomposition, match=f"m=6, .* a={a}, b={b}:"):
+        HammingView(build_field(2, 6), a, b)
+
+
+def test_hamming_view_agrees_with_hamming_parameters():
+    # every (p, a, b) with an integer k and q under the field cap: the
+    # view's basis test accepts exactly the pairs of the order test
+    seen = accepted = 0
+    for p, m in fields_under():
+        field = None
+        for a in (a for a in range(1, m) if m % a == 0):
+            b = m // a
+            if (p**m - 1) % (b * (p**a - 1)):
+                continue
+            k = (p**m - 1) // (b * (p**a - 1))
+            field = field or build_field(p, m)
+            try:
+                view = HammingView(field, a, b)
+            except DiagwalksError:
+                view = None
+            want = hamming_parameters(p, m, k) == (a, b)
+            assert (view is not None) == want, (p, a, b)
+            seen, accepted = seen + 1, accepted + want
+    assert (seen, accepted) == (224, 215)
+
+
+def test_one_hamming_decision_per_caller(monkeypatch, capsys):
+    # a system takes one order test and no hamming_parameters call, a view
+    # neither, and `walks --gp` one hamming_parameters call
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(diagonal_mod, "multiplicative_order"),
+                         (gp_mod, "multiplicative_order"),
+                         (gp_mod, "hamming_parameters"),
+                         (cli_mod, "hamming_parameters")]:
+        spy(module, name)
+    system = DiagonalSystem(7, 1, 6)
+    assert calls == ["multiplicative_order"]
+    calls.clear()
+    HammingView(system.field, 1, 6)
+    assert calls == []
+    assert cli_mod.main(["walks", "--gp", "--p", "3", "--m", "2", "--k", "2",
+                         "--from", "0", "--to", "pow:0", "--length", "3"]) == 0
+    assert '"agree": true' in capsys.readouterr().out
+    assert calls == ["hamming_parameters", "multiplicative_order"]
 
 
 def test_verify_isomorphism_negative_control(f9, monkeypatch):
-    view = HammingView(f9, 2)
+    view = HammingView(f9, 1, 2)
     smap = view.map
     solve = smap.solve_word
     low, high = smap.block_masks
@@ -281,15 +346,35 @@ def test_verify_isomorphism_negative_control(f9, monkeypatch):
     assert not verify_isomorphism(view)
 
 
-def test_verify_isomorphism_cap_checked_before_coordinates(monkeypatch):
-    field = build_field(2, 6)  # a new field: no add table built yet
-    view = HammingView(field, 7)
-    monkeypatch.setattr(field_mod, "MAX_ADD_TABLE_BYTES", 1000)
-    calls = []
-    monkeypatch.setattr(view.map, "solve_word", calls.append)
-    with pytest.raises(FieldTooLarge):
-        verify_isomorphism(view)
-    assert not calls
+def test_verify_isomorphism_needs_the_residues_and_no_kernel(f9, monkeypatch):
+    view = HammingView(f9, 1, 2)
+    smap = view.map
+    solve, last = smap.solve_word, smap.block_masks[-1]
+    residues = kth_power_residues(f9, 2)
+    # one residue left out of R_k: it still solves to weight 1
+    monkeypatch.setattr(gp_mod, "kth_power_residues",
+                        lambda *args: residues - {1})
+    assert not verify_isomorphism(view)
+    # a linear map with a kernel (the last coordinate dropped), against the
+    # set it sends to weight 1: only the weight-0 test can refuse it
+    monkeypatch.setattr(smap, "solve_word", lambda x: solve(x) & ~last)
+    weight_one = frozenset(x for x in range(1, 9) if smap.solve_word(x))
+    monkeypatch.setattr(gp_mod, "kth_power_residues", lambda *args: weight_one)
+    assert not verify_isomorphism(view)
+
+
+def test_verify_isomorphism_reads_no_table(monkeypatch):
+    # GF(7^6), whose add table is over the byte cap: the check reads R_k
+    # and the solve alone
+    view = DiagonalSystem(7, 1, 6).view
+
+    def refuse(*args):
+        raise AssertionError("a q-sized table was read")
+
+    monkeypatch.setattr(field_mod.FiniteField, "add_table", property(refuse))
+    monkeypatch.setattr(gp_mod, "gp_graph", refuse)
+    assert verify_isomorphism(view)
+    assert view.field._add_table is None
 
 
 def test_gp_graph_cap_checked_before_residues(monkeypatch):

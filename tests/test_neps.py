@@ -50,6 +50,15 @@ def test_basis_validation():
         NepsBasis([(2, 0)])
 
 
+def test_basis_refusals_are_typed():
+    # a basis that is not a collection of tuples raised TypeError, and a
+    # literal character that is no digit a plain ValueError from int()
+    with pytest.raises(BadParameters, match="basis must hold tuples"):
+        NepsBasis([1])
+    with pytest.raises(BadParameters, match="basis entry='x'"):
+        NepsBasis.parse("1x")
+
+
 def test_basis_parse():
     assert NepsBasis.parse("11").tuples == ((1, 1),)
     assert NepsBasis.parse("10;01") == NepsBasis.standard(2)
