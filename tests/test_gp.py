@@ -253,17 +253,23 @@ def test_verify_isomorphism_roster(p, m, k, a, b):
     assert verify_isomorphism(view)
 
 
-def test_hamming_view_refuses_a_non_hamming_graph(monkeypatch):
-    # (3, 1, 4) on GF(81): k = 10 and u = 8 = 4(3-1), but u divides 3^2 - 1,
-    # so {w^(10i)} spans GF(9), and the subfield map finds it dependent
-    with pytest.raises(DependentBasis, match="p=3, m=4, k=10"):
-        HammingView(build_field(3, 4), 1, 4)
-    # (1, 2) on GF(4): b(p^a - 1) = 2 does not divide 3; refused before the
-    # subfield map is built
-    monkeypatch.setattr(gp_mod, "SubfieldMap", None)
-    with pytest.raises(BadDecomposition,
-                       match=re.escape("p=2, m=2, k=(p^m-1)/(b(p^a-1))")):
-        HammingView(build_field(2, 2), 1, 2)
+@pytest.mark.parametrize("p,m,k", [(3, 4, 10), (2, 2, 1)])
+def test_hamming_view_refuses_a_non_hamming_graph(p, m, k, monkeypatch):
+    # GP(p^m, k) is no Hamming graph; (a, b) = (1, m) is the pair it would
+    # take. (3, 4, 10): u = 8 = 4(3-1) but divides 3^2 - 1, so {w^(10i)}
+    # spans GF(9) and the subfield map finds the basis dependent.
+    # (2, 2, 1): u = 3 is no b(2^a - 1) with b > 1, so (1, 2) gives no
+    # integer k and is refused before the subfield map is built
+    field = build_field(p, m)
+    if (p**m - 1) % (m * (p - 1)) == 0:
+        assert (p**m - 1) // (m * (p - 1)) == k
+        with pytest.raises(DependentBasis, match=f"p={p}, m={m}, k={k}"):
+            HammingView(field, 1, m)
+    else:
+        monkeypatch.setattr(gp_mod, "SubfieldMap", None)
+        with pytest.raises(BadDecomposition,
+                           match=re.escape(f"p={p}, m={m}, k=(p^m-1)/(b(p^a-1))")):
+            HammingView(field, 1, m)
 
 
 @pytest.mark.parametrize("a, b", [(6, 1), (2, 2), (10**9, 2)])
