@@ -51,26 +51,43 @@ from .gp import HammingView, gp_graph, hamming_parameters
 CSV_COLUMNS = ["p", "a", "b", "k", "q", "alpha", "n", "mode", "method", "count"]
 
 
-def parse_element(field: FiniteField, literal: str) -> int:
+def parse_int(option: str, literal: str, part: str | None = None) -> int:
+    """part of an option's literal (the whole literal when part is None) as
+    an int; BadParameters, naming the option and the literal, otherwise."""
+    part = literal if part is None else part
+    try:
+        return int(part)
+    except ValueError:
+        raise BadParameters(
+            f"{option} {literal!r}: {part!r} is not an integer") from None
+
+
+def parse_element(field: FiniteField, literal: str,
+                  option: str = "--alpha") -> int:
     """The canonical index of an element literal: "0", "pow:<e>" for
-    omega^e, or m comma-separated coefficients in [0, p), ascending."""
+    omega^e (e any integer, taken mod q-1), or m comma-separated
+    coefficients in [0, p), ascending. A bad literal raises BadParameters
+    naming the option and the literal."""
     literal = literal.strip()
     if literal.startswith("pow:"):
-        return field.pow_idx(field.omega_idx, int(literal[4:]))
-    parts = [int(v) for v in literal.split(",")]
+        e = parse_int(option, literal, literal[4:])
+        return field.pow_idx(field.omega_idx, e % (field.q - 1))
+    parts = [parse_int(option, literal, v) for v in literal.split(",")]
+    bad = f"{option} {literal!r}:"
     if len(parts) == 1 and field.m > 1:
         if parts[0] == 0:
             return 0
-        raise ValueError(
-            f"a bare integer other than 0 is ambiguous for m={field.m}; "
+        raise BadParameters(
+            f"{bad} a bare integer other than 0 is ambiguous for m={field.m}; "
             f"use pow:<e> or {field.m} comma-separated coefficients"
         )
     if len(parts) != field.m:
-        raise ValueError(f"expected {field.m} coefficients, got {len(parts)}")
+        raise BadParameters(
+            f"{bad} expected {field.m} coefficients, got {len(parts)}")
     for degree, c in enumerate(parts):
         if not 0 <= c < field.p:
-            raise BadParameters(f"coefficient {c} of x^{degree} is outside "
-                                f"[0, p) for p={field.p}")
+            raise BadParameters(f"{bad} coefficient {c} of x^{degree} is "
+                                f"outside [0, p) for p={field.p}")
     return field.index_of(parts)
 
 
@@ -127,8 +144,9 @@ def cmd_count(args) -> int:
     elif method == "brute":
         count = brute_force_count(field, k, alpha, n, args.nonzero_only)
     elif method == "convolution":
+        # the last row holds only the elements it reaches
         count = convolution_distribution(field, k, n,
-                                         args.nonzero_only)[n][alpha]
+                                         args.nonzero_only)[n].get(alpha, 0)
     elif method == "walk":
         if not args.nonzero_only:
             raise DiagwalksError("--method walk computes N_r; add --nonzero-only")
@@ -154,11 +172,13 @@ def cmd_walks(args) -> int:
     started = time.perf_counter()
     if args.neps:
         require_options(args, "--neps", "basis")
-        sizes = [int(v) for v in args.neps.split(",")]
+        sizes = [parse_int("--neps", args.neps, v)
+                 for v in args.neps.split(",")]
         basis = NepsBasis.parse(args.basis)
         product_order(sizes)
         graph = neps_construct([complete_graph(m) for m in sizes], basis)
-        vi, vj = int(args.from_vertex), int(args.to_vertex)
+        vi = parse_int("--from", args.from_vertex)
+        vj = parse_int("--to", args.to_vertex)
         pattern = agreement_pattern(sizes, vi, vj)
         # the power's byte cap is checked before the spectral sum runs
         power = graph.walk_count(args.length, vi, vj)
@@ -176,8 +196,8 @@ def cmd_walks(args) -> int:
         require_options(args, "--gp", "p", "m", "k")
         field = build_field(args.p, args.m)
         graph = gp_graph(field, args.k)
-        vi = parse_element(field, args.from_vertex)
-        vj = parse_element(field, args.to_vertex)
+        vi = parse_element(field, args.from_vertex, "--from")
+        vj = parse_element(field, args.to_vertex, "--to")
         power = graph.walk_count(args.length, vi, vj)
         payload = {
             "graph": f"Gamma({args.k},{field.q})",

@@ -11,9 +11,10 @@ vanish, plus the all-zero tuple when alpha = 0.
 Three independent oracles ship alongside the formula: a literal
 enumeration of all tuples (each value sum a carry-free integer sum of
 packed digit words, streamed over the last summand), an r-fold additive
-convolution over the group, and the walk bridge, k^r times a
-matrix-power walk count on the generalized Paley graph. The first two return the counts of every
-length t = 0..r from one pass.
+convolution over the group, walked out from 0 through R_k and holding
+only the elements it reaches, and the walk bridge, k^r times a
+matrix-power walk count on the generalized Paley graph. The first two
+return the counts of every length t = 0..r from one pass.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ MAX_ENUM_TUPLES = 10**8
 # summand value; over the q <= 11,585 a pass on the q^2 addition table
 # could answer, and GF(2^16) is refused before its first power
 MAX_ENUM_POWERS = 1 << 14
-# largest number of add_idx calls plus scanned weights the convolution
-# oracle makes
+# largest number of add_idx calls the convolution oracle makes
 MAX_CONVOLUTION_OPS = 10**7
 # largest estimated size of the rows g_0..g_r it returns, whose entries
 # grow by log2(q) bits a step
@@ -162,10 +162,12 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     takes each base-R digit of a bin mod p, and adds the bins of a row
     exactly onto the q elements. The t-prefix sums are held at once for
     t < r, and row t counts them; the last summand is added a block of
-    values at a time, so memory grows as base^(r-1), not base^r. Raises
-    KDoesNotDivide, and, before the first power, EnumerationTooLarge when
-    the pass writes more than MAX_ENUM_TUPLES values, runs to
-    r >= log2(MAX_ENUM_TUPLES) or takes more than MAX_ENUM_POWERS powers.
+    values to a chunk of the sums at a time, so memory grows as
+    base^(r-1), not base^r, and the buffer holds at most max(2R^m, 2^20)
+    entries. Raises KDoesNotDivide, and, before numpy is loaded,
+    EnumerationTooLarge when the pass writes more than MAX_ENUM_TUPLES
+    values, runs to r >= log2(MAX_ENUM_TUPLES) or takes more than
+    MAX_ENUM_POWERS powers.
     """
     k = check_k_divides(field.q, k)
     r = check_length("r", r)
@@ -187,17 +189,17 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
             f"a pass to r={r} writes at least {writes} values, over the cap "
             f"of {MAX_ENUM_TUPLES} values and {lengths - 1} lengths"
         )
+    if r and base > MAX_ENUM_POWERS:
+        raise EnumerationTooLarge(
+            f"a pass over GF({p}^{m}) takes {base} field powers, over the "
+            f"cap of {MAX_ENUM_POWERS}"
+        )
     import numpy as np
 
     dist = np.zeros((r + 1, q), dtype=np.int64)
     dist[0, 0] = 1
     if r == 0:
         return dist
-    if base > MAX_ENUM_POWERS:
-        raise EnumerationTooLarge(
-            f"a pass over GF({p}^{m}) takes {base} field powers, over the "
-            f"cap of {MAX_ENUM_POWERS}"
-        )
     domain = range(1, q) if restrict_nonzero else range(q)
     powers = np.array([field.pow_idx(x, k) for x in domain], dtype=np.intp)
     words = np.zeros_like(powers)
@@ -211,16 +213,21 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     for t in range(1, r):
         sums = (sums[:, None] + words).ravel()
         np.add.at(dist[t], elements, np.bincount(sums, minlength=bins))
-    # blocks of `size` last summands, so a bincount of R^m bins counts
-    # at least R^m tuples; one buffer serves every block
-    size = -(-bins // len(sums))
-    buffer = np.empty(len(sums) * min(size, base), dtype=np.intp)
+    # chunks of at most max(R^m, 2^20) sums against blocks of `size` last
+    # summands, so a bincount of R^m bins counts at least R^m tuples; one
+    # buffer serves every block, at most 2^20 entries when a chunk
+    # outnumbers the bins and fewer than 2R^m when it does not
+    chunk = min(len(sums), max(bins, 1 << 20))
+    size = -(-bins // chunk)
+    buffer = np.empty(chunk * min(size, base), dtype=np.intp)
     counts = np.zeros(bins, dtype=np.int64)
-    for start in range(0, base, size):
-        block = words[start:start + size]
-        out = buffer[:len(sums) * len(block)].reshape(len(sums), len(block))
-        np.add(sums[:, None], block, out=out)
-        counts += np.bincount(out.ravel(), minlength=bins)
+    for cut in range(0, len(sums), chunk):
+        part = sums[cut:cut + chunk, None]
+        for start in range(0, base, size):
+            block = words[start:start + size]
+            out = buffer[:len(part) * len(block)].reshape(len(part), -1)
+            np.add(part, block, out=out)
+            counts += np.bincount(out.ravel(), minlength=bins)
     np.add.at(dist[r], elements, counts)
     return dist
 
@@ -234,44 +241,44 @@ def brute_force_count(field: FiniteField, k: int, alpha, r: int,
 # --- oracle 2: additive convolution ---
 
 def convolution_distribution(field: FiniteField, k: int, r: int,
-                             restrict_nonzero: bool = True) -> list[list[int]]:
-    """The weight vectors g_0..g_r of the t-fold additive convolutions of
-    f(beta) = k*[beta in R_k] (+1 at beta = 0 when zeros are allowed),
-    from one pass; exact Python integers. Raises EnumerationTooLarge,
-    before the first step, when the add_idx calls plus the q weights
-    scanned at every step could pass MAX_CONVOLUTION_OPS, or the rows
-    MAX_CONVOLUTION_BYTES."""
+                             restrict_nonzero: bool = True) -> list[dict]:
+    """The t-fold additive convolutions g_0..g_r of f(beta) = k*[beta in
+    R_k] (+1 at beta = 0 when zeros are allowed), walked out from 0: row t
+    maps each element a t-sum of support values reaches to its exact
+    weight; every other element has weight 0. Raises KDoesNotDivide, and,
+    before R_k is built, EnumerationTooLarge when the add_idx calls could
+    pass MAX_CONVOLUTION_OPS or the rows MAX_CONVOLUTION_BYTES."""
     r = check_length("r", r)
-    q = field.q
+    q, k = field.q, check_k_divides(field.q, k)
+    # the support has (q-1)/k values, one more with zeros, so row t holds
+    # at most n_t = min(size^t, q) entries and step t+1 makes size*n_t
+    # add_idx calls; from t = q.bit_length() on, n_t no longer changes
+    size, t0 = (q - 1) // k + (not restrict_nonzero), min(r, q.bit_length())
+    reach = [min(size**t, q) for t in range(t0 + 1)]
+    ops = size * (sum(reach[:-1]) + (r - t0) * reach[-1])
+    # a row is a pointer to a dict of 240 bytes with its 8-slot table; an
+    # entry (the support's too) takes at most 60 bytes of a grown table, a
+    # 28-byte key unless one of CPython's shared ints below 257, and a
+    # weight of t*log2(base) bits: 24 bytes, 4 per 30-bit digit, 3 spare
+    base = q - 1 if restrict_nonzero else q
+    entry, slope = 96 + 28 * (q > 257), 4 * math.log2(base) / 30
+    tail = reach[-1] * (r - t0 + 1) * (entry + slope * (r + t0) / 2)
+    row_bytes = math.ceil(248 * (r + 1) + size * entry + tail + sum(
+        n * (entry + slope * t) for t, n in enumerate(reach[:-1])))
+    if ops > MAX_CONVOLUTION_OPS or row_bytes > MAX_CONVOLUTION_BYTES:
+        raise EnumerationTooLarge(
+            f"{r} convolution steps need up to {ops} add_idx calls and "
+            f"about {row_bytes} bytes of rows, over the caps of "
+            f"{MAX_CONVOLUTION_OPS} calls and {MAX_CONVOLUTION_BYTES} bytes")
     support = [(beta, k) for beta in kth_power_residues(field, k)]
     if not restrict_nonzero:
         support.append((0, 1))
-    # step t+1 adds the |S| values to at most min(|S|^t, q) nonzero
-    # weights; from t = q.bit_length() on, that minimum no longer changes.
-    # Every step also scans all q weights, whatever the support size
-    size, t0 = len(support), min(r, q.bit_length())
-    ops = size * (sum(min(size**t, q) for t in range(t0))
-                  + (r - t0) * min(size**t0, q))
-    # g_t sums to base^t, so each of its q entries is estimated as an
-    # 8-byte pointer to a Python int of 24 bytes plus 4 per 30-bit digit:
-    # at most t*log2(base)/30 + 1 digits, and 2 spare ones that CPython's
-    # sums and products allocate. Each row adds a list and a pointer to it
-    base = q - 1 if restrict_nonzero else q
-    digits = (r + 1) * (3 + math.log2(base) / 30 * r / 2)
-    row_bytes = 64 * (r + 1) + q * math.ceil(32 * (r + 1) + 4 * digits)
-    if ops + r * q > MAX_CONVOLUTION_OPS or row_bytes > MAX_CONVOLUTION_BYTES:
-        raise EnumerationTooLarge(
-            f"{r} convolution steps need up to {ops} add_idx calls, "
-            f"{r * q} weight scans and about {row_bytes} bytes of rows, over "
-            f"the caps of {MAX_CONVOLUTION_OPS} operations and "
-            f"{MAX_CONVOLUTION_BYTES} bytes"
-        )
-    rows = [[1] + [0] * (q - 1)]
+    rows = [{0: 1}]
     for _ in range(r):
-        nxt = [0] * q
-        for alpha_idx, weight in enumerate(rows[-1]):
-            if weight:
-                for beta, f in support:
-                    nxt[field.add_idx(alpha_idx, beta)] += weight * f
+        nxt = {}
+        for alpha, weight in rows[-1].items():
+            for beta, f in support:
+                gamma = field.add_idx(alpha, beta)
+                nxt[gamma] = nxt.get(gamma, 0) + weight * f
         rows.append(nxt)
     return rows

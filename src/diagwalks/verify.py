@@ -75,11 +75,12 @@ def check_triple_agreement(system: DiagonalSystem, max_r=3) -> CheckResult:
     for alpha in range(q):
         for r in range(max_r + 1):
             formula = system.count_nonzero(alpha, r)
-            if not (formula == int(brute[r, alpha]) == conv[r][alpha]):
+            weight = conv[r].get(alpha, 0)  # an unreached alpha weighs 0
+            if not (formula == int(brute[r, alpha]) == weight):
                 return CheckResult(name, False, (
                     f"{_triple(system)} alpha={alpha} r={r}: "
                     f"formula={formula} brute={int(brute[r, alpha])} "
-                    f"conv={conv[r][alpha]}"
+                    f"conv={weight}"
                 ))
     return CheckResult(name, True)
 

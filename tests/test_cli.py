@@ -391,6 +391,46 @@ def test_validation_error_exit_code(capsys):
     assert "p=3" in error["message"]
 
 
+def test_count_negative_power_is_an_element(capsys):
+    # omega^-1 = omega^(q-2) in GF(9)
+    field = build_field(3, 2)
+    inverse = parse_element(field, "pow:-1")
+    assert inverse == parse_element(field, "pow:7")
+    assert field.mul_idx(inverse, field.omega_idx) == 1
+    counts = []
+    for alpha in ("pow:-1", "pow:7"):
+        code, out, _ = run_cli(
+            capsys, "count", "--p", "3", "--a", "1", "--b", "2",
+            "--alpha", alpha, "--s", "3", "--nonzero-only",
+        )
+        assert code == 0
+        counts.append(json.loads(out)["result"]["count"])
+    assert counts[0] == counts[1]
+
+
+COUNT = ["count", "--p", "3", "--a", "1", "--b", "2", "--s", "2"]
+NEPS = ["walks", "--basis", "11", "--length", "2"]
+GP = ["walks", "--gp", "--p", "3", "--m", "2", "--k", "2", "--length", "2"]
+
+
+@pytest.mark.parametrize("argv, option, literal", [
+    (COUNT + ["--alpha", "pow:x"], "--alpha", "pow:x"),
+    (COUNT + ["--alpha", "1,x"], "--alpha", "1,x"),
+    (NEPS + ["--neps", "3,x", "--from", "0", "--to", "0"], "--neps", "3,x"),
+    (NEPS + ["--neps", "3,4", "--from", "1.5", "--to", "0"], "--from", "1.5"),
+    (NEPS + ["--neps", "3,4", "--from", "0", "--to", "x"], "--to", "x"),
+    (GP + ["--from", "pow:x", "--to", "0"], "--from", "pow:x"),
+    (GP + ["--from", "0", "--to", "1,x"], "--to", "1,x"),
+], ids=["pow", "coefficient", "neps", "neps-from", "neps-to", "gp-from",
+        "gp-to"])
+def test_bad_literal_is_a_parameter_error(capsys, argv, option, literal):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "BadParameters"
+    assert error["message"].startswith(f"{option} {literal!r}")
+
+
 def test_parse_element_literals():
     f = build_field(3, 2)
     assert parse_element(f, "0") == 0

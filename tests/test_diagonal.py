@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,11 @@ from diagwalks.field import FiniteField
 from diagwalks.verify import check_walk_bridge
 
 from conftest import hamming_distance_walks, reconstruct, subfield_basis
+
+
+def dense(row, q):
+    """A convolution row as q weights, 0 at every element it does not reach."""
+    return [row.get(alpha, 0) for alpha in range(q)]
 
 
 def test_spot_values_f9():
@@ -284,7 +290,8 @@ def test_brute_force_never_reads_the_add_table():
     field = build_field(7, 2)
     dist = brute_force_distribution(field, 4, 3)
     assert field._add_table is None
-    assert list(dist[3]) == convolution_distribution(field, 4, 3)[3]
+    assert list(dist[3]) == dense(convolution_distribution(field, 4, 3)[3],
+                                  field.q)
 
 
 def test_enumeration_cap_counts_the_bins(monkeypatch):
@@ -340,7 +347,7 @@ def test_oracle_rows_agree_on_roster_fields(roster_systems, restrict_nonzero):
         brute = brute_force_distribution(field, k, 3, restrict_nonzero)
         conv = convolution_distribution(field, k, 3, restrict_nonzero)
         assert len(conv) == 4
-        assert brute.tolist() == conv, system
+        assert brute.tolist() == [dense(row, field.q) for row in conv], system
 
 
 def test_convolution_cap_checked_before_any_addition(monkeypatch):
@@ -355,23 +362,48 @@ def test_convolution_cap_checked_before_any_addition(monkeypatch):
     with pytest.raises(EnumerationTooLarge, match="10198332"):
         convolution_distribution(field, k, 6)
     assert not calls
-    assert convolution_distribution(field, k, 2)[2][1234] == \
+    assert convolution_distribution(field, k, 2)[2].get(1234, 0) == \
         system.count_nonzero(1234, 2)
     assert len(calls) == 36 * 37
 
 
-def test_convolution_cap_counts_the_weight_scans(monkeypatch):
-    # k = q-1 leaves the one residue 1, so a step makes one add_idx call
-    # but scans all 1024 weights: 10^7 steps are 10^7 calls, within the
-    # cap, and about 10^10 scanned weights, far over it
+def test_convolution_byte_cap_counts_rows_of_one_entry(monkeypatch):
+    # k = q-1 leaves the one residue 1, so a step makes one add_idx call:
+    # 10^7 steps are 10^7 calls, within the cap, but 10^7 rows of one
+    # weight 1023^t each, far over the byte cap
     field = build_field(2, 10)
     calls = []
     add_idx = field.add_idx
     monkeypatch.setattr(field, "add_idx",
                         lambda i, j: calls.append(1) or add_idx(i, j))
-    with pytest.raises(EnumerationTooLarge, match="10240000000 weight scans"):
+    with pytest.raises(EnumerationTooLarge,
+                       match="up to 10000000 add_idx calls .* bytes of rows"):
         convolution_distribution(field, 1023, 10**7)
     assert not calls
+
+
+def test_convolution_caps_checked_before_the_residues(monkeypatch):
+    # GF(2^20) with k = 1: ten steps over 2^20 - 1 residues could make
+    # about 10^13 add_idx calls; the caps read q and k alone, so R_k is
+    # never built
+    field = build_field(2, 20)
+    monkeypatch.setattr(field, "mul_idx", lambda *args: 1 / 0)
+    started = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match="add_idx calls"):
+        convolution_distribution(field, 1, 10)
+    assert time.perf_counter() - started < 1
+
+
+def test_convolution_rows_hold_only_the_reached_elements():
+    # the paper's k on GF(2^20): R_k has 75 elements, and row t reaches
+    # the elements of Hamming weight <= t, 36,076 of 2^20 at t = 3
+    system = DiagonalSystem(2, 4, 5)
+    rows = convolution_distribution(system.field, system.k, 3)
+    assert [len(row) for row in rows] == [1, 75, 2326, 36076]
+    for t, row in enumerate(rows):
+        assert sum(row.values()) == (system.q - 1) ** t
+        for alpha, weight in row.items():
+            assert weight == system.count_nonzero(alpha, t), (t, alpha)
 
 
 def test_convolution_cap_bounds_the_rows_in_bytes(monkeypatch):
@@ -405,7 +437,7 @@ def test_convolution_cap_bounds_the_rows_in_bytes(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(rows[r]) == 3**r
+    assert sum(rows[r].values()) == 3**r
     assert peak <= cap + (1 << 17), f"peak {peak} bytes at r={r}"
 
 
@@ -430,15 +462,32 @@ def test_brute_force_streams_the_last_summand(f25):
     finally:
         tracemalloc.stop()
     assert int(dist[-1].sum()) == 24**4
-    assert list(dist[-1]) == convolution_distribution(f25, 3, 4)[-1]
+    assert list(dist[-1]) == dense(convolution_distribution(f25, 3, 4)[-1],
+                                   25)
     assert peak < 24**4, f"peak {peak} bytes"
+
+
+def test_brute_force_last_stage_buffer_is_bounded():
+    # GF(3) with zeros at r = 15: 3^14 prefix sums in 31 bins. The last
+    # summand goes to chunks of 2^20 sums, so the buffer is not a second
+    # copy of the sums
+    field = build_field(3, 1)
+    sums = 3**14 * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        dist = brute_force_distribution(field, 1, 15, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist[15].tolist() == [3**14] * 3
+    assert peak <= 1.5 * sums, f"peak {peak} bytes, {sums} of sums"
 
 
 def test_convolution_r1_is_f(f9):
     residues = kth_power_residues(f9, 2)
     for alpha in range(9):
         expect = 2 if alpha in residues else 0
-        assert convolution_distribution(f9, 2, 1)[1][alpha] == expect
+        assert convolution_distribution(f9, 2, 1)[1].get(alpha, 0) == expect
 
 
 def test_oracle_mass_conservation(f9, f25):
@@ -446,11 +495,11 @@ def test_oracle_mass_conservation(f9, f25):
         q = field.q
         for r in range(4):
             conv = convolution_distribution(field, k, r, True)[-1]
-            assert sum(conv) == (q - 1) ** r
+            assert sum(conv.values()) == (q - 1) ** r
             brute = brute_force_distribution(field, k, r, True)[-1]
             assert int(brute.sum()) == (q - 1) ** r
             full = convolution_distribution(field, k, r, False)[-1]
-            assert sum(full) == q**r
+            assert sum(full.values()) == q**r
 
 
 def test_oracles_agree_f64(f64):
@@ -458,7 +507,7 @@ def test_oracles_agree_f64(f64):
         convolution_distribution(f64, 7, 3)[3][1]
     brute = brute_force_distribution(f64, 7, 3, True)[-1]
     conv = convolution_distribution(f64, 7, 3, True)[-1]
-    assert list(brute) == conv
+    assert list(brute) == dense(conv, 64)
 
 
 def test_walk_solution_count_conventions(f9):

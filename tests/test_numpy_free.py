@@ -96,6 +96,18 @@ def test_oracles_load_numpy(name):
     assert numpy_loaded_after(ORACLES[name])
 
 
+def test_brute_force_refuses_its_powers_cap_before_numpy_loads():
+    # GF(2^20) takes 2^20 - 1 powers, over MAX_ENUM_POWERS
+    assert not numpy_loaded_after(
+        "from diagwalks import brute_force_distribution, build_field\n"
+        "from diagwalks.errors import EnumerationTooLarge\n"
+        "try:\n"
+        "    brute_force_distribution(build_field(2, 20), 3, 1)\n"
+        "except EnumerationTooLarge:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('not refused')")
+
 
 def blas_threads_after(code: str, preset=None) -> tuple[str, bool]:
     """OPENBLAS_NUM_THREADS ("-" when unset) and whether numpy is loaded
