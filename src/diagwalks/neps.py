@@ -9,14 +9,17 @@ factor tables may hold numpy arrays of one broadcastable shape, to count
 many vertex pairs at once. A NEPS of complete graphs needs no table: its
 walks come from its spectrum, 2^n |B| terms for any r, and in the Hamming
 graph H(b,q) those group into b+1 Krawtchouk terms. Both sums are checked
-against MAX_NEPS_OPS before the first step. numpy is imported only to
-build a product in `neps_construct`.
+against MAX_NEPS_OPS before the first step. `hamming_walks` admits its
+arguments on every call and then looks its count up by (b, q, d, r) in a
+memo bounded by MAX_WALK_MEMO_BYTES; `cache_info` reports both caches.
+numpy is imported only to build a product in `neps_construct`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import lru_cache
 
 from .errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
@@ -30,6 +33,13 @@ MAX_PRODUCT_BYTES = 1 << 24
 # tuple) the walk DP may make, and of terms (one eigenvalue sign vector
 # plus one basis tuple) the complete-graph spectral sum may take
 MAX_NEPS_OPS = 10**7
+# bytes the memo of Hamming walk counts may hold. An admitted count is at
+# most 2^MAX_COUNT_BITS, whose CPython digits take 139,812 bytes; 1 KiB
+# more covers the int's header, its key and the cache's link. So the memo
+# keeps 238 counts.
+MAX_WALK_MEMO_BYTES = 1 << 25
+_WALK_ENTRY_BYTES = ((MAX_COUNT_BITS // sys.int_info.bits_per_digit + 1)
+                     * sys.int_info.sizeof_digit + 1024)
 
 
 class NepsBasis:
@@ -266,6 +276,8 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     Krawtchouk numbers K_j(d) (Delsarte 1973), so the count is
     q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms, at most
     b(q-1)^r, the bound `check_length` takes past the cap cached with them.
+    The arguments are admitted on every call; a repeated (b, q, d, r) is
+    then a lookup in `_walks`.
     """
     if type(b) is not int or type(q) is not int:
         b, q = as_integer("b", b), as_integer("q", q)
@@ -275,13 +287,25 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     if b < 1 or q < 2:
         raise BadParameters(f"bad Hamming parameters b={b}, q={q}")
     d = b - sum(zeros)
-    cap, spectrum = _spectrum(b, q, d)
+    cap = _spectrum(b, q, d)[0]
     if type(r) is not int or not 0 <= r <= cap:
         r = check_length("r", r, b * (q - 1))
-    total = sum([weight * theta**r for weight, theta in spectrum])
+    return _walks(b, q, d, r)
+
+
+@lru_cache(maxsize=MAX_WALK_MEMO_BYTES // _WALK_ENTRY_BYTES)
+def _walks(b: int, q: int, d: int, r: int) -> int:
+    """The count of `hamming_walks` for admitted Python ints b, q, d, r."""
+    total = sum([weight * theta**r for weight, theta in _spectrum(b, q, d)[1]])
     walks, rem = divmod(total, q**b)
     if rem:
         raise ArithmeticError(
             f"spectral sum for H({b},{q}) r={r} d={d} is not divisible by {q}^{b}"
         )
     return walks
+
+
+def cache_info() -> dict:
+    """Hits, misses, maxsize and currsize of the process-wide caches."""
+    return {name: fn.cache_info()._asdict()
+            for name, fn in (("spectrum", _spectrum), ("walks", _walks))}

@@ -25,7 +25,8 @@ from diagwalks import (
 )
 from diagwalks import diagonal, verify
 from diagwalks.diagonal import diagonal_exponent
-from diagwalks.errors import MAX_COUNT_BITS, BadParameters, CountTooLarge
+from diagwalks.errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
+                              CountTooLarge)
 from diagwalks.field import check_k_divides
 
 
@@ -129,6 +130,21 @@ def test_motivating_lengths_are_exact_or_refused():
         hamming_walks(2, 3, huge, (True, False))
     with pytest.raises(BadParameters, match="<16610-bit integer> must be"):
         complete_walks(3, -huge, True)
+
+
+def test_hamming_walks_admits_before_its_memo():
+    # 2.0 == 2 and np.int64(2) == 2, each hashing alike, so a memo keyed
+    # on the raw arguments would answer them from the warm entry
+    zeros = (True,) * 4 + (False,) * 2
+    warm = hamming_walks(6, 7, 2, zeros)
+    with pytest.raises(BadParameters, match="r=2.0 is not an integer"):
+        hamming_walks(6, 7, 2.0, zeros)
+    with pytest.raises(ArityMismatch):
+        hamming_walks(6, 7, 2, zeros[1:])
+    cap = math.floor(MAX_COUNT_BITS / math.log2(6 * (7 - 1)))
+    with pytest.raises(CountTooLarge):
+        hamming_walks(6, 7, cap + 1, zeros)
+    assert _same(hamming_walks(6, 7, np.int64(2), zeros), warm)
 
 
 @pytest.mark.parametrize("p, a, b", [(3.0, 1, 2), (3, 1.0, 2), (3, 1, 2.0)])

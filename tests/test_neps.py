@@ -482,7 +482,9 @@ def test_hamming_matches_matrix_power():
 
 
 def test_hamming_walks_match_distance_recurrence():
-    # far beyond what a composition sum over C(r+b-1, b-1) terms can reach
+    # far beyond what a composition sum over C(r+b-1, b-1) terms can reach;
+    # each count is asked twice, cold from the memo and then warm
+    neps._walks.cache_clear()
     checked = 0
     for b in range(1, 10):
         for q in range(2, 10):
@@ -490,9 +492,31 @@ def test_hamming_walks_match_distance_recurrence():
             for d in range(b + 1):
                 zeros = (True,) * (b - d) + (False,) * d
                 for r, row in enumerate(rows):
-                    assert hamming_walks(b, q, r, zeros) == row[d], (b, q, r, d)
+                    for _ in range(2):
+                        assert hamming_walks(b, q, r, zeros) == row[d], (
+                            b, q, r, d)
                     checked += 1
     assert checked == 17_712
+    # the 17,712 distinct keys overfill the memo, which stays at its bound
+    memo = neps.cache_info()["walks"]
+    assert memo["misses"] == memo["hits"] == checked
+    assert memo["currsize"] == memo["maxsize"] == (
+        neps.MAX_WALK_MEMO_BYTES // neps._WALK_ENTRY_BYTES)
+
+
+def test_cache_info_reports_hits_misses_and_size():
+    neps._spectrum.cache_clear()
+    neps._walks.cache_clear()
+    before = neps.cache_info()
+    hamming_walks(6, 7, 5, (True,) * 4 + (False,) * 2)
+    hamming_walks(6, 7, 5, (True,) * 4 + (False,) * 2)
+    after = neps.cache_info()
+    fields = {"hits", "misses", "maxsize", "currsize"}
+    assert set(before) == set(after) == {"spectrum", "walks"}
+    assert all(set(info) == fields for info in (*before.values(),
+                                                *after.values()))
+    assert (before["walks"]["hits"], after["walks"]["hits"]) == (0, 1)
+    assert after["walks"]["misses"] == after["walks"]["currsize"] == 1
 
 
 def test_length_table_too_short():
