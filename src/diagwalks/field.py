@@ -300,9 +300,10 @@ class FiniteField(PackedRing):
         return self._index(self._product(self._word(i), self._word(j)))
 
     def pow_idx(self, i, e):
-        """i^e by square-and-multiply on packed words; e must be >= 0."""
+        """i^e by square-and-multiply on packed words, i and e admitted."""
+        i, e = as_index(self, i), as_integer("exponent", e)
         if e < 0:
-            raise ValueError("negative exponent")
+            raise BadParameters(f"negative exponent {shown(e)}")
         return self._index(self._power(self._word(i), e))
 
     def _is_primitive(self, i):

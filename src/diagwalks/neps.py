@@ -8,10 +8,10 @@ a dynamic program, so the cost is polynomial in r instead of |B|^r; its
 factor tables may hold numpy arrays of one broadcastable shape, to count
 many vertex pairs at once. A NEPS of complete graphs needs no table: its
 walks come from its spectrum, 2^n |B| terms for any r, and in the Hamming
-graph H(b,q) those group into b+1 Krawtchouk terms. Both sums are checked
-against MAX_NEPS_OPS before the first step. `hamming_walks` admits its
-arguments on every call and then looks its count up by (b, q, d, r) in a
-memo bounded by MAX_WALK_MEMO_BYTES; `cache_info` reports both caches.
+graph H(b,q) those group into b+1 terms, weighted by a Krawtchouk
+recurrence. All three are checked against MAX_NEPS_OPS before the first
+step. `hamming_walks` admits its arguments on every call, then looks its
+count up by (b, q, d, r) in the one memo, which `cache_info` reports.
 numpy is imported only to build a product in `neps_construct`.
 """
 
@@ -24,14 +24,14 @@ from functools import lru_cache
 
 from .errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
                      LengthTableTooShort, NepsWalkTooLarge, ProductTooLarge,
-                     as_integer, check_length)
+                     as_integer, check_length, shown)
 from .graphs import DenseGraph
 
 # largest int8 adjacency neps_construct builds: 4096 vertices
 MAX_PRODUCT_BYTES = 1 << 24
-# largest number of state updates (one column-sum state plus one basis
-# tuple) the walk DP may make, and of terms (one eigenvalue sign vector
-# plus one basis tuple) the complete-graph spectral sum may take
+# largest number of state updates (a column-sum state and a basis tuple)
+# of the walk DP, of terms (a sign vector and a basis tuple) of the complete-
+# graph spectral sum, and of word operations of the Krawtchouk recurrence
 MAX_NEPS_OPS = 10**7
 # bytes the memo of Hamming walk counts may hold. An admitted count is at
 # most 2^MAX_COUNT_BITS, whose CPython digits take 139,812 bytes; 1 KiB
@@ -255,19 +255,6 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     return walks
 
 
-@lru_cache(maxsize=1 << 12)
-def _spectrum(b: int, q: int, d: int) -> tuple[int, tuple]:
-    """The largest r whose bits alone keep b(q-1)^r within MAX_COUNT_BITS,
-    and the b+1 pairs (K_j(d), b(q-1) - qj) of H(b,q): each eigenvalue with
-    its Krawtchouk weight in the walk count between vertices at distance d."""
-    return MAX_COUNT_BITS // (b * (q - 1)).bit_length(), tuple(
-        (sum((-1) ** i * (q - 1) ** (j - i) * math.comb(d, i)
-             * math.comb(b - d, j - i) for i in range(min(d, j) + 1)),
-         b * (q - 1) - q * j)
-        for j in range(b + 1)
-    )
-
-
 def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     """Walks in H(b,q) between vertices agreeing exactly where `zeros` is true.
 
@@ -275,9 +262,12 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     H(b,q) has eigenvalues b(q-1) - qj for j = 0..b, weighted by the
     Krawtchouk numbers K_j(d) (Delsarte 1973), so the count is
     q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms, at most
-    b(q-1)^r, the bound `check_length` takes past the cap cached with them.
-    The arguments are admitted on every call; a repeated (b, q, d, r) is
-    then a lookup in `_walks`.
+    b(q-1)^r, the bound `check_length` takes past the r its bits admit.
+    The weights, |K_j| <= q^b, come from the three-term recurrence (j+1)
+    K_{j+1} = ((b-j)(q-1) + j - qd) K_j - (q-1)(b-j+1) K_{j-1}, K_0 = 1
+    (MacWilliams & Sloane 5.7), in (b+1) ceil(b bitlen(q) / 64) word
+    operations, refused past MAX_NEPS_OPS with NepsWalkTooLarge. On a
+    repeated (b, q, d, r) the admitted call is a lookup in `_walks`.
     """
     if type(b) is not int or type(q) is not int:
         b, q = as_integer("b", b), as_integer("q", q)
@@ -287,7 +277,7 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     if b < 1 or q < 2:
         raise BadParameters(f"bad Hamming parameters b={b}, q={q}")
     d = b - sum(zeros)
-    cap = _spectrum(b, q, d)[0]
+    cap = MAX_COUNT_BITS // (b * (q - 1)).bit_length()
     if type(r) is not int or not 0 <= r <= cap:
         r = check_length("r", r, b * (q - 1))
     return _walks(b, q, d, r)
@@ -296,7 +286,16 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
 @lru_cache(maxsize=MAX_WALK_MEMO_BYTES // _WALK_ENTRY_BYTES)
 def _walks(b: int, q: int, d: int, r: int) -> int:
     """The count of `hamming_walks` for admitted Python ints b, q, d, r."""
-    total = sum([weight * theta**r for weight, theta in _spectrum(b, q, d)[1]])
+    ops = (b + 1) * -(-b * q.bit_length() // 64)
+    if ops > MAX_NEPS_OPS:
+        raise NepsWalkTooLarge(f"the Krawtchouk weights of H({b},{shown(q)}) "
+                               f"take {ops} word operations, over the cap "
+                               f"MAX_NEPS_OPS of {MAX_NEPS_OPS}")
+    total, weight, previous = 0, 1, 0
+    for j in range(b + 1):
+        total += weight * (b * (q - 1) - q * j) ** r
+        weight, previous = (((b - j) * (q - 1) + j - q * d) * weight
+                            - (q - 1) * (b - j + 1) * previous) // (j + 1), weight
     walks, rem = divmod(total, q**b)
     if rem:
         raise ArithmeticError(
@@ -306,6 +305,5 @@ def _walks(b: int, q: int, d: int, r: int) -> int:
 
 
 def cache_info() -> dict:
-    """Hits, misses, maxsize and currsize of the process-wide caches."""
-    return {name: fn.cache_info()._asdict()
-            for name, fn in (("spectrum", _spectrum), ("walks", _walks))}
+    """Hits, misses, maxsize and currsize of the process-wide walk memo."""
+    return {"walks": _walks.cache_info()._asdict()}

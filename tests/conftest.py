@@ -102,6 +102,21 @@ def hamming_distance_walks(b, q, r_max):
     return rows
 
 
+def krawtchouk_double_sum(b, q, r, d):
+    """Reference for `hamming_walks`: the r-walks in H(b,q) between
+    vertices at distance d, from the Krawtchouk weights as the binomial
+    double sum K_j(d) = sum_i (-1)^i (q-1)^(j-i) C(d,i) C(b-d,j-i), O(b^2)
+    terms and no recurrence, times the eigenvalue powers, over q^b."""
+    total = sum(
+        sum((-1) ** i * (q - 1) ** (j - i) * math.comb(d, i)
+            * math.comb(b - d, j - i) for i in range(min(d, j) + 1))
+        * (b * (q - 1) - q * j) ** r
+        for j in range(b + 1))
+    walks, rem = divmod(total, q**b)
+    assert rem == 0, (b, q, r, d)
+    return walks
+
+
 def subfield_basis(smap):
     """The tau powers and the basis {omega^{ik}} of a SubfieldMap,
     recomputed from its field, a, b and k."""

@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from diagwalks import DiagonalSystem, build_field, kth_power_residues
 from diagwalks import field as field_mod
 from diagwalks.errors import (
     BadDecomposition,
+    BadParameters,
     DependentBasis,
     FieldTooLarge,
     KDoesNotDivide,
@@ -178,14 +180,24 @@ def test_add_and_neg_against_digit_sums(f9, f64):
 
 
 def test_index_arithmetic_reads_m_digits_of_any_int(f9):
-    # like `digits`, the packed loops take the m low base-p digits, so an
-    # unchecked -1 (digits 2, 2) or 17 (digits 2, 2, 1) acts as 8 and
-    # ends; a loop run until the index is 0 never ends on -1
+    # like `digits`, the unchecked packed loops take the m low base-p
+    # digits, so -1 (digits 2, 2) or 17 (digits 2, 2, 1) acts as 8 and
+    # ends; a loop run until the index is 0 never ends on -1. pow_idx
+    # admits its element and refuses them.
     for bad in (-1, 17):
         assert f9.mul_idx(bad, 2) == f9.mul_idx(8, 2)
         assert f9.add_idx(bad, 1) == f9.add_idx(8, 1)
         assert f9.neg_idx(bad) == f9.neg_idx(8)
-        assert f9.pow_idx(bad, 3) == f9.pow_idx(8, 3)
+        with pytest.raises(BadParameters, match=f"index {bad} out of range"):
+            f9.pow_idx(bad, 3)
+
+
+def test_pow_idx_admits_its_arguments(f9):
+    with pytest.raises(BadParameters, match="index 100 out of range"):
+        f9.pow_idx(100, 2)
+    with pytest.raises(BadParameters, match="exponent=2.5 is not an integer"):
+        f9.pow_idx(1, 2.5)
+    assert f9.pow_idx(np.int64(3), np.int64(2)) == f9.pow_idx(3, 2)
 
 
 def test_add_table_is_symmetric(f9, f64):

@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import hamming_distance_walks
+from conftest import hamming_distance_walks, krawtchouk_double_sum
 
 from diagwalks import (
     DenseGraph,
@@ -504,15 +505,62 @@ def test_hamming_walks_match_distance_recurrence():
         neps.MAX_WALK_MEMO_BYTES // neps._WALK_ENTRY_BYTES)
 
 
+def test_hamming_walks_match_krawtchouk_double_sum():
+    # the weights by their three-term recurrence against the double sum,
+    # every key asked once, from a cold memo
+    neps._walks.cache_clear()
+    for b in range(1, 13):
+        for q in range(2, 17):
+            for d in range(b + 1):
+                zeros = (True,) * (b - d) + (False,) * d
+                for r in range(13):
+                    assert hamming_walks(b, q, r, zeros) == (
+                        krawtchouk_double_sum(b, q, r, d)), (b, q, d, r)
+    assert neps.cache_info()["walks"]["hits"] == 0
+
+
+def test_hamming_walks_at_a_64_bit_alphabet():
+    # 401 weights of up to 25,600 bits, where the double sum takes seconds;
+    # a call leaves its count in the memo and nothing else
+    b, q = 400, 2**64
+    neps._walks.cache_clear()
+    started = time.perf_counter()
+    assert hamming_walks(b, q, 0, (True,) * 200 + (False,) * 200) == 0
+    assert time.perf_counter() - started < 0.5
+    assert neps.cache_info()["walks"]["currsize"] == 1
+    for d in (0, 1, 2, 200, 400):
+        zeros = (True,) * (b - d) + (False,) * d
+        assert hamming_walks(b, q, 0, zeros) == (d == 0)
+        assert hamming_walks(b, q, 1, zeros) == (d == 1)
+    assert hamming_walks(b, q, 2, (True,) * b) == b * (q - 1)
+
+
+def test_krawtchouk_cap_refuses_before_any_step(monkeypatch):
+    # (b+1) ceil(b bitlen(q) / 64) word operations: 312,503,125 here,
+    # refused before the first of the recurrence's 100,001 steps
+    started = time.perf_counter()
+    with pytest.raises(NepsWalkTooLarge, match="312503125 word operations"):
+        hamming_walks(10**5, 2, 0, (True,) * 10**5)
+    assert time.perf_counter() - started < 0.1
+    # H(6,7) takes 7 single-word steps: admitted at a cap of 7, not 6
+    zeros = (True,) * 4 + (False,) * 2
+    want = hamming_walks(6, 7, 5, zeros)
+    neps._walks.cache_clear()
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 6)
+    with pytest.raises(NepsWalkTooLarge, match="take 7 word operations"):
+        hamming_walks(6, 7, 5, zeros)
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 7)
+    assert hamming_walks(6, 7, 5, zeros) == want
+
+
 def test_cache_info_reports_hits_misses_and_size():
-    neps._spectrum.cache_clear()
     neps._walks.cache_clear()
     before = neps.cache_info()
     hamming_walks(6, 7, 5, (True,) * 4 + (False,) * 2)
     hamming_walks(6, 7, 5, (True,) * 4 + (False,) * 2)
     after = neps.cache_info()
     fields = {"hits", "misses", "maxsize", "currsize"}
-    assert set(before) == set(after) == {"spectrum", "walks"}
+    assert set(before) == set(after) == {"walks"}
     assert all(set(info) == fields for info in (*before.values(),
                                                 *after.values()))
     assert (before["walks"]["hits"], after["walks"]["hits"]) == (0, 1)
