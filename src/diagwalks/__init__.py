@@ -12,9 +12,10 @@ from .diagonal import (
 from .divisibility import DivisibilityReport, k_is_integer, remark_cases
 from .field import FiniteField, build_field, kth_power_residues
 from .gp import HammingView, gp_graph, hamming_parameters, verify_isomorphism
-from .graphs import DenseGraph, complete_graph, complete_walks
+from .graphs import DenseGraph, complete_graph
 from .neps import (
     NepsBasis,
+    complete_walks,
     hamming_walks,
     neps_complete_walks,
     neps_construct,

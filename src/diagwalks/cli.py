@@ -227,10 +227,8 @@ def cmd_verify(args) -> int:
     if args.roster is not None:
         roster = []
         for part in args.roster.split(";"):
-            try:
-                triple = tuple(int(v) for v in part.split(","))
-            except ValueError:
-                triple = ()
+            triple = tuple(parse_int("--roster", args.roster, v)
+                           for v in part.split(","))
             if len(triple) != 3:
                 raise BadParameters(f"roster part {part!r} is not p,a,b")
             roster.append(triple)

@@ -67,8 +67,8 @@ class WalkCacheTooLarge(DiagwalksError):
 
 
 class NepsWalkTooLarge(DiagwalksError):
-    """Raised when the column-sum DP, the complete-graph spectral sum or the
-    Hamming sum's Krawtchouk recurrence could pass neps.MAX_NEPS_OPS."""
+    """Raised when the column-sum DP, the complete-graph spectral sum, the
+    Krawtchouk recurrence or the spectral powers could pass MAX_NEPS_OPS."""
 
 
 class CountTooLarge(DiagwalksError):

@@ -24,7 +24,7 @@ solve adds one packed table entry per chunk, reducing mod p inside the
 word. The tables hold at most ceil(m/c) * max(p, CHUNK_ENTRIES) ints,
 with c digits per chunk, whatever q is. The zero pattern of the
 coordinates is read from the packed solve by
-`gp.HammingView.pattern_idx`, which owns the map. `as_index` is the one
+`gp.HammingView`, the map of a Hamming pair. `as_index` is the one
 element-index check; the solve, the counts and the oracles run it.
 
 `check_field` is the one admission of GF(p^m): `FiniteField`,
@@ -433,10 +433,7 @@ class SubfieldMap:
     def __init__(self, field: FiniteField, a: int, b: int, k: int):
         if a * b != field.m:
             raise BadDecomposition(f"m={field.m} != a*b = {a}*{b}")
-        self.field = field
-        self.a = a
-        self.b = b
-        self.k = k
+        self.field, self.a, self.b, self.k = field, a, b, k
         p, m = field.p, field.m
         tau = field.pow_idx(field.omega_idx, (field.q - 1) // (p**a - 1))
         omega_k = field.pow_idx(field.omega_idx, k)

@@ -7,8 +7,8 @@ p mod u is m), the graph is a Hamming graph H(b, p^a), with an explicit
 coordinate isomorphism through the basis {1, w^k, ..., w^{(b-1)k}}.
 Without primitivity R_k lies in a proper subfield and the graph is not
 connected: Gamma(10, 81) is 9 copies of K_9, not H(4, 3). `HammingView`
-takes (a, b) from its caller and decides primitivity by that basis, and
-`verify_isomorphism` checks the map from R_k alone.
+is the `SubfieldMap` of the caller's (a, b), whose basis decides
+primitivity, and `verify_isomorphism` checks the map from R_k alone.
 """
 
 from __future__ import annotations
@@ -58,14 +58,14 @@ def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:
     return None
 
 
-class HammingView:
-    """The coordinate view of Gamma(k, p^m) as H(b, p^a) for the caller's
-    pair, k = (p^m-1)/(b(p^a-1)); BadDecomposition unless m = ab, b > 1 and
-    k is an integer. The map's inversion decides primitivity: w^k has order
+class HammingView(SubfieldMap):
+    """Gamma(k, p^m) as H(b, p^a): the `SubfieldMap` of the caller's pair,
+    k = (p^m-1)/(b(p^a-1)); BadDecomposition unless m = ab, b > 1 and k is
+    an integer. The map's inversion decides primitivity: w^k has order
     u = b(p^a-1), so it lies in GF(p^h), h = ord_u(p), and a | h | m. If
-    h < m, the w^{ik} span h/a < b dimensions over GF(p^a) and `SubfieldMap`
-    raises DependentBasis (naming p, m, k); if h = m, GF(p^a)(w^k) = GF(p^m)
-    has degree b, so they are a basis: the pair of `hamming_parameters`."""
+    h < m, the w^{ik} span h/a < b dimensions over GF(p^a): DependentBasis
+    (naming p, m, k); if h = m, GF(p^a)(w^k) = GF(p^m) has degree b, so
+    they are a basis: the pair of `hamming_parameters`."""
 
     def __init__(self, field: FiniteField, a: int, b: int):
         a, b = as_integer("a", a), as_integer("b", b)
@@ -76,16 +76,14 @@ class HammingView:
                 f"Gamma(k, p^m) is not a Hamming graph H(b, p^a) for p={p}, "
                 f"m={m}, k=(p^m-1)/(b(p^a-1)), a={a}, b={b}: k needs m = ab, "
                 f"b > 1 and b(p^a-1) dividing p^m-1")
-        self.field, self.a, self.b = field, a, b
-        self.k = n // (b * (p**a - 1))
-        self.map = SubfieldMap(field, a, b, self.k)
+        super().__init__(field, a, b, n // (b * (p**a - 1)))
 
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
         """Zero pattern of [x]: which Hamming coordinates vanish. A
         coordinate vanishes exactly when its block of F_p coefficients does,
         which one mask tests in the packed solve."""
-        word = self.map.solve_word(x_idx)
-        return tuple([not word & mask for mask in self.map.block_masks])
+        word = self.solve_word(x_idx)
+        return tuple([not word & mask for mask in self.block_masks])
 
     def __repr__(self):
         return (
@@ -102,8 +100,7 @@ def verify_isomorphism(view: HammingView) -> bool:
     (nonzero coordinates) 1 exactly when x is in R_k and 0 exactly when
     x = 0. So [.] has no kernel and is a bijection, and dist([x],[y]), the
     weight of [y - x], is 1 exactly when y - x is in R_k."""
-    field, smap = view.field, view.map
-    solve, masks = smap.solve_word, smap.block_masks
+    field, solve, masks = view.field, view.solve_word, view.block_masks
     residues = kth_power_residues(field, view.k)
     if solve(0):
         return False
@@ -113,7 +110,7 @@ def verify_isomorphism(view: HammingView) -> bool:
         for x in range(unit, unit * field.p):  # digit t is x's highest
             word = solve(x)
             weight = sum(1 for mask in masks if word & mask)
-            if (word != smap._add(solve(x - unit), unit_word) or not weight
+            if (word != view._add(solve(x - unit), unit_word) or not weight
                     or (weight == 1) != (x in residues)):
                 return False
     return True

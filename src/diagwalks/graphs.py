@@ -12,8 +12,8 @@ is capped at MAX_WALK_BYTES, checked before any product.
 
 numpy is imported where an array is built: in `DenseGraph.__init__`,
 `complete_graph`, and the branch of `walk_matrix` that computes new
-powers. `complete_walks`, the closed form, and `walk_count` on a cached
-power import nothing, so the formula path never loads numpy.
+powers; `walk_count` on a cached power imports nothing. The closed form
+of K_m walks is `neps.complete_walks`, the one-factor NEPS.
 """
 
 from __future__ import annotations
@@ -146,18 +146,3 @@ def complete_graph(m: int) -> DenseGraph:
     adj = np.ones((m, m), dtype=np.int8) - np.identity(m, dtype=np.int8)
     return DenseGraph(adj)
 
-
-def complete_walks(m: int, r: int, same: bool) -> int:
-    """Closed-form r-walk count on K_m between equal / distinct vertices,
-    from its eigenpairs m-1 and -1: ((m-1)^r + (m[same]-1)(-1)^r)/m, an
-    exact integer division checked for a zero remainder."""
-    m = as_integer("m", m)
-    if m < 1:
-        raise BadParameters(f"m={m} must be >= 1")
-    r = check_length("r", r, m - 1)
-    if m == 1 and not same:
-        return 0  # K_1 has no distinct vertex pair
-    walks, rem = divmod((m - 1) ** r + (m * bool(same) - 1) * (-1) ** r, m)
-    if rem:
-        raise ArithmeticError(f"K_{m} walk numerator at r={r} is not divisible by {m}")
-    return walks

@@ -9,10 +9,11 @@ factor tables may hold numpy arrays of one broadcastable shape, to count
 many vertex pairs at once. A NEPS of complete graphs needs no table: its
 walks come from its spectrum, 2^n |B| terms for any r, and in the Hamming
 graph H(b,q) those group into b+1 terms, weighted by a Krawtchouk
-recurrence. All three are checked against MAX_NEPS_OPS before the first
-step. `hamming_walks` admits its arguments on every call, then looks its
-count up by (b, q, d, r) in the one memo, which `cache_info` reports.
-numpy is imported only to build a product in `neps_construct`.
+recurrence; K_m is the one-factor case. All three, and the spectral
+powers, are checked against MAX_NEPS_OPS before the first step.
+`hamming_walks` admits its arguments on every call, then looks its count
+up by (b, q, d, r) in the one memo, which `cache_info` reports. numpy is
+imported only to build a product in `neps_construct`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .graphs import DenseGraph
 MAX_PRODUCT_BYTES = 1 << 24
 # largest number of state updates (a column-sum state and a basis tuple)
 # of the walk DP, of terms (a sign vector and a basis tuple) of the complete-
-# graph spectral sum, and of word operations of the Krawtchouk recurrence
+# graph spectral sum, and of words of the Krawtchouk recurrence or powers
 MAX_NEPS_OPS = 10**7
 # bytes the memo of Hamming walk counts may hold. An admitted count is at
 # most 2^MAX_COUNT_BITS, whose CPython digits take 139,812 bytes; 1 KiB
@@ -224,8 +225,8 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     (Cvetkovic, Doob & Sachs, Spectra of Graphs, 2.5), so prod m_i * W is
     the sum over the 2^n choices of prod_i c_i (sum_B prod_i mu_i^beta_i)^r,
     and the division is exact. Raises NepsWalkTooLarge before the first
-    term when the 2^n |B| terms pass MAX_NEPS_OPS; r is checked, against
-    the largest |Lambda|, once the terms are grouped."""
+    term when the 2^n |B| terms pass MAX_NEPS_OPS; r, against the largest
+    |Lambda|, and the powers are checked once the terms are grouped."""
     n = basis.n
     if len(m_list) != n or len(pattern) != n:
         raise ArityMismatch(f"{len(m_list)} sizes and pattern length "
@@ -244,15 +245,32 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
         lam = sum(math.prod(x for x, b in zip(mu, t) if b) for t in basis)
         weights[lam] = weights.get(lam, 0) + math.prod(
             (m * bool(s) - 1) ** e for m, s, e in zip(m_list, pattern, eps))
-    r = check_length("r", r, max(abs(lam) for lam in weights))
+    top = max(abs(lam) for lam in weights)
+    r = check_length("r", r, top)
     if any(m == 1 and not s for m, s in zip(m_list, pattern)):
         return 0  # K_1 has no distinct vertex pair
+    _check_powers("the spectral NEPS walk sum", len(weights), top, r)
     total = sum(coef * lam**r for lam, coef in weights.items())
     walks, rem = divmod(total, math.prod(m_list))
     if rem:
         raise ArithmeticError(f"spectral NEPS sum at r={r} is not "
                               f"divisible by {math.prod(m_list)}")
     return walks
+
+
+def complete_walks(m: int, r: int, same: bool) -> int:
+    """K_m walks of length r between equal (`same`) or distinct vertices."""
+    return neps_complete_walks([m], NepsBasis([(1,)]), r, (same,))
+
+
+def _check_powers(what: str, count: int, top: int, r: int) -> None:
+    """NepsWalkTooLarge when `count` powers lambda^r, |lambda| <= top, take
+    over MAX_NEPS_OPS words: ceil(r ceil(log2 top) / 64) each, none at 1."""
+    words = count * -(-r * (top - 1).bit_length() // 64)
+    if words > MAX_NEPS_OPS:
+        raise NepsWalkTooLarge(f"{what} raises {count} eigenvalues to the "
+                               f"power r={r}, {words} words, over the cap "
+                               f"MAX_NEPS_OPS of {MAX_NEPS_OPS}")
 
 
 def hamming_walks(b: int, q: int, r: int, zeros) -> int:
@@ -266,8 +284,8 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     The weights, |K_j| <= q^b, come from the three-term recurrence (j+1)
     K_{j+1} = ((b-j)(q-1) + j - qd) K_j - (q-1)(b-j+1) K_{j-1}, K_0 = 1
     (MacWilliams & Sloane 5.7), in (b+1) ceil(b bitlen(q) / 64) word
-    operations, refused past MAX_NEPS_OPS with NepsWalkTooLarge. On a
-    repeated (b, q, d, r) the admitted call is a lookup in `_walks`.
+    operations, refused past MAX_NEPS_OPS with NepsWalkTooLarge, as are the
+    powers. A repeated (b, q, d, r) is a lookup in `_walks`.
     """
     if type(b) is not int or type(q) is not int:
         b, q = as_integer("b", b), as_integer("q", q)
@@ -291,6 +309,7 @@ def _walks(b: int, q: int, d: int, r: int) -> int:
         raise NepsWalkTooLarge(f"the Krawtchouk weights of H({b},{shown(q)}) "
                                f"take {ops} word operations, over the cap "
                                f"MAX_NEPS_OPS of {MAX_NEPS_OPS}")
+    _check_powers(f"the sum for H({b},{shown(q)})", b + 1, b * (q - 1), r)
     total, weight, previous = 0, 1, 0
     for j in range(b + 1):
         total += weight * (b * (q - 1) - q * j) ** r

@@ -38,8 +38,8 @@ from .diagonal import (
 )
 from .errors import check_length
 from .gp import gp_graph, verify_isomorphism
-from .graphs import DenseGraph, complete_graph, complete_walks
-from .neps import NepsBasis, neps_construct, neps_walks
+from .graphs import DenseGraph, complete_graph
+from .neps import NepsBasis, complete_walks, neps_construct, neps_walks
 
 if TYPE_CHECKING:
     import numpy as np

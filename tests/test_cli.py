@@ -183,6 +183,21 @@ def test_count_csv_format(capsys):
     assert row.split(",")[-1] == "17"
 
 
+def test_count_table_format(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--p", "3", "--a", "1", "--b", "2",
+        "--alpha", "0", "--s", "2", "--format", "table",
+    )
+    assert code == 0
+    # one right-aligned "key: value" line per result field, then the time
+    rows = [line.split(": ", 1) for line in out.splitlines()]
+    fields = {key.strip(): value for key, value in rows}
+    assert [key.strip() for key, _ in rows][:10] == [
+        "p", "a", "b", "k", "q", "alpha", "r_or_s", "mode", "method", "count"]
+    assert fields["count"] == "17" and fields["mode"] == "all"
+    assert rows[-1][0] == "   elapsed" and rows[-1][1].endswith(" ms")
+
+
 def test_walks_neps_example(capsys):
     code, out, _ = run_cli(
         capsys, "walks", "--neps", "3,4", "--basis", "11",

@@ -614,7 +614,7 @@ def test_formula_past_gf_7_6(p, a, b):
     # alpha is built forward from chosen coordinates, so neither the zero
     # pattern nor the count below reads the inverted system
     system = DiagonalSystem(p, a, b)
-    field, smap, Q = system.field, system.view.map, p**a
+    field, smap, Q = system.field, system.view, p**a
     walks = hamming_distance_walks(b, Q, 6)
     rng = random.Random(7)
 

@@ -352,7 +352,7 @@ def test_packed_solve_exhaustive_small_fields():
 @pytest.mark.parametrize("p,a,b", [(7, 1, 6), (3, 6, 2), (2, 4, 5)])
 def test_packed_solve_sampled_large_fields(p, a, b):
     # digits split into chunks 2+2+2, 5+5+2 and 8+8+4
-    smap = DiagonalSystem(p, a, b).view.map
+    smap = DiagonalSystem(p, a, b).view
     solve = list_solver(smap)
     rng = random.Random(20)
     for x in [0, 1, smap.field.q - 1] + [rng.randrange(smap.field.q)
@@ -366,7 +366,7 @@ def test_packed_solve_sampled_large_fields(p, a, b):
     (2, 4, 5, [256, 256, 16]),
 ])
 def test_chunk_tables_bounded(p, a, b, sizes):
-    smap = DiagonalSystem(p, a, b).view.map
+    smap = DiagonalSystem(p, a, b).view
     m = smap.field.m
     digits = max(c for c in range(1, m + 1) if p**c <= CHUNK_ENTRIES)
     assert [len(t) for t in smap._tables] == sizes

@@ -22,7 +22,7 @@ from diagwalks.divisibility import multiplicative_order
 from diagwalks.errors import (BadDecomposition, BadParameters, DependentBasis,
                               DiagwalksError, FieldTooLarge, KDoesNotDivide,
                               NotPrime)
-from diagwalks.field import is_prime
+from diagwalks.field import SubfieldMap, is_prime
 
 from conftest import coordinates, divisors, fields_under, order_mod
 
@@ -199,13 +199,13 @@ def test_hamming_parameters_imply_undirected():
 
 def test_hamming_view_coordinates(f9):
     view = HammingView(f9, 1, 2)
-    assert coordinates(view.map, 1) == (1, 0)
-    assert coordinates(view.map, f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
+    assert coordinates(view, 1) == (1, 0)
+    assert coordinates(view, f9.pow_idx(f9.omega_idx, 2)) == (0, 1)
     # linearity: [x+y] = [x] + [y] componentwise
     for x in range(9):
         for y in range(9):
             s = f9.add_idx(x, y)
-            cx, cy, cs = (coordinates(view.map, v) for v in (x, y, s))
+            cx, cy, cs = (coordinates(view, v) for v in (x, y, s))
             assert cs == tuple(
                 f9.add_idx(a, b) for a, b in zip(cx, cy)
             )
@@ -215,9 +215,9 @@ def test_basis_coordinates(f64):
     view = HammingView(f64, 2, 3)
     w_k = f64.pow_idx(f64.omega_idx, 7)
     w_2k = f64.pow_idx(f64.omega_idx, 14)
-    assert coordinates(view.map, 1) == (1, 0, 0)
-    assert coordinates(view.map, w_k) == (0, 1, 0)
-    assert coordinates(view.map, w_2k) == (0, 0, 1)
+    assert coordinates(view, 1) == (1, 0, 0)
+    assert coordinates(view, w_k) == (0, 1, 0)
+    assert coordinates(view, w_2k) == (0, 0, 1)
 
 
 def test_pattern_idx_matches_coordinates(f9, f64):
@@ -225,7 +225,7 @@ def test_pattern_idx_matches_coordinates(f9, f64):
     for view in (HammingView(f9, 1, 2), HammingView(f64, 2, 3)):
         for x in range(view.field.q):
             pattern = view.pattern_idx(x)
-            assert pattern == tuple(c == 0 for c in coordinates(view.map, x))
+            assert pattern == tuple(c == 0 for c in coordinates(view, x))
     assert HammingView(f9, 1, 2).pattern_idx(1) == (False, True)
     assert HammingView(f9, 1, 2).pattern_idx(0) == (True, True)
 
@@ -235,7 +235,7 @@ def test_solve_refuses_a_non_element_index(p, a, b):
     view = DiagonalSystem(p, a, b).view
     q = view.field.q
     for bad in (-1, q, 1.5):
-        for solve in (view.map.solve_word, view.pattern_idx):
+        for solve in (view.solve_word, view.pattern_idx):
             with pytest.raises(BadParameters):
                 solve(bad)
     assert view.pattern_idx(0) == (True,) * b
@@ -266,7 +266,10 @@ def test_hamming_view_refuses_a_non_hamming_graph(p, m, k, monkeypatch):
         with pytest.raises(DependentBasis, match=f"p={p}, m={m}, k={k}"):
             HammingView(field, 1, m)
     else:
-        monkeypatch.setattr(gp_mod, "SubfieldMap", None)
+        def refuse(*args):
+            raise AssertionError("the subfield map was built")
+
+        monkeypatch.setattr(SubfieldMap, "__init__", refuse)
         with pytest.raises(BadDecomposition,
                            match=re.escape(f"p={p}, m={m}, k=(p^m-1)/(b(p^a-1))")):
             HammingView(field, 1, m)
@@ -332,10 +335,9 @@ def test_one_hamming_decision_per_caller(monkeypatch, capsys):
 
 def test_verify_isomorphism_negative_control(f9, monkeypatch):
     view = HammingView(f9, 1, 2)
-    smap = view.map
-    solve = smap.solve_word
-    low, high = smap.block_masks
-    shift = smap.a * smap._width
+    solve = view.solve_word
+    low, high = view.block_masks
+    shift = view.a * view._width
 
     def corrupted(x):
         # swap vertex 5's two coordinate blocks; its coordinates are
@@ -346,16 +348,15 @@ def test_verify_isomorphism_negative_control(f9, monkeypatch):
             return swapped if swapped != word else word & low | 1 << shift
         return word
 
-    assert coordinates(smap, 5) == (2, 2) and corrupted(5) != solve(5)
+    assert coordinates(view, 5) == (2, 2) and corrupted(5) != solve(5)
     assert verify_isomorphism(view)
-    monkeypatch.setattr(smap, "solve_word", corrupted)
+    monkeypatch.setattr(view, "solve_word", corrupted)
     assert not verify_isomorphism(view)
 
 
 def test_verify_isomorphism_needs_the_residues_and_no_kernel(f9, monkeypatch):
     view = HammingView(f9, 1, 2)
-    smap = view.map
-    solve, last = smap.solve_word, smap.block_masks[-1]
+    solve, last = view.solve_word, view.block_masks[-1]
     residues = kth_power_residues(f9, 2)
     # one residue left out of R_k: it still solves to weight 1
     monkeypatch.setattr(gp_mod, "kth_power_residues",
@@ -363,8 +364,8 @@ def test_verify_isomorphism_needs_the_residues_and_no_kernel(f9, monkeypatch):
     assert not verify_isomorphism(view)
     # a linear map with a kernel (the last coordinate dropped), against the
     # set it sends to weight 1: only the weight-0 test can refuse it
-    monkeypatch.setattr(smap, "solve_word", lambda x: solve(x) & ~last)
-    weight_one = frozenset(x for x in range(1, 9) if smap.solve_word(x))
+    monkeypatch.setattr(view, "solve_word", lambda x: solve(x) & ~last)
+    weight_one = frozenset(x for x in range(1, 9) if view.solve_word(x))
     monkeypatch.setattr(gp_mod, "kth_power_residues", lambda *args: weight_one)
     assert not verify_isomorphism(view)
 

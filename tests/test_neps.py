@@ -18,7 +18,7 @@ from diagwalks import (
     neps_construct,
     neps_walks,
 )
-from diagwalks import graphs, neps, verify
+from diagwalks import neps, verify
 from diagwalks.errors import (
     ArityMismatch,
     BadParameters,
@@ -182,17 +182,6 @@ def test_no_closed_walks_of_length_one():
         assert neps_complete_walks(sizes, basis, 1, (True,) * len(sizes)) == 0
 
 
-def test_single_factor_reduces_to_complete_walks():
-    basis = NepsBasis([(1,)])
-    for r in range(6):
-        assert neps_complete_walks([5], basis, r, (True,)) == complete_walks(
-            5, r, True
-        )
-        assert neps_complete_walks([5], basis, r, (False,)) == complete_walks(
-            5, r, False
-        )
-
-
 def naive_neps_walks(tables, basis, r):
     """Reference: the walk formula summed over all |B|^r basis sequences."""
     total = 0
@@ -314,7 +303,6 @@ def test_spectral_form_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(neps, "neps_walks", refuse)
     monkeypatch.setattr(neps, "_column_sum_multiplicities", refuse)
-    monkeypatch.setattr(graphs, "complete_walks", refuse)
     basis = NepsBasis(t for t in itertools.product((0, 1), repeat=3) if any(t))
     # K2 x K2 x K2 with all seven tuples is K_8: 7^r + 7 (-1)^r over 8
     assert neps_complete_walks([2, 2, 2], basis, 200, (True,) * 3) == (
@@ -551,6 +539,42 @@ def test_krawtchouk_cap_refuses_before_any_step(monkeypatch):
         hamming_walks(6, 7, 5, zeros)
     monkeypatch.setattr(neps, "MAX_NEPS_OPS", 7)
     assert hamming_walks(6, 7, 5, zeros) == want
+
+
+def test_eigenvalue_powers_refused_before_any_power(monkeypatch):
+    # H(17888, 2) passes the weight cap with 9,999,951 word operations,
+    # but its 17,889 powers to r = 69,905 take 293,093,376 words, minutes
+    # of squaring: refused before the first, and nothing is memoized
+    neps._walks.cache_clear()
+    started = time.perf_counter()
+    with pytest.raises(NepsWalkTooLarge, match="293093376 words"):
+        hamming_walks(17888, 2, 69905, (True,) * 17888)
+    assert time.perf_counter() - started < 0.1
+    assert neps.cache_info()["walks"]["currsize"] == 0
+    # K_3, K_5, ..., K_1025 under the standard basis: 1,024 terms, within
+    # the term cap, group into 939 distinct Lambda; their powers to
+    # r = 95,337 took 36 s
+    sizes = [2**i + 1 for i in range(1, 11)]
+    started = time.perf_counter()
+    with pytest.raises(NepsWalkTooLarge, match="raises 939 eigenvalues"):
+        neps_complete_walks(sizes, NepsBasis.standard(10), 95_337,
+                            (True,) * 10)
+    assert time.perf_counter() - started < 0.5
+    # at the cap: H(2,3) at r = 64 raises 3 eigenvalues to powers of 2
+    # words (4^64 and below), K_5 two of them
+    calls = [(lambda: hamming_walks(2, 3, 64, (True, True)), 6),
+             (lambda: complete_walks(5, 64, True), 4)]
+    wants = [call() for call, _ in calls]
+    neps._walks.cache_clear()
+    for (call, words), want in zip(calls, wants):
+        monkeypatch.setattr(neps, "MAX_NEPS_OPS", words - 1)
+        with pytest.raises(NepsWalkTooLarge, match=f" {words} words"):
+            call()
+        monkeypatch.setattr(neps, "MAX_NEPS_OPS", words)
+        assert call() == want
+    # an eigenvalue of absolute value at most 1 keeps its powers one word
+    assert complete_walks(2, 10**9, True) == 1
+    assert complete_walks(1, 10**9, True) == 0
 
 
 def test_cache_info_reports_hits_misses_and_size():
