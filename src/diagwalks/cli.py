@@ -112,10 +112,12 @@ def emit(args, payload: dict, method: str, started: float,
         print(",".join(CSV_COLUMNS))
         print(",".join(row))
     elif fmt == "table":
-        payload = record["result"]
-        for key, value in payload.items():
-            print(f"{key:>10}: {value}")
-        print(f"{'elapsed':>10}: {record['elapsed_ms']} ms")
+        rows = {key: json.dumps(value) if isinstance(value, (dict, list))
+                else value for key, value in record["result"].items()}
+        rows["elapsed"] = f"{record['elapsed_ms']} ms"
+        width = max(map(len, rows))
+        for key, value in rows.items():
+            print(f"{key:>{width}}: {value}")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

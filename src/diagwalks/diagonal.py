@@ -10,7 +10,8 @@ vanish, plus the all-zero tuple when alpha = 0.
 
 Three independent oracles ship alongside the formula: a literal
 enumeration of all tuples (each value sum a carry-free integer sum of
-packed digit words, streamed over the last summand), an r-fold additive
+packed digit words, grouped by that sum, at most nnz*d <= base^t
+additions to extend nnz bins by d distinct words), an r-fold additive
 convolution over the group, walked out from 0 through R_k and holding
 only the elements it reaches, and the walk bridge, k^r times a
 matrix-power walk count on the generalized Paley graph. The first two
@@ -35,9 +36,9 @@ from .neps import hamming_walks
 if TYPE_CHECKING:
     import numpy as np
 
-# largest number of values one brute-force pass writes: the prefix sums of
-# every length, the bins it counts them in and the entries of the
-# returned rows; a pass also runs fewer lengths than this number has bits
+# largest number of values one brute-force pass writes: its additions, the
+# bins it counts them in and the entries of the returned rows; a pass also
+# runs fewer lengths than this number has bits
 MAX_ENUM_TUPLES = 10**8
 # largest number of field powers one brute-force pass takes, one per
 # summand value; over the q <= 11,585 a pass on the q^2 addition table
@@ -160,25 +161,24 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     carry, as no digit sum passes r(p-1) < R, so the value sum of every
     tuple is one integer sum, counted in one of R^m bins; one map per pass
     takes each base-R digit of a bin mod p, and adds the bins of a row
-    exactly onto the q elements. The t-prefix sums are held at once for
-    t < r, and row t counts them; the last summand is added a block of
-    values to a chunk of the sums at a time, so memory grows as
-    base^(r-1), not base^r, and the buffer holds at most max(2R^m, 2^20)
-    entries. Raises KDoesNotDivide, and, before numpy is loaded,
-    EnumerationTooLarge when the pass writes more than MAX_ENUM_TUPLES
-    values, runs to r >= log2(MAX_ENUM_TUPLES) or takes more than
-    MAX_ENUM_POWERS powers.
+    exactly onto the q elements. Row t-1 is held as its nonzero bins and
+    their int64 counts, and step t adds each distinct word, weighted by
+    the number of summand values packing to it: the same enumeration,
+    grouped by the distributive law. A step loops over the shorter of its
+    nnz bins and d words, one vector of the other a turn, so it makes at
+    most nnz*d <= base^t additions in R^m bins of memory. Raises
+    KDoesNotDivide, and, before numpy is loaded, EnumerationTooLarge when
+    the pass writes more than MAX_ENUM_TUPLES values, runs to
+    r >= log2(MAX_ENUM_TUPLES) or takes more than MAX_ENUM_POWERS powers.
     """
     k = check_k_divides(field.q, k)
     r = check_length("r", r)
     p, m, q = field.p, field.m, field.q
     base = (q - 1) if restrict_nonzero else q
-    # base^t prefix sums for every t = 1..r, R^m bins for each row and the
-    # bin map, and (r+1)*q row entries. The last row is counted a block at
-    # a time, and every block but the final one counts at least R^m tuples,
-    # so its bins add at most base^r values more than this. At base 2 these
-    # pass the cap before r reaches its bit length, so no pass runs that
-    # many lengths: not even GF(2) without zeros (base 1)
+    # at most base^t additions for each step t = 1..r, R^m bins for each
+    # row and the bin map, and (r+1)*q row entries. At base 2 these pass
+    # the cap before r reaches its bit length, so no pass runs that many
+    # lengths: not even GF(2) without zeros (base 1)
     lengths = MAX_ENUM_TUPLES.bit_length()
     runs = min(r, lengths)
     radix = runs * (p - 1) + 1
@@ -208,27 +208,23 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     # bin w goes to the element whose digit t is digit t of w mod p
     bin_ids = np.arange(bins, dtype=np.intp)
     elements = sum(bin_ids // radix**t % radix % p * p**t for t in range(m))
-    # intp throughout, so no bincount casts its input
-    sums = np.zeros(1, dtype=np.intp)
-    for t in range(1, r):
-        sums = (sums[:, None] + words).ravel()
-        np.add.at(dist[t], elements, np.bincount(sums, minlength=bins))
-    # chunks of at most max(R^m, 2^20) sums against blocks of `size` last
-    # summands, so a bincount of R^m bins counts at least R^m tuples; one
-    # buffer serves every block, at most 2^20 entries when a chunk
-    # outnumbers the bins and fewer than 2R^m when it does not
-    chunk = min(len(sums), max(bins, 1 << 20))
-    size = -(-bins // chunk)
-    buffer = np.empty(chunk * min(size, base), dtype=np.intp)
-    counts = np.zeros(bins, dtype=np.int64)
-    for cut in range(0, len(sums), chunk):
-        part = sums[cut:cut + chunk, None]
-        for start in range(0, base, size):
-            block = words[start:start + size]
-            out = buffer[:len(part) * len(block)].reshape(len(part), -1)
-            np.add(part, block, out=out)
-            counts += np.bincount(out.ravel(), minlength=bins)
-    np.add.at(dist[r], elements, counts)
+    # each distinct word once, with the number of summand values it packs
+    mult = np.bincount(words)
+    distinct = np.flatnonzero(mult)
+    mult = mult[distinct]
+    # each vector scaled once per distinct weight on the shorter axis
+    ids, counts = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.int64)
+    for t in range(1, r + 1):
+        nxt = np.zeros(bins, dtype=np.int64)
+        (outer, weight), (inner, scale) = sorted(
+            [(ids, counts), (distinct, mult)], key=lambda axis: len(axis[0]))
+        for c in np.unique(weight).tolist():
+            vec = c * scale
+            for i in outer[weight == c].tolist():
+                np.add.at(nxt[i:], inner, vec)
+        np.add.at(dist[t], elements, nxt)
+        ids = np.flatnonzero(nxt)
+        counts = nxt[ids]
     return dist
 
 

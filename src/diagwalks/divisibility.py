@@ -1,7 +1,7 @@
 """Integrality of k = (p^{ab}-1)/(b(p^a-1)) and sufficient-condition catalogue.
 
 k is an integer exactly when b divides 1 + x + ... + x^{b-1} with x = p^a,
-that is when x^b = 1 mod b(x-1): one modular power. The catalogue
+a repunit taken mod b in O(log b) steps from x mod b alone. The catalogue
 evaluates six published sufficient conditions for that divisibility;
 each fired case must imply integrality (tested as a sweep). The order
 test factors only an exponent its caller knows, never n or phi(n).
@@ -37,10 +37,17 @@ def repunit(x: int, b: int) -> int:
 
 
 def k_is_integer(p: int, a: int, b: int) -> bool:
-    """Whether b divides (p^{ab}-1)/(p^a-1), that is whether b(p^a-1)
-    divides p^{ab}-1; one modular power, never the repunit itself."""
-    modulus = b * (p**a - 1)
-    return pow(p, a * b, modulus) == 1 % modulus
+    """Whether b divides (p^{ab}-1)/(p^a-1) = 1 + x + ... + x^{b-1} with
+    x = p^a. That repunit mod b depends only on x mod b, so it is taken
+    mod b by doubling, R(2n) = R(n)(1 + x^n) and R(n+1) = 1 + x R(n), in
+    O(log b) steps from the top bit of b down; p^a is never formed."""
+    x = pow(p, a, b)
+    total, power = 0, 1  # R(n) and x^n mod b, n the bits of b read so far
+    for bit in bin(b)[2:]:
+        total, power = total * (1 + power) % b, power * power % b
+        if bit == "1":
+            total, power = (1 + x * total) % b, power * x % b
+    return total == 0
 
 
 def _order_below(x: int, r: int, t: int) -> bool:

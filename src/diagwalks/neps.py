@@ -7,8 +7,8 @@ length-r sequences of basis tuples, aggregated by their column sums with
 a dynamic program, so the cost is polynomial in r instead of |B|^r; its
 factor tables may hold numpy arrays of one broadcastable shape, to count
 many vertex pairs at once. A NEPS of complete graphs needs no table: its
-walks come from its spectrum, 2^n |B| terms for any r, and in the Hamming
-graph H(b,q) those group into b+1 terms, weighted by a Krawtchouk
+walks come from its spectrum, 2^n |B| n-fold products for any r, and in
+the Hamming graph H(b,q) those group into b+1 terms, weighted by a Krawtchouk
 recurrence; K_m is the one-factor case. All three, and the spectral
 powers, are checked against MAX_NEPS_OPS before the first step.
 `hamming_walks` admits its arguments on every call, then looks its count
@@ -31,8 +31,9 @@ from .graphs import DenseGraph
 # largest int8 adjacency neps_construct builds: 4096 vertices
 MAX_PRODUCT_BYTES = 1 << 24
 # largest number of state updates (a column-sum state and a basis tuple)
-# of the walk DP, of terms (a sign vector and a basis tuple) of the complete-
-# graph spectral sum, and of words of the Krawtchouk recurrence or powers
+# of the walk DP, of factors of the terms (a sign vector and a basis tuple,
+# n factors each) of the complete-graph spectral sum, and of words of the
+# Krawtchouk recurrence or powers
 MAX_NEPS_OPS = 10**7
 # bytes the memo of Hamming walk counts may hold. An admitted count is at
 # most 2^MAX_COUNT_BITS, whose CPython digits take 139,812 bytes; 1 KiB
@@ -225,8 +226,9 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     (Cvetkovic, Doob & Sachs, Spectra of Graphs, 2.5), so prod m_i * W is
     the sum over the 2^n choices of prod_i c_i (sum_B prod_i mu_i^beta_i)^r,
     and the division is exact. Raises NepsWalkTooLarge before the first
-    term when the 2^n |B| terms pass MAX_NEPS_OPS; r, against the largest
-    |Lambda|, and the powers are checked once the terms are grouped."""
+    term when the n 2^n |B| operations of the 2^n |B| terms, each an
+    n-fold product, pass MAX_NEPS_OPS; r, against the largest |Lambda|,
+    and the powers are checked once the terms are grouped."""
     n = basis.n
     if len(m_list) != n or len(pattern) != n:
         raise ArityMismatch(f"{len(m_list)} sizes and pattern length "
@@ -234,10 +236,12 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     m_list = [as_integer("m", m) for m in m_list]
     if any(m < 1 for m in m_list):
         raise BadParameters(f"complete graph sizes must be >= 1, got {m_list}")
-    if 2**n * len(basis) > MAX_NEPS_OPS:
+    terms = 2**n * len(basis)
+    if n * terms > MAX_NEPS_OPS:
         raise NepsWalkTooLarge(
-            f"the spectral NEPS walk sum takes {2**n * len(basis)} terms, "
-            f"over the cap MAX_NEPS_OPS of {MAX_NEPS_OPS}"
+            f"the spectral NEPS walk sum takes {terms} terms of {n} factors "
+            f"each, {n * terms} operations, over the cap MAX_NEPS_OPS of "
+            f"{MAX_NEPS_OPS}"
         )
     weights = {}  # Lambda -> summed coefficients of its terms
     for eps in itertools.product((0, 1), repeat=n):

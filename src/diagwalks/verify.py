@@ -3,9 +3,11 @@
 `run_all` builds one `DiagonalSystem` per roster triple and hands it to
 the four per-triple checks, each returning one CheckResult:
 
-- triple agreement: `count_nonzero` against the literal enumeration and
-  the additive convolution, for every alpha, one call to each oracle
-  giving every r <= max_r;
+- triple agreement: `count_nonzero` against the literal enumeration,
+  whose step t extends the nnz bins of its tuples' packed sums by the d
+  distinct packed words in at most nnz*d <= base^t additions, and the
+  additive convolution, for every alpha, one call to each oracle giving
+  every r <= max_r;
 - walk bridge: the same counts against k^r times matrix-power walks on
   the triple's generalized Paley graph, built once for the check;
 - isomorphism: the system's own `HammingView` against R_k;

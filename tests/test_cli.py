@@ -195,7 +195,24 @@ def test_count_table_format(capsys):
     assert [key.strip() for key, _ in rows][:10] == [
         "p", "a", "b", "k", "q", "alpha", "r_or_s", "mode", "method", "count"]
     assert fields["count"] == "17" and fields["mode"] == "all"
-    assert rows[-1][0] == "   elapsed" and rows[-1][1].endswith(" ms")
+    assert rows[-1][0].strip() == "elapsed" and rows[-1][1].endswith(" ms")
+
+
+def test_count_table_prints_nested_values_as_json(capsys):
+    # `divisibility` is a dict: one JSON value, not a Python repr, and its
+    # 12-character key sets the width of every key
+    args = ["count", "--p", "3", "--a", "1", "--b", "2", "--alpha", "0",
+            "--s", "2"]
+    _, out, _ = run_cli(capsys, *args)
+    want = json.loads(out)["result"]["divisibility"]
+    code, out, _ = run_cli(capsys, *args, "--format", "table")
+    assert code == 0
+    rows = [line.split(": ", 1) for line in out.splitlines()]
+    assert {len(key) for key, _ in rows} == {len("divisibility")}
+    fields = {key.strip(): value for key, value in rows}
+    assert json.loads(fields["divisibility"]) == want
+    assert want == {"p": 3, "a": 1, "b": 2, "k_integer": True,
+                    "cases": ["a", "e"]}
 
 
 def test_walks_neps_example(capsys):

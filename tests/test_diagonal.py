@@ -304,21 +304,57 @@ def test_enumeration_cap_counts_the_bins(monkeypatch):
         brute_force_distribution(field, 1, 2)
 
 
-def test_brute_force_blocks_count_at_least_their_bins(monkeypatch):
-    # GF(2^10) at r = 2: 1023 prefix sums and 3^10 bins, so the last
-    # summand goes in blocks of 58 values; every bincount but the last
-    # counts at least as many tuples as it writes bins
-    calls, bincount = [], np.bincount
+def enumerated_rows(field, k, r, restrict_nonzero=True):
+    """Row t counts the t-tuples of the domain by the field sum of their
+    k-th powers, one itertools tuple at a time."""
+    domain = range(1 if restrict_nonzero else 0, field.q)
+    powers = [field.pow_idx(x, k) for x in domain]
+    rows = []
+    for t in range(r + 1):
+        row = [0] * field.q
+        for summands in itertools.product(powers, repeat=t):
+            total = 0
+            for y in summands:
+                total = field.add_idx(total, y)
+            row[total] += 1
+        rows.append(row)
+    return rows
 
-    def counted(values, minlength=0):
-        calls.append((len(values), minlength))
-        return bincount(values, minlength=minlength)
 
-    monkeypatch.setattr(np, "bincount", counted)
-    dist = brute_force_distribution(build_field(2, 10), 3, 2)
-    last = calls[1:]
-    assert len(last) == 18 and all(n >= bins for n, bins in last[:-1])
-    assert sum(n for n, _ in last) == 1023**2 == int(dist[2].sum())
+def test_brute_force_holds_bins_not_prefix_sums():
+    # GF(7^3), k = 19: 342^3 tuples whose packed sums land in 19^3 bins.
+    # Row t-1 is held as its nonzero bins, so the pass stays below one
+    # array of the 342^2 prefix sums of length 2
+    field = build_field(7, 3)
+    want = enumerated_rows(field, 19, 2)
+    want.append(dense(convolution_distribution(field, 19, 3)[3], field.q))
+    tracemalloc.start()
+    try:
+        dist = brute_force_distribution(field, 19, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.tolist() == want and int(dist[3].sum()) == 342**3
+    sums = 342**2 * np.dtype(np.intp).itemsize
+    assert peak < sums, f"peak {peak} bytes, {sums} of prefix sums"
+
+
+def test_brute_force_weights_each_distinct_word():
+    # GF(9), k = 2, with zeros: nine summand values pack to five words, 0
+    # once and each square twice. Step 1 loops over the one bin of row 0,
+    # later steps over the five words, and the pass holds less than the
+    # 9^4 prefix sums of length 4
+    field, r = build_field(3, 2), 5
+    want = enumerated_rows(field, 2, r, False)
+    tracemalloc.start()
+    try:
+        dist = brute_force_distribution(field, 2, r, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.tolist() == want
+    sums = 9**4 * np.dtype(np.intp).itemsize
+    assert peak < sums, f"peak {peak} bytes, {sums} of prefix sums"
 
 
 @pytest.mark.parametrize("p, m, k", [
@@ -329,15 +365,7 @@ def test_brute_force_rows_match_direct_enumeration(p, m, k, restrict_nonzero):
     field, r = build_field(p, m), 3
     dist = brute_force_distribution(field, k, r, restrict_nonzero)
     assert dist.shape == (r + 1, field.q)
-    domain = range(1 if restrict_nonzero else 0, field.q)
-    for t in range(r + 1):
-        want = [0] * field.q
-        for summands in itertools.product(domain, repeat=t):
-            total = 0
-            for x in summands:
-                total = field.add_idx(total, field.pow_idx(x, k))
-            want[total] += 1
-        assert list(dist[t]) == want, t
+    assert dist.tolist() == enumerated_rows(field, k, r, restrict_nonzero)
 
 
 @pytest.mark.parametrize("restrict_nonzero", [True, False])

@@ -34,6 +34,16 @@ def test_k_is_integer_never_builds_the_repunit():
     assert time.perf_counter() - started < 0.1
 
 
+def test_k_is_integer_never_forms_p_to_the_a():
+    # a modulus b(p^a - 1) of a million bits took 48.8 s; x = p^a mod b
+    # and the repunit by doubling take O(log a + log b) steps. 2^6 divides
+    # b and x, so the repunit 1 + x + ... is 1 mod 2^6
+    started = time.perf_counter()
+    assert not k_is_integer(2, 10**6, 10**6)
+    assert time.perf_counter() - started < 0.1
+    assert k_is_integer(3, 10**6, 2) and not k_is_integer(2, 10**6, 2)
+
+
 def test_repunit():
     assert repunit(4, 3) == 21
     assert repunit(3, 2) == 4

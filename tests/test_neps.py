@@ -319,11 +319,12 @@ class NoTerms(NepsBasis):
 
 
 def test_spectral_cap_refuses_before_any_term(monkeypatch):
+    # 4 sign choices of 3 basis tuples, 2 factors each
     basis = NoTerms([(1, 0), (0, 1), (1, 1)])
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 4 * 3 - 1)
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 2 * 4 * 3 - 1)
     with pytest.raises(NepsWalkTooLarge, match="12 terms.*MAX_NEPS_OPS"):
         neps_complete_walks([3, 4], basis, 5, (True, False))
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 4 * 3)
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 2 * 4 * 3)
     with pytest.raises(RuntimeError, match="a term was taken"):
         neps_complete_walks([3, 4], basis, 5, (True, False))
 
@@ -575,6 +576,23 @@ def test_eigenvalue_powers_refused_before_any_power(monkeypatch):
     # an eigenvalue of absolute value at most 1 keeps its powers one word
     assert complete_walks(2, 10**9, True) == 1
     assert complete_walks(1, 10**9, True) == 0
+
+
+def test_complete_spectral_sum_counts_every_factor_of_its_terms(monkeypatch):
+    # 18 factors K_2 under the standard basis: 2^18 * 18 terms are within
+    # the cap, but each is an 18-fold product, 84,934,656 operations; the
+    # weight loop took 7.9 s to return 0
+    started = time.perf_counter()
+    with pytest.raises(NepsWalkTooLarge, match="84934656 operations"):
+        neps_complete_walks([2] * 18, NepsBasis.standard(18), 1, (True,) * 18)
+    assert time.perf_counter() - started < 1
+    # K_3 x K_4 under 11: 4 sign choices of one 2-fold product
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 7)
+    with pytest.raises(NepsWalkTooLarge, match=" 8 operations"):
+        neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 2, (True, True))
+    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 8)
+    assert neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 2,
+                               (True, True)) == 6
 
 
 def test_cache_info_reports_hits_misses_and_size():
