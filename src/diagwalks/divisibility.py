@@ -75,11 +75,12 @@ class DivisibilityReport(NamedTuple):
 
 
 def remark_cases(p: int, a: int, b: int) -> DivisibilityReport:
-    """Evaluate the six sufficient conditions with x = p^a.
+    """Evaluate the six sufficient conditions with x = p^a, read only
+    modulo b or a divisor of b, and through gcd(x, b): so x = p^a mod b.
 
     Cases are reported as a set (they overlap), never first-match.
     """
-    x = p**a
+    x = pow(p, a, b)
     cases = set()
     fac = factorize(b)
     primes = sorted(fac)

@@ -67,8 +67,8 @@ class WalkCacheTooLarge(DiagwalksError):
 
 
 class NepsWalkTooLarge(DiagwalksError):
-    """Raised when the column-sum DP, the complete-graph spectral sum, the
-    Krawtchouk recurrence or the spectral powers could pass MAX_NEPS_OPS."""
+    """Raised by `neps._admit`, the one MAX_NEPS_OPS gate, when the DP, the
+    complete-graph terms, the Krawtchouk weights or the powers pass it."""
 
 
 class CountTooLarge(DiagwalksError):

@@ -7,13 +7,13 @@ length-r sequences of basis tuples, aggregated by their column sums with
 a dynamic program, so the cost is polynomial in r instead of |B|^r; its
 factor tables may hold numpy arrays of one broadcastable shape, to count
 many vertex pairs at once. A NEPS of complete graphs needs no table: its
-walks come from its spectrum, 2^n |B| n-fold products for any r, and in
-the Hamming graph H(b,q) those group into b+1 terms, weighted by a Krawtchouk
-recurrence; K_m is the one-factor case. All three, and the spectral
-powers, are checked against MAX_NEPS_OPS before the first step.
-`hamming_walks` admits its arguments on every call, then looks its count
-up by (b, q, d, r) in the one memo, which `cache_info` reports. numpy is
-imported only to build a product in `neps_construct`.
+walks are a spectral sum of 2^n |B| n-fold products, those of the Hamming
+graph H(b,q) one of b+1 Krawtchouk-weighted terms, and K_m is the
+one-factor case. Each only builds its terms; `_spectral_walks`, the one
+kernel, sums their powers and divides. Every cost passes `_admit`, the
+one MAX_NEPS_OPS gate, before its first step. `hamming_walks` admits its
+arguments on every call, then looks its count up in the one memo, which
+`cache_info` reports. numpy is imported only in `neps_construct`.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from .graphs import DenseGraph
 
 # largest int8 adjacency neps_construct builds: 4096 vertices
 MAX_PRODUCT_BYTES = 1 << 24
-# largest number of state updates (a column-sum state and a basis tuple)
-# of the walk DP, of factors of the terms (a sign vector and a basis tuple,
-# n factors each) of the complete-graph spectral sum, and of words of the
-# Krawtchouk recurrence or powers
+# largest cost `_admit` lets through: walk DP state updates, factors of
+# the complete-graph terms, or words of the Krawtchouk recurrence or powers
 MAX_NEPS_OPS = 10**7
 # bytes the memo of Hamming walk counts may hold. An admitted count is at
 # most 2^MAX_COUNT_BITS, whose CPython digits take 139,812 bytes; 1 KiB
@@ -155,6 +153,15 @@ def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
     return DenseGraph(acc)
 
 
+def _admit(work: int, message: str, *args) -> None:
+    """The one MAX_NEPS_OPS gate: NepsWalkTooLarge when `work` passes it,
+    the template `message` filled in only then, each int through `shown`."""
+    if work > MAX_NEPS_OPS:
+        args = [shown(a) if isinstance(a, int) else a for a in (*args, work)]
+        raise NepsWalkTooLarge(f"{message.format(*args)}, over the cap "
+                               f"MAX_NEPS_OPS of {MAX_NEPS_OPS}")
+
+
 def _dp_updates(n: int, size: int, r: int) -> int:
     """Upper bound on the state updates of the walk DP to length r over a
     basis of `size` n-tuples. Step t < r updates each of its states once
@@ -171,13 +178,9 @@ def _column_sum_multiplicities(tuples, r):
     NepsWalkTooLarge, before the first step, when the updates could pass
     MAX_NEPS_OPS."""
     n = len(tuples[0])
-    updates = _dp_updates(n, len(tuples), r)
-    if updates > MAX_NEPS_OPS:
-        raise NepsWalkTooLarge(
-            f"the NEPS walk sum over {len(tuples)} basis tuples of arity {n} "
-            f"to length {r} may make up to {updates} state updates, "
-            f"over the cap MAX_NEPS_OPS of {MAX_NEPS_OPS}"
-        )
+    _admit(_dp_updates(n, len(tuples), r), "the NEPS walk sum over {} basis "
+           "tuples of arity {} to length {} may make up to {} state updates",
+           len(tuples), n, r)
     states = {(0,) * n: 1}
     for _ in range(r):
         nxt = {}
@@ -226,9 +229,9 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     (Cvetkovic, Doob & Sachs, Spectra of Graphs, 2.5), so prod m_i * W is
     the sum over the 2^n choices of prod_i c_i (sum_B prod_i mu_i^beta_i)^r,
     and the division is exact. Raises NepsWalkTooLarge before the first
-    term when the n 2^n |B| operations of the 2^n |B| terms, each an
-    n-fold product, pass MAX_NEPS_OPS; r, against the largest |Lambda|,
-    and the powers are checked once the terms are grouped."""
+    of the 2^n |B| terms, each an n-fold product, when their n 2^n |B|
+    operations pass MAX_NEPS_OPS. `_spectral_walks` sums the terms grouped
+    by Lambda, once r is checked against the largest |Lambda|."""
     n = basis.n
     if len(m_list) != n or len(pattern) != n:
         raise ArityMismatch(f"{len(m_list)} sizes and pattern length "
@@ -237,12 +240,8 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     if any(m < 1 for m in m_list):
         raise BadParameters(f"complete graph sizes must be >= 1, got {m_list}")
     terms = 2**n * len(basis)
-    if n * terms > MAX_NEPS_OPS:
-        raise NepsWalkTooLarge(
-            f"the spectral NEPS walk sum takes {terms} terms of {n} factors "
-            f"each, {n * terms} operations, over the cap MAX_NEPS_OPS of "
-            f"{MAX_NEPS_OPS}"
-        )
+    _admit(n * terms, "the spectral NEPS walk sum takes {} terms of {} "
+           "factors each, {} operations", terms, n)
     weights = {}  # Lambda -> summed coefficients of its terms
     for eps in itertools.product((0, 1), repeat=n):
         mu = [-1 if e else m - 1 for m, e in zip(m_list, eps)]
@@ -253,28 +252,13 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     r = check_length("r", r, top)
     if any(m == 1 and not s for m, s in zip(m_list, pattern)):
         return 0  # K_1 has no distinct vertex pair
-    _check_powers("the spectral NEPS walk sum", len(weights), top, r)
-    total = sum(coef * lam**r for lam, coef in weights.items())
-    walks, rem = divmod(total, math.prod(m_list))
-    if rem:
-        raise ArithmeticError(f"spectral NEPS sum at r={r} is not "
-                              f"divisible by {math.prod(m_list)}")
-    return walks
+    return _spectral_walks("the spectral NEPS walk sum", len(weights), top,
+                           weights.items(), r, math.prod(m_list))
 
 
 def complete_walks(m: int, r: int, same: bool) -> int:
     """K_m walks of length r between equal (`same`) or distinct vertices."""
     return neps_complete_walks([m], NepsBasis([(1,)]), r, (same,))
-
-
-def _check_powers(what: str, count: int, top: int, r: int) -> None:
-    """NepsWalkTooLarge when `count` powers lambda^r, |lambda| <= top, take
-    over MAX_NEPS_OPS words: ceil(r ceil(log2 top) / 64) each, none at 1."""
-    words = count * -(-r * (top - 1).bit_length() // 64)
-    if words > MAX_NEPS_OPS:
-        raise NepsWalkTooLarge(f"{what} raises {count} eigenvalues to the "
-                               f"power r={r}, {words} words, over the cap "
-                               f"MAX_NEPS_OPS of {MAX_NEPS_OPS}")
 
 
 def hamming_walks(b: int, q: int, r: int, zeros) -> int:
@@ -288,8 +272,8 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     The weights, |K_j| <= q^b, come from the three-term recurrence (j+1)
     K_{j+1} = ((b-j)(q-1) + j - qd) K_j - (q-1)(b-j+1) K_{j-1}, K_0 = 1
     (MacWilliams & Sloane 5.7), in (b+1) ceil(b bitlen(q) / 64) word
-    operations, refused past MAX_NEPS_OPS with NepsWalkTooLarge, as are the
-    powers. A repeated (b, q, d, r) is a lookup in `_walks`.
+    operations, admitted by MAX_NEPS_OPS before `_spectral_walks` sums the
+    terms. A repeated (b, q, d, r) is a lookup in `_walks`.
     """
     if type(b) is not int or type(q) is not int:
         b, q = as_integer("b", b), as_integer("q", q)
@@ -305,26 +289,41 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     return _walks(b, q, d, r)
 
 
+def _spectral_walks(what: str, count: int, top: int, terms, r: int,
+                    divisor: int) -> int:
+    """The one spectral kernel: sum w lambda^r over (lambda, w) in `terms`,
+    divided exactly by `divisor`, once the `count` powers, |lambda| <= top,
+    pass `_admit` before any term: ceil(r ceil(log2 top) / 64) words each."""
+    _admit(count * -(-r * (top - 1).bit_length() // 64), "{} raises {} "
+           "eigenvalues to the power r={}, {} words", what, count, r)
+    total = 0
+    for lam, weight in terms:
+        total += weight * lam**r
+    walks, rem = divmod(total, divisor)
+    if rem:
+        raise ArithmeticError(f"{what} at r={r} is not divisible by "
+                              f"{shown(divisor)}")
+    return walks
+
+
 @lru_cache(maxsize=MAX_WALK_MEMO_BYTES // _WALK_ENTRY_BYTES)
 def _walks(b: int, q: int, d: int, r: int) -> int:
     """The count of `hamming_walks` for admitted Python ints b, q, d, r."""
-    ops = (b + 1) * -(-b * q.bit_length() // 64)
-    if ops > MAX_NEPS_OPS:
-        raise NepsWalkTooLarge(f"the Krawtchouk weights of H({b},{shown(q)}) "
-                               f"take {ops} word operations, over the cap "
-                               f"MAX_NEPS_OPS of {MAX_NEPS_OPS}")
-    _check_powers(f"the sum for H({b},{shown(q)})", b + 1, b * (q - 1), r)
-    total, weight, previous = 0, 1, 0
+    _admit((b + 1) * -(-b * q.bit_length() // 64),
+           "the Krawtchouk weights of H({},{}) take {} word operations", b, q)
+    return _spectral_walks(f"the sum for H({b},{shown(q)})", b + 1,
+                           b * (q - 1), _krawtchouk(b, q, d), r, q**b)
+
+
+def _krawtchouk(b: int, q: int, d: int):
+    """The b+1 terms (lambda_j = b(q-1) - qj, K_j(d)) of H(b,q), one by one;
+    the recurrence's (b-j)(q-1) + j - qd is lambda_j + 2j - qd."""
+    lam, weight, previous = b * (q - 1), 1, 0
     for j in range(b + 1):
-        total += weight * (b * (q - 1) - q * j) ** r
-        weight, previous = (((b - j) * (q - 1) + j - q * d) * weight
+        yield lam, weight
+        weight, previous = ((lam + 2 * j - q * d) * weight
                             - (q - 1) * (b - j + 1) * previous) // (j + 1), weight
-    walks, rem = divmod(total, q**b)
-    if rem:
-        raise ArithmeticError(
-            f"spectral sum for H({b},{q}) r={r} d={d} is not divisible by {q}^{b}"
-        )
-    return walks
+        lam -= q
 
 
 def cache_info() -> dict:

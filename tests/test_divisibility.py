@@ -44,6 +44,16 @@ def test_k_is_integer_never_forms_p_to_the_a():
     assert k_is_integer(3, 10**6, 2) and not k_is_integer(2, 10**6, 2)
 
 
+def test_remark_cases_never_forms_p_to_the_a():
+    # each case reads x = p^a only mod b or a divisor of b, or through
+    # gcd(x, b): 3^(10^7) took 3.4 s to form, x mod b is one modular power.
+    # x = 1 mod 4 has order 1 = 2^0, so case (e) fires
+    started = time.perf_counter()
+    report = remark_cases(3, 10**8, 4)
+    assert time.perf_counter() - started < 0.1
+    assert report.k_integer and report.cases == {"e"}
+
+
 def test_repunit():
     assert repunit(4, 3) == 21
     assert repunit(3, 2) == 4
