@@ -40,9 +40,9 @@ if TYPE_CHECKING:
 # bins it counts them in and the entries of the returned rows; a pass also
 # runs fewer lengths than this number has bits
 MAX_ENUM_TUPLES = 10**8
-# largest number of field powers one brute-force pass takes, one per
-# summand value; over the q <= 11,585 a pass on the q^2 addition table
-# could answer, and GF(2^16) is refused before its first power
+# largest number of field powers one brute-force pass takes, one pow_idx
+# per summand value, checked before the first and before numpy is loaded:
+# GF(2^16) is refused at once
 MAX_ENUM_POWERS = 1 << 14
 # largest number of add_idx calls the convolution oracle makes
 MAX_CONVOLUTION_OPS = 10**7
@@ -243,7 +243,8 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     maps each element a t-sum of support values reaches to its exact
     weight; every other element has weight 0. Raises KDoesNotDivide, and,
     before R_k is built, EnumerationTooLarge when the add_idx calls could
-    pass MAX_CONVOLUTION_OPS or the rows MAX_CONVOLUTION_BYTES."""
+    pass MAX_CONVOLUTION_OPS or the rows MAX_CONVOLUTION_BYTES, or, from
+    `kth_power_residues`, when R_k passes field.MAX_RESIDUES."""
     r = check_length("r", r)
     q, k = field.q, check_k_divides(field.q, k)
     # the support has (q-1)/k values, one more with zeros, so row t holds

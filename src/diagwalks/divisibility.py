@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import BadParameters, shown
+from .errors import BadParameters, as_integer, shown
 from .field import factorize
 
 
@@ -36,11 +36,23 @@ def repunit(x: int, b: int) -> int:
     return sum(x**j for j in range(b))
 
 
+def _admit(p: int, a: int, b: int) -> tuple[int, int, int]:
+    """p, a and b as Python ints: BadParameters unless each is an integer,
+    and, naming the value, unless a >= 1 and b >= 1; no power is taken."""
+    p, a, b = as_integer("p", p), as_integer("a", a), as_integer("b", b)
+    for name, value in (("a", a), ("b", b)):
+        if value < 1:
+            raise BadParameters(f"{name}={shown(value)} must be >= 1")
+    return p, a, b
+
+
 def k_is_integer(p: int, a: int, b: int) -> bool:
     """Whether b divides (p^{ab}-1)/(p^a-1) = 1 + x + ... + x^{b-1} with
     x = p^a. That repunit mod b depends only on x mod b, so it is taken
     mod b by doubling, R(2n) = R(n)(1 + x^n) and R(n+1) = 1 + x R(n), in
-    O(log b) steps from the top bit of b down; p^a is never formed."""
+    O(log b) steps from the top bit of b down; p^a is never formed. p, a
+    and b are admitted first (`_admit`)."""
+    p, a, b = _admit(p, a, b)
     x = pow(p, a, b)
     total, power = 0, 1  # R(n) and x^n mod b, n the bits of b read so far
     for bit in bin(b)[2:]:
@@ -78,8 +90,10 @@ def remark_cases(p: int, a: int, b: int) -> DivisibilityReport:
     """Evaluate the six sufficient conditions with x = p^a, read only
     modulo b or a divisor of b, and through gcd(x, b): so x = p^a mod b.
 
-    Cases are reported as a set (they overlap), never first-match.
+    Cases are reported as a set (they overlap), never first-match. p, a
+    and b are admitted first, as in `k_is_integer`.
     """
+    p, a, b = _admit(p, a, b)
     x = pow(p, a, b)
     cases = set()
     fac = factorize(b)

@@ -9,23 +9,28 @@ There is one polynomial arithmetic, `PackedRing`: F_p[x] mod a monic f
 on packed words, a product one Kronecker-substituted integer product
 reduced in the word, a power square-and-multiply. The modulus search runs
 Rabin's test on each candidate's ring, and `FiniteField` is the ring of
-the modulus found, with sums by one divmod loop (XOR for p = 2). It reads
-no table of size q and does not import numpy. The only q-sized table is
-the numpy addition table, built on its first read for the GP-graph and
-capped in bytes, so the formula path never loads numpy.
+the modulus found. Its one digit codec is the ring's `_word`/`_index`
+pair: `digits`, `index_of`, `neg_idx` and `sub_idx` read the packed word,
+as products and powers do. Only `add_idx` keeps its own fused divmod
+loop (XOR for p = 2), because the convolution oracle calls it in its
+inner loop and the round trip through the word is slower per call. It
+reads no table of size q and does not import numpy. The only q-sized
+table is the numpy addition table, built on its first read for the
+GP-graph and capped in bytes, so the formula path never loads numpy.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
-and `SubfieldMap`, the coordinates of an element over GF(p^a) in the
-basis {omega^{ik}}. The map inverts one F_p linear system at
-construction and keeps the inverse as chunk tables: the digits of an
-element are cut into chunks of at most CHUNK_ENTRIES values, and a
-solve adds one packed table entry per chunk, reducing mod p inside the
-word. The tables hold at most ceil(m/c) * max(p, CHUNK_ENTRIES) ints,
-with c digits per chunk, whatever q is. The zero pattern of the
-coordinates is read from the packed solve by
-`gp.HammingView`, the map of a Hamming pair. `as_index` is the one
-element-index check; the solve, the counts and the oracles run it.
+capped at MAX_RESIDUES elements, and `SubfieldMap`, the coordinates of
+an element over GF(p^a) in the basis {omega^{ik}}. The map inverts one
+F_p linear system at construction and keeps the inverse as chunk
+tables: the digits of an element are cut into chunks of at most
+CHUNK_ENTRIES values, and a solve adds one packed table entry per
+chunk, reducing mod p inside the word. The tables hold at most
+ceil(m/c) * max(p, CHUNK_ENTRIES) ints, with c digits per chunk,
+whatever q is. The zero pattern of the coordinates is read from the
+packed solve by `gp.HammingView`, the map of a Hamming pair.
+`as_index` is the one element-index check; the solve, the counts and
+the oracles run it.
 
 `check_field` is the one admission of GF(p^m): `FiniteField`,
 `diagonal.diagonal_exponent` and `gp.hamming_parameters` run it before
@@ -49,6 +54,7 @@ from .errors import (
     BadDecomposition,
     BadParameters,
     DependentBasis,
+    EnumerationTooLarge,
     FieldTooLarge,
     KDoesNotDivide,
     NotPrime,
@@ -66,6 +72,10 @@ if TYPE_CHECKING:
 MAX_FIELD_ORDER = 1 << 20
 # largest addition table (q^2 entries) that add_table will allocate
 MAX_ADD_TABLE_BYTES = 1 << 28
+# largest R_k, (q-1)/k products, that kth_power_residues builds: over the
+# 11,584 of a GP-graph within MAX_ADD_TABLE_BYTES and the 2,040 of any
+# Hamming k within MAX_FIELD_ORDER
+MAX_RESIDUES = 1 << 14
 
 
 def is_prime(n: int) -> bool:
@@ -141,8 +151,9 @@ class PackedRing:
             top = x_t[-1]
             x_t = [(c + top * f) % p for c, f in zip([0] + x_t[:-1], x_m)]
 
-    # (like `FiniteField.digits`, the loops over an index take its m low
-    # digits, so they end on any int)
+    # `_word` and `_index` are the one codec between an element index and
+    # its digits; `_word` takes the m low base-p digits of any int, so it
+    # ends on a negative or out-of-range index too
 
     def _word(self, i: int) -> int:
         p, slot = self.p, self._slot
@@ -234,11 +245,17 @@ def find_modulus(p: int, m: int) -> tuple[int, ...]:
 class FiniteField(PackedRing):
     """GF(p^m) with q <= MAX_FIELD_ORDER; immutable after construction.
 
-    The packed ring of `find_modulus(p, m)` on element indices: a sum is
-    one divmod loop (XOR for p = 2), a product one `_product`, a power one
-    `_power`. Construction is the modulus search and the primitive test,
-    both on packed words. The numpy `add_table` is built on first read,
-    for the GP-graph, and numpy is imported only then.
+    The packed ring of `find_modulus(p, m)` on element indices, with
+    `_word`/`_index` as the one digit codec: a product is one `_product`,
+    a power one `_power`, a negation or difference one slot-wise multiple
+    of words, and `digits`/`index_of` read and write the word's slots. A
+    sum is one fused divmod loop (XOR for p = 2), kept off the word
+    because the convolution oracle's inner loop calls it: through the
+    word a sum measured 1.2 to 2 times slower per call on GF(5^2) to
+    GF(7^3), and XOR is one operation. Construction is the modulus search
+    and the primitive test, both on packed words. The numpy `add_table`
+    is built on first read, for the GP-graph, and numpy is imported only
+    then.
     """
 
     def __init__(self, p, m):
@@ -250,21 +267,18 @@ class FiniteField(PackedRing):
         self.omega_idx = self._find_primitive()
         self._add_table = None
 
-    # --- canonical index <-> digit vector ---
+    # --- canonical index <-> digit vector, through the packed word ---
 
     def digits(self, i: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            i, c = divmod(i, p)
-            out.append(c)
-        return tuple(out)
+        word, slot, mask = self._word(i), self._slot, self._slot_mask
+        return tuple(word >> shift & mask
+                     for shift in range(0, self._low_bits, slot))
 
     def index_of(self, coeffs) -> int:
-        idx = 0
-        for c in reversed(tuple(coeffs)):
-            idx = idx * self.p + (c % self.p)
-        return idx
+        # as Python ints: a numpy int64 would lose the slots past bit 63
+        p, slot = self.p, self._slot
+        return self._index(sum(as_integer("coefficient", c) % p << (t * slot)
+                               for t, c in enumerate(coeffs)))
 
     # --- arithmetic on indices ---
 
@@ -281,20 +295,14 @@ class FiniteField(PackedRing):
             place *= p
         return out
 
+    # -c = (p-1)c mod p; a slot of (p-1)*word or of word + (p-1)*word is
+    # at most p(p-1) <= 2m(p-1)^2 < 2^B, so it carries nowhere (__init__)
+
     def neg_idx(self, i):
-        p = self.p
-        if p == 2:
-            return i
-        out, place = 0, 1
-        for _ in range(self.m):
-            i, a = divmod(i, p)
-            if a:
-                out += (p - a) * place
-            place *= p
-        return out
+        return self._index((self.p - 1) * self._word(i))
 
     def sub_idx(self, i, j):
-        return self.add_idx(i, self.neg_idx(j))
+        return self._index(self._word(i) + (self.p - 1) * self._word(j))
 
     def mul_idx(self, i, j):
         return self._index(self._product(self._word(i), self._word(j)))
@@ -376,13 +384,18 @@ def check_k_divides(q: int, k: int) -> int:
 
 
 def kth_power_residues(field: FiniteField, k: int) -> frozenset[int]:
-    """R_k = {x^k : x nonzero} as canonical indices, of size (q-1)/k;
-    requires k | q-1."""
+    """R_k = {x^k : x nonzero} as canonical indices, of size (q-1)/k.
+    Raises KDoesNotDivide unless k | q-1, and EnumerationTooLarge, naming
+    k and q, before the first product when (q-1)/k passes MAX_RESIDUES."""
     k = check_k_divides(field.q, k)
-    n = field.q - 1
+    size = (field.q - 1) // k
+    if size > MAX_RESIDUES:
+        raise EnumerationTooLarge(
+            f"R_k for k={k} in GF({field.q}) has (q-1)/k = {size} elements, "
+            f"over the cap of {MAX_RESIDUES}")
     step = field.pow_idx(field.omega_idx, k)
     members, x = [], 1
-    for _ in range(n // k):
+    for _ in range(size):
         members.append(x)
         x = field.mul_idx(x, step)
     return frozenset(members)

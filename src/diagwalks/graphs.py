@@ -7,7 +7,8 @@ float64 on BLAS, against one float64 copy of A kept per graph, and is
 stored as int64, which is exact; past that bound it runs on Python
 integers (numpy object arrays), so counts never overflow. A^0 and A^1 are
 built as int64 arrays only when read through `walk_matrix`; `walk_count`
-reads a length-1 count from the int8 adjacency itself. The cache of powers
+answers length 0 as i == j and reads a length-1 count from the int8
+adjacency itself. The cache of powers
 is capped at MAX_WALK_BYTES, checked before any product.
 
 numpy is imported where an array is built: in `DenseGraph.__init__`,
@@ -128,6 +129,8 @@ class DenseGraph:
             i, j = as_integer("i", i), as_integer("j", j)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise VertexOutOfRange(f"vertices ({i},{j}) out of range for n={self.n}")
+        if r == 0:
+            return int(i == j)
         if r == 1:
             return int(self.adj[i, j])
         return int(self.walk_matrix(r)[i, j])

@@ -99,6 +99,16 @@ def test_count_negative_length_exit_2(capsys, method):
     assert record["message"].endswith("=-1 must be >= 0")
 
 
+def test_count_walk_method_needs_nonzero_only(capsys):
+    # the walk bridge counts N_r only; M_s is asked of another method
+    code, out, err = run_cli(
+        capsys, "count", "--p", "3", "--a", "1", "--b", "2",
+        "--alpha", "0", "--s", "2", "--method", "walk",
+    )
+    assert code == 2 and out == ""
+    assert "add --nonzero-only" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("p", ["1", "-3", "0"])
 def test_count_p_not_prime_exit_2(capsys, p):
     code, out, err = run_cli(
@@ -276,6 +286,8 @@ def test_walks_rooks_graph(capsys):
      "--gp requires --p, --m, --k"),
     (["--neps", "3,4", "--basis", "11", "--from", "0", "--to", "5",
       "--length", "-1"], "r=-1 must be >= 0"),
+    (["--from", "0", "--to", "0", "--length", "1"],
+     "one of --neps or --gp is required"),
 ])
 def test_walks_bad_options_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, "walks", *argv)

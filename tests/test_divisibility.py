@@ -54,6 +54,21 @@ def test_remark_cases_never_forms_p_to_the_a():
     assert report.k_integer and report.cases == {"e"}
 
 
+@pytest.mark.parametrize("call, args, named", [
+    (k_is_integer, (2, -1, 4), "a=-1"),
+    (k_is_integer, (3, 2, 0), "b=0"),
+    (k_is_integer, (2, 1.5, 4), "a=1.5"),
+    (remark_cases, (3, 2, -4), "b=-4"),
+    (remark_cases, (2, -1, 4), "a=-1"),
+])
+def test_bad_parameters_refused_typed(call, args, named):
+    # refused before any power: pow(2, -1, 4) and pow(3, 2, 0) raised a
+    # bare ValueError, and b = -4 returned k_integer=True
+    with pytest.raises(BadParameters, match=named) as info:
+        call(*args)
+    assert type(info.value) is BadParameters
+
+
 def test_repunit():
     assert repunit(4, 3) == 21
     assert repunit(3, 2) == 4
@@ -131,6 +146,7 @@ def test_case_e_fires():
     (11, 1, 18, set(), True),
     (11, 1, 13, set(), False),
     (3, 1, 9, set(), False),
+    (2, 4, 15, {"c", "d", "f"}, True),
 ])
 def test_case_sets_pinned(p, a, b, cases, k_integer):
     # (e) and (f) share one order test; these sets are the ones the two

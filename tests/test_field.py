@@ -12,6 +12,7 @@ from diagwalks.errors import (
     BadDecomposition,
     BadParameters,
     DependentBasis,
+    EnumerationTooLarge,
     FieldTooLarge,
     KDoesNotDivide,
     NotPrime,
@@ -177,6 +178,28 @@ def test_add_and_neg_against_digit_sums(f9, f64):
                 assert field.add_idx(i, j) == field.index_of(
                     a + b for a, b in zip(field.digits(i),
                                           field.digits(j))), (p, i, j)
+                assert field.sub_idx(i, j) == field.index_of(
+                    a - b for a, b in zip(field.digits(i),
+                                          field.digits(j))), (p, i, j)
+
+
+def test_digit_codec_round_trips_on_the_largest_fields():
+    # the most slots: m = 20 and 12; digits, index_of, neg_idx and sub_idx
+    # all read the packed word, add_idx its own loop (XOR for p = 2)
+    for p, m in [(2, 20), (3, 12)]:
+        field = build_field(p, m)
+        rng = random.Random(33)
+        for _ in range(300):
+            i, j = rng.randrange(field.q), rng.randrange(field.q)
+            assert field.index_of(field.digits(i)) == i
+            assert len(field.digits(i)) == m
+            assert field.add_idx(field.sub_idx(i, j), j) == i
+            assert field.add_idx(i, field.neg_idx(i)) == 0
+        # numpy coefficients fill slots past bit 63 as Python ints do
+        top = field.q - 1
+        assert field.index_of(np.array(field.digits(top))) == top
+    with pytest.raises(BadParameters, match="coefficient=1.5"):
+        build_field(3, 2).index_of([1.5, 0])
 
 
 def test_index_arithmetic_reads_m_digits_of_any_int(f9):
@@ -188,8 +211,15 @@ def test_index_arithmetic_reads_m_digits_of_any_int(f9):
         assert f9.mul_idx(bad, 2) == f9.mul_idx(8, 2)
         assert f9.add_idx(bad, 1) == f9.add_idx(8, 1)
         assert f9.neg_idx(bad) == f9.neg_idx(8)
+        assert f9.sub_idx(bad, 1) == f9.sub_idx(8, 1)
+        assert f9.sub_idx(1, bad) == f9.sub_idx(1, 8)
+        assert f9.digits(bad) == f9.digits(8) == (2, 2)
         with pytest.raises(BadParameters, match=f"index {bad} out of range"):
             f9.pow_idx(bad, 3)
+    # neg_idx and sub_idx read the word at p = 2 too; add_idx is XOR there
+    f8 = build_field(2, 3)
+    for bad in (-1, 15):
+        assert f8.neg_idx(bad) == f8.sub_idx(0, bad) == 7
 
 
 def test_pow_idx_admits_its_arguments(f9):
@@ -263,6 +293,22 @@ def test_kth_power_residues_examples(f9):
     assert kth_power_residues(f9, 8) == {1}
     with pytest.raises(KDoesNotDivide):
         kth_power_residues(f9, 3)
+
+
+def test_residues_capped_before_the_first_product(monkeypatch):
+    # R_1 of GF(2^20) took 14.1 s for 1,048,575 products
+    field = build_field(2, 20)
+    started = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match=(
+            f"k=1 in GF\\(1048576\\).*1048575.*{field_mod.MAX_RESIDUES}")):
+        kth_power_residues(field, 1)
+    assert time.perf_counter() - started < 0.1
+    f25 = build_field(5, 2)
+    monkeypatch.setattr(field_mod, "MAX_RESIDUES", 24 // 3)
+    assert len(kth_power_residues(f25, 3)) == 8
+    monkeypatch.setattr(field_mod, "MAX_RESIDUES", 24 // 3 - 1)
+    with pytest.raises(EnumerationTooLarge):
+        kth_power_residues(f25, 3)
 
 
 def test_residues_closed_under_multiplication(f9):

@@ -104,6 +104,8 @@ def test_validation():
     assert DenseGraph(np.array([[0, 1], [1, 0]])).directed is False
     with pytest.raises(ValueError):
         DenseGraph(np.array([[0, 2], [2, 0]]))  # non-0/1 entries
+    with pytest.raises(ValueError, match="must be square"):
+        DenseGraph(np.zeros((2, 3), dtype=np.int8))
 
 
 def test_vertex_out_of_range():
@@ -211,6 +213,8 @@ def test_identity_power_built_only_when_read():
     assert g._powers == [None]
     assert g.walk_count(1, 0, 1) == 1 and g._powers[0] is None
     assert g.walk_count(0, 5, 5) == 1 and g.walk_count(0, 5, 6) == 0
+    assert g._powers[0] is None  # length 0 is i == j, not a read of A^0
+    assert (g.walk_matrix(0) == np.identity(n, dtype=np.int64)).all()
 
 
 def test_walk_powers_peak_memory_per_entry():

@@ -614,6 +614,12 @@ def test_length_table_too_short():
         neps_walks([[1, 0]], NepsBasis([(1,)]), 2)
 
 
+def test_table_count_must_match_arity():
+    for tables in ([[1, 0]], [[1, 0]] * 3):
+        with pytest.raises(ArityMismatch, match=f"{len(tables)} walk tables"):
+            neps_walks(tables, NepsBasis([(1, 1)]), 1)
+
+
 def test_negative_length_rejected():
     with pytest.raises(BadParameters, match="r=-1 must be >= 0"):
         neps_walks([[1]], NepsBasis([(1,)]), -1)
