@@ -218,7 +218,9 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
         nxt = np.zeros(bins, dtype=np.int64)
         (outer, weight), (inner, scale) = sorted(
             [(ids, counts), (distinct, mult)], key=lambda axis: len(axis[0]))
-        for c in np.unique(weight).tolist():
+        # the few distinct weights as a Python set: np.unique would load
+        # numpy.ma, about 13 ms per process, for its masked-array test
+        for c in sorted(set(weight.tolist())):
             vec = c * scale
             for i in outer[weight == c].tolist():
                 np.add.at(nxt[i:], inner, vec)

@@ -12,11 +12,12 @@ Rabin's test on each candidate's ring, and `FiniteField` is the ring of
 the modulus found. Its one digit codec is the ring's `_word`/`_index`
 pair: `digits`, `index_of`, `neg_idx` and `sub_idx` read the packed word,
 as products and powers do. Only `add_idx` keeps its own fused divmod
-loop (XOR for p = 2), because the convolution oracle calls it in its
-inner loop and the round trip through the word is slower per call. It
-reads no table of size q and does not import numpy. The only q-sized
-table is the numpy addition table, built on its first read for the
-GP-graph and capped in bytes, so the formula path never loads numpy.
+loop (for p = 2 a XOR masked to m bits), because the convolution oracle
+calls it in its inner loop and the round trip through the word is
+slower per call. It reads no table of size q and does not import
+numpy. The only q-sized table is the numpy addition table, built on its
+first read for the GP-graph and capped in bytes, so the formula path
+never loads numpy.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
@@ -70,7 +71,9 @@ if TYPE_CHECKING:
 # per field, the scan of indices for the primitive element, and the
 # q-sized oracle tables
 MAX_FIELD_ORDER = 1 << 20
-# largest addition table (q^2 entries) that add_table will allocate
+# largest addition table (q^2 entries) that add_table will allocate; its
+# build holds the table and at most q(p + 1/p) more entries, so this
+# bounds the peak
 MAX_ADD_TABLE_BYTES = 1 << 28
 # largest R_k, (q-1)/k products, that kth_power_residues builds: over the
 # 11,584 of a GP-graph within MAX_ADD_TABLE_BYTES and the 2,040 of any
@@ -249,13 +252,13 @@ class FiniteField(PackedRing):
     `_word`/`_index` as the one digit codec: a product is one `_product`,
     a power one `_power`, a negation or difference one slot-wise multiple
     of words, and `digits`/`index_of` read and write the word's slots. A
-    sum is one fused divmod loop (XOR for p = 2), kept off the word
-    because the convolution oracle's inner loop calls it: through the
-    word a sum measured 1.2 to 2 times slower per call on GF(5^2) to
-    GF(7^3), and XOR is one operation. Construction is the modulus search
-    and the primitive test, both on packed words. The numpy `add_table`
-    is built on first read, for the GP-graph, and numpy is imported only
-    then.
+    sum is one fused divmod loop (a masked XOR for p = 2), kept off the
+    word because the convolution oracle's inner loop calls it: through
+    the word a sum measured 1.2 to 2 times slower per call on GF(5^2) to
+    GF(7^3), and a masked XOR is two operations. Construction is the
+    modulus search and the primitive test, both on packed words. The
+    numpy `add_table` is built on first read, for the GP-graph, and numpy
+    is imported only then.
     """
 
     def __init__(self, p, m):
@@ -285,7 +288,7 @@ class FiniteField(PackedRing):
     def add_idx(self, i, j):
         p = self.p
         if p == 2:
-            return i ^ j
+            return (i ^ j) & (self.q - 1)
         out, place = 0, 1
         for _ in range(self.m):
             i, a = divmod(i, p)
@@ -326,8 +329,11 @@ class FiniteField(PackedRing):
 
     @property
     def add_table(self) -> np.ndarray:
-        """add_table[i, j] = add_idx(i, j); refuses to allocate more than
-        MAX_ADD_TABLE_BYTES."""
+        """add_table[i, j] = add_idx(i, j), int16 while q < 2^15 and int32
+        past it. Refuses, before any allocation, a table of more than
+        MAX_ADD_TABLE_BYTES; the build holds the table and at most
+        q(p + 1/p) more entries (see `_digit_sums`), so the cap bounds
+        its peak."""
         if self._add_table is None:
             import numpy as np
 
@@ -339,12 +345,7 @@ class FiniteField(PackedRing):
                     f"the addition table of GF({p}^{self.m}) needs {nbytes} "
                     f"bytes, over the cap of {MAX_ADD_TABLE_BYTES} bytes"
                 )
-            idx = np.arange(q)
-            table = np.zeros((q, q), dtype=dtype)
-            for t in range(self.m):
-                d = (idx // p**t) % p
-                table += (((d[:, None] + d[None, :]) % p) * p**t).astype(dtype)
-            self._add_table = table
+            self._add_table = _digit_sums(p, self.m, dtype)
         return self._add_table
 
     @property
@@ -360,6 +361,30 @@ class FiniteField(PackedRing):
 
 def build_field(p, m):
     return FiniteField(p, m)
+
+
+def _digit_sums(p: int, m: int, dtype) -> np.ndarray:
+    """The (p^m, p^m) table whose entry i, j is the index with the base-p
+    digits of i and j added mod p, in `dtype`. With h = m // 2 low digits,
+    i = i_hi p^h + i_lo, so the table viewed as (p^(m-h), p^h, p^(m-h), p^h)
+    is high[i_hi, j_hi] p^h + low[i_lo, j_lo]: one broadcast sum written in
+    place, from the tables of m - h and h digits, built first, of
+    p^(2m-2h) and p^(2h) entries: q each for even m, q p and q / p for odd
+    m. On one digit, row i is 0..p-1 rotated left by i, the window at i of
+    0..p-1, 0..p-2: one copy, with no sum to overflow the dtype."""
+    import numpy as np
+
+    if m == 1:
+        digit = np.arange(p, dtype=dtype)
+        return np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([digit, digit[:-1]]), p).copy()
+    h = m // 2
+    a, b = p ** (m - h), p**h
+    high, low = _digit_sums(p, m - h, dtype), _digit_sums(p, h, dtype)
+    high *= b
+    table = np.empty((a, b, a, b), dtype=dtype)
+    np.add(high[:, None, :, None], low[None, :, None, :], out=table)
+    return table.reshape(a * b, a * b)
 
 
 def as_index(field: FiniteField, x) -> int:

@@ -130,27 +130,39 @@ def product_order(sizes) -> int:
     return total
 
 
+def along_axes(matrix, t: int, n: int):
+    """A factor-t square matrix reshaped to broadcast along axes t and n + t
+    of a 2n-axis array, whose reshape to (N, N) is in the product's
+    lexicographic vertex order."""
+    shape = [1] * (2 * n)
+    shape[t] = shape[n + t] = matrix.shape[0]
+    return matrix.reshape(shape)
+
+
 def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
-    """Build the NEPS adjacency as an int8 sum of Kronecker products of the
-    factors' adjacencies and identities. Raises ProductTooLarge, before any
-    product, through `product_order`."""
-    if basis.n != len(factors):
+    """Build the NEPS adjacency as an int8 sum, over the basis tuples, of
+    products of the factors' adjacencies (1) and identities (0), each
+    reshaped by `along_axes`, as `verify.formula_walk_matrix` shapes its
+    tables. Raises ProductTooLarge, before any product, through
+    `product_order`."""
+    n = basis.n
+    if n != len(factors):
         raise ArityMismatch(
-            f"basis arity {basis.n} != number of factors {len(factors)}"
+            f"basis arity {n} != number of factors {len(factors)}"
         )
     total = product_order([g.n for g in factors])
     import numpy as np
 
+    # matrices[t][a]: A_t for a = 1, I for a = 0
+    matrices = [(along_axes(np.identity(g.n, dtype=np.int8), t, n),
+                 along_axes(g.adj, t, n)) for t, g in enumerate(factors)]
     # The terms have disjoint supports, so the sum stays 0/1: two distinct
     # tuples differ at some i, where one term needs u_i = v_i and the other
     # an edge u_i v_i, and a DenseGraph has no loops.
-    acc = np.zeros((total, total), dtype=np.int8)
+    acc = np.zeros([g.n for g in factors] * 2, dtype=np.int8)
     for alpha in basis:
-        term = np.ones((1, 1), dtype=np.int8)
-        for g, a in zip(factors, alpha):
-            term = np.kron(term, g.adj if a else np.identity(g.n, dtype=np.int8))
-        acc += term
-    return DenseGraph(acc)
+        acc += math.prod(pair[a] for pair, a in zip(matrices, alpha))
+    return DenseGraph(acc.reshape(total, total))
 
 
 def _admit(work: int, message: str, *args) -> None:

@@ -41,7 +41,8 @@ from .diagonal import (
 from .errors import check_length
 from .gp import gp_graph, verify_isomorphism
 from .graphs import DenseGraph, complete_graph
-from .neps import NepsBasis, complete_walks, neps_construct, neps_walks
+from .neps import (NepsBasis, along_axes, complete_walks, neps_construct,
+                   neps_walks)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -183,12 +184,8 @@ def formula_walk_matrix(factors, basis: NepsBasis, r: int) -> np.ndarray:
     # every table is cast: a factor's powers turn to object arrays at its
     # own float bound, not at this one
     dtype = np.int64 if bound < INT64_LIMIT else object
-    tables = []
-    for t, g in enumerate(factors):
-        shape = [1] * (2 * n)
-        shape[t] = shape[n + t] = g.n
-        tables.append([g.walk_matrix(ell).astype(dtype).reshape(shape)
-                       for ell in range(r + 1)])
+    tables = [[along_axes(g.walk_matrix(ell).astype(dtype), t, n)
+               for ell in range(r + 1)] for t, g in enumerate(factors)]
     return neps_walks(tables, basis, r).reshape(total, total)
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,10 +217,13 @@ def test_index_arithmetic_reads_m_digits_of_any_int(f9):
         assert f9.digits(bad) == f9.digits(8) == (2, 2)
         with pytest.raises(BadParameters, match=f"index {bad} out of range"):
             f9.pow_idx(bad, 3)
-    # neg_idx and sub_idx read the word at p = 2 too; add_idx is XOR there
+    # neg_idx and sub_idx read the word at p = 2 too; add_idx keeps the m
+    # low bits of its XOR
     f8 = build_field(2, 3)
     for bad in (-1, 15):
         assert f8.neg_idx(bad) == f8.sub_idx(0, bad) == 7
+        assert f8.add_idx(bad, 0) == f8.add_idx(0, bad) == 7
+        assert f8.add_idx(bad, 5) == f8.add_idx(7, 5) == 2
 
 
 def test_pow_idx_admits_its_arguments(f9):
@@ -237,12 +241,50 @@ def test_add_table_is_symmetric(f9, f64):
         assert (table == table.T).all()
 
 
+def test_add_table_matches_add_idx():
+    # every pair of every field with q <= 343, and seeded pairs of GF(2^12)
+    for p, m in fields_under(343):
+        field = build_field(p, m)
+        idx = np.arange(field.q)
+        want = np.frompyfunc(field.add_idx, 2, 1)(idx[:, None], idx)
+        table = field.add_table
+        assert table.dtype == np.int16 and table.shape == (field.q, field.q)
+        assert np.array_equal(table, want.astype(np.int64)), (p, m)
+    field = build_field(2, 12)
+    table = field.add_table
+    assert table.dtype == np.int16
+    rng = random.Random(34)
+    for _ in range(20000):
+        i, j = rng.randrange(field.q), rng.randrange(field.q)
+        assert table[i, j] == field.add_idx(i, j), (i, j)
+
+
+def test_add_table_peaks_at_the_table():
+    # the build holds the table and the two half-digit tables, of q p and
+    # q / p entries on GF(3^7): 0.15% more
+    field = build_field(3, 7)
+    tracemalloc.start()
+    try:
+        table = field.add_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int16
+    assert peak <= 1.1 * table.nbytes
+
+
 def test_add_table_capped_in_bytes():
     # q = 7^6: q^2 int32 entries are about 55 GB; refused before allocating
     f = build_field(7, 6)
-    with pytest.raises(FieldTooLarge, match="55365148804 bytes"):
-        f.add_table
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldTooLarge, match="55365148804 bytes"):
+            f.add_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert f._add_table is None
+    assert peak < 1 << 16
 
 
 def test_field_errors():

@@ -81,6 +81,35 @@ def test_kronecker_product_construction():
     assert (g.adj.sum(axis=1) == 6).all()
 
 
+def kronecker_sum(factors, basis):
+    """Reference NEPS adjacency: the int8 sum over the basis of the Kronecker
+    products of adjacencies (1) and identities (0), leftmost factor most
+    significant."""
+    total = math.prod(g.n for g in factors)
+    acc = np.zeros((total, total), dtype=np.int8)
+    for alpha in basis:
+        term = np.ones((1, 1), dtype=np.int8)
+        for g, a in zip(factors, alpha):
+            term = np.kron(term, g.adj if a else np.identity(g.n, dtype=np.int8))
+        acc += term
+    return acc
+
+
+def test_construct_matches_the_kronecker_sum():
+    k3, k4 = complete_graph(3), complete_graph(4)
+    cases = [([k3, k4], NepsBasis(basis)) for size in (1, 2, 3)
+             for basis in itertools.combinations([(0, 1), (1, 0), (1, 1)], size)]
+    rng = random.Random(34)
+    for _ in range(200):
+        factors, basis, _ = verify.random_neps_instance(rng)
+        cases.append((factors, basis))
+    for factors, basis in cases:
+        adj = neps_construct(factors, basis).adj
+        want = kronecker_sum(factors, basis)
+        assert adj.dtype == np.int8 and adj.shape == want.shape
+        assert np.array_equal(adj, want), ([g.n for g in factors], basis)
+
+
 def test_unary_neps_is_identity():
     k5 = complete_graph(5)
     g = neps_construct([k5], NepsBasis([(1,)]))
@@ -112,8 +141,8 @@ def test_product_order_cap_is_4096_vertices():
 
 
 def test_construct_peak_memory_per_entry():
-    # the int8 sum of Kronecker terms; an int64 accumulator took 35 bytes
-    # per entry
+    # the int8 sum of broadcast products; an int64 accumulator took 35
+    # bytes per entry
     factors = [complete_graph(64)] * 2
     tracemalloc.start()
     try:

@@ -139,3 +139,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "import diagwalks.cli",
         "import sys\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     ) == "[]"
+
+
+def test_verify_never_loads_numpy_ma():
+    # np.unique tests for masked arrays, and importing numpy.ma takes about
+    # 13 ms; the brute force takes its distinct weights as a Python set
+    assert last_line_after(
+        "import sys, diagwalks.cli\n"
+        "before = sorted({'numpy', 'numpy.ma'} & set(sys.modules))\n"
+        "rc = diagwalks.cli.main(['verify', '--roster', '3,1,2', '--max-r',"
+        " '2', '--neps-instances', '0'])",
+        "print(before, rc, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)"
+    ) == "[] 0 True False"
