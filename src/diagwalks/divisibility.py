@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import BadParameters, as_integer, shown
-from .field import factorize
+from .errors import BadParameters, NotPrime, as_integer, shown
+from .field import MAX_FIELD_ORDER, factorize
 
 
 def multiplicative_order(x: int, n: int, e: int) -> int:
@@ -38,8 +38,11 @@ def repunit(x: int, b: int) -> int:
 
 def _admit(p: int, a: int, b: int) -> tuple[int, int, int]:
     """p, a and b as Python ints: BadParameters unless each is an integer,
-    and, naming the value, unless a >= 1 and b >= 1; no power is taken."""
+    NotPrime for p < 2, as `check_field` refuses it, and BadParameters,
+    naming the value, unless a >= 1 and b >= 1; no power is taken."""
     p, a, b = as_integer("p", p), as_integer("a", a), as_integer("b", b)
+    if p < 2:
+        raise NotPrime(f"p={shown(p)} is not prime")
     for name, value in (("a", a), ("b", b)):
         if value < 1:
             raise BadParameters(f"{name}={shown(value)} must be >= 1")
@@ -77,13 +80,7 @@ class DivisibilityReport(NamedTuple):
     cases: frozenset = frozenset()
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "a": self.a,
-            "b": self.b,
-            "k_integer": self.k_integer,
-            "cases": sorted(self.cases),
-        }
+        return {**self._asdict(), "cases": sorted(self.cases)}
 
 
 def remark_cases(p: int, a: int, b: int) -> DivisibilityReport:
@@ -91,9 +88,13 @@ def remark_cases(p: int, a: int, b: int) -> DivisibilityReport:
     modulo b or a divisor of b, and through gcd(x, b): so x = p^a mod b.
 
     Cases are reported as a set (they overlap), never first-match. p, a
-    and b are admitted first, as in `k_is_integer`.
+    and b are admitted first, as in `k_is_integer`; b over MAX_FIELD_ORDER,
+    the bound `check_field` puts on q - 1, is refused before it is factored.
     """
     p, a, b = _admit(p, a, b)
+    if b > MAX_FIELD_ORDER:
+        raise BadParameters(f"b={shown(b)} is over the cap MAX_FIELD_ORDER of "
+                            f"{MAX_FIELD_ORDER}")
     x = pow(p, a, b)
     cases = set()
     fac = factorize(b)

@@ -15,9 +15,9 @@ as products and powers do. Only `add_idx` keeps its own fused divmod
 loop (for p = 2 a XOR masked to m bits), because the convolution oracle
 calls it in its inner loop and the round trip through the word is
 slower per call. It reads no table of size q and does not import
-numpy. The only q-sized table is the numpy addition table, built on its
-first read for the GP-graph and capped in bytes, so the formula path
-never loads numpy.
+numpy. The field holds no q-sized state: the numpy addition table is
+built afresh on each read, for the GP-graph, capped in bytes and held by
+no one after, so the formula path never loads numpy.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
@@ -71,9 +71,9 @@ if TYPE_CHECKING:
 # per field, the scan of indices for the primitive element, and the
 # q-sized oracle tables
 MAX_FIELD_ORDER = 1 << 20
-# largest addition table (q^2 entries) that add_table will allocate; its
-# build holds the table and at most q(p + 1/p) more entries, so this
-# bounds the peak
+# largest addition table (q^2 entries) that one read of add_table will
+# allocate; its build holds the table and at most q(p + 1/p) more entries,
+# so this bounds the peak, and the field keeps none of it
 MAX_ADD_TABLE_BYTES = 1 << 28
 # largest R_k, (q-1)/k products, that kth_power_residues builds: over the
 # 11,584 of a GP-graph within MAX_ADD_TABLE_BYTES and the 2,040 of any
@@ -257,8 +257,8 @@ class FiniteField(PackedRing):
     the word a sum measured 1.2 to 2 times slower per call on GF(5^2) to
     GF(7^3), and a masked XOR is two operations. Construction is the
     modulus search and the primitive test, both on packed words. The
-    numpy `add_table` is built on first read, for the GP-graph, and numpy
-    is imported only then.
+    numpy `add_table` is built on each read, for the GP-graph, and numpy
+    is imported only then; the field keeps no q-sized state.
     """
 
     def __init__(self, p, m):
@@ -268,7 +268,6 @@ class FiniteField(PackedRing):
         # x is primitive when no x^((q-1)/r), r a prime of q-1, is 1
         self._cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
         self.omega_idx = self._find_primitive()
-        self._add_table = None
 
     # --- canonical index <-> digit vector, through the packed word ---
 
@@ -279,9 +278,12 @@ class FiniteField(PackedRing):
 
     def index_of(self, coeffs) -> int:
         # as Python ints: a numpy int64 would lose the slots past bit 63
-        p, slot = self.p, self._slot
-        return self._index(sum(as_integer("coefficient", c) % p << (t * slot)
-                               for t, c in enumerate(coeffs)))
+        p, slot, word = self.p, self._slot, 0
+        for t, c in enumerate(coeffs):
+            if t == self.m:  # digit m would spell an index >= q
+                raise BadParameters(f"more than m={t} coefficients for q={self.q}")
+            word |= as_integer("coefficient", c) % p << (t * slot)
+        return self._index(word)
 
     # --- arithmetic on indices ---
 
@@ -325,38 +327,33 @@ class FiniteField(PackedRing):
         start = self.p if self.m > 1 else 1
         return next(i for i in range(start, self.q) if self._is_primitive(i))
 
-    # --- vectorized tables (built lazily; used by graph/oracle code) ---
+    # --- the addition table, built on each read for the GP-graph ---
 
     @property
     def add_table(self) -> np.ndarray:
         """add_table[i, j] = add_idx(i, j), int16 while q < 2^15 and int32
-        past it. Refuses, before any allocation, a table of more than
-        MAX_ADD_TABLE_BYTES; the build holds the table and at most
-        q(p + 1/p) more entries (see `_digit_sums`), so the cap bounds
-        its peak."""
-        if self._add_table is None:
-            import numpy as np
+        past it, built on each read and held by the caller alone. Refuses,
+        before any allocation, a table of more than MAX_ADD_TABLE_BYTES;
+        the build holds the table and at most q(p + 1/p) more entries (see
+        `_digit_sums`), so the cap bounds its peak."""
+        import numpy as np
 
-            p, q = self.p, self.q
-            dtype = np.dtype(np.int16 if q <= (1 << 15) - 1 else np.int32)
-            nbytes = q * q * dtype.itemsize
-            if nbytes > MAX_ADD_TABLE_BYTES:
-                raise FieldTooLarge(
-                    f"the addition table of GF({p}^{self.m}) needs {nbytes} "
-                    f"bytes, over the cap of {MAX_ADD_TABLE_BYTES} bytes"
-                )
-            self._add_table = _digit_sums(p, self.m, dtype)
-        return self._add_table
+        p, q = self.p, self.q
+        dtype = np.dtype(np.int16 if q <= (1 << 15) - 1 else np.int32)
+        nbytes = q * q * dtype.itemsize
+        if nbytes > MAX_ADD_TABLE_BYTES:
+            raise FieldTooLarge(
+                f"the addition table of GF({p}^{self.m}) needs {nbytes} "
+                f"bytes, over the cap of {MAX_ADD_TABLE_BYTES} bytes")
+        return _digit_sums(p, self.m, dtype)
 
     @property
     def key(self):
         return (self.p, self.m, self.modulus, self.omega_idx)
 
     def __repr__(self):
-        return (
-            f"FiniteField(p={self.p}, m={self.m}, modulus={self.modulus}, "
-            f"omega={self.omega_idx})"
-        )
+        return (f"FiniteField(p={self.p}, m={self.m}, "
+                f"modulus={self.modulus}, omega={self.omega_idx})")
 
 
 def build_field(p, m):

@@ -26,11 +26,11 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     import numpy as np
 
     k = check_k_divides(field.q, k)
-    add, q = field.add_table, field.q  # byte-capped: read before R_k, adj
-    residues = list(kth_power_residues(field, k))
-    # j - i is a k-th power iff j = i + rho for some rho in R_k
-    adj = np.zeros((q, q), dtype=np.int8)
-    adj[np.arange(q)[:, None], add[:, residues]] = 1
+    # j - i is a k-th power iff j = i + rho, rho in R_k; the byte-capped table
+    # is read before R_k is built and freed before the adjacency is allocated
+    ends = field.add_table[:, list(kth_power_residues(field, k))]
+    adj = np.zeros((field.q, field.q), dtype=np.int8)
+    adj[np.arange(field.q)[:, None], ends] = 1
     return DenseGraph(adj)
 
 
@@ -86,10 +86,8 @@ class HammingView(SubfieldMap):
         return tuple([not word & mask for mask in self.block_masks])
 
     def __repr__(self):
-        return (
-            f"HammingView(GF({self.field.p}^{self.field.m}), k={self.k}, "
-            f"H({self.b},{self.field.p**self.a}))"
-        )
+        return (f"HammingView(GF({self.field.p}^{self.field.m}), k={self.k}, "
+                f"H({self.b},{self.field.p**self.a}))")
 
 
 def verify_isomorphism(view: HammingView) -> bool:

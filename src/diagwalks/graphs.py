@@ -3,13 +3,13 @@
 Powers A^r are computed by iterated multiplication and cached on the
 graph, which makes per-length queries cheap. Every entry of A^r is at most
 D^r, D the largest row sum of A. While D^r <= 2^53 the product runs in
-float64 on BLAS, against one float64 copy of A kept per graph, and is
-stored as int64, which is exact; past that bound it runs on Python
-integers (numpy object arrays), so counts never overflow. A^0 and A^1 are
-built as int64 arrays only when read through `walk_matrix`; `walk_count`
-answers length 0 as i == j and reads a length-1 count from the int8
-adjacency itself. The cache of powers
-is capped at MAX_WALK_BYTES, checked before any product.
+float64 on BLAS, each product casting A afresh (the graph keeps no float
+copy), and is stored as int64, which is exact; past that bound it runs on
+Python integers (numpy object arrays), so counts never overflow. A^0 and
+A^1 are built as int64 arrays only when read through `walk_matrix`;
+`walk_count` answers length 0 as i == j and reads a length-1 count from
+the int8 adjacency itself. The cache of powers is capped at
+MAX_WALK_BYTES, checked before any product.
 
 numpy is imported where an array is built: in `DenseGraph.__init__`,
 `complete_graph`, and the branch of `walk_matrix` that computes new
@@ -35,22 +35,21 @@ MAX_WALK_BYTES = 1 << 30
 
 
 class DenseGraph:
-    """Simple graph given by its 0/1 adjacency matrix, kept read-only as
-    int8; it is directed exactly when the matrix is not symmetric."""
+    """Simple graph given by its 0/1 adjacency matrix (else BadParameters),
+    kept read-only as int8; `directed` scans it for symmetry on each read."""
 
     def __init__(self, adj):
         import numpy as np
 
         adj = np.asarray(adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+            raise BadParameters(f"adjacency must be square, got shape {adj.shape}")
         if not ((adj == 0) | (adj == 1)).all():
-            raise ValueError("adjacency entries must be 0/1")
+            raise BadParameters("adjacency entries must be 0/1")
         if np.diagonal(adj).any():
-            raise ValueError("self-loops are not allowed (nonzero diagonal)")
+            raise BadParameters("self-loops are not allowed (nonzero diagonal)")
         self.adj = adj.astype(np.int8)
         self.adj.setflags(write=False)
-        self.directed = bool((self.adj != self.adj.T).any())
         # D, the largest row sum; A^r is a float64 product, stored as int64,
         # for every r <= _float_reach
         self.degree = int(self.adj.sum(axis=1, dtype=np.int64).max(initial=0))
@@ -61,15 +60,18 @@ class DenseGraph:
                 self._float_reach += 1
         # one entry per power A^0..A^r; A^0 and A^1 stay None until read
         self._powers = [None]
-        self._adj_float = None  # float64 A, made at the first float product
 
     @property
     def n(self) -> int:
         return self.adj.shape[0]
 
+    @property
+    def directed(self) -> bool:
+        return bool((self.adj != self.adj.T).any())
+
     def _cache_bytes(self, r: int) -> int:
         """Bytes of the powers A^0..A^r: 8 per int64 entry (for A^1, per
-        entry of the float64 copy of A that the products read); an object
+        entry of the float64 cast of A that each product reads); an object
         entry is bounded by D^t, so it is estimated as an 8-byte pointer to a
         Python int of at most t*log2(D)/30 + 1 30-bit digits (24 bytes plus
         4 per digit)."""
@@ -98,20 +100,17 @@ class DenseGraph:
                 raise WalkCacheTooLarge(
                     f"the walk powers A^0..A^{r} of a {self.n}-vertex graph "
                     f"need about {need} bytes, over the cap of "
-                    f"{MAX_WALK_BYTES} bytes"
-                )
+                    f"{MAX_WALK_BYTES} bytes")
         while len(self._powers) <= r:
             t = len(self._powers)
             prev = self.adj if t == 2 else self._powers[-1]
             if t == 1:
                 power = None
             elif t <= self._float_reach:
-                if self._adj_float is None:
-                    self._adj_float = self.adj.astype(np.float64)
                 # Exact: every entry of A^t, and every partial sum BLAS
                 # forms in any order, is a non-negative integer at most
                 # D^t <= 2^53, and a double holds all such integers exactly.
-                power = (prev.astype(np.float64) @ self._adj_float
+                power = (prev.astype(np.float64) @ self.adj.astype(np.float64)
                          ).astype(np.int64)
             else:
                 power = prev.astype(object, copy=False) @ self.adj.astype(object)
@@ -146,6 +145,5 @@ def complete_graph(m: int) -> DenseGraph:
         raise BadParameters(f"m={m} must be >= 1")
     import numpy as np
 
-    adj = np.ones((m, m), dtype=np.int8) - np.identity(m, dtype=np.int8)
-    return DenseGraph(adj)
+    return DenseGraph(np.ones((m, m), dtype=np.int8) - np.identity(m, dtype=np.int8))
 

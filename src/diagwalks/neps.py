@@ -204,16 +204,6 @@ def _column_sum_multiplicities(tuples, r):
     return states
 
 
-def _check_tables(tables, n, r):
-    if len(tables) != n:
-        raise ArityMismatch(f"{len(tables)} walk tables for arity {n}")
-    for t, tab in enumerate(tables):
-        if len(tab) <= r:
-            raise LengthTableTooShort(
-                f"factor {t} table covers lengths < {r}"
-            )
-
-
 def neps_walks(factor_tables, basis: NepsBasis, r: int):
     """Walk count of a NEPS from per-factor walk tables.
 
@@ -221,10 +211,20 @@ def neps_walks(factor_tables, basis: NepsBasis, r: int):
     the projected vertices, for every length 0..r. The entries are
     integers for one vertex pair, or numpy arrays of one broadcastable
     shape for many pairs, and the count is then an array of that shape.
+    Raises BadParameters unless the tables are sequences, and ArityMismatch
+    or LengthTableTooShort unless there are n, each covering lengths 0..r.
     """
     r = check_length("r", r)
-    tables = [list(tab) for tab in factor_tables]
-    _check_tables(tables, basis.n, r)
+    try:
+        tables = [list(tab) for tab in factor_tables]
+    except TypeError:  # factor_tables, or one of its tables, is no sequence
+        raise BadParameters(
+            f"walk tables {factor_tables!r} are not sequences") from None
+    if len(tables) != basis.n:
+        raise ArityMismatch(f"{len(tables)} walk tables for arity {basis.n}")
+    for t, tab in enumerate(tables):
+        if len(tab) <= r:
+            raise LengthTableTooShort(f"factor {t} table covers lengths < {r}")
     total = 0
     for svec, mult in _column_sum_multiplicities(basis.tuples, r).items():
         term = mult
@@ -245,6 +245,9 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     operations pass MAX_NEPS_OPS. `_spectral_walks` sums the terms grouped
     by Lambda, once r is checked against the largest |Lambda|."""
     n = basis.n
+    if not (hasattr(m_list, "__len__") and hasattr(pattern, "__len__")):
+        raise BadParameters(f"sizes {m_list!r} and pattern {pattern!r} must "
+                            f"be sequences, not iterators or scalars")
     if len(m_list) != n or len(pattern) != n:
         raise ArityMismatch(f"{len(m_list)} sizes and pattern length "
                             f"{len(pattern)} for arity {n}")
@@ -289,7 +292,10 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     """
     if type(b) is not int or type(q) is not int:
         b, q = as_integer("b", b), as_integer("q", q)
-    zeros = tuple(map(bool, zeros))
+    try:
+        zeros = tuple(map(bool, zeros))
+    except TypeError:  # zeros is not iterable
+        raise BadParameters(f"pattern {zeros!r} is not a sequence") from None
     if len(zeros) != b:
         raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
     if b < 1 or q < 2:

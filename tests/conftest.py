@@ -40,6 +40,17 @@ def no_number_theory(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
 
 
+@pytest.fixture
+def no_add_table(monkeypatch):
+    """Make every read of `FiniteField.add_table` fail the test, to show
+    that no addition table is built. pytest.fail raises an exception that
+    no `except Exception` and no pytest.raises of a package error catch."""
+    def refuse(field):
+        pytest.fail(f"the addition table of {field!r} was read")
+
+    monkeypatch.setattr(field_mod.FiniteField, "add_table", property(refuse))
+
+
 def fields_under(limit=MAX_FIELD_ORDER):
     """Every (p, m) with p < 2048 prime and p^m <= limit: under the field
     cap, the 551 fields the censuses sweep."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from diagwalks import (
+    DenseGraph,
     DiagonalSystem,
     NepsBasis,
     brute_force_distribution,
@@ -206,3 +207,24 @@ def test_closed_forms_admit_their_sizes():
                  lambda: complete_graph(0)):
         with pytest.raises(BadParameters):
             call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hamming_walks(2, 3, 2, None), "pattern None is not a sequence"),
+    (lambda: neps_complete_walks([3], NepsBasis([(1,)]), 2, iter([True])),
+     "must be sequences"),
+    (lambda: neps_complete_walks(3, NepsBasis([(1,)]), 2, (True,)),
+     "must be sequences"),
+    (lambda: neps_walks([5], NepsBasis([(1,)]), 0), "are not sequences"),
+    (lambda: neps_walks(None, NepsBasis([(1,)]), 0), "are not sequences"),
+    (lambda: DenseGraph(np.zeros((2, 3), dtype=np.int8)), "must be square"),
+    (lambda: DenseGraph(np.array([[0, 2], [2, 0]])), "must be 0/1"),
+    (lambda: DenseGraph(np.identity(3, dtype=np.int8)), "self-loops"),
+], ids=["hamming-none", "neps-complete-iterator", "neps-complete-int",
+        "neps-walks-int-table", "neps-walks-none", "dense-shape",
+        "dense-entries", "dense-loop"])
+def test_malformed_sequences_are_typed_refusals(call, message):
+    # each raised a bare TypeError, or for DenseGraph a bare ValueError;
+    # BadParameters is still a ValueError
+    with pytest.raises(BadParameters, match=message):
+        call()

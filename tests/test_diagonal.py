@@ -150,7 +150,7 @@ def test_not_primitive_divisor(p, u, q_minus_1, h):
     assert f"h={h} " in message
 
 
-def test_formula_path_builds_no_field_table():
+def test_formula_path_builds_no_field_table(no_add_table):
     system = DiagonalSystem(7, 1, 6)
     field = system.field
     # the modulus and omega search order fixes every element index
@@ -168,7 +168,6 @@ def test_formula_path_builds_no_field_table():
              if isinstance(value, (list, tuple, np.ndarray))
              and len(value) >= field.q]
     assert not built, f"tables built on the formula path: {built}"
-    assert field._add_table is None
 
 
 def test_bad_parameters():
@@ -217,12 +216,11 @@ def test_element_must_be_an_integer_index(roster_systems, f9):
     lambda field: convolution_distribution(field, 2, -1),
     lambda field: walk_solution_count(field, 2, 0, 1, -1),
 ], ids=["brute", "convolution", "walk"])
-def test_oracles_refuse_negative_length(oracle):
+def test_oracles_refuse_negative_length(no_add_table, oracle):
+    # refused before any field table is read
     field = build_field(3, 2)
     with pytest.raises(BadParameters, match="=-1 must be >= 0"):
         oracle(field)
-    # refused before any field table is read
-    assert field._add_table is None
 
 
 def test_brute_force_r0(f9):
@@ -235,30 +233,27 @@ def test_brute_force_frozen_values(f9):
     assert brute_force_count(f9, 2, 0, 2) == 16
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(no_add_table):
     field = build_field(3, 2)
     with pytest.raises(EnumerationTooLarge):
         brute_force_distribution(field, 2, 12)  # 8^12 > MAX_ENUM_TUPLES
-    assert field._add_table is None
 
 
-def test_enumeration_cap_counts_every_written_value():
+def test_enumeration_cap_counts_every_written_value(no_add_table):
     # GF(2) has one nonzero tuple of each length, but a pass to r = 10^8
     # writes 10^8 prefix sums and (10^8 + 1) rows of q entries
     field = build_field(2, 1)
     with pytest.raises(EnumerationTooLarge, match="over the cap"):
         brute_force_distribution(field, 1, 10**8)
-    assert field._add_table is None
 
 
-def test_enumeration_cap_bounds_the_lengths():
+def test_enumeration_cap_bounds_the_lengths(no_add_table):
     # a base-2 pass passes 10^8 writes before r = 27; GF(2) without zeros
     # writes 3r + 2 values and r(r+1) bins, so only the length bound
     # refuses r = 27
     field = build_field(2, 1)
     with pytest.raises(EnumerationTooLarge, match="and 26 lengths"):
         brute_force_distribution(field, 1, 27)
-    assert field._add_table is None
     assert brute_force_distribution(field, 1, 26)[:, 1].tolist() == \
         [t % 2 for t in range(27)]
     with pytest.raises(EnumerationTooLarge):
@@ -267,13 +262,12 @@ def test_enumeration_cap_bounds_the_lengths():
 
 @pytest.mark.parametrize("k", [0, 3, 16])
 @pytest.mark.parametrize("r", [0, 2])
-def test_brute_force_refuses_k_not_dividing_q_minus_1(k, r):
+def test_brute_force_refuses_k_not_dividing_q_minus_1(no_add_table, k, r):
     # the same inputs the convolution oracle refuses; nothing is built
     field = build_field(3, 2)
     for oracle in (brute_force_distribution, convolution_distribution):
         with pytest.raises(KDoesNotDivide, match=f"k={k} is not a positive"):
             oracle(field, k, r)
-    assert field._add_table is None
 
 
 def test_brute_force_reads_the_capped_table_before_the_powers(monkeypatch):
@@ -286,10 +280,9 @@ def test_brute_force_reads_the_capped_table_before_the_powers(monkeypatch):
     assert brute_force_distribution(field, 1, 0)[0, 0] == 1
 
 
-def test_brute_force_never_reads_the_add_table():
+def test_brute_force_never_reads_the_add_table(no_add_table):
     field = build_field(7, 2)
     dist = brute_force_distribution(field, 4, 3)
-    assert field._add_table is None
     assert list(dist[3]) == dense(convolution_distribution(field, 4, 3)[3],
                                   field.q)
 
@@ -482,7 +475,6 @@ def test_convolution_cli_refuses_rows_over_the_byte_cap():
 def test_brute_force_streams_the_last_summand(f25):
     # 24^4 nonzero tuples; holding their sums at once would take more
     # bytes than there are tuples
-    f25.add_table  # the field's table, built before tracing starts
     tracemalloc.start()
     try:
         dist = brute_force_distribution(f25, 3, 4)

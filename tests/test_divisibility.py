@@ -5,8 +5,8 @@ import pytest
 
 from diagwalks import k_is_integer, remark_cases
 from diagwalks.divisibility import factorize, multiplicative_order, repunit
-from diagwalks.errors import BadParameters
-from diagwalks.field import is_prime
+from diagwalks.errors import BadParameters, NotPrime
+from diagwalks.field import MAX_FIELD_ORDER, is_prime
 
 from conftest import order_mod
 
@@ -67,6 +67,34 @@ def test_bad_parameters_refused_typed(call, args, named):
     with pytest.raises(BadParameters, match=named) as info:
         call(*args)
     assert type(info.value) is BadParameters
+
+
+@pytest.mark.parametrize("b", [MAX_FIELD_ORDER + 1, 10**14 + 31, 10**15 + 37,
+                               10**5000],
+                         ids=["cap+1", "10^14+31", "10^15+37", "10^5000"])
+def test_remark_cases_refuses_b_over_the_field_cap(b):
+    # trial division of b took 0.66 s at 10^14 + 31 and 2.2 s at
+    # 10^15 + 37; no field within MAX_FIELD_ORDER has b > 20
+    started = time.perf_counter()
+    with pytest.raises(BadParameters, match=f"cap MAX_FIELD_ORDER of "
+                                            f"{MAX_FIELD_ORDER}"):
+        remark_cases(2, 1, b)
+    assert time.perf_counter() - started < 0.1
+    assert remark_cases(2, 1, MAX_FIELD_ORDER).b == MAX_FIELD_ORDER
+    # k_is_integer never factors b, so it still takes any b; no b > 1
+    # divides 2^b - 1
+    assert not k_is_integer(2, 1, 10**15 + 37)
+
+
+@pytest.mark.parametrize("call", [k_is_integer, remark_cases])
+@pytest.mark.parametrize("p", [1, 0, -3, -(10**30)])
+def test_p_below_two_is_not_prime(call, p):
+    # k_is_integer(-3, 1, 2) returned True and remark_cases(1, 1, 2)
+    # reported k_integer=True; check_field refuses such a p the same way
+    started = time.perf_counter()
+    with pytest.raises(NotPrime, match="is not prime"):
+        call(p, 1, 2)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_repunit():

@@ -76,10 +76,11 @@ def test_directed_flag():
 
 
 def test_gp_graph_peak_memory_per_entry():
-    # the add table is read first; then the graph holds one int8 matrix
-    # and its checks take bool temporaries (13 bytes per entry before)
+    # the whole build: the int16 add table (2 bytes per entry) is freed
+    # once its R_k columns are read, then the graph holds one int8 matrix
+    # and its checks take bool temporaries (13 bytes per entry before, with
+    # the table read ahead and kept on the field)
     field = build_field(2, 12)
-    field.add_table
     tracemalloc.start()
     try:
         graph = gp_graph(field, 5)
@@ -88,6 +89,23 @@ def test_gp_graph_peak_memory_per_entry():
         tracemalloc.stop()
     assert graph.n == 4096 and not graph.directed
     assert peak <= 8 * graph.n**2
+
+
+def test_gp_graph_keeps_no_add_table():
+    # once gp_graph returns only its int8 adjacency is held: the field
+    # used to keep its 2-byte-per-entry add table for its whole life
+    gp_graph(build_field(3, 2), 2)  # numpy imported before tracing
+    field = build_field(2, 12)
+    tracemalloc.start()
+    try:
+        graph = gp_graph(field, 5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= graph.n**2 + (1 << 20), f"{held} bytes held"
+    arrays = [name for name, value in vars(field).items()
+              if hasattr(value, "shape")]
+    assert not arrays, f"the field holds arrays {arrays}"
 
 
 def test_k_must_divide(f9):
@@ -102,12 +120,11 @@ def test_k_must_divide(f9):
     lambda field, k: hamming_parameters(field.p, field.m, k),
     lambda field, k: walk_solution_count(field, k, 0, 1, 1),
 ], ids=["residues", "gp_graph", "hamming_parameters", "walk_bridge"])
-def test_nonpositive_k_is_refused_before_any_table(call, k):
+def test_nonpositive_k_is_refused_before_any_table(no_add_table, call, k):
     # k = 0 used to divide by zero and k = -2 to fail in pow_idx
     field = build_field(3, 2)
     with pytest.raises(KDoesNotDivide, match=f"k={k} is not a positive"):
         call(field, k)
-    assert field._add_table is None
 
 
 def test_regularity_roster(f25, f64):
@@ -370,18 +387,16 @@ def test_verify_isomorphism_needs_the_residues_and_no_kernel(f9, monkeypatch):
     assert not verify_isomorphism(view)
 
 
-def test_verify_isomorphism_reads_no_table(monkeypatch):
+def test_verify_isomorphism_reads_no_table(no_add_table, monkeypatch):
     # GF(7^6), whose add table is over the byte cap: the check reads R_k
     # and the solve alone
     view = DiagonalSystem(7, 1, 6).view
 
     def refuse(*args):
-        raise AssertionError("a q-sized table was read")
+        raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(field_mod.FiniteField, "add_table", property(refuse))
     monkeypatch.setattr(gp_mod, "gp_graph", refuse)
     assert verify_isomorphism(view)
-    assert view.field._add_table is None
 
 
 def test_gp_graph_cap_checked_before_residues(monkeypatch):

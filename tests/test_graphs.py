@@ -218,9 +218,9 @@ def test_identity_power_built_only_when_read():
 
 
 def test_walk_powers_peak_memory_per_entry():
-    # A^1 is read from the int8 adjacency, and the products read one
-    # float64 copy of it kept per graph: A^2 peaks at that copy, its own
-    # float64 product and the int64 result (32 bytes per entry before, with
+    # A^1 is read from the int8 adjacency, and each product casts it to
+    # float64: A^2 peaks at the two float64 factors and their product, then
+    # at the product and the int64 result (32 bytes per entry before, with
     # an int64 A^1 and a fresh float64 A at every step)
     n = 1024
     g = complete_graph(n)
@@ -236,6 +236,20 @@ def test_walk_powers_peak_memory_per_entry():
     assert held < n * n  # no int64 copy of A^1
     assert peak <= 3 * 8 * n * n + (1 << 16)
     assert len(g._powers) == 3 and g._powers[1] is None
+
+
+def test_walk_powers_keep_no_float_copy():
+    # after A^2 the graph holds it as int64 and nothing more: it used to
+    # keep a float64 copy of A too, 8 more bytes per entry
+    n = 1024
+    g = complete_graph(n)
+    tracemalloc.start()
+    try:
+        assert g.walk_count(2, 0, 0) == n - 1
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * n * n + (1 << 16), f"{held} bytes held"
 
 
 def test_walk_cache_cap_checked_before_any_product():
