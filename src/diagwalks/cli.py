@@ -243,8 +243,12 @@ def cmd_verify(args) -> int:
     for result in results:
         print(result.line())
     ok = all(r.ok for r in results)
+    skipped = sum(r.skipped for r in results)
+    status = "ALL PASS" if ok else "FAILURES PRESENT"
+    if skipped:
+        status += f" ({skipped} skipped)"
     elapsed = round((time.perf_counter() - started) * 1000, 3)
-    print(f"{'ALL PASS' if ok else 'FAILURES PRESENT'} in {elapsed} ms")
+    print(f"{status} in {elapsed} ms")
     return 0 if ok else 3
 
 

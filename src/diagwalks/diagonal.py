@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import TYPE_CHECKING
 
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
@@ -49,6 +50,11 @@ MAX_CONVOLUTION_OPS = 10**7
 # largest estimated size of the rows g_0..g_r it returns, whose entries
 # grow by log2(q) bits a step
 MAX_CONVOLUTION_BYTES = 1 << 26
+# bytes a DiagonalSystem's table of small powers k^0, k^1, ... may take,
+# counting each int and its 8-byte list slot: 100 powers of the k = 2 of
+# (3,1,2), 54 of the 12-bit k of (7,1,6), 15 of a 256-bit k. It is built
+# once with the system and never grows; a longer N_r forms k^r itself
+MAX_K_POWERS_BYTES = 1 << 12
 
 
 def diagonal_exponent(p: int, a: int, b: int) -> int:
@@ -96,36 +102,59 @@ class DiagonalSystem:
         self.view = HammingView(self.field, a, b)
         # N_r <= (q-1)^r and M_s <= q^s: past this, check_length decides
         self._max_n = MAX_COUNT_BITS // self.q.bit_length()
-        # one-slot memo (index, zero pattern) of the last alpha solved
-        self._pattern = (-1, ())
+        # one-slot memo (index, zero pattern) of the last alpha solved; no
+        # int equals None, so the first call solves
+        self._pattern = (None, ())
+        # k^0, k^1, ... while they fit MAX_K_POWERS_BYTES; every r they
+        # reach is one check_length admits, as r <= _max_n
+        powers, held = [1], 8 + sys.getsizeof(1)
+        while len(powers) <= self._max_n:
+            power = powers[-1] * k
+            held += 8 + sys.getsizeof(power)
+            if held > MAX_K_POWERS_BYTES:
+                break
+            powers.append(power)
+        self._k_powers = powers
 
     def count_nonzero(self, alpha, r: int) -> int:
         """N_r(alpha): k^r times the Hamming walk count for alpha's zero
-        pattern. r and alpha are checked on every call; the pattern is
-        solved only when alpha differs from the previous call's, so a run
-        of calls on one alpha solves it once."""
-        if type(r) is not int or not 0 <= r <= self._max_n:
+        pattern. r and alpha are checked on every call: an int alpha equal
+        to the memoized index was checked when it was solved, and any
+        other alpha (a numpy int, a bool, an array, a float) goes through
+        `as_index` before it is compared. The pattern is solved only when
+        alpha differs from the previous call's, so a run of calls on one
+        alpha solves it once. An int r the system's table of small powers
+        (MAX_K_POWERS_BYTES) holds is admitted by the lookup of k^r; any
+        other r goes through `check_length`, and k^r is formed."""
+        powers = self._k_powers
+        if type(r) is int and 0 <= r < len(powers):
+            k_r = powers[r]
+        else:
             r = check_length("r", r, self.q - 1)
-        idx = as_index(self.field, alpha)
+            k_r = self.k**r
         memo_idx, pattern = self._pattern
-        if idx != memo_idx:
-            pattern = self.view.pattern_idx(idx)
-            self._pattern = (idx, pattern)
-        return self.k**r * hamming_walks(self.b, self.Q, r, pattern)
+        if type(alpha) is not int or alpha != memo_idx:
+            idx = as_index(self.field, alpha)
+            if idx != memo_idx:
+                pattern = self.view.pattern_idx(idx)
+                self._pattern = (idx, pattern)
+        return k_r * hamming_walks(self.b, self.Q, r, pattern)
 
     def count_all(self, alpha, s: int) -> int:
         """M_s(alpha): sum of binomial(s,i) N_i, plus 1 for the trivial
         solution when alpha = 0. The binomials are taken one from the last,
-        C(s,i) = C(s,i-1)(s-i+1)/i, an exact division. Its s
-        `count_nonzero` calls share one solve of alpha's zero pattern."""
+        C(s,i) = C(s,i-1)(s-i+1)/i, an exact division. It makes one
+        `count_nonzero` call per i, bound once before the loop, and the s
+        calls share one solve of alpha's zero pattern."""
         if type(s) is not int or not 0 <= s <= self._max_n:
             s = check_length("s", s, self.q)
         idx = as_index(self.field, alpha)
+        count_nonzero = self.count_nonzero
         total = 1 if idx == 0 else 0
         binom = 1
         for i in range(1, s + 1):
             binom = binom * (s - i + 1) // i
-            total += binom * self.count_nonzero(idx, i)
+            total += binom * count_nonzero(idx, i)
         return total
 
     def __repr__(self):

@@ -13,6 +13,13 @@ class DiagwalksError(Exception):
     """Base class for all package errors."""
 
 
+class CapExceeded(DiagwalksError):
+    """Base class of the refusals of a stated resource cap: the request is
+    well formed, but the field, table, enumeration, walk work or count it
+    asks for passes a cap checked before the work. `verify` reports a check
+    refused this way as skipped."""
+
+
 class NotPrime(DiagwalksError):
     pass
 
@@ -21,7 +28,7 @@ class ReducibleModulus(DiagwalksError):
     pass
 
 
-class FieldTooLarge(DiagwalksError):
+class FieldTooLarge(CapExceeded):
     pass
 
 
@@ -45,7 +52,7 @@ class ArityMismatch(DiagwalksError):
     pass
 
 
-class ProductTooLarge(DiagwalksError):
+class ProductTooLarge(CapExceeded):
     pass
 
 
@@ -57,21 +64,21 @@ class BadParameters(DiagwalksError, ValueError):
     """A ValueError too, so callers that catch ValueError keep working."""
 
 
-class EnumerationTooLarge(DiagwalksError):
+class EnumerationTooLarge(CapExceeded):
     pass
 
 
-class WalkCacheTooLarge(DiagwalksError):
+class WalkCacheTooLarge(CapExceeded):
     """Raised when the cached matrix powers of a graph would pass
     graphs.MAX_WALK_BYTES."""
 
 
-class NepsWalkTooLarge(DiagwalksError):
+class NepsWalkTooLarge(CapExceeded):
     """Raised by `neps._admit`, the one MAX_NEPS_OPS gate, when the DP, the
     complete-graph terms, the Krawtchouk weights or the powers pass it."""
 
 
-class CountTooLarge(DiagwalksError):
+class CountTooLarge(CapExceeded):
     """Raised by `check_length`, before the first power, when a count could
     have more than MAX_COUNT_BITS bits."""
 

@@ -518,7 +518,8 @@ class SubfieldMap:
             self._tables.append(table)
 
     def _add(self, u: int, v: int) -> int:
-        """Packed sum of two reduced packed vectors, reduced."""
+        """Packed sum of two reduced packed vectors, reduced: for the
+        table build and `gp.verify_isomorphism`; `solve_word` inlines it."""
         w = u + v
         over = ((w + self._bias) & self._tops) >> (self._width - 1)
         return w - over * self._p
@@ -530,13 +531,15 @@ class SubfieldMap:
         the a coefficients that spell coordinate i in the tau-basis.
         Raises BadParameters, through `as_index`, unless x is an element
         index in [0, q); `gp.HammingView.pattern_idx` and
-        `gp.verify_isomorphism` both solve here."""
+        `gp.verify_isomorphism` both solve here. One loop over the chunks
+        adds each chunk's table entry and reduces the sum, as `_add` does,
+        inline: the first sum, onto 0, is already reduced."""
         x_idx = as_index(self.field, x_idx)
-        chunk, add = self._chunk, self._add
-        tables = iter(self._tables)
-        x_idx, v = divmod(x_idx, chunk)
-        word = next(tables)[v]
-        for table in tables:
+        chunk, bias, tops, p = self._chunk, self._bias, self._tops, self._p
+        shift = self._width - 1
+        word = 0
+        for table in self._tables:
             x_idx, v = divmod(x_idx, chunk)
-            word = add(word, table[v])
+            word += table[v]
+            word -= (((word + bias) & tops) >> shift) * p
         return word

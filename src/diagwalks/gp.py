@@ -31,7 +31,7 @@ def gp_graph(field: FiniteField, k: int) -> DenseGraph:
     ends = field.add_table[:, list(kth_power_residues(field, k))]
     adj = np.zeros((field.q, field.q), dtype=np.int8)
     adj[np.arange(field.q)[:, None], ends] = 1
-    return DenseGraph(adj)
+    return DenseGraph(adj, copy=False)
 
 
 def hamming_parameters(p: int, m: int, k: int) -> tuple[int, int] | None:

@@ -36,19 +36,29 @@ MAX_WALK_BYTES = 1 << 30
 
 class DenseGraph:
     """Simple graph given by its 0/1 adjacency matrix (else BadParameters),
-    kept read-only as int8; `directed` scans it for symmetry on each read."""
+    kept read-only as int8; `directed` scans it for symmetry on each read.
 
-    def __init__(self, adj):
+    The graph keeps its own int8 copy of `adj`, so a caller's array is
+    never frozen or aliased. With `copy=False` an int8 array is kept as it
+    is and frozen: the package's builders (`complete_graph`, `gp.gp_graph`,
+    `neps.neps_construct`) hand over the matrix they built this way."""
+
+    def __init__(self, adj, *, copy: bool = True):
         import numpy as np
 
         adj = np.asarray(adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise BadParameters(f"adjacency must be square, got shape {adj.shape}")
-        if not ((adj == 0) | (adj == 1)).all():
+        # an integer matrix is 0/1 when its range is, with no temporaries
+        if adj.dtype.kind in "biu":
+            zero_one = adj.min(initial=0) >= 0 and adj.max(initial=0) <= 1
+        else:
+            zero_one = ((adj == 0) | (adj == 1)).all()
+        if not zero_one:
             raise BadParameters("adjacency entries must be 0/1")
         if np.diagonal(adj).any():
             raise BadParameters("self-loops are not allowed (nonzero diagonal)")
-        self.adj = adj.astype(np.int8)
+        self.adj = adj.astype(np.int8, copy=copy)
         self.adj.setflags(write=False)
         # D, the largest row sum; A^r is a float64 product, stored as int64,
         # for every r <= _float_reach
@@ -145,5 +155,6 @@ def complete_graph(m: int) -> DenseGraph:
         raise BadParameters(f"m={m} must be >= 1")
     import numpy as np
 
-    return DenseGraph(np.ones((m, m), dtype=np.int8) - np.identity(m, dtype=np.int8))
+    return DenseGraph(np.ones((m, m), dtype=np.int8)
+                      - np.identity(m, dtype=np.int8), copy=False)
 

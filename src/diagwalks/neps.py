@@ -162,7 +162,7 @@ def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
     acc = np.zeros([g.n for g in factors] * 2, dtype=np.int8)
     for alpha in basis:
         acc += math.prod(pair[a] for pair, a in zip(matrices, alpha))
-    return DenseGraph(acc.reshape(total, total))
+    return DenseGraph(acc.reshape(total, total), copy=False)
 
 
 def _admit(work: int, message: str, *args) -> None:
@@ -289,21 +289,31 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     (MacWilliams & Sloane 5.7), in (b+1) ceil(b bitlen(q) / 64) word
     operations, admitted by MAX_NEPS_OPS before `_spectral_walks` sums the
     terms. A repeated (b, q, d, r) is a lookup in `_walks`.
+
+    `zeros` is any iterable of b entries, read by truth value: a tuple is
+    read as it is and anything else is turned into a tuple once, so a call
+    on a tuple pattern builds nothing before the lookup.
     """
     if type(b) is not int or type(q) is not int:
         b, q = as_integer("b", b), as_integer("q", q)
-    try:
-        zeros = tuple(map(bool, zeros))
-    except TypeError:  # zeros is not iterable
-        raise BadParameters(f"pattern {zeros!r} is not a sequence") from None
+    if type(zeros) is not tuple:
+        try:
+            zeros = tuple(zeros)
+        except TypeError:  # zeros is not iterable
+            raise BadParameters(
+                f"pattern {zeros!r} is not a sequence") from None
     if len(zeros) != b:
         raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
     if b < 1 or q < 2:
         raise BadParameters(f"bad Hamming parameters b={b}, q={q}")
-    d = b - sum(zeros)
-    cap = MAX_COUNT_BITS // (b * (q - 1)).bit_length()
-    if type(r) is not int or not 0 <= r <= cap:
+    if (type(r) is not int or r < 0
+            or r > MAX_COUNT_BITS // (b * (q - 1)).bit_length()):
         r = check_length("r", r, b * (q - 1))
+    # entries equal to False or True (bools, 0/1 ints, numpy bools) are
+    # counted by tuple.count; a pattern holding any other value by truth
+    d = zeros.count(False)
+    if d + zeros.count(True) != b:
+        d = b - sum(map(bool, zeros))
     return _walks(b, q, d, r)
 
 

@@ -23,7 +23,10 @@ Two checks do not depend on the roster:
 - the two closed-form walk displays of the K3 x K4 examples.
 
 A failure carries the first counterexample in full so it can be
-reproduced from the command line.
+reproduced from the command line. A per-triple check that a resource cap
+refuses (a `CapExceeded`, such as the literal enumeration's
+EnumerationTooLarge on a large field) is reported as skipped, naming the
+error, and the suite goes on.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .diagonal import (
     brute_force_distribution,
     convolution_distribution,
 )
-from .errors import check_length
+from .errors import CapExceeded, check_length
 from .gp import gp_graph, verify_isomorphism
 from .graphs import DenseGraph, complete_graph
 from .neps import (NepsBasis, along_axes, complete_walks, neps_construct,
@@ -57,9 +60,10 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
+    skipped: bool = False  # refused by a cap; ok, as nothing failed
 
     def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
+        status = "SKIP" if self.skipped else "PASS" if self.ok else "FAIL"
         suffix = f"  ({self.detail})" if self.detail else ""
         return f"[{status}] {self.name}{suffix}"
 
@@ -132,6 +136,18 @@ def check_partition(system: DiagonalSystem, max_r=3) -> CheckResult:
                 f"(want {(q - 1) ** n}), sum M={total_m} (want {q**n})"
             ))
     return CheckResult(name, True)
+
+
+def _run_capped(check, system: DiagonalSystem, max_r: int) -> CheckResult:
+    """check(system, max_r), or, when a cap refuses it, a skipped result
+    named after the check and the triple, with the error's class and
+    message as its detail."""
+    try:
+        return check(system, max_r)
+    except CapExceeded as exc:
+        name = check.__name__.removeprefix("check_").replace("_", "-")
+        return CheckResult(f"{name} {_triple(system)}", True,
+                           f"{type(exc).__name__}: {exc}", skipped=True)
 
 
 def random_graph(rng: random.Random, n: int):
@@ -238,9 +254,11 @@ def check_example_closed_forms() -> list[CheckResult]:
 def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
     """The four per-triple checks on one system per roster triple
-    (DEFAULT_ROSTER when roster is None), then the NEPS oracle and the
-    examples. Raises BadParameters, before any system is built, unless
-    max_r and neps_instances are integers >= 0 (`check_length`)."""
+    (DEFAULT_ROSTER when roster is None), each through `_run_capped`, then
+    the NEPS oracle and the examples. Raises BadParameters, before any
+    system is built, unless max_r and neps_instances are integers >= 0
+    (`check_length`), and the errors of `DiagonalSystem` for a triple it
+    refuses."""
     max_r = check_length("max_r", max_r)
     neps_instances = check_length("neps_instances", neps_instances)
     if roster is None:
@@ -248,7 +266,8 @@ def run_all(roster=None, max_r=3, neps_instances=50,
     systems = [DiagonalSystem(p, a, b) for p, a, b in roster]
     checks = (check_triple_agreement, check_walk_bridge, check_isomorphisms,
               check_partition)
-    results = [check(system, max_r) for check in checks for system in systems]
+    results = [_run_capped(check, system, max_r)
+               for check in checks for system in systems]
     results += check_neps_oracle(neps_instances, seed)
     results += check_example_closed_forms()
     return results

@@ -387,6 +387,26 @@ def test_verify_small_roster(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_skips_a_check_past_its_cap(capsys, monkeypatch):
+    # a check a cap refuses is a SKIP line naming the error, and the suite
+    # goes on; a triple the system refuses is still a parameter error
+    monkeypatch.setattr(diagonal_mod, "MAX_ENUM_TUPLES", 100)
+    code, out, _ = run_cli(capsys, "verify", "--roster", "3,1,2",
+                           "--neps-instances", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == (
+        "[SKIP] triple-agreement p=3 a=1 b=2  (EnumerationTooLarge: a pass "
+        "to r=3 writes at least 816 values, over the cap of 100 values and "
+        "6 lengths)")
+    assert len(lines) == 7
+    assert all(line.startswith("[PASS]") for line in lines[1:6]), lines
+    assert lines[6].startswith("ALL PASS (1 skipped) in ")
+    code, out, err = run_cli(capsys, "verify", "--roster", "3,1,2;2,1,3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "KNotInteger"
+
+
 def test_verify_negative_sizes_exit_2(capsys):
     # each used to pass vacuously: no r, no instance, ALL PASS
     code, out, err = run_cli(capsys, "verify", "--max-r", "-1",

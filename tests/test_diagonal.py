@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -80,15 +81,25 @@ def test_a_run_of_queries_on_one_alpha_solves_it_once(monkeypatch):
     for alpha in (5, 5, 6, 5):
         system.count_nonzero(alpha, 3)
     assert calls == [5, 6, 5]
-    # the element checks run before the memo is read, hit or miss
-    for bad in (5.0, "5", system.q, -1):
+    # any alpha but an int goes through as_index before it meets the memo
+    want = system.count_nonzero(5, 3)
+    assert system.count_nonzero(np.int64(5), 3) == want
+    assert system.count_nonzero(5, np.int64(3)) == want
+    assert calls == [5, 6, 5]
+    assert system.count_nonzero(True, 3) == system.count_nonzero(1, 3)
+    assert system.count_all(True, 3) == system.count_all(1, 3)
+    assert calls == [5, 6, 5, 1]
+    system.count_nonzero(5, 3)
+    # the element checks run before the memo is read, hit or miss: an
+    # array equal to the warm index is refused, not read as a hit
+    for bad in (5.0, "5", np.array([5]), system.q, -1):
         with pytest.raises(BadParameters):
             system.count_nonzero(bad, 3)
         with pytest.raises(BadParameters):
             system.count_all(bad, 3)
     with pytest.raises(BadParameters, match="r=-1"):
         system.count_nonzero(5, -1)
-    assert calls == [5, 6, 5]
+    assert calls == [5, 6, 5, 1, 5]
 
 
 @pytest.mark.parametrize("p,a,b", [(7, 1, 3), (2, 2, 3)])
@@ -110,6 +121,20 @@ def test_memo_matches_a_memo_free_reference(p, a, b):
             want = (alpha == 0) + sum(math.comb(n, i) * nonzero(alpha, i)
                                       for i in range(1, n + 1))
             assert system.count_all(alpha, n) == want, (alpha, n)
+
+
+def test_k_powers_are_capped_in_bytes_and_never_grow():
+    system = DiagonalSystem(3, 1, 2)  # k = 2: the byte cap binds
+    k, powers = system.k, system._k_powers
+    size = len(powers)
+    assert powers == [k**r for r in range(size)]
+    held = sum(8 + sys.getsizeof(power) for power in powers)
+    assert held <= diagonal.MAX_K_POWERS_BYTES
+    assert held + 8 + sys.getsizeof(powers[-1] * k) > diagonal.MAX_K_POWERS_BYTES
+    for r in (size - 1, size, 3 * size):
+        want = k**r * hamming_walks(2, 3, r, system.view.pattern_idx(4))
+        assert system.count_nonzero(4, r) == want, r
+    assert system._k_powers is powers and len(powers) == size
 
 
 def test_n1_residue_membership(roster_systems):

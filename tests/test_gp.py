@@ -77,9 +77,10 @@ def test_directed_flag():
 
 def test_gp_graph_peak_memory_per_entry():
     # the whole build: the int16 add table (2 bytes per entry) is freed
-    # once its R_k columns are read, then the graph holds one int8 matrix
-    # and its checks take bool temporaries (13 bytes per entry before, with
-    # the table read ahead and kept on the field)
+    # once its R_k columns are read, then the graph keeps the int8 matrix
+    # gp_graph hands over and checks its range with no temporaries (3.4
+    # bytes per entry with a copy and bool temporaries, 13 before that,
+    # with the table read ahead and kept on the field)
     field = build_field(2, 12)
     tracemalloc.start()
     try:
@@ -88,7 +89,7 @@ def test_gp_graph_peak_memory_per_entry():
     finally:
         tracemalloc.stop()
     assert graph.n == 4096 and not graph.directed
-    assert peak <= 8 * graph.n**2
+    assert peak <= 3 * graph.n**2
 
 
 def test_gp_graph_keeps_no_add_table():

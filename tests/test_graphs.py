@@ -7,7 +7,7 @@ import pytest
 
 from conftest import enumerate_walks
 from diagwalks import DenseGraph, complete_graph, complete_walks
-from diagwalks.errors import VertexOutOfRange, WalkCacheTooLarge
+from diagwalks.errors import BadParameters, VertexOutOfRange, WalkCacheTooLarge
 from diagwalks.graphs import MAX_WALK_BYTES
 
 
@@ -106,6 +106,49 @@ def test_validation():
         DenseGraph(np.array([[0, 2], [2, 0]]))  # non-0/1 entries
     with pytest.raises(ValueError, match="must be square"):
         DenseGraph(np.zeros((2, 3), dtype=np.int8))
+    # an integer matrix is checked by its range, any other by its entries
+    for bad in (np.array([[0, -1], [1, 0]], dtype=np.int8),
+                np.array([[0, 2], [1, 0]], dtype=np.uint8),
+                np.array([[0, 0.5], [1, 0]])):
+        with pytest.raises(BadParameters, match="0/1"):
+            DenseGraph(bad)
+    for good in (np.array([[0, 1], [1, 0]], dtype=bool),
+                 np.array([[0.0, 1.0], [1.0, 0.0]]),
+                 np.array([[0, 1], [1, 0]], dtype=object),
+                 np.zeros((0, 0), dtype=np.int64)):
+        assert DenseGraph(good).adj.dtype == np.int8
+
+
+def test_a_callers_matrix_is_never_frozen_or_aliased():
+    adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
+    g = DenseGraph(adj)
+    assert adj.flags.writeable and not np.shares_memory(adj, g.adj)
+    adj[0, 2] = adj[2, 0] = 1
+    adj[0, 1] = 0
+    assert g.walk_count(1, 0, 2) == 0 and g.walk_count(1, 0, 1) == 1
+    assert g.walk_count(2, 0, 0) == 1 and g.degree == 2
+    with pytest.raises(ValueError):
+        g.adj[0, 1] = 0
+
+
+def test_matrix_checked_and_kept_with_no_second_copy():
+    # the copy of a caller's int8 matrix is the one n^2 array a build
+    # makes: the 0/1 check reads the range, with no bool temporaries (they
+    # took 2 bytes per entry); a handed-over matrix is kept as it is
+    n = 2048
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[0, 1] = 1
+    for copy in (True, False):
+        tracemalloc.start()
+        try:
+            g = DenseGraph(adj, copy=copy)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(adj, g.adj) is not copy
+        assert peak <= copy * n * n + (1 << 18), (copy, peak)
+        assert held <= copy * n * n + (1 << 16), (copy, held)
+    assert not adj.flags.writeable  # frozen only once handed over
 
 
 def test_vertex_out_of_range():
@@ -209,7 +252,7 @@ def test_identity_power_built_only_when_read():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 8 * n * n  # no int64 A^0 yet
+    assert held <= n * n + (1 << 16)  # the int8 matrix, no int64 A^0 yet
     assert g._powers == [None]
     assert g.walk_count(1, 0, 1) == 1 and g._powers[0] is None
     assert g.walk_count(0, 5, 5) == 1 and g.walk_count(0, 5, 6) == 0

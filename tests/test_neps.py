@@ -141,8 +141,9 @@ def test_product_order_cap_is_4096_vertices():
 
 
 def test_construct_peak_memory_per_entry():
-    # the int8 sum of broadcast products; an int64 accumulator took 35
-    # bytes per entry
+    # the int8 sum of broadcast products, handed over to the graph with no
+    # copy and checked with no bool temporaries (3 bytes per entry with
+    # them); an int64 accumulator took 35 bytes per entry
     factors = [complete_graph(64)] * 2
     tracemalloc.start()
     try:
@@ -152,7 +153,7 @@ def test_construct_peak_memory_per_entry():
         tracemalloc.stop()
     assert graph.n == 4096 and not graph.directed
     assert graph.adj.dtype == np.int8
-    assert peak <= 8 * graph.n**2
+    assert peak <= 5 * graph.n**2 // 2
 
 
 def test_construct_directed_factor():
@@ -475,6 +476,10 @@ def test_hamming_walks_pattern_forms():
     want = hamming_walks(3, 4, 5, (True, True, False))
     assert hamming_walks(3, 4, 5, (z == 0 for z in (0, 0, 2))) == want
     assert hamming_walks(3, 4, 5, [1, 1, 0]) == want
+    # a tuple is read as it is, by the truth of its entries
+    for same in ((1, 1, 0), (np.True_, np.True_, np.False_), (2, 2, 0),
+                 (True, 1, 0.0), (1, "x", None)):
+        assert hamming_walks(3, 4, 5, same) == want, same
     for wrong in ((True, False), [1, 1, 0, 0], (z for z in (1, 0))):
         with pytest.raises(ArityMismatch, match="pattern length"):
             hamming_walks(3, 4, 5, wrong)
