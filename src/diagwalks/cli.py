@@ -172,7 +172,7 @@ def require_options(args, graph: str, *names: str) -> None:
 
 def cmd_walks(args) -> int:
     started = time.perf_counter()
-    if args.neps:
+    if args.neps is not None:
         require_options(args, "--neps", "basis")
         sizes = [parse_int("--neps", args.neps, v)
                  for v in args.neps.split(",")]

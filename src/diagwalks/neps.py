@@ -104,13 +104,6 @@ def vertex_tuple(index: int, sizes) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def vertex_index(tup, sizes) -> int:
-    idx = 0
-    for v, s in zip(tup, sizes):
-        idx = idx * s + v
-    return idx
-
-
 def agreement_pattern(sizes, vi: int, vj: int) -> tuple[bool, ...]:
     """Per-coordinate equality of two product vertices."""
     ti, tj = vertex_tuple(vi, sizes), vertex_tuple(vj, sizes)

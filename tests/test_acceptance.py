@@ -21,7 +21,7 @@ from diagwalks import (
     neps_construct,
     verify_isomorphism,
 )
-from diagwalks.neps import NepsBasis, agreement_pattern, vertex_index
+from diagwalks.neps import NepsBasis, agreement_pattern
 from diagwalks.verify import (
     DEFAULT_ROSTER,
     check_example_closed_forms,
@@ -98,8 +98,10 @@ def test_criterion_5_hamming_identities():
         )
         recurrence = hamming_distance_walks(b, q, 6)
         for pattern in itertools.product((True, False), repeat=b):
-            # a concrete vertex pair realizing the pattern
-            vj = vertex_index([0 if agree else 1 for agree in pattern], sizes)
+            # a concrete vertex pair realizing the pattern: vertex 0 and
+            # the vertex with digit 1 where the pattern disagrees
+            vj = sum(q ** (b - 1 - t) for t, agree in enumerate(pattern)
+                     if not agree)
             d = pattern.count(False)
             for r in range(7):
                 values = {

@@ -75,30 +75,6 @@ def test_count_not_primitive_divisor(capsys, p, method):
     assert json.loads(err)["error"] == "NotPrimitiveDivisor"
 
 
-@pytest.mark.parametrize("method", ["brute", "convolution", "walk"])
-def test_count_oracles_answer_non_primitive_triple(capsys, method):
-    # (3,1,4) has no Hamming decomposition, but the GF(81) oracles count it
-    code, out, _ = run_cli(
-        capsys, "count", "--p", "3", "--a", "1", "--b", "4",
-        "--alpha", "0", "--s", "2", "--nonzero-only", "--method", method,
-    )
-    assert code == 0
-    assert json.loads(out)["result"]["count"] == "800"
-
-
-@pytest.mark.parametrize("method", ["formula", "brute", "convolution", "walk"])
-def test_count_negative_length_exit_2(capsys, method):
-    code, out, err = run_cli(
-        capsys, "count", "--p", "3", "--a", "1", "--b", "2",
-        "--alpha", "0", "--s", "-1", "--nonzero-only", "--method", method,
-    )
-    assert code == 2
-    assert out == ""
-    record = json.loads(err)
-    assert record["error"] == "BadParameters"
-    assert record["message"].endswith("=-1 must be >= 0")
-
-
 def test_count_walk_method_needs_nonzero_only(capsys):
     # the walk bridge counts N_r only; M_s is asked of another method
     code, out, err = run_cli(
@@ -107,17 +83,6 @@ def test_count_walk_method_needs_nonzero_only(capsys):
     )
     assert code == 2 and out == ""
     assert "add --nonzero-only" in json.loads(err)["message"]
-
-
-@pytest.mark.parametrize("p", ["1", "-3", "0"])
-def test_count_p_not_prime_exit_2(capsys, p):
-    code, out, err = run_cli(
-        capsys, "count", "--p", p, "--a", "1", "--b", "2",
-        "--alpha", "0", "--s", "1",
-    )
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "NotPrime"
 
 
 @pytest.mark.parametrize("method", ["formula", "brute", "convolution", "walk"])
@@ -258,18 +223,6 @@ def test_walks_gp_reports_formula_and_power(capsys):
     assert result["agree"] is True
 
 
-def test_walks_gp_non_primitive_has_no_formula(capsys):
-    # Gamma(10, 81) is 9 copies of K_9, not H(4, 3): only the matrix power
-    code, out, _ = run_cli(
-        capsys, "walks", "--gp", "--p", "3", "--m", "4", "--k", "10",
-        "--from", "0", "--to", "pow:0", "--length", "2",
-    )
-    assert code == 0
-    result = json.loads(out)["result"]
-    assert result["matrix_power"] == "7"
-    assert "formula" not in result
-
-
 def test_walks_rooks_graph(capsys):
     code, out, _ = run_cli(
         capsys, "walks", "--neps", "3,3", "--basis", "10;01",
@@ -279,23 +232,6 @@ def test_walks_rooks_graph(capsys):
     assert json.loads(out)["result"]["formula"] == "1"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--neps", "3,4", "--from", "0", "--to", "5", "--length", "2"],
-     "--neps requires --basis"),
-    (["--gp", "--from", "0", "--to", "1", "--length", "2"],
-     "--gp requires --p, --m, --k"),
-    (["--neps", "3,4", "--basis", "11", "--from", "0", "--to", "5",
-      "--length", "-1"], "r=-1 must be >= 0"),
-    (["--from", "0", "--to", "0", "--length", "1"],
-     "one of --neps or --gp is required"),
-])
-def test_walks_bad_options_exit_2(capsys, argv, message):
-    code, out, err = run_cli(capsys, "walks", *argv)
-    assert code == 2
-    assert out == ""
-    assert message in json.loads(err)["message"]
-
-
 def test_walks_bad_basis_literal_is_a_parameter_error(capsys):
     code, out, err = run_cli(
         capsys, "walks", "--neps", "3,4", "--basis", "1x",
@@ -303,19 +239,6 @@ def test_walks_bad_basis_literal_is_a_parameter_error(capsys):
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "BadParameters"
-
-
-@pytest.mark.parametrize("k", ["0", "-2"])
-def test_walks_gp_nonpositive_k_exit_2(capsys, k):
-    code, out, err = run_cli(
-        capsys, "walks", "--gp", "--p", "3", "--m", "2", "--k", k,
-        "--from", "0", "--to", "0", "--length", "1",
-    )
-    assert code == 2
-    assert out == ""
-    error = json.loads(err)
-    assert error["error"] == "KDoesNotDivide"
-    assert error["message"].startswith(f"k={k} ")
 
 
 def test_walks_over_cache_cap_exit_2(capsys):

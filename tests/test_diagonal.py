@@ -102,7 +102,7 @@ def test_a_run_of_queries_on_one_alpha_solves_it_once(monkeypatch):
     assert calls == [5, 6, 5, 1, 5]
 
 
-@pytest.mark.parametrize("p,a,b", [(7, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize("p,a,b", [(7, 1, 3), (2, 2, 3), (7, 1, 6)])
 def test_memo_matches_a_memo_free_reference(p, a, b):
     system = DiagonalSystem(p, a, b)
     view, k, Q = system.view, system.k, p**a

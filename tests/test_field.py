@@ -90,8 +90,9 @@ def test_a_field_factors_q_minus_1_once(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(field_mod, "factorize", counted)
-    assert build_field(31, 4).omega_idx == 34
-    assert calls.count(31**4 - 1) == 1
+    for p, m, omega in [(31, 4, 34), (2, 20, 2), (3, 12, 14), (1013, 2, 1019)]:
+        assert build_field(p, m).omega_idx == omega, (p, m)
+        assert calls.count(p**m - 1) == 1, (p, m)
 
 
 def test_rabin_refuses_a_product_of_factors_of_degree_dividing_m():

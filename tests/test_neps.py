@@ -33,7 +33,6 @@ from diagwalks.neps import (
     _dp_updates,
     agreement_pattern,
     product_order,
-    vertex_index,
     vertex_tuple,
 )
 
@@ -68,8 +67,8 @@ def test_basis_parse():
 
 def test_vertex_indexing_roundtrip():
     sizes = (3, 4, 2)
-    for idx in range(24):
-        assert vertex_index(vertex_tuple(idx, sizes), sizes) == idx
+    assert [vertex_tuple(idx, sizes) for idx in range(24)] == list(
+        itertools.product(*map(range, sizes)))
     # leftmost factor most significant
     assert vertex_tuple(0, sizes) == (0, 0, 0)
     assert vertex_tuple(23, sizes) == (2, 3, 1)
