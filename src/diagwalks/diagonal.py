@@ -20,14 +20,13 @@ return the counts of every length t = 0..r from one pass.
 
 from __future__ import annotations
 
-import math
 import operator
 import sys
 from typing import TYPE_CHECKING
 
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
 from .errors import (MAX_COUNT_BITS, BadParameters, EnumerationTooLarge,
-                     KNotInteger, NotPrimitiveDivisor, as_integer,
+                     KNotInteger, NotPrimitiveDivisor, admit, as_integer,
                      check_length)
 from .field import (FiniteField, as_index, build_field, check_field,
                     check_k_divides, kth_power_residues)
@@ -213,16 +212,13 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     radix = runs * (p - 1) + 1
     bins = radix**m
     writes = (r + 1) * (q + bins) + sum(base**t for t in range(1, runs + 1))
-    if r >= lengths or writes > MAX_ENUM_TUPLES:
-        raise EnumerationTooLarge(
-            f"a pass to r={r} writes at least {writes} values, over the cap "
-            f"of {MAX_ENUM_TUPLES} values and {lengths - 1} lengths"
-        )
-    if r and base > MAX_ENUM_POWERS:
-        raise EnumerationTooLarge(
-            f"a pass over GF({p}^{m}) takes {base} field powers, over the "
-            f"cap of {MAX_ENUM_POWERS}"
-        )
+    admit(EnumerationTooLarge, writes, MAX_ENUM_TUPLES, "MAX_ENUM_TUPLES",
+          "a pass to r={} writes at least {} values", r)
+    admit(EnumerationTooLarge, r, lengths - 1, "MAX_ENUM_TUPLES.bit_length() "
+          "- 1", "a brute-force pass runs to r={}")
+    admit(EnumerationTooLarge, base if r else 0, MAX_ENUM_POWERS,
+          "MAX_ENUM_POWERS", "a pass over GF({}^{}) takes {} field powers",
+          p, m)
     import numpy as np
 
     dist = np.zeros((r + 1, q), dtype=np.int64)
@@ -284,20 +280,25 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     size, t0 = (q - 1) // k + (not restrict_nonzero), min(r, q.bit_length())
     reach = [min(size**t, q) for t in range(t0 + 1)]
     ops = size * (sum(reach[:-1]) + (r - t0) * reach[-1])
+    admit(EnumerationTooLarge, ops, MAX_CONVOLUTION_OPS,
+          "MAX_CONVOLUTION_OPS", "{} convolution steps need up to {} add_idx "
+          "calls", r)
     # a row is a pointer to a dict of 240 bytes with its 8-slot table; an
     # entry (the support's too) takes at most 60 bytes of a grown table, a
     # 28-byte key unless one of CPython's shared ints below 257, and a
-    # weight of t*log2(base) bits: 24 bytes, 4 per 30-bit digit, 3 spare
+    # weight of t*log2(base) bits: 24 bytes, 4 per 30-bit digit, 3 spare,
+    # with 30*log2(base) taken as ceil(30*log2(base)), the bit length of
+    # base^30 - 1. Each step makes a call, so the cap above bounds r here
     base = q - 1 if restrict_nonzero else q
-    entry, slope = 96 + 28 * (q > 257), 4 * math.log2(base) / 30
-    tail = reach[-1] * (r - t0 + 1) * (entry + slope * (r + t0) / 2)
-    row_bytes = math.ceil(248 * (r + 1) + size * entry + tail + sum(
-        n * (entry + slope * t) for t, n in enumerate(reach[:-1])))
-    if ops > MAX_CONVOLUTION_OPS or row_bytes > MAX_CONVOLUTION_BYTES:
-        raise EnumerationTooLarge(
-            f"{r} convolution steps need up to {ops} add_idx calls and "
-            f"about {row_bytes} bytes of rows, over the caps of "
-            f"{MAX_CONVOLUTION_OPS} calls and {MAX_CONVOLUTION_BYTES} bytes")
+    entries = size + sum(reach[:-1]) + reach[-1] * (r - t0 + 1)
+    t_sum = (sum(t * n for t, n in enumerate(reach[:-1]))
+             + reach[-1] * (r + t0) * (r - t0 + 1) // 2)
+    bits = (base**30 - 1).bit_length() * t_sum  # 30 times the weights' bits
+    row_bytes = (248 * (r + 1) + (96 + 28 * (q > 257)) * entries
+                 - (-4 * bits // 900))
+    admit(EnumerationTooLarge, row_bytes, MAX_CONVOLUTION_BYTES,
+          "MAX_CONVOLUTION_BYTES", "{} convolution steps need about {} bytes "
+          "of rows", r)
     support = [(beta, k) for beta in kth_power_residues(field, k)]
     if not restrict_nonzero:
         support.append((0, 1))

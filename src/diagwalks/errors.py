@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and `check_length`, the
-one admission of a length that every count evaluator runs."""
+"""Exception hierarchy shared across the package, `admit`, the one cap gate,
+and `check_length`, the one admission of a length that every count runs."""
 
 import math
 import operator
@@ -74,8 +74,8 @@ class WalkCacheTooLarge(CapExceeded):
 
 
 class NepsWalkTooLarge(CapExceeded):
-    """Raised by `neps._admit`, the one MAX_NEPS_OPS gate, when the DP, the
-    complete-graph terms, the Krawtchouk weights or the powers pass it."""
+    """Raised through `admit` when the DP, the complete-graph terms, the
+    Krawtchouk weights or the powers pass neps.MAX_NEPS_OPS."""
 
 
 class CountTooLarge(CapExceeded):
@@ -101,6 +101,16 @@ class KNotInteger(DiagwalksError):
 def shown(n: int) -> str:
     """n for a message; a decimal of over 4,300 digits would raise."""
     return str(n) if abs(n) < 1 << 64 else f"<{n.bit_length()}-bit integer>"
+
+
+def admit(error: type[CapExceeded], need: int, cap: int, name: str,
+          message: str, *args) -> None:
+    """The one cap gate: raises `error` when the exact int `need` passes
+    `cap`, named `name`. Only then is the template `message` filled in,
+    with `args` and `need` last, each int through `shown`."""
+    if need > cap:
+        args = [shown(a) if isinstance(a, int) else a for a in (*args, need)]
+        raise error(f"{message.format(*args)}, over the cap {name} of {shown(cap)}")
 
 
 def as_integer(name: str, value) -> int:

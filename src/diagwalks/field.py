@@ -6,32 +6,18 @@ the zero element and indices below p are the constants. Every function
 of the package takes and returns elements in this one form.
 
 There is one polynomial arithmetic, `PackedRing`: F_p[x] mod a monic f
-on packed words, a product one Kronecker-substituted integer product
-reduced in the word, a power square-and-multiply. The modulus search runs
-Rabin's test on each candidate's ring, and `FiniteField` is the ring of
-the modulus found. Its one digit codec is the ring's `_word`/`_index`
-pair: `digits`, `index_of`, `neg_idx` and `sub_idx` read the packed word,
-as products and powers do. Only `add_idx` keeps its own fused divmod
-loop (for p = 2 a XOR masked to m bits), because the convolution oracle
-calls it in its inner loop and the round trip through the word is
-slower per call. It reads no table of size q and does not import
-numpy. The field holds no q-sized state: the numpy addition table is
-built afresh on each read, for the GP-graph, capped in bytes and held by
-no one after, so the formula path never loads numpy.
+on packed words. The modulus search runs Rabin's test on each
+candidate's ring, and `FiniteField` is the ring of the modulus found,
+with one digit codec and no q-sized state (see its docstring), so the
+formula path never loads numpy.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
 capped at MAX_RESIDUES elements, and `SubfieldMap`, the coordinates of
-an element over GF(p^a) in the basis {omega^{ik}}. The map inverts one
-F_p linear system at construction and keeps the inverse as chunk
-tables: the digits of an element are cut into chunks of at most
-CHUNK_ENTRIES values, and a solve adds one packed table entry per
-chunk, reducing mod p inside the word. The tables hold at most
-ceil(m/c) * max(p, CHUNK_ENTRIES) ints, with c digits per chunk,
-whatever q is. The zero pattern of the coordinates is read from the
-packed solve by `gp.HammingView`, the map of a Hamming pair.
-`as_index` is the one element-index check; the solve, the counts and
-the oracles run it.
+an element over GF(p^a) in the basis {omega^{ik}}, solved from chunk
+tables whose size does not grow with q; `gp.HammingView` reads the zero
+pattern of the coordinates from its packed solve. `as_index` is the one
+element-index check; the solve, the counts and the oracles run it.
 
 `check_field` is the one admission of GF(p^m): `FiniteField`,
 `diagonal.diagonal_exponent` and `gp.hamming_parameters` run it before
@@ -60,6 +46,7 @@ from .errors import (
     KDoesNotDivide,
     NotPrime,
     ReducibleModulus,
+    admit,
     as_integer,
     shown,
 )
@@ -105,19 +92,18 @@ def check_field(p: int, m: int) -> tuple[int, int]:
     p and m are integers, NotPrime for p < 2, BadParameters for m < 1,
     FieldTooLarge, naming p and m, unless p^m <= MAX_FIELD_ORDER, and
     NotPrime for a composite p. The power is built one factor at a time
-    and never past the cap, so a huge p or m stops within 21 steps, and
-    the trial division sees no p over the cap."""
+    and admitted at each, so a huge p or m stops within 21 steps, and the
+    trial division sees no p over the cap."""
     p, m = as_integer("p", p), as_integer("m", m)
     if p < 2:
-        raise NotPrime(f"p={p} is not prime")
+        raise NotPrime(f"p={shown(p)} is not prime")
     if m < 1:
-        raise BadParameters(f"m={m} must be >= 1")
+        raise BadParameters(f"m={shown(m)} must be >= 1")
     q = 1
-    for _ in range(m):
-        if q > MAX_FIELD_ORDER // p:
-            raise FieldTooLarge(f"p^m with p={shown(p)}, m={shown(m)} exceeds "
-                                f"the field cap {MAX_FIELD_ORDER}")
+    for step in range(1, m + 1):
         q *= p
+        admit(FieldTooLarge, q, MAX_FIELD_ORDER, "MAX_FIELD_ORDER",
+              "p^m with p={}, m={} exceeds p^{} = {}", p, m, step)
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     return p, m
@@ -340,11 +326,9 @@ class FiniteField(PackedRing):
 
         p, q = self.p, self.q
         dtype = np.dtype(np.int16 if q <= (1 << 15) - 1 else np.int32)
-        nbytes = q * q * dtype.itemsize
-        if nbytes > MAX_ADD_TABLE_BYTES:
-            raise FieldTooLarge(
-                f"the addition table of GF({p}^{self.m}) needs {nbytes} "
-                f"bytes, over the cap of {MAX_ADD_TABLE_BYTES} bytes")
+        admit(FieldTooLarge, q * q * dtype.itemsize, MAX_ADD_TABLE_BYTES,
+              "MAX_ADD_TABLE_BYTES", "the addition table of GF({}^{}) needs "
+              "{} bytes", p, self.m)
         return _digit_sums(p, self.m, dtype)
 
     @property
@@ -391,7 +375,7 @@ def as_index(field: FiniteField, x) -> int:
     if type(x) is not int:
         x = as_integer("element", x)
     if not 0 <= x < field.q:
-        raise BadParameters(f"element index {x} out of range for q={field.q}")
+        raise BadParameters(f"element index {shown(x)} out of range for q={field.q}")
     return x
 
 
@@ -401,7 +385,7 @@ def check_k_divides(q: int, k: int) -> int:
     the exponent k of a field checks it here before any arithmetic."""
     k = as_integer("k", k)
     if k < 1 or (q - 1) % k:
-        raise KDoesNotDivide(f"k={k} is not a positive divisor of q-1={q - 1}")
+        raise KDoesNotDivide(f"k={shown(k)} is not a positive divisor of q-1={q - 1}")
     return k
 
 
@@ -411,10 +395,8 @@ def kth_power_residues(field: FiniteField, k: int) -> frozenset[int]:
     k and q, before the first product when (q-1)/k passes MAX_RESIDUES."""
     k = check_k_divides(field.q, k)
     size = (field.q - 1) // k
-    if size > MAX_RESIDUES:
-        raise EnumerationTooLarge(
-            f"R_k for k={k} in GF({field.q}) has (q-1)/k = {size} elements, "
-            f"over the cap of {MAX_RESIDUES}")
+    admit(EnumerationTooLarge, size, MAX_RESIDUES, "MAX_RESIDUES",
+          "R_k for k={} in GF({}) has (q-1)/k = {} elements", k, field.q)
     step = field.pow_idx(field.omega_idx, k)
     members, x = [], 1
     for _ in range(size):

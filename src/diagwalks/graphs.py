@@ -9,7 +9,7 @@ Python integers (numpy object arrays), so counts never overflow. A^0 and
 A^1 are built as int64 arrays only when read through `walk_matrix`;
 `walk_count` answers length 0 as i == j and reads a length-1 count from
 the int8 adjacency itself. The cache of powers is capped at
-MAX_WALK_BYTES, checked before any product.
+MAX_WALK_BYTES, checked through `errors.admit` before any product.
 
 numpy is imported where an array is built: in `DenseGraph.__init__`,
 `complete_graph`, and the branch of `walk_matrix` that computes new
@@ -23,7 +23,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import (BadParameters, VertexOutOfRange, WalkCacheTooLarge,
-                     as_integer, check_length)
+                     admit, as_integer, check_length, shown)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,18 +80,20 @@ class DenseGraph:
         return bool((self.adj != self.adj.T).any())
 
     def _cache_bytes(self, r: int) -> int:
-        """Bytes of the powers A^0..A^r: 8 per int64 entry (for A^1, per
-        entry of the float64 cast of A that each product reads); an object
-        entry is bounded by D^t, so it is estimated as an 8-byte pointer to a
-        Python int of at most t*log2(D)/30 + 1 30-bit digits (24 bytes plus
-        4 per digit)."""
+        """Bytes of the powers A^0..A^r, an exact int: 8 per int64 entry
+        (for A^1, per entry of the float64 cast of A that each product
+        reads); an object entry is bounded by D^t, so it is estimated as an
+        8-byte pointer to a Python int of at most t*log2(D)/30 + 1 30-bit
+        digits (24 bytes plus 4 per digit)."""
         exact = min(r, self._float_reach) + 1
         total = 8 * self.n**2 * exact
         objects = r + 1 - exact
         if objects > 0:
-            t_sum = (exact + r) * objects / 2
-            digits = objects + math.log2(self.degree) / 30 * t_sum
-            total += self.n**2 * math.ceil(32 * objects + 4 * digits)
+            # 30 times the bits of A^exact..A^r, t*log2(D) each: t times
+            # the bit length of D^30 - 1, ceil(30*log2(D))
+            bits = ((self.degree**30 - 1).bit_length() * (exact + r) * objects
+                    // 2)
+            total += self.n**2 * (36 * objects - (-4 * bits // 900))
         return total
 
     def walk_matrix(self, r: int) -> np.ndarray:
@@ -105,12 +107,9 @@ class DenseGraph:
         import numpy as np
 
         if r >= len(self._powers):
-            need = self._cache_bytes(r)
-            if need > MAX_WALK_BYTES:
-                raise WalkCacheTooLarge(
-                    f"the walk powers A^0..A^{r} of a {self.n}-vertex graph "
-                    f"need about {need} bytes, over the cap of "
-                    f"{MAX_WALK_BYTES} bytes")
+            admit(WalkCacheTooLarge, self._cache_bytes(r), MAX_WALK_BYTES,
+                  "MAX_WALK_BYTES", "the walk powers A^0..A^{} of a "
+                  "{}-vertex graph need about {} bytes", r, self.n)
         while len(self._powers) <= r:
             t = len(self._powers)
             prev = self.adj if t == 2 else self._powers[-1]
@@ -137,7 +136,8 @@ class DenseGraph:
         if type(i) is not int or type(j) is not int:
             i, j = as_integer("i", i), as_integer("j", j)
         if not (0 <= i < self.n and 0 <= j < self.n):
-            raise VertexOutOfRange(f"vertices ({i},{j}) out of range for n={self.n}")
+            raise VertexOutOfRange(f"vertices ({shown(i)},{shown(j)}) out "
+                                   f"of range for n={self.n}")
         if r == 0:
             return int(i == j)
         if r == 1:
@@ -150,9 +150,13 @@ class DenseGraph:
 
 
 def complete_graph(m: int) -> DenseGraph:
+    """K_m, admitted by `neps.product_order` before numpy allocates."""
+    from .neps import product_order  # neps imports this module
+
     m = as_integer("m", m)
     if m < 1:
-        raise BadParameters(f"m={m} must be >= 1")
+        raise BadParameters(f"m={shown(m)} must be >= 1")
+    product_order([m])
     import numpy as np
 
     return DenseGraph(np.ones((m, m), dtype=np.int8)

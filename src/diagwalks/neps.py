@@ -10,8 +10,8 @@ many vertex pairs at once. A NEPS of complete graphs needs no table: its
 walks are a spectral sum of 2^n |B| n-fold products, those of the Hamming
 graph H(b,q) one of b+1 Krawtchouk-weighted terms, and K_m is the
 one-factor case. Each only builds its terms; `_spectral_walks`, the one
-kernel, sums their powers and divides. Every cost passes `_admit`, the
-one MAX_NEPS_OPS gate, before its first step. `hamming_walks` admits its
+kernel, sums their powers and divides. Every cost passes `errors.admit`
+against MAX_NEPS_OPS before its first step. `hamming_walks` admits its
 arguments on every call, then looks its count up in the one memo, which
 `cache_info` reports. numpy is imported only in `neps_construct`.
 """
@@ -25,13 +25,14 @@ from functools import lru_cache
 
 from .errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
                      LengthTableTooShort, NepsWalkTooLarge, ProductTooLarge,
-                     as_integer, check_length, shown)
+                     admit, as_integer, check_length, shown)
 from .graphs import DenseGraph
 
 # largest int8 adjacency neps_construct builds: 4096 vertices
 MAX_PRODUCT_BYTES = 1 << 24
-# largest cost `_admit` lets through: walk DP state updates, factors of
-# the complete-graph terms, or words of the Krawtchouk recurrence or powers
+# largest cost `errors.admit` lets through here: walk DP state updates,
+# factors of the complete-graph terms, or words of the Krawtchouk recurrence
+# or powers
 MAX_NEPS_OPS = 10**7
 # bytes the memo of Hamming walk counts may hold. An admitted count is at
 # most 2^MAX_COUNT_BITS, whose CPython digits take 139,812 bytes; 1 KiB
@@ -115,11 +116,9 @@ def product_order(sizes) -> int:
     ProductTooLarge when its int8 adjacency would take more than
     MAX_PRODUCT_BYTES, so a caller can check before building a factor."""
     total = math.prod(sizes)
-    if total * total > MAX_PRODUCT_BYTES:
-        raise ProductTooLarge(
-            f"the adjacency of a {total}-vertex product needs {total * total} "
-            f"bytes, over the cap of {MAX_PRODUCT_BYTES} bytes"
-        )
+    admit(ProductTooLarge, total * total, MAX_PRODUCT_BYTES,
+          "MAX_PRODUCT_BYTES", "the adjacency of a {}-vertex product needs "
+          "{} bytes", total)
     return total
 
 
@@ -158,15 +157,6 @@ def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
     return DenseGraph(acc.reshape(total, total), copy=False)
 
 
-def _admit(work: int, message: str, *args) -> None:
-    """The one MAX_NEPS_OPS gate: NepsWalkTooLarge when `work` passes it,
-    the template `message` filled in only then, each int through `shown`."""
-    if work > MAX_NEPS_OPS:
-        args = [shown(a) if isinstance(a, int) else a for a in (*args, work)]
-        raise NepsWalkTooLarge(f"{message.format(*args)}, over the cap "
-                               f"MAX_NEPS_OPS of {MAX_NEPS_OPS}")
-
-
 def _dp_updates(n: int, size: int, r: int) -> int:
     """Upper bound on the state updates of the walk DP to length r over a
     basis of `size` n-tuples. Step t < r updates each of its states once
@@ -183,9 +173,9 @@ def _column_sum_multiplicities(tuples, r):
     NepsWalkTooLarge, before the first step, when the updates could pass
     MAX_NEPS_OPS."""
     n = len(tuples[0])
-    _admit(_dp_updates(n, len(tuples), r), "the NEPS walk sum over {} basis "
-           "tuples of arity {} to length {} may make up to {} state updates",
-           len(tuples), n, r)
+    admit(NepsWalkTooLarge, _dp_updates(n, len(tuples), r), MAX_NEPS_OPS,
+          "MAX_NEPS_OPS", "the NEPS walk sum over {} basis tuples of arity {} "
+          "to length {} may make up to {} state updates", len(tuples), n, r)
     states = {(0,) * n: 1}
     for _ in range(r):
         nxt = {}
@@ -217,7 +207,7 @@ def neps_walks(factor_tables, basis: NepsBasis, r: int):
         raise ArityMismatch(f"{len(tables)} walk tables for arity {basis.n}")
     for t, tab in enumerate(tables):
         if len(tab) <= r:
-            raise LengthTableTooShort(f"factor {t} table covers lengths < {r}")
+            raise LengthTableTooShort(f"factor {t} table covers lengths < {shown(r)}")
     total = 0
     for svec, mult in _column_sum_multiplicities(basis.tuples, r).items():
         term = mult
@@ -248,8 +238,9 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     if any(m < 1 for m in m_list):
         raise BadParameters(f"complete graph sizes must be >= 1, got {m_list}")
     terms = 2**n * len(basis)
-    _admit(n * terms, "the spectral NEPS walk sum takes {} terms of {} "
-           "factors each, {} operations", terms, n)
+    admit(NepsWalkTooLarge, n * terms, MAX_NEPS_OPS, "MAX_NEPS_OPS",
+          "the spectral NEPS walk sum takes {} terms of {} factors each, {} "
+          "operations", terms, n)
     weights = {}  # Lambda -> summed coefficients of its terms
     for eps in itertools.product((0, 1), repeat=n):
         mu = [-1 if e else m - 1 for m, e in zip(m_list, eps)]
@@ -314,9 +305,11 @@ def _spectral_walks(what: str, count: int, top: int, terms, r: int,
                     divisor: int) -> int:
     """The one spectral kernel: sum w lambda^r over (lambda, w) in `terms`,
     divided exactly by `divisor`, once the `count` powers, |lambda| <= top,
-    pass `_admit` before any term: ceil(r ceil(log2 top) / 64) words each."""
-    _admit(count * -(-r * (top - 1).bit_length() // 64), "{} raises {} "
-           "eigenvalues to the power r={}, {} words", what, count, r)
+    pass `errors.admit` before any term: ceil(r ceil(log2 top) / 64) words
+    each."""
+    admit(NepsWalkTooLarge, count * -(-r * (top - 1).bit_length() // 64),
+          MAX_NEPS_OPS, "MAX_NEPS_OPS", "{} raises {} eigenvalues to the "
+          "power r={}, {} words", what, count, r)
     total = 0
     for lam, weight in terms:
         total += weight * lam**r
@@ -330,8 +323,9 @@ def _spectral_walks(what: str, count: int, top: int, terms, r: int,
 @lru_cache(maxsize=MAX_WALK_MEMO_BYTES // _WALK_ENTRY_BYTES)
 def _walks(b: int, q: int, d: int, r: int) -> int:
     """The count of `hamming_walks` for admitted Python ints b, q, d, r."""
-    _admit((b + 1) * -(-b * q.bit_length() // 64),
-           "the Krawtchouk weights of H({},{}) take {} word operations", b, q)
+    admit(NepsWalkTooLarge, (b + 1) * -(-b * q.bit_length() // 64),
+          MAX_NEPS_OPS, "MAX_NEPS_OPS", "the Krawtchouk weights of H({},{}) "
+          "take {} word operations", b, q)
     return _spectral_walks(f"the sum for H({b},{shown(q)})", b + 1,
                            b * (q - 1), _krawtchouk(b, q, d), r, q**b)
 

@@ -1,13 +1,13 @@
 """Self-verification suites: every closed formula against an independent oracle.
 
 `run_all` builds one `DiagonalSystem` per roster triple and hands it to
-the four per-triple checks, each returning one CheckResult:
+the five per-triple checks, each returning one CheckResult:
 
-- triple agreement: `count_nonzero` against the literal enumeration,
-  whose step t extends the nnz bins of its tuples' packed sums by the d
-  distinct packed words in at most nnz*d <= base^t additions, and the
-  additive convolution, for every alpha, one call to each oracle giving
-  every r <= max_r;
+- triple and convolution agreement: `count_nonzero` against the literal
+  enumeration, whose step t extends the nnz bins of its tuples' packed
+  sums by the d distinct packed words in at most nnz*d <= base^t
+  additions, and, in a check of its own, the additive convolution, for
+  every alpha, one call to each oracle giving every r <= max_r;
 - walk bridge: the same counts against k^r times matrix-power walks on
   the triple's generalized Paley graph, built once for the check;
 - isomorphism: the system's own `HammingView` against R_k;
@@ -16,17 +16,15 @@ the four per-triple checks, each returning one CheckResult:
 Two checks do not depend on the roster:
 
 - NEPS oracle: `neps_walks` from per-factor walk tables against the
-  matrix power of the constructed product, on random instances; one
-  call per instance counts every vertex pair, in int64 arrays where a
-  bound proves that exact (`formula_walk_matrix`), in object arrays of
-  Python ints past it;
+  matrix power of the constructed product, on random instances, every
+  vertex pair in one call (`formula_walk_matrix`);
 - the two closed-form walk displays of the K3 x K4 examples.
 
 A failure carries the first counterexample in full so it can be
 reproduced from the command line. A per-triple check that a resource cap
 refuses (a `CapExceeded`, such as the literal enumeration's
 EnumerationTooLarge on a large field) is reported as skipped, naming the
-error, and the suite goes on.
+error, and the suite goes on, so each oracle is skipped on its own.
 """
 
 from __future__ import annotations
@@ -72,46 +70,54 @@ def _triple(system: DiagonalSystem) -> str:
     return f"p={system.p} a={system.a} b={system.b}"
 
 
-def check_triple_agreement(system: DiagonalSystem, max_r=3) -> CheckResult:
-    """Formula vs literal enumeration vs convolution, every alpha."""
-    field, k, q = system.field, system.k, system.q
-    name = f"triple-agreement {_triple(system)} (q={q}, k={k}, r<={max_r})"
-    brute = brute_force_distribution(field, k, max_r, True)
-    conv = convolution_distribution(field, k, max_r, True)
+def _agreement(system: DiagonalSystem, max_r: int, name: str,
+               oracle) -> CheckResult:
+    """The one compare loop of the oracle checks: `count_nonzero(alpha, r)`
+    against oracle(alpha, r) for every alpha and r <= max_r; the first
+    disagreement, with both counts, is the failure's detail."""
     # alpha outer, so the r <= max_r calls on one alpha share its solve
-    for alpha in range(q):
+    for alpha in range(system.q):
         for r in range(max_r + 1):
-            formula = system.count_nonzero(alpha, r)
-            weight = conv[r].get(alpha, 0)  # an unreached alpha weighs 0
-            if not (formula == int(brute[r, alpha]) == weight):
+            formula, other = system.count_nonzero(alpha, r), oracle(alpha, r)
+            if formula != other:
                 return CheckResult(name, False, (
                     f"{_triple(system)} alpha={alpha} r={r}: "
-                    f"formula={formula} brute={int(brute[r, alpha])} "
-                    f"conv={weight}"
-                ))
+                    f"formula={formula} oracle={other}"))
     return CheckResult(name, True)
+
+
+def check_triple_agreement(system: DiagonalSystem, max_r=3) -> CheckResult:
+    """Formula vs literal enumeration, every alpha."""
+    field, k, q = system.field, system.k, system.q
+    brute = brute_force_distribution(field, k, max_r, True)
+    return _agreement(system, max_r, f"triple-agreement {_triple(system)} "
+                      f"(q={q}, k={k}, r<={max_r})",
+                      lambda alpha, r: int(brute[r, alpha]))
+
+
+def check_convolution_agreement(system: DiagonalSystem,
+                                max_r=3) -> CheckResult:
+    """Formula vs additive convolution, every alpha; the rows map only
+    the elements they reach, and any other alpha weighs 0."""
+    field, k, q = system.field, system.k, system.q
+    conv = convolution_distribution(field, k, max_r, True)
+    return _agreement(system, max_r, f"convolution-agreement "
+                      f"{_triple(system)} (q={q}, k={k}, r<={max_r})",
+                      lambda alpha, r: conv[r].get(alpha, 0))
 
 
 def check_walk_bridge(system: DiagonalSystem, max_r=3) -> CheckResult:
     """k^r * (walks from 0 to alpha on the GP-graph, built once here) must
     equal N_r(alpha)."""
-    name = f"walk-bridge {_triple(system)} (r<={max_r})"
-    graph = gp_graph(system.field, system.k)
-    for alpha in range(system.q):
-        for r in range(max_r + 1):
-            via_walks = system.k**r * graph.walk_count(r, 0, alpha)
-            formula = system.count_nonzero(alpha, r)
-            if via_walks != formula:
-                return CheckResult(name, False, (
-                    f"{_triple(system)} alpha={alpha} r={r}: "
-                    f"walks={via_walks} formula={formula}"
-                ))
-    return CheckResult(name, True)
+    graph, k = gp_graph(system.field, system.k), system.k
+    return _agreement(system, max_r, f"walk-bridge {_triple(system)} "
+                      f"(r<={max_r})",
+                      lambda alpha, r: k**r * graph.walk_count(r, 0, alpha))
 
 
 def check_isomorphisms(system: DiagonalSystem, max_r=3) -> CheckResult:
     """The system's coordinate map is a GP/Hamming isomorphism; max_r is
-    unused, so that all four per-triple checks share one signature."""
+    unused, so that all five per-triple checks share one signature."""
     return CheckResult(
         f"isomorphism Gamma({system.k},{system.q}) ~ "
         f"H({system.b},{system.Q})",
@@ -253,19 +259,21 @@ def check_example_closed_forms() -> list[CheckResult]:
 
 def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
-    """The four per-triple checks on one system per roster triple
+    """The five per-triple checks on one system per roster triple
     (DEFAULT_ROSTER when roster is None), each through `_run_capped`, then
     the NEPS oracle and the examples. Raises BadParameters, before any
     system is built, unless max_r and neps_instances are integers >= 0
-    (`check_length`), and the errors of `DiagonalSystem` for a triple it
-    refuses."""
+    (`check_length`); the errors of `DiagonalSystem` for a triple it
+    refuses; and CountTooLarge when q^max_r, q the roster's largest field,
+    could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built."""
     max_r = check_length("max_r", max_r)
     neps_instances = check_length("neps_instances", neps_instances)
     if roster is None:
         roster = DEFAULT_ROSTER
     systems = [DiagonalSystem(p, a, b) for p, a, b in roster]
-    checks = (check_triple_agreement, check_walk_bridge, check_isomorphisms,
-              check_partition)
+    check_length("max_r", max_r, max((s.q for s in systems), default=1))
+    checks = (check_triple_agreement, check_convolution_agreement,
+              check_walk_bridge, check_isomorphisms, check_partition)
     results = [_run_capped(check, system, max_r)
                for check in checks for system in systems]
     results += check_neps_oracle(neps_instances, seed)

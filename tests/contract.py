@@ -42,6 +42,8 @@ from typing import NamedTuple
 ADDRESS_SPACE_BYTES = 1 << 30
 # a row without a budget of its own, so that a hung child still ends
 DEFAULT_BUDGET = 120.0
+# 10^400, a length no cap admits
+HUGE = "1" + "0" * 400
 
 
 class Row(NamedTuple):
@@ -159,6 +161,19 @@ ROWS = [
             "--nonzero-only --method convolution", "EnumerationTooLarge"),
     refused("neps-product-cap", "walks --neps 65,65 --basis 11 --from 0 "
             "--to 0 --length 1", "ProductTooLarge"),
+    # lengths of 401 digits: each overflowed a float before its cap
+    refused("convolution-huge-s", "count --p 3 --a 1 --b 2 --alpha 0 "
+            f"--s {HUGE} --nonzero-only --method convolution",
+            "EnumerationTooLarge", "MAX_CONVOLUTION_OPS", budget=20),
+    refused("neps-walks-huge-length", f"walks --neps 3 --basis 1 --from 0 "
+            f"--to 1 --length {HUGE}", "WalkCacheTooLarge", "MAX_WALK_BYTES",
+            budget=20),
+    refused("gp-walks-huge-length", "walks --gp --p 3 --m 2 --k 2 --from 0 "
+            f"--to pow:1 --length {HUGE}", "WalkCacheTooLarge",
+            "MAX_WALK_BYTES", budget=20),
+    refused("verify-huge-max-r", f"verify --roster 3,1,2 --max-r {HUGE} "
+            "--neps-instances 0", "CountTooLarge", "max_r <= 330788 here",
+            budget=20),
 ]
 
 

@@ -26,6 +26,7 @@ from diagwalks.verify import (
     DEFAULT_ROSTER,
     check_example_closed_forms,
     check_neps_oracle,
+    check_convolution_agreement,
     check_partition,
     check_triple_agreement,
     check_walk_bridge,
@@ -55,7 +56,8 @@ def test_criterion_1_triple_agreement(systems):
     assert [(s.q, s.k) for s in systems.values()] == ROSTER_QK
     started = time.perf_counter()
     bad = first_failure(
-        check_triple_agreement(system, 4) for system in systems.values()
+        check(system, 4) for system in systems.values()
+        for check in (check_triple_agreement, check_convolution_agreement)
     )
     elapsed = time.perf_counter() - started
     report(

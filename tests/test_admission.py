@@ -24,11 +24,14 @@ from diagwalks import (
     neps_walks,
     walk_solution_count,
 )
-from diagwalks import diagonal, verify
+from diagwalks import diagonal, kth_power_residues, verify
 from diagwalks.diagonal import diagonal_exponent
 from diagwalks.errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
-                              CountTooLarge)
+                              CountTooLarge, EnumerationTooLarge,
+                              KDoesNotDivide, LengthTableTooShort,
+                              ProductTooLarge, VertexOutOfRange)
 from diagwalks.field import check_k_divides
+from diagwalks.neps import product_order
 
 
 class Case(NamedTuple):
@@ -132,6 +135,27 @@ def test_motivating_lengths_are_exact_or_refused():
         hamming_walks(2, 3, huge, (True, False))
     with pytest.raises(BadParameters, match="<16610-bit integer> must be"):
         complete_walks(3, -huge, True)
+
+
+HUGE = 10**5000  # its decimal would itself raise ValueError
+F9 = build_field(3, 2)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DiagonalSystem(3, 1, 2).count_nonzero(HUGE, 1), BadParameters),
+    (lambda: F9.pow_idx(HUGE, 2), BadParameters),
+    (lambda: complete_graph(3).walk_count(2, HUGE, 0), VertexOutOfRange),
+    (lambda: kth_power_residues(F9, HUGE), KDoesNotDivide),
+    (lambda: neps_walks([[1] * 3] * 2, NepsBasis.standard(2), HUGE),
+     LengthTableTooShort),
+    (lambda: product_order([HUGE]), ProductTooLarge),
+    (lambda: brute_force_distribution(F9, 2, HUGE), EnumerationTooLarge),
+], ids=["count-nonzero-alpha", "pow-idx", "walk-count-vertex", "residues-k",
+        "neps-walks-length", "product-order", "brute-force-length"])
+def test_huge_ints_are_printed_in_typed_refusals(call, error):
+    # each raised a bare ValueError (over 4,300 digits) from its message
+    with pytest.raises(error, match="<16610-bit integer>"):
+        call()
 
 
 def test_hamming_walks_admits_before_its_memo():

@@ -7,8 +7,10 @@ import pytest
 
 from conftest import enumerate_walks
 from diagwalks import DenseGraph, complete_graph, complete_walks
-from diagwalks.errors import BadParameters, VertexOutOfRange, WalkCacheTooLarge
+from diagwalks.errors import (BadParameters, ProductTooLarge, VertexOutOfRange,
+                              WalkCacheTooLarge)
 from diagwalks.graphs import MAX_WALK_BYTES
+from diagwalks.neps import MAX_PRODUCT_BYTES
 
 
 def test_zero_length_convention():
@@ -293,6 +295,21 @@ def test_walk_powers_keep_no_float_copy():
     finally:
         tracemalloc.stop()
     assert held <= 8 * n * n + (1 << 16), f"{held} bytes held"
+
+
+def test_complete_graph_admitted_before_numpy_allocates():
+    # K_4097, the smallest K_m over MAX_PRODUCT_BYTES, asked for three
+    # 16.8 MB int8 arrays; 10^5000 raised numpy's untyped ValueError
+    assert 4096**2 <= MAX_PRODUCT_BYTES < 4097**2
+    tracemalloc.start()
+    try:
+        for m in (4097, 10**5000):
+            with pytest.raises(ProductTooLarge, match="MAX_PRODUCT_BYTES"):
+                complete_graph(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_walk_cache_cap_checked_before_any_product():
