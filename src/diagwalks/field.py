@@ -14,10 +14,12 @@ formula path never loads numpy.
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
 capped at MAX_RESIDUES elements, and `SubfieldMap`, the coordinates of
-an element over GF(p^a) in the basis {omega^{ik}}, solved from chunk
-tables whose size does not grow with q; `gp.HammingView` reads the zero
-pattern of the coordinates from its packed solve. `as_index` is the one
-element-index check; the solve, the counts and the oracles run it.
+an element over GF(p^a) in the basis {omega^{ik}}, solved from two
+tables, one for each half of the element's m digits, of p^ceil(m/2) and
+p^floor(m/2) packed vectors; `gp.HammingView` reads the zero pattern of
+the coordinates from its packed solve in one word test. `as_index` is
+the one element-index check; the solve, the counts and the oracles run
+it.
 
 `check_field` is the one admission of GF(p^m): `FiniteField`,
 `diagonal.diagonal_exponent` and `gp.hamming_parameters` run it before
@@ -425,11 +427,6 @@ def _invert_matrix_mod_p(mat, p):
     return [row[n:] for row in aug]
 
 
-# widest lookup table of one digit chunk: a chunk spans the most digits c
-# with p^c <= CHUNK_ENTRIES, and one digit when p itself is larger
-CHUNK_ENTRIES = 256
-
-
 class SubfieldMap:
     """Coordinates of GF(p^{ab}) over GF(p^a) in the basis {omega^{ik}}.
 
@@ -437,14 +434,17 @@ class SubfieldMap:
     the a-fold Frobenius; tau = omega^{(q-1)/(p^a-1)} generates its
     multiplicative group and {1, tau, ..., tau^{a-1}} is an F_p-basis.
     One (ab)x(ab) linear system over F_p is inverted at construction and
-    turned into chunk tables ("four Russians"): the digits of x are cut
-    into chunks of c digits, and entry v of a chunk's table is the
-    inverse applied to the chunk spelling v, packed one F_p value per
-    slot. A solve is one divmod, one lookup and one packed addition per
-    chunk, so it costs ceil(m/c) word operations; the tables hold at most
-    ceil(m/c) * max(p, CHUNK_ENTRIES) ints, a bound that does not grow
-    with q. The solve word is the one coordinate form: coordinate i is
-    the word under `block_masks[i]`. No field table is read.
+    turned into two half tables ("four Russians", Arlazarov, Dinic,
+    Kronrod & Faradzev, 1970): the m digits of x are split into its
+    ceil(m/2) low and floor(m/2) high digits, and entry v of a half's
+    table is the inverse applied to that half spelling v, packed one F_p
+    value per slot. A solve is one divmod, two lookups, one packed
+    addition and one in-word reduction, whatever m is. The tables hold
+    p^ceil(m/2) + p^floor(m/2) ints: 343 + 343 on GF(7^6), 1,024 + 1,024
+    on GF(2^20), and at most 10,201 + 101 (GF(101^3)) under
+    MAX_FIELD_ORDER. The solve word is the one coordinate form:
+    coordinate i is the word under `block_masks[i]`. No field table is
+    read.
     """
 
     def __init__(self, field: FiniteField, a: int, b: int, k: int):
@@ -476,23 +476,33 @@ class SubfieldMap:
         width = (2 * (p - 1)).bit_length()
         ones = sum(1 << (i * width) for i in range(m))
         self._width = width
+        self._shift = width - 1
         self._p = p
         self._bias = ones * ((1 << (width - 1)) - p)
         self._tops = ones << (width - 1)
         block = (1 << (a * width)) - 1
         # coordinate i vanishes iff its a slots, under block_masks[i], do
         self.block_masks = [block << (i * a * width) for i in range(b)]
+        # A block, the a slots of one coordinate, is an aB-bit number whose
+        # slots are each at most p-1 < 2^(B-1), so it is below 2^(aB-1).
+        # Adding 2^(aB-1) - 1 carries nowhere past the block and sets its
+        # top bit exactly when the block is nonzero (Lamport, CACM 1975;
+        # Knuth, TAOCP 4A, 7.1.3): `(word + _block_low) & _block_tops`
+        # reads all b flags of a solve word at once.
+        low = block >> 1
+        self._block_low = sum(low << (i * a * width) for i in range(b))
+        self._block_tops = sum(low + 1 << (i * a * width) for i in range(b))
 
-        digits = next(c for c in itertools.count(1)
-                      if p ** (c + 1) > CHUNK_ENTRIES)
-        self._chunk = p**digits
         packed = [sum(inv[i][j] << (i * width) for i in range(m))
                   for j in range(m)]
+        # the low half, ceil(m/2) digits, then the high half; by linearity
+        # entry v + d*p^j of a half's table is entry v + d*(column j)
+        half = (m + 1) // 2
+        self._split = p**half
         self._tables = []
-        for start in range(0, m, digits):
-            # by linearity, entry v + d*p^j is entry v + d*(column j)
+        for columns in (packed[:half], packed[half:]):
             table = [0]
-            for column in packed[start:start + digits]:
+            for column in columns:
                 row = table
                 for _ in range(p - 1):
                     row = [self._add(v, column) for v in row]
@@ -503,7 +513,7 @@ class SubfieldMap:
         """Packed sum of two reduced packed vectors, reduced: for the
         table build and `gp.verify_isomorphism`; `solve_word` inlines it."""
         w = u + v
-        over = ((w + self._bias) & self._tops) >> (self._width - 1)
+        over = ((w + self._bias) & self._tops) >> self._shift
         return w - over * self._p
 
     def solve_word(self, x_idx: int) -> int:
@@ -513,15 +523,11 @@ class SubfieldMap:
         the a coefficients that spell coordinate i in the tau-basis.
         Raises BadParameters, through `as_index`, unless x is an element
         index in [0, q); `gp.HammingView.pattern_idx` and
-        `gp.verify_isomorphism` both solve here. One loop over the chunks
-        adds each chunk's table entry and reduces the sum, as `_add` does,
-        inline: the first sum, onto 0, is already reduced."""
-        x_idx = as_index(self.field, x_idx)
-        chunk, bias, tops, p = self._chunk, self._bias, self._tops, self._p
-        shift = self._width - 1
-        word = 0
-        for table in self._tables:
-            x_idx, v = divmod(x_idx, chunk)
-            word += table[v]
-            word -= (((word + bias) & tops) >> shift) * p
-        return word
+        `gp.verify_isomorphism` both solve here. One divmod splits x into
+        its halves, and the sum of their two table entries is reduced as
+        `_add` reduces it, inline."""
+        high, low = divmod(as_index(self.field, x_idx), self._split)
+        lows, highs = self._tables
+        word = lows[low] + highs[high]
+        over = ((word + self._bias) & self._tops) >> self._shift
+        return word - over * self._p

@@ -77,13 +77,22 @@ class HammingView(SubfieldMap):
                 f"m={m}, k=(p^m-1)/(b(p^a-1)), a={a}, b={b}: k needs m = ab, "
                 f"b > 1 and b(p^a-1) dividing p^m-1")
         super().__init__(field, a, b, n // (b * (p**a - 1)))
+        self._patterns = {}  # flag word -> zero pattern
 
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
         """Zero pattern of [x]: which Hamming coordinates vanish. A
-        coordinate vanishes exactly when its block of F_p coefficients does,
-        which one mask tests in the packed solve."""
-        word = self.solve_word(x_idx)
-        return tuple([not word & mask for mask in self.block_masks])
+        coordinate vanishes exactly when its block of F_p coefficients
+        does, and one addition and one mask of the packed solve set the
+        top bit of every nonzero block at once (see `SubfieldMap`). The
+        tuple of each flag word is built on its first sight and kept, at
+        most 2^b of them, so elements with the same zero set get the same
+        tuple object."""
+        flags = (self.solve_word(x_idx) + self._block_low) & self._block_tops
+        pattern = self._patterns.get(flags)
+        if pattern is None:
+            pattern = self._patterns[flags] = tuple(
+                [not flags & mask for mask in self.block_masks])
+        return pattern
 
     def __repr__(self):
         return (f"HammingView(GF({self.field.p}^{self.field.m}), k={self.k}, "

@@ -160,12 +160,13 @@ def random_graph(rng: random.Random, n: int):
     """Random simple undirected graph on n vertices."""
     import numpy as np
 
+    # one draw per pair i < j, in row order, the order in which a boolean
+    # mask assignment fills the upper triangle
+    index = np.arange(n)
     adj = np.zeros((n, n), dtype=np.int8)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.6:
-                adj[i, j] = adj[j, i] = 1
-    return DenseGraph(adj)
+    adj[index[:, None] < index] = [rng.random() < 0.6
+                                   for _ in range(n * (n - 1) // 2)]
+    return DenseGraph(adj | adj.T, copy=False)
 
 
 def random_neps_instance(rng: random.Random):

@@ -88,6 +88,12 @@ ROWS = [
           "--s 6 --nonzero-only", "188204479107145598027193001200"),
     count("formula-power-literal", "count --p 2 --a 2 --b 3 --alpha pow:3 "
           "--s 3 --nonzero-only", "4116"),
+    # (97,1,3): the Hamming triple with the largest half tables under the
+    # field cap, 9,409 + 97 entries, against the convolution
+    *(count(f"half-tables-gf97-3-{method}", "count --p 97 --a 1 --b 3 "
+            f"--alpha pow:1 --s 2 --nonzero-only --method {method}",
+            "20085122", budget=20)
+      for method in ("formula", "convolution")),
     # counts by the oracles
     *(count(f"non-primitive-{method}", "count --p 3 --a 1 --b 4 --alpha 0 "
             f"--s 2 --nonzero-only --method {method}", "800")

@@ -19,7 +19,6 @@ from diagwalks.errors import (
     NotPrime,
 )
 from diagwalks.field import (
-    CHUNK_ENTRIES,
     PackedRing,
     SubfieldMap,
     factorize,
@@ -431,7 +430,7 @@ def _subfield_maps(max_q):
 
 def test_packed_solve_exhaustive_small_fields():
     # every element of every field with q <= 4096 against the list
-    # product, including the uneven chunk splits of 2^9, 2^12 and 3^7
+    # product, including the uneven half splits of 2^9 and 3^7
     seen = set()
     for smap in _subfield_maps(4096):
         field = smap.field
@@ -444,7 +443,7 @@ def test_packed_solve_exhaustive_small_fields():
 
 @pytest.mark.parametrize("p,a,b", [(7, 1, 6), (3, 6, 2), (2, 4, 5)])
 def test_packed_solve_sampled_large_fields(p, a, b):
-    # digits split into chunks 2+2+2, 5+5+2 and 8+8+4
+    # digits split into halves 3+3, 6+6 and 10+10
     smap = DiagonalSystem(p, a, b).view
     solve = list_solver(smap)
     rng = random.Random(20)
@@ -454,13 +453,21 @@ def test_packed_solve_sampled_large_fields(p, a, b):
 
 
 @pytest.mark.parametrize("p,a,b,sizes", [
-    (7, 1, 6, [49, 49, 49]),
-    (3, 6, 2, [243, 243, 9]),
-    (2, 4, 5, [256, 256, 16]),
+    (7, 1, 6, [343, 343]),
+    (3, 6, 2, [729, 729]),
+    (2, 4, 5, [1024, 1024]),
 ])
 def test_chunk_tables_bounded(p, a, b, sizes):
+    # one table per half of the m digits: p^ceil(m/2) and p^floor(m/2)
     smap = DiagonalSystem(p, a, b).view
     m = smap.field.m
-    digits = max(c for c in range(1, m + 1) if p**c <= CHUNK_ENTRIES)
     assert [len(t) for t in smap._tables] == sizes
-    assert sum(sizes) <= -(-m // digits) * CHUNK_ENTRIES
+    assert sizes == [p ** -(-m // 2), p ** (m // 2)]
+
+
+def test_half_tables_peak_under_the_cap():
+    # by arithmetic alone, no field built: the larger half table of any
+    # field with m >= 2 under the cap peaks at GF(101^3), 10,201 entries
+    largest = max((p ** -(-m // 2), p, m) for p, m in fields_under()
+                  if m >= 2)
+    assert largest == (10201, 101, 3)

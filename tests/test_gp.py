@@ -1,3 +1,5 @@
+import itertools
+import random
 import re
 import time
 import tracemalloc
@@ -246,6 +248,59 @@ def test_pattern_idx_matches_coordinates(f9, f64):
             assert pattern == tuple(c == 0 for c in coordinates(view, x))
     assert HammingView(f9, 1, 2).pattern_idx(1) == (False, True)
     assert HammingView(f9, 1, 2).pattern_idx(0) == (True, True)
+
+
+def _flag_view(p, a, b):
+    """`HammingView.pattern_idx` on the packed layout of any (p, a, b), fed
+    solve words directly: the SubfieldMap with k = 1, whose basis
+    {omega^i} is always independent, under an identity solve. So it
+    covers p = 2, a = 1 too, which has no Hamming view (no b > 1 divides
+    2^b - 1)."""
+    view = object.__new__(HammingView)
+    SubfieldMap.__init__(view, build_field(p, a * b), a, b, 1)
+    view._patterns = {}
+    view.solve_word = lambda word: word
+    return view
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2),
+                                  (7, 1), (97, 1)])
+def test_flag_word_reads_every_block_value(p, a):
+    # every reduced block value at every position, between random reduced
+    # neighbours, and a block whose only nonzero slot is its highest,
+    # holding p-1, between all-zero and all-(p-1) neighbours
+    b, rng = 3, random.Random(39)
+    view = _flag_view(p, a, b)
+    width = view._width
+
+    def pack(blocks):
+        return sum(c << (slot * width) for slot, c in
+                   enumerate(itertools.chain.from_iterable(blocks)))
+
+    def check(blocks):
+        want = tuple(not any(block) for block in blocks)
+        assert view.pattern_idx(pack(blocks)) == want, blocks
+
+    for value in itertools.product(range(p), repeat=a):
+        for i in range(b):
+            blocks = [[rng.randrange(p) for _ in range(a)] for _ in range(b)]
+            blocks[i] = value
+            check(blocks)
+    top_only = [0] * (a - 1) + [p - 1]
+    for fill in ([0] * a, [p - 1] * a):
+        for i in range(b):
+            check([top_only if j == i else fill for j in range(b)])
+    assert len(view._patterns) <= 2**b
+
+
+def test_pattern_idx_shares_one_tuple_per_zero_set():
+    # 1 and 2 are (1, 0, ..., 0) and (2, 0, ..., 0): one zero set, one tuple
+    view = DiagonalSystem(7, 1, 6).view
+    assert view.pattern_idx(1) is view.pattern_idx(2)
+    rng = random.Random(39)
+    patterns = [view.pattern_idx(rng.randrange(view.field.q))
+                for _ in range(2000)]
+    assert len({id(t) for t in patterns}) == len(set(patterns)) <= 2**6
 
 
 @pytest.mark.parametrize("p, a, b", [(7, 1, 6), (2, 4, 5), (3, 1, 2)])
