@@ -111,15 +111,13 @@ def emit(args, payload: dict, method: str, started: float,
         ]
         print(",".join(CSV_COLUMNS))
         print(",".join(row))
-    elif fmt == "table":
+    else:  # "table"
         rows = {key: json.dumps(value) if isinstance(value, (dict, list))
                 else value for key, value in record["result"].items()}
         rows["elapsed"] = f"{record['elapsed_ms']} ms"
         width = max(map(len, rows))
         for key, value in rows.items():
             print(f"{key:>{width}}: {value}")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def cmd_count(args) -> int:
@@ -149,12 +147,10 @@ def cmd_count(args) -> int:
         # the last row holds only the elements it reaches
         count = convolution_distribution(field, k, n,
                                          args.nonzero_only)[n].get(alpha, 0)
-    elif method == "walk":
+    else:  # "walk"
         if not args.nonzero_only:
             raise DiagwalksError("--method walk computes N_r; add --nonzero-only")
         count = walk_solution_count(field, k, 0, alpha, n)
-    else:
-        raise DiagwalksError(f"unknown method {method!r}")
     # the count travels as a decimal string
     payload = dict(p=p, a=a, b=b, k=k, q=field.q, alpha=args.alpha, r_or_s=n,
                    mode=mode, method=method, count=str(count))

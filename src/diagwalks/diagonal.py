@@ -117,26 +117,28 @@ class DiagonalSystem:
 
     def count_nonzero(self, alpha, r: int) -> int:
         """N_r(alpha): k^r times the Hamming walk count for alpha's zero
-        pattern. r and alpha are checked on every call: an int alpha equal
-        to the memoized index was checked when it was solved, and any
-        other alpha (a numpy int, a bool, an array, a float) goes through
-        `as_index` before it is compared. The pattern is solved only when
-        alpha differs from the previous call's, so a run of calls on one
-        alpha solves it once. An int r the system's table of small powers
-        (MAX_K_POWERS_BYTES) holds is admitted by the lookup of k^r; any
-        other r goes through `check_length`, and k^r is formed."""
+        pattern. r and alpha are checked on every call, alpha once: any
+        alpha but an int (a numpy int, a bool, an array, a float) goes
+        through `as_index` before it meets the memo, and an int alpha is
+        admitted by the solve in `pattern_idx` when it misses the memo.
+        The pattern is solved only when alpha differs from the previous
+        call's, so a run of calls on one alpha solves it once, and a
+        refused alpha leaves the memo as it was. An int r the system's
+        table of small powers (MAX_K_POWERS_BYTES) holds is admitted by
+        the lookup of k^r; any other r goes through `check_length`, and
+        k^r is formed."""
         powers = self._k_powers
         if type(r) is int and 0 <= r < len(powers):
             k_r = powers[r]
         else:
             r = check_length("r", r, self.q - 1)
             k_r = self.k**r
+        if type(alpha) is not int:
+            alpha = as_index(self.field, alpha)
         memo_idx, pattern = self._pattern
-        if type(alpha) is not int or alpha != memo_idx:
-            idx = as_index(self.field, alpha)
-            if idx != memo_idx:
-                pattern = self.view.pattern_idx(idx)
-                self._pattern = (idx, pattern)
+        if alpha != memo_idx:
+            pattern = self.view.pattern_idx(alpha)
+            self._pattern = (alpha, pattern)
         return k_r * hamming_walks(self.b, self.Q, r, pattern)
 
     def count_all(self, alpha, s: int) -> int:
@@ -196,26 +198,24 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     nnz bins and d words, one vector of the other a turn, so it makes at
     most nnz*d <= base^t additions in R^m bins of memory. Raises
     KDoesNotDivide, and, before numpy is loaded, EnumerationTooLarge when
-    the pass writes more than MAX_ENUM_TUPLES values, runs to
-    r >= log2(MAX_ENUM_TUPLES) or takes more than MAX_ENUM_POWERS powers.
+    the pass runs to r >= log2(MAX_ENUM_TUPLES), writes more than
+    MAX_ENUM_TUPLES values or takes more than MAX_ENUM_POWERS powers.
     """
     k = check_k_divides(field.q, k)
     r = check_length("r", r)
     p, m, q = field.p, field.m, field.q
     base = (q - 1) if restrict_nonzero else q
-    # at most base^t additions for each step t = 1..r, R^m bins for each
-    # row and the bin map, and (r+1)*q row entries. At base 2 these pass
-    # the cap before r reaches its bit length, so no pass runs that many
-    # lengths: not even GF(2) without zeros (base 1)
-    lengths = MAX_ENUM_TUPLES.bit_length()
-    runs = min(r, lengths)
-    radix = runs * (p - 1) + 1
+    # the length bound first, so the writes are summed over at most 26
+    # steps: at most base^t additions for each step t = 1..r, R^m bins for
+    # each row and the bin map, and (r+1)*q row entries
+    admit(EnumerationTooLarge, r, MAX_ENUM_TUPLES.bit_length() - 1,
+          "MAX_ENUM_TUPLES.bit_length() - 1",
+          "a brute-force pass runs to r={}")
+    radix = r * (p - 1) + 1
     bins = radix**m
-    writes = (r + 1) * (q + bins) + sum(base**t for t in range(1, runs + 1))
+    writes = (r + 1) * (q + bins) + sum(base**t for t in range(1, r + 1))
     admit(EnumerationTooLarge, writes, MAX_ENUM_TUPLES, "MAX_ENUM_TUPLES",
           "a pass to r={} writes at least {} values", r)
-    admit(EnumerationTooLarge, r, lengths - 1, "MAX_ENUM_TUPLES.bit_length() "
-          "- 1", "a brute-force pass runs to r={}")
     admit(EnumerationTooLarge, base if r else 0, MAX_ENUM_POWERS,
           "MAX_ENUM_POWERS", "a pass over GF({}^{}) takes {} field powers",
           p, m)

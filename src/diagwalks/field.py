@@ -143,8 +143,9 @@ class PackedRing:
             x_t = [(c + top * f) % p for c, f in zip([0] + x_t[:-1], x_m)]
 
     # `_word` and `_index` are the one codec between an element index and
-    # its digits; `_word` takes the m low base-p digits of any int, so it
-    # ends on a negative or out-of-range index too
+    # its digits, and every element operation goes through it but a sum
+    # for p = 2, a XOR; `_word` takes the m low base-p digits of any int,
+    # so it ends on a negative or out-of-range index too
 
     def _word(self, i: int) -> int:
         p, slot = self.p, self._slot
@@ -165,14 +166,9 @@ class PackedRing:
         return idx
 
     def _reduce(self, word: int) -> int:
-        """word with every slot taken mod p."""
-        p, slot, mask = self.p, self._slot, self._slot_mask
-        out = shift = 0
-        while word:
-            out |= (word & mask) % p << shift
-            word >>= slot
-            shift += slot
-        return out
+        """word, of at most m slots, with every slot taken mod p: the
+        codec's round trip."""
+        return self._word(self._index(word))
 
     def _product(self, u: int, v: int) -> int:
         """The m low slots of u*v mod f, for reduced words u and v, each
@@ -237,13 +233,11 @@ class FiniteField(PackedRing):
     """GF(p^m) with q <= MAX_FIELD_ORDER; immutable after construction.
 
     The packed ring of `find_modulus(p, m)` on element indices, with
-    `_word`/`_index` as the one digit codec: a product is one `_product`,
-    a power one `_power`, a negation or difference one slot-wise multiple
-    of words, and `digits`/`index_of` read and write the word's slots. A
-    sum is one fused divmod loop (a masked XOR for p = 2), kept off the
-    word because the convolution oracle's inner loop calls it: through
-    the word a sum measured 1.2 to 2 times slower per call on GF(5^2) to
-    GF(7^3), and a masked XOR is two operations. Construction is the
+    `_word`/`_index` as the one digit codec for every element operation:
+    a product is one `_product`, a power one `_power`, a sum, negation or
+    difference one slot-wise sum of multiples of words, and
+    `digits`/`index_of` read and write the word's slots. For p = 2 a sum
+    is a XOR masked to the m low bits instead. Construction is the
     modulus search and the primitive test, both on packed words. The
     numpy `add_table` is built on each read, for the GP-graph, and numpy
     is imported only then; the field keeps no q-sized state.
@@ -275,21 +269,14 @@ class FiniteField(PackedRing):
 
     # --- arithmetic on indices ---
 
-    def add_idx(self, i, j):
-        p = self.p
-        if p == 2:
-            return (i ^ j) & (self.q - 1)
-        out, place = 0, 1
-        for _ in range(self.m):
-            i, a = divmod(i, p)
-            j, b = divmod(j, p)
-            a += b
-            out += (a - p if a >= p else a) * place
-            place *= p
-        return out
+    # -c = (p-1)c mod p; a slot of word + word, (p-1)*word or word +
+    # (p-1)*word is at most p(p-1) <= 2m(p-1)^2 < 2^B, so it carries
+    # nowhere (__init__)
 
-    # -c = (p-1)c mod p; a slot of (p-1)*word or of word + (p-1)*word is
-    # at most p(p-1) <= 2m(p-1)^2 < 2^B, so it carries nowhere (__init__)
+    def add_idx(self, i, j):
+        if self.p == 2:
+            return (i ^ j) & (self.q - 1)
+        return self._index(self._word(i) + self._word(j))
 
     def neg_idx(self, i):
         return self._index((self.p - 1) * self._word(i))

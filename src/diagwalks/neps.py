@@ -44,8 +44,8 @@ _WALK_ENTRY_BYTES = ((MAX_COUNT_BITS // sys.int_info.bits_per_digit + 1)
 
 
 class NepsBasis:
-    """Non-empty set of distinct 0/1 n-tuples; the all-zero tuple is
-    rejected because it would put a loop at every vertex."""
+    """Non-empty set of distinct 0/1 n-tuples, n >= 1; the all-zero tuple
+    is rejected because it would put a loop at every vertex."""
 
     def __init__(self, tuples):
         try:
@@ -56,6 +56,8 @@ class NepsBasis:
         if not tuples:
             raise BadParameters("basis must be non-empty")
         n = len(tuples[0])
+        if not n:
+            raise BadParameters("basis tuples must have at least one entry")
         for t in tuples:
             if len(t) != n:
                 raise BadParameters(f"mixed tuple lengths in basis: {tuples}")

@@ -84,7 +84,7 @@ ROWS = [
     refused("verify-negative-max-r", "verify --max-r -1", "BadParameters",
             "must be >= 0"),
     # counts by formula
-    count("formula-gf2-20-chunks", "count --p 2 --a 4 --b 5 --alpha pow:1 "
+    count("formula-gf2-20", "count --p 2 --a 4 --b 5 --alpha pow:1 "
           "--s 6 --nonzero-only", "188204479107145598027193001200"),
     count("formula-power-literal", "count --p 2 --a 2 --b 3 --alpha pow:3 "
           "--s 3 --nonzero-only", "4116"),
@@ -93,6 +93,11 @@ ROWS = [
     *(count(f"half-tables-gf97-3-{method}", "count --p 97 --a 1 --b 3 "
             f"--alpha pow:1 --s 2 --nonzero-only --method {method}",
             "20085122", budget=20)
+      for method in ("formula", "convolution")),
+    # GF(3^6): the field's sum through the digit codec on six slots, in
+    # the formula's solve and the convolution's inner loop
+    *(count(f"codec-sum-gf3-6-{method}", "count --p 3 --a 3 --b 2 "
+            f"--alpha pow:1 --s 3 --nonzero-only --method {method}", "411600")
       for method in ("formula", "convolution")),
     # counts by the oracles
     *(count(f"non-primitive-{method}", "count --p 3 --a 1 --b 4 --alpha 0 "
@@ -154,6 +159,9 @@ ROWS = [
             "DiagwalksError", "one of --neps or --gp is required"),
     refused("neps-empty-sizes", 'walks --neps "" --basis 1 --from 0 --to 0 '
             "--length 1", "BadParameters", "^--neps ''"),
+    refused("neps-empty-basis", 'walks --neps 3 --basis "" --from 0 --to 1 '
+            "--length 2", "BadParameters",
+            "^basis tuples must have at least one entry$"),
     # caps, each refused before its work
     refused("field-order-cap", "count --p 3 --a 1000 --b 2 --alpha 0 --s 1",
             "FieldTooLarge", budget=20),

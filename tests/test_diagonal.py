@@ -19,6 +19,7 @@ from diagwalks import (
     walk_solution_count,
 )
 from diagwalks import cli, diagonal
+from diagwalks import field as field_mod
 from diagwalks.cli import parse_element
 from diagwalks.diagonal import diagonal_exponent
 from diagwalks.errors import (
@@ -90,8 +91,9 @@ def test_a_run_of_queries_on_one_alpha_solves_it_once(monkeypatch):
     assert system.count_all(True, 3) == system.count_all(1, 3)
     assert calls == [5, 6, 5, 1]
     system.count_nonzero(5, 3)
-    # the element checks run before the memo is read, hit or miss: an
-    # array equal to the warm index is refused, not read as a hit
+    # any alpha but an int is checked before the memo is read, hit or
+    # miss: an array equal to the warm index is refused, not read as a
+    # hit; an int out of range reaches the solve, which refuses it
     for bad in (5.0, "5", np.array([5]), system.q, -1):
         with pytest.raises(BadParameters):
             system.count_nonzero(bad, 3)
@@ -99,7 +101,29 @@ def test_a_run_of_queries_on_one_alpha_solves_it_once(monkeypatch):
             system.count_all(bad, 3)
     with pytest.raises(BadParameters, match="r=-1"):
         system.count_nonzero(5, -1)
-    assert calls == [5, 6, 5, 1, 5]
+    assert calls == [5, 6, 5, 1, 5, system.q, -1]
+    # a refused alpha leaves the memo on 5
+    system.count_nonzero(5, 3)
+    assert calls == [5, 6, 5, 1, 5, system.q, -1]
+
+
+def test_a_miss_on_an_int_alpha_checks_it_once(monkeypatch):
+    # on a miss the pattern solve admits an int alpha, and nothing else
+    # checks it; a hit checks nothing
+    system = DiagonalSystem(7, 1, 6)
+    want = system.count_nonzero(1234, 3)
+    system.count_nonzero(5, 3)
+    calls = []
+    for module in (diagonal, field_mod):
+        def counted(field, x, check=module.as_index):
+            calls.append(x)
+            return check(field, x)
+
+        monkeypatch.setattr(module, "as_index", counted)
+    assert system.count_nonzero(1234, 3) == want
+    assert calls == [1234]
+    system.count_nonzero(1234, 2)
+    assert calls == [1234]
 
 
 @pytest.mark.parametrize("p,a,b", [(7, 1, 3), (2, 2, 3), (7, 1, 6)])
@@ -266,20 +290,22 @@ def test_enumeration_cap(no_add_table):
 
 def test_enumeration_cap_counts_every_written_value(no_add_table):
     # GF(2) has one nonzero tuple of each length, but a pass to r = 10^8
-    # writes 10^8 prefix sums and (10^8 + 1) rows of q entries
+    # would write 10^8 prefix sums and (10^8 + 1) rows of q entries; the
+    # length bound refuses it before the writes are counted
     field = build_field(2, 1)
     with pytest.raises(EnumerationTooLarge, match="over the cap"):
         brute_force_distribution(field, 1, 10**8)
 
 
 def test_enumeration_cap_bounds_the_lengths(no_add_table):
-    # a base-2 pass passes 10^8 writes before r = 27; GF(2) without zeros
-    # writes 3r + 2 values and r(r+1) bins, so only the length bound
-    # refuses r = 27
+    # the length bound runs before the writes are counted, so it refuses
+    # r = 27 on any base; GF(2) without zeros writes 3r + 2 values and
+    # r(r+1) bins, so no other bound refuses it
     field = build_field(2, 1)
-    with pytest.raises(EnumerationTooLarge,
-                       match=r"bit_length\(\) - 1 of 26$"):
-        brute_force_distribution(field, 1, 27)
+    for case in ((field, 1, 27), (build_field(2, 2), 1, 27, False)):
+        with pytest.raises(EnumerationTooLarge,
+                           match=r"bit_length\(\) - 1 of 26$"):
+            brute_force_distribution(*case)
     assert brute_force_distribution(field, 1, 26)[:, 1].tolist() == \
         [t % 2 for t in range(27)]
     with pytest.raises(EnumerationTooLarge):
@@ -515,9 +541,9 @@ def test_brute_force_streams_the_last_summand(f25):
 
 
 def test_brute_force_last_stage_buffer_is_bounded():
-    # GF(3) with zeros at r = 15: 3^14 prefix sums in 31 bins. The last
-    # summand goes to chunks of 2^20 sums, so the buffer is not a second
-    # copy of the sums
+    # GF(3) with zeros at r = 15: 3^14 prefix sums in 31 bins. A step
+    # holds its row as the counts of its bins, never the sums one by one,
+    # so the peak stays below one array of the sums
     field = build_field(3, 1)
     sums = 3**14 * np.dtype(np.intp).itemsize
     tracemalloc.start()

@@ -185,8 +185,8 @@ def test_add_and_neg_against_digit_sums(f9, f64):
 
 
 def test_digit_codec_round_trips_on_the_largest_fields():
-    # the most slots: m = 20 and 12; digits, index_of, neg_idx and sub_idx
-    # all read the packed word, add_idx its own loop (XOR for p = 2)
+    # the most slots: m = 20 and 12; digits, index_of and every element
+    # operation read the packed word, but a sum for p = 2, a XOR
     for p, m in [(2, 20), (3, 12)]:
         field = build_field(p, m)
         rng = random.Random(33)

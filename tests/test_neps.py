@@ -57,6 +57,11 @@ def test_basis_refusals_are_typed():
         NepsBasis([1])
     with pytest.raises(BadParameters, match="basis entry='x'"):
         NepsBasis.parse("1x")
+    # a tuple with no entries has its own refusal, not the all-zero one
+    with pytest.raises(BadParameters, match="at least one entry"):
+        NepsBasis([()])
+    with pytest.raises(BadParameters, match="at least one entry"):
+        NepsBasis.parse("")
 
 
 def test_basis_parse():
