@@ -189,17 +189,19 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     Each power x^k is written as its m base-p digits packed in base
     R = r(p-1)+1. A sum of t <= r such words adds digit by digit with no
     carry, as no digit sum passes r(p-1) < R, so the value sum of every
-    tuple is one integer sum, counted in one of R^m bins; one map per pass
-    takes each base-R digit of a bin mod p, and adds the bins of a row
-    exactly onto the q elements. Row t-1 is held as its nonzero bins and
-    their int64 counts, and step t adds each distinct word, weighted by
-    the number of summand values packing to it: the same enumeration,
-    grouped by the distributive law. A step loops over the shorter of its
-    nnz bins and d words, one vector of the other a turn, so it makes at
-    most nnz*d <= base^t additions in R^m bins of memory. Raises
-    KDoesNotDivide, and, before numpy is loaded, EnumerationTooLarge when
-    the pass runs to r >= log2(MAX_ENUM_TUPLES), writes more than
-    MAX_ENUM_TUPLES values or takes more than MAX_ENUM_POWERS powers.
+    tuple is one integer sum, counted in one of R^m bins. Row t-1 is held
+    as its nonzero bins and their int64 counts, and step t adds each
+    distinct word, weighted by the number of summand values packing to
+    it: the same enumeration, grouped by the distributive law. A step
+    loops over the shorter of its nnz bins and d words and adds the other
+    axis, scaled, with one indexed add a turn, exact as neither axis
+    repeats a bin; so it makes at most nnz*d <= base^t additions in R^m
+    bins of memory. Only the bins a row reaches are mapped to elements,
+    each base-R digit taken mod p, and their counts added onto the q
+    elements of the row. Raises KDoesNotDivide, and, before numpy is
+    loaded, EnumerationTooLarge when the pass runs to
+    r >= log2(MAX_ENUM_TUPLES), writes more than MAX_ENUM_TUPLES values or
+    takes more than MAX_ENUM_POWERS powers.
     """
     k = check_k_divides(field.q, k)
     r = check_length("r", r)
@@ -207,7 +209,8 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     base = (q - 1) if restrict_nonzero else q
     # the length bound first, so the writes are summed over at most 26
     # steps: at most base^t additions for each step t = 1..r, R^m bins for
-    # each row and the bin map, and (r+1)*q row entries
+    # each row, and (r+1)*q row entries. The bins a row reaches, with their
+    # counts and elements, are no more than the additions that reached them
     admit(EnumerationTooLarge, r, MAX_ENUM_TUPLES.bit_length() - 1,
           "MAX_ENUM_TUPLES.bit_length() - 1",
           "a brute-force pass runs to r={}")
@@ -230,28 +233,23 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     words = np.zeros_like(powers)
     for t in range(m):
         words += powers // p**t % p * radix**t
-    # bin w goes to the element whose digit t is digit t of w mod p
-    bin_ids = np.arange(bins, dtype=np.intp)
-    elements = sum(bin_ids // radix**t % radix % p * p**t for t in range(m))
     # each distinct word once, with the number of summand values it packs
     mult = np.bincount(words)
     distinct = np.flatnonzero(mult)
     mult = mult[distinct]
-    # each vector scaled once per distinct weight on the shorter axis
     ids, counts = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.int64)
     for t in range(1, r + 1):
         nxt = np.zeros(bins, dtype=np.int64)
         (outer, weight), (inner, scale) = sorted(
             [(ids, counts), (distinct, mult)], key=lambda axis: len(axis[0]))
-        # the few distinct weights as a Python set: np.unique would load
-        # numpy.ma, about 13 ms per process, for its masked-array test
-        for c in sorted(set(weight.tolist())):
-            vec = c * scale
-            for i in outer[weight == c].tolist():
-                np.add.at(nxt[i:], inner, vec)
-        np.add.at(dist[t], elements, nxt)
+        # inner never repeats a bin, so one indexed add is exact
+        for i, c in zip(outer.tolist(), weight.tolist()):
+            nxt[inner + i] += c * scale
         ids = np.flatnonzero(nxt)
         counts = nxt[ids]
+        # bin w goes to the element whose digit j is digit j of w mod p
+        np.add.at(dist[t], sum(ids // radix**j % radix % p * p**j
+                               for j in range(m)), counts)
     return dist
 
 

@@ -12,8 +12,9 @@ graph H(b,q) one of b+1 Krawtchouk-weighted terms, and K_m is the
 one-factor case. Each only builds its terms; `_spectral_walks`, the one
 kernel, sums their powers and divides. Every cost passes `errors.admit`
 against MAX_NEPS_OPS before its first step. `hamming_walks` admits its
-arguments on every call, then looks its count up in the one memo, which
-`cache_info` reports. numpy is imported only in `neps_construct`.
+arguments on every call, then looks its count up in the one memo, bounded
+by the bytes it holds, which `cache_info` reports and `cache_clear`
+empties. numpy is imported only in `neps_construct`.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ MAX_PRODUCT_BYTES = 1 << 24
 # factors of the complete-graph terms, or words of the Krawtchouk recurrence
 # or powers
 MAX_NEPS_OPS = 10**7
-# bytes the memo of Hamming walk counts may hold. An admitted count is at
-# most 2^MAX_COUNT_BITS, whose CPython digits take 139,812 bytes; 1 KiB
-# more covers the int's header, its key and the cache's link. So the memo
-# keeps 238 counts.
+# bytes the memo of Hamming walk counts may hold, each count and its key
+# measured by sys.getsizeof as it is stored; the memo is emptied before a
+# count would take it past this. An admitted count is at most
+# 2^MAX_COUNT_BITS, about 140 kB, so one entry always fits
 MAX_WALK_MEMO_BYTES = 1 << 25
-_WALK_ENTRY_BYTES = ((MAX_COUNT_BITS // sys.int_info.bits_per_digit + 1)
-                     * sys.int_info.sizeof_digit + 1024)
+# a key (b, q, d, r) but its q: a 4-tuple and three ints that the walk
+# admissions keep below 2^30, one CPython digit each
+_KEY_BYTES = sys.getsizeof((0, 0, 0, 0)) + 3 * sys.getsizeof(1)
+# bytes the memo holds now
+_walk_memo_bytes = 0
 
 
 class NepsBasis:
@@ -304,32 +308,44 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
 
 
 def _spectral_walks(what: str, count: int, top: int, terms, r: int,
-                    divisor: int) -> int:
+                    divisor: int, *what_args) -> int:
     """The one spectral kernel: sum w lambda^r over (lambda, w) in `terms`,
     divided exactly by `divisor`, once the `count` powers, |lambda| <= top,
     pass `errors.admit` before any term: ceil(r ceil(log2 top) / 64) words
-    each."""
+    each. `what` names the sum in a refusal, a template filled in with
+    `what_args` only then, as `admit` fills its message."""
     admit(NepsWalkTooLarge, count * -(-r * (top - 1).bit_length() // 64),
-          MAX_NEPS_OPS, "MAX_NEPS_OPS", "{} raises {} eigenvalues to the "
-          "power r={}, {} words", what, count, r)
+          MAX_NEPS_OPS, "MAX_NEPS_OPS", what + " raises {} eigenvalues to "
+          "the power r={}, {} words", *what_args, count, r)
     total = 0
     for lam, weight in terms:
         total += weight * lam**r
     walks, rem = divmod(total, divisor)
     if rem:
-        raise ArithmeticError(f"{what} at r={r} is not divisible by "
-                              f"{shown(divisor)}")
+        raise ArithmeticError(f"{what.format(*map(shown, what_args))} at "
+                              f"r={r} is not divisible by {shown(divisor)}")
     return walks
 
 
-@lru_cache(maxsize=MAX_WALK_MEMO_BYTES // _WALK_ENTRY_BYTES)
+@lru_cache(maxsize=None)
 def _walks(b: int, q: int, d: int, r: int) -> int:
-    """The count of `hamming_walks` for admitted Python ints b, q, d, r."""
+    """The count of `hamming_walks` for admitted Python ints b, q, d, r.
+    The memo is unbounded in entries and bounded in bytes: each count and
+    its key are measured as they are stored, and the memo is emptied when
+    the count would take it past MAX_WALK_MEMO_BYTES."""
+    global _walk_memo_bytes
     admit(NepsWalkTooLarge, (b + 1) * -(-b * q.bit_length() // 64),
           MAX_NEPS_OPS, "MAX_NEPS_OPS", "the Krawtchouk weights of H({},{}) "
           "take {} word operations", b, q)
-    return _spectral_walks(f"the sum for H({b},{shown(q)})", b + 1,
-                           b * (q - 1), _krawtchouk(b, q, d), r, q**b)
+    count = _spectral_walks("the sum for H({},{})", b + 1, b * (q - 1),
+                            _krawtchouk(b, q, d), r, q**b, b, q)
+    # int.__sizeof__ is sys.getsizeof of an int, which has no GC header,
+    # without the argument parsing that takes most of getsizeof's time
+    size = count.__sizeof__() + q.__sizeof__() + _KEY_BYTES
+    if _walk_memo_bytes + size > MAX_WALK_MEMO_BYTES:
+        cache_clear()
+    _walk_memo_bytes += size
+    return count
 
 
 def _krawtchouk(b: int, q: int, d: int):
@@ -344,5 +360,14 @@ def _krawtchouk(b: int, q: int, d: int):
 
 
 def cache_info() -> dict:
-    """Hits, misses, maxsize and currsize of the process-wide walk memo."""
-    return {"walks": _walks.cache_info()._asdict()}
+    """Hits, misses, maxsize, currsize and the bytes held of the
+    process-wide walk memo; hits and misses count from its last emptying."""
+    return {"walks": {**_walks.cache_info()._asdict(),
+                      "bytes": _walk_memo_bytes}}
+
+
+def cache_clear() -> None:
+    """Empty the process-wide walk memo."""
+    global _walk_memo_bytes
+    _walks.cache_clear()
+    _walk_memo_bytes = 0

@@ -541,19 +541,22 @@ def test_brute_force_streams_the_last_summand(f25):
 
 
 def test_brute_force_last_stage_buffer_is_bounded():
-    # GF(3) with zeros at r = 15: 3^14 prefix sums in 31 bins. A step
+    # GF(3) with zeros at r = 15: 3^14 prefix sums in R^m = 31 bins. A step
     # holds its row as the counts of its bins, never the sums one by one,
-    # so the peak stays below one array of the sums
-    field = build_field(3, 1)
-    sums = 3**14 * np.dtype(np.intp).itemsize
+    # so the peak is a few int64 arrays of 31 bins, the 16 x 3 returned
+    # rows and a fixed 16 KiB for numpy's and Python's own objects (about
+    # 7.5 KB at every r); the 38 MB of sums would pass it a thousandfold
+    field, r = build_field(3, 1), 15
+    bins, rows = 31, (r + 1) * 3
+    bound = 8 * (4 * bins + rows) + (1 << 14)
     tracemalloc.start()
     try:
-        dist = brute_force_distribution(field, 1, 15, False)
+        dist = brute_force_distribution(field, 1, r, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert dist[15].tolist() == [3**14] * 3
-    assert peak <= 1.5 * sums, f"peak {peak} bytes, {sums} of sums"
+    assert peak <= bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_convolution_r1_is_f(f9):
@@ -710,3 +713,8 @@ def test_formula_past_gf_7_6(p, a, b):
                 assert system.count_nonzero(alpha, r) == (
                     system.k**r * walks[r][d]
                 ), (coords, r)
+
+
+def test_system_repr_names_its_parameters():
+    assert repr(DiagonalSystem(3, 1, 2)) == (
+        "DiagonalSystem(p=3, a=1, b=2, q=9, k=2)")

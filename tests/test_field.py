@@ -471,3 +471,14 @@ def test_half_tables_peak_under_the_cap():
     largest = max((p ** -(-m // 2), p, m) for p, m in fields_under()
                   if m >= 2)
     assert largest == (10201, 101, 3)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_check_field_refuses_m_below_one(m):
+    with pytest.raises(BadParameters, match=f"^m={m} must be >= 1$"):
+        field_mod.check_field(3, m)
+
+
+def test_field_repr_names_modulus_and_generator():
+    assert repr(build_field(3, 2)) == (
+        "FiniteField(p=3, m=2, modulus=(1, 0, 1), omega=4)")

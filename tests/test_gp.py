@@ -473,3 +473,23 @@ def test_walk_counts_depend_only_on_difference(f64):
     for x in (0, 5, 20):
         for y in range(64):
             assert bool(g.adj[x, y]) == (f64.sub_idx(y, x) in residues)
+
+
+def test_isomorphism_refuses_a_map_that_moves_zero(monkeypatch):
+    # [0] = 0 is the induction's base: a map with [0] = [1] is refused on
+    # its first solve, before the digit loop reads [0] again at x = 1
+    view = DiagonalSystem(3, 1, 2).view
+    solve, calls = view.solve_word, []
+
+    def moved(x):
+        calls.append(x)
+        return solve(x or 1)
+
+    monkeypatch.setattr(view, "solve_word", moved)
+    assert verify_isomorphism(view) is False
+    assert calls == [0]
+
+
+def test_view_repr_names_field_k_and_hamming_graph():
+    assert repr(DiagonalSystem(3, 1, 2).view) == (
+        "HammingView(GF(3^2), k=2, H(2,3))")

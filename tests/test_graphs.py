@@ -323,3 +323,9 @@ def test_walk_cache_cap_checked_before_any_product():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert len(g._powers) == 1
+
+
+def test_graph_repr_names_order_kind_and_edges():
+    assert repr(complete_graph(4)) == "DenseGraph(n=4, undirected, edges=12)"
+    arc = DenseGraph(np.array([[0, 1], [0, 0]], dtype=np.int8))
+    assert repr(arc) == "DenseGraph(n=2, directed, edges=1)"

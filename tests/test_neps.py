@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 
@@ -19,6 +20,7 @@ from diagwalks import (
     neps_walks,
 )
 from diagwalks import neps, verify
+from diagwalks.diagonal import DiagonalSystem
 from diagwalks.errors import (
     ArityMismatch,
     BadParameters,
@@ -512,7 +514,7 @@ def test_hamming_matches_matrix_power():
 def test_hamming_walks_match_distance_recurrence():
     # far beyond what a composition sum over C(r+b-1, b-1) terms can reach;
     # each count is asked twice, cold from the memo and then warm
-    neps._walks.cache_clear()
+    neps.cache_clear()
     checked = 0
     for b in range(1, 10):
         for q in range(2, 10):
@@ -525,17 +527,16 @@ def test_hamming_walks_match_distance_recurrence():
                             b, q, r, d)
                     checked += 1
     assert checked == 17_712
-    # the 17,712 distinct keys overfill the memo, which stays at its bound
+    # the 17,712 distinct keys, a few hundred bytes each, all fit the memo
     memo = neps.cache_info()["walks"]
-    assert memo["misses"] == memo["hits"] == checked
-    assert memo["currsize"] == memo["maxsize"] == (
-        neps.MAX_WALK_MEMO_BYTES // neps._WALK_ENTRY_BYTES)
+    assert memo["misses"] == memo["hits"] == memo["currsize"] == checked
+    assert 0 < memo["bytes"] <= neps.MAX_WALK_MEMO_BYTES
 
 
 def test_hamming_walks_match_krawtchouk_double_sum():
     # the weights by their three-term recurrence against the double sum,
     # every key asked once, from a cold memo
-    neps._walks.cache_clear()
+    neps.cache_clear()
     for b in range(1, 13):
         for q in range(2, 17):
             for d in range(b + 1):
@@ -550,7 +551,7 @@ def test_hamming_walks_at_a_64_bit_alphabet():
     # 401 weights of up to 25,600 bits, where the double sum takes seconds;
     # a call leaves its count in the memo and nothing else
     b, q = 400, 2**64
-    neps._walks.cache_clear()
+    neps.cache_clear()
     started = time.perf_counter()
     assert hamming_walks(b, q, 0, (True,) * 200 + (False,) * 200) == 0
     assert time.perf_counter() - started < 0.5
@@ -572,7 +573,7 @@ def test_krawtchouk_cap_refuses_before_any_step(monkeypatch):
     # H(6,7) takes 7 single-word steps: admitted at a cap of 7, not 6
     zeros = (True,) * 4 + (False,) * 2
     want = hamming_walks(6, 7, 5, zeros)
-    neps._walks.cache_clear()
+    neps.cache_clear()
     monkeypatch.setattr(neps, "MAX_NEPS_OPS", 6)
     with pytest.raises(NepsWalkTooLarge, match="take 7 word operations"):
         hamming_walks(6, 7, 5, zeros)
@@ -584,7 +585,7 @@ def test_eigenvalue_powers_refused_before_any_power(monkeypatch):
     # H(17888, 2) passes the weight cap with 9,999,951 word operations,
     # but its 17,889 powers to r = 69,905 take 293,093,376 words, minutes
     # of squaring: refused before the first, and nothing is memoized
-    neps._walks.cache_clear()
+    neps.cache_clear()
     started = time.perf_counter()
     with pytest.raises(NepsWalkTooLarge, match="293093376 words"):
         hamming_walks(17888, 2, 69905, (True,) * 17888)
@@ -604,7 +605,7 @@ def test_eigenvalue_powers_refused_before_any_power(monkeypatch):
     calls = [(lambda: hamming_walks(2, 3, 64, (True, True)), 6),
              (lambda: complete_walks(5, 64, True), 4)]
     wants = [call() for call, _ in calls]
-    neps._walks.cache_clear()
+    neps.cache_clear()
     for (call, words), want in zip(calls, wants):
         monkeypatch.setattr(neps, "MAX_NEPS_OPS", words - 1)
         with pytest.raises(NepsWalkTooLarge, match=f" {words} words"):
@@ -634,17 +635,54 @@ def test_complete_spectral_sum_counts_every_factor_of_its_terms(monkeypatch):
 
 
 def test_cache_info_reports_hits_misses_and_size():
-    neps._walks.cache_clear()
+    neps.cache_clear()
     before = neps.cache_info()
     hamming_walks(6, 7, 5, (True,) * 4 + (False,) * 2)
     hamming_walks(6, 7, 5, (True,) * 4 + (False,) * 2)
     after = neps.cache_info()
-    fields = {"hits", "misses", "maxsize", "currsize"}
+    fields = {"hits", "misses", "maxsize", "currsize", "bytes"}
     assert set(before) == set(after) == {"walks"}
     assert all(set(info) == fields for info in (*before.values(),
                                                 *after.values()))
     assert (before["walks"]["hits"], after["walks"]["hits"]) == (0, 1)
     assert after["walks"]["misses"] == after["walks"]["currsize"] == 1
+    # the count, its key tuple and the key's four ints
+    key = (6, 7, 2, 5)
+    held = sys.getsizeof(hamming_walks(6, 7, 5, (True,) * 4 + (False,) * 2))
+    held += sys.getsizeof(key) + sum(map(sys.getsizeof, key))
+    assert (before["walks"]["bytes"], after["walks"]["bytes"]) == (0, held)
+
+
+def test_a_repeated_count_all_adds_no_miss():
+    # a second M_400 on one alpha of (3,1,2) reads its 400 walk counts from
+    # the memo; a memo of 238 entries, used in order, missed all 400 again
+    system = DiagonalSystem(3, 1, 2)
+    neps.cache_clear()
+    first = system.count_all(1, 400)
+    misses = neps.cache_info()["walks"]["misses"]
+    assert misses == 400
+    assert system.count_all(1, 400) == first
+    assert neps.cache_info()["walks"]["misses"] == misses
+
+
+def test_walk_memo_is_emptied_before_it_passes_its_bytes(monkeypatch):
+    # under a cap of 4 KiB the memo is emptied several times over; it never
+    # holds more than the cap, and every count it returns is right
+    monkeypatch.setattr(neps, "MAX_WALK_MEMO_BYTES", 1 << 12)
+    neps.cache_clear()
+    rows = hamming_distance_walks(3, 5, 60)
+    flushes, size = 0, 0
+    for r, row in enumerate(rows):
+        for d in range(4):
+            zeros = (True,) * (3 - d) + (False,) * d
+            assert hamming_walks(3, 5, r, zeros) == row[d], (r, d)
+            memo = neps.cache_info()["walks"]
+            assert 0 < memo["bytes"] <= neps.MAX_WALK_MEMO_BYTES
+            flushes += memo["currsize"] < size + 1
+            size = memo["currsize"]
+    assert flushes >= 3
+    neps.cache_clear()
+    assert neps.cache_info()["walks"]["bytes"] == 0
 
 
 def test_length_table_too_short():
@@ -688,3 +726,11 @@ def test_neps_oracle_names_the_corrupted_pair(monkeypatch):
     [result] = verify.check_neps_oracle(instances=3, seed=0)
     assert not result.ok
     assert f"pair=({n - 1},{n - 2})" in result.detail
+
+
+def test_equal_bases_hash_as_their_sorted_tuples():
+    basis = NepsBasis([(0, 1), (1, 0)])
+    assert basis == NepsBasis.parse("10;01") == NepsBasis.standard(2)
+    assert hash(basis) == hash(NepsBasis.parse("10;01")) == hash(
+        ((0, 1), (1, 0)))
+    assert len({basis, NepsBasis.parse("10;01"), NepsBasis([(1, 1)])}) == 2

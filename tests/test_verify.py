@@ -81,3 +81,34 @@ def test_checks_report_the_first_counterexample(monkeypatch):
     assert not result.ok
     assert result.detail.startswith("p=3 a=1 b=2 n=2:"), result
     assert verify.check_isomorphisms(system).ok
+
+
+def test_run_all_defaults_to_the_default_roster(built):
+    results = verify.run_all(max_r=1, neps_instances=0)
+    assert built == verify.DEFAULT_ROSTER
+    assert len(results) == 5 * len(verify.DEFAULT_ROSTER) + 2
+    assert all(result.ok for result in results), results
+
+
+def _construct_k12_for(basis):
+    """neps_construct, but K_12 for the given basis."""
+    real = verify.neps_construct
+    return lambda factors, b: (verify.complete_graph(12) if b == basis
+                               else real(factors, b))
+
+
+@pytest.mark.parametrize("name, patch, detail", [
+    # K_12 has 11 closed 2-walks, K3 x K4 under 11 has 6, under 10;01 5
+    ("neps_construct", _construct_k12_for(verify.NepsBasis([(1, 1)])),
+     "Kronecker form fails at r=2"),
+    ("neps_construct", _construct_k12_for(verify.NepsBasis([(1, 0), (0, 1)])),
+     "binomial form fails at r=2"),
+    # one walk too many at length 3 first shows in the sum at r = 3
+    ("complete_walks", lambda m, r, same, real=verify.complete_walks:
+        real(m, r, same) + (r == 3), "binomial form fails at r=3"),
+], ids=["kronecker", "binomial-graph", "binomial-sum"])
+def test_example_closed_forms_name_the_failing_display(monkeypatch, name,
+                                                       patch, detail):
+    monkeypatch.setattr(verify, name, patch)
+    [result] = verify.check_example_closed_forms()
+    assert (result.ok, result.detail) == (False, detail)
