@@ -1,17 +1,21 @@
 """Self-verification suites: every closed formula against an independent oracle.
 
-`run_all` builds one `DiagonalSystem` per roster triple and hands it to
-the five per-triple checks, each returning one CheckResult:
+`run_all` builds one `DiagonalSystem` per roster triple, evaluates its
+formula once (`formula_rows`: N_r and M_r at every alpha and r <= max_r,
+each row a dict of the nonzero counts) and hands the rows to the five
+per-triple checks, each returning one CheckResult:
 
-- triple and convolution agreement: `count_nonzero` against the literal
-  enumeration, whose step t extends the nnz bins of its tuples' packed
-  sums by the d distinct packed words in at most nnz*d <= base^t
-  additions, and, in a check of its own, the additive convolution, for
-  every alpha, one call to each oracle giving every r <= max_r;
-- walk bridge: the same counts against k^r times matrix-power walks on
-  the triple's generalized Paley graph, built once for the check;
+- triple and convolution agreement: the formula's N_r rows against the
+  literal enumeration, whose step t extends the nnz bins of its tuples'
+  packed sums by the d distinct packed words in at most nnz*d <= base^t
+  additions, and, in a check of its own, the additive convolution; one
+  call to each oracle gives every r <= max_r, and `_agreement` compares
+  whole rows, an alpha missing from a row reading 0;
+- walk bridge: the same rows against k^r times matrix-power walks on the
+  triple's generalized Paley graph, built once for the check and read at
+  every alpha;
 - isomorphism: the system's own `HammingView` against R_k;
-- partition: the sums of N_r and M_s over alpha.
+- partition: the sums of the N_r and M_s rows over alpha.
 
 Two checks do not depend on the roster:
 
@@ -70,53 +74,77 @@ def _triple(system: DiagonalSystem) -> str:
     return f"p={system.p} a={system.a} b={system.b}"
 
 
-def _agreement(system: DiagonalSystem, max_r: int, name: str,
-               oracle) -> CheckResult:
-    """The one compare loop of the oracle checks: `count_nonzero(alpha, r)`
-    against oracle(alpha, r) for every alpha and r <= max_r; the first
-    disagreement, with both counts, is the failure's detail."""
-    # alpha outer, so the r <= max_r calls on one alpha share its solve
+def formula_rows(system: DiagonalSystem, max_r: int) -> list[tuple[dict, dict]]:
+    """The formula's rows for r = 0..max_r: one pair (N_r, M_r) per r, each
+    a dict mapping every alpha where the count is nonzero to it, the form
+    `convolution_distribution` returns. One pass over every alpha, with
+    alpha outer, so that the `count_nonzero` and `count_all` calls on one
+    alpha share its solve."""
+    rows = [({}, {}) for _ in range(max_r + 1)]
     for alpha in range(system.q):
-        for r in range(max_r + 1):
-            formula, other = system.count_nonzero(alpha, r), oracle(alpha, r)
-            if formula != other:
-                return CheckResult(name, False, (
-                    f"{_triple(system)} alpha={alpha} r={r}: "
-                    f"formula={formula} oracle={other}"))
+        for r, (row_n, row_m) in enumerate(rows):
+            count_n, count_m = (system.count_nonzero(alpha, r),
+                                system.count_all(alpha, r))
+            if count_n:
+                row_n[alpha] = count_n
+            if count_m:
+                row_m[alpha] = count_m
+    return rows
+
+
+def _agreement(system: DiagonalSystem, rows, name: str,
+               oracle_rows) -> CheckResult:
+    """The one compare of the oracle checks: the formula's N_r row against
+    the oracle's row r, for each r; an alpha missing from a row reads 0.
+    The failure's detail is the least differing alpha of the least failing
+    r, with both counts."""
+    for r, ((formula, _), oracle) in enumerate(zip(rows, oracle_rows)):
+        alpha = min((alpha for alpha in formula.keys() | oracle.keys()
+                     if formula.get(alpha, 0) != oracle.get(alpha, 0)),
+                    default=None)
+        if alpha is not None:
+            return CheckResult(name, False, (
+                f"{_triple(system)} alpha={alpha} r={r}: "
+                f"formula={formula.get(alpha, 0)} "
+                f"oracle={oracle.get(alpha, 0)}"))
     return CheckResult(name, True)
 
 
-def check_triple_agreement(system: DiagonalSystem, max_r=3) -> CheckResult:
+def check_triple_agreement(system: DiagonalSystem, rows) -> CheckResult:
     """Formula vs literal enumeration, every alpha."""
-    field, k, q = system.field, system.k, system.q
-    brute = brute_force_distribution(field, k, max_r, True)
-    return _agreement(system, max_r, f"triple-agreement {_triple(system)} "
-                      f"(q={q}, k={k}, r<={max_r})",
-                      lambda alpha, r: int(brute[r, alpha]))
+    field, k, q, max_r = system.field, system.k, system.q, len(rows) - 1
+    brute = [{alpha: count for alpha, count in enumerate(row.tolist())
+              if count}
+             for row in brute_force_distribution(field, k, max_r, True)]
+    return _agreement(system, rows, f"triple-agreement {_triple(system)} "
+                      f"(q={q}, k={k}, r<={max_r})", brute)
 
 
-def check_convolution_agreement(system: DiagonalSystem,
-                                max_r=3) -> CheckResult:
+def check_convolution_agreement(system: DiagonalSystem, rows) -> CheckResult:
     """Formula vs additive convolution, every alpha; the rows map only
     the elements they reach, and any other alpha weighs 0."""
-    field, k, q = system.field, system.k, system.q
+    field, k, q, max_r = system.field, system.k, system.q, len(rows) - 1
     conv = convolution_distribution(field, k, max_r, True)
-    return _agreement(system, max_r, f"convolution-agreement "
-                      f"{_triple(system)} (q={q}, k={k}, r<={max_r})",
-                      lambda alpha, r: conv[r].get(alpha, 0))
+    return _agreement(system, rows, f"convolution-agreement "
+                      f"{_triple(system)} (q={q}, k={k}, r<={max_r})", conv)
 
 
-def check_walk_bridge(system: DiagonalSystem, max_r=3) -> CheckResult:
+def check_walk_bridge(system: DiagonalSystem, rows) -> CheckResult:
     """k^r * (walks from 0 to alpha on the GP-graph, built once here) must
     equal N_r(alpha)."""
-    graph, k = gp_graph(system.field, system.k), system.k
-    return _agreement(system, max_r, f"walk-bridge {_triple(system)} "
-                      f"(r<={max_r})",
-                      lambda alpha, r: k**r * graph.walk_count(r, 0, alpha))
+    graph, k, max_r = gp_graph(system.field, system.k), system.k, len(rows) - 1
+    walks = [{} for _ in rows]
+    for r, row in enumerate(walks):
+        for alpha in range(system.q):
+            count = graph.walk_count(r, 0, alpha)
+            if count:
+                row[alpha] = k**r * count
+    return _agreement(system, rows, f"walk-bridge {_triple(system)} "
+                      f"(r<={max_r})", walks)
 
 
-def check_isomorphisms(system: DiagonalSystem, max_r=3) -> CheckResult:
-    """The system's coordinate map is a GP/Hamming isomorphism; max_r is
+def check_isomorphisms(system: DiagonalSystem, rows=None) -> CheckResult:
+    """The system's coordinate map is a GP/Hamming isomorphism; rows is
     unused, so that all five per-triple checks share one signature."""
     return CheckResult(
         f"isomorphism Gamma({system.k},{system.q}) ~ "
@@ -125,17 +153,12 @@ def check_isomorphisms(system: DiagonalSystem, max_r=3) -> CheckResult:
     )
 
 
-def check_partition(system: DiagonalSystem, max_r=3) -> CheckResult:
+def check_partition(system: DiagonalSystem, rows) -> CheckResult:
     """Sum over alpha of N_r is (q-1)^r; of M_s is q^s."""
     q = system.q
-    name = f"partition {_triple(system)} (n<={max_r})"
-    sums_n, sums_m = [0] * (max_r + 1), [0] * (max_r + 1)
-    # alpha outer, so the n <= max_r calls on one alpha share its solve
-    for alpha in range(q):
-        for n in range(max_r + 1):
-            sums_n[n] += system.count_nonzero(alpha, n)
-            sums_m[n] += system.count_all(alpha, n)
-    for n, total_n, total_m in zip(range(max_r + 1), sums_n, sums_m):
+    name = f"partition {_triple(system)} (n<={len(rows) - 1})"
+    for n, (row_n, row_m) in enumerate(rows):
+        total_n, total_m = sum(row_n.values()), sum(row_m.values())
         if total_n != (q - 1) ** n or total_m != q**n:
             return CheckResult(name, False, (
                 f"{_triple(system)} n={n}: sum N={total_n} "
@@ -144,12 +167,12 @@ def check_partition(system: DiagonalSystem, max_r=3) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _run_capped(check, system: DiagonalSystem, max_r: int) -> CheckResult:
-    """check(system, max_r), or, when a cap refuses it, a skipped result
+def _run_capped(check, system: DiagonalSystem, rows) -> CheckResult:
+    """check(system, rows), or, when a cap refuses it, a skipped result
     named after the check and the triple, with the error's class and
     message as its detail."""
     try:
-        return check(system, max_r)
+        return check(system, rows)
     except CapExceeded as exc:
         name = check.__name__.removeprefix("check_").replace("_", "-")
         return CheckResult(f"{name} {_triple(system)}", True,
@@ -258,12 +281,19 @@ def check_example_closed_forms() -> list[CheckResult]:
 def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
     """The five per-triple checks on one system per roster triple
-    (DEFAULT_ROSTER when roster is None), each through `_run_capped`, then
-    the NEPS oracle and the examples. Raises BadParameters, before any
+    (DEFAULT_ROSTER when roster is None), each through `_run_capped` on the
+    system's `formula_rows`, then the NEPS oracle and the examples. The
+    rows are built once per system, after max_r is admitted, and one
+    system's rows are held at a time. Raises BadParameters, before any
     system is built, unless max_r and neps_instances are integers >= 0
     (`check_length`); the errors of `DiagonalSystem` for a triple it
     refuses; and CountTooLarge when q^max_r, q the roster's largest field,
-    could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built."""
+    could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built.
+
+    That admission bounds the counts, not the work: the partition's M_s
+    rows take q*max_r*(max_r+1)/2 `count_nonzero` calls through
+    `count_all`, which grow as q*max_r^2, and the rows hold up to
+    2*q*(max_r+1) counts. Neither is admitted yet."""
     max_r = check_length("max_r", max_r)
     neps_instances = check_length("neps_instances", neps_instances)
     if roster is None:
@@ -272,8 +302,13 @@ def run_all(roster=None, max_r=3, neps_instances=50,
     check_length("max_r", max_r, max((s.q for s in systems), default=1))
     checks = (check_triple_agreement, check_convolution_agreement,
               check_walk_bridge, check_isomorphisms, check_partition)
-    results = [_run_capped(check, system, max_r)
-               for check in checks for system in systems]
+    # one system's rows at a time; the lines are listed check by check
+    per_system = []
+    for system in systems:
+        rows = formula_rows(system, max_r)
+        per_system.append([_run_capped(check, system, rows)
+                           for check in checks])
+    results = [result for by_check in zip(*per_system) for result in by_check]
     results += check_neps_oracle(neps_instances, seed)
     results += check_example_closed_forms()
     return results

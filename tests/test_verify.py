@@ -3,6 +3,7 @@ import pytest
 from diagwalks import verify
 from diagwalks.diagonal import DiagonalSystem
 from diagwalks.errors import BadParameters, CountTooLarge
+from diagwalks.gp import HammingView
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ def test_run_all_refuses_negative_sizes_before_building(built, max_r,
 def test_run_all_admits_max_r_by_the_largest_field(monkeypatch, max_r):
     # M_s <= 25^s on (5,1,2): s = 225,798 is the last s of at most
     # MAX_COUNT_BITS bits. 10^400 overflowed in the partition check
-    def refuse(system, max_r):
+    def refuse(system, rows):
         raise RuntimeError("a check ran")
 
     for name in ("check_triple_agreement", "check_convolution_agreement",
@@ -63,7 +64,7 @@ def test_triple_agreement_calls_each_oracle_once(monkeypatch):
                 (verify.check_convolution_agreement,
                  "convolution_distribution")):
             calls.clear()
-            assert check(system, 3).ok
+            assert check(system, verify.formula_rows(system, 3)).ok
             assert calls == [(name, 3)]
 
 
@@ -74,13 +75,56 @@ def test_checks_report_the_first_counterexample(monkeypatch):
                         lambda alpha, r: real(alpha, r) + ((alpha, r) == (4, 2)))
     for check in (verify.check_triple_agreement,
                   verify.check_convolution_agreement, verify.check_walk_bridge):
-        result = check(system, 3)
+        result = check(system, verify.formula_rows(system, 3))
         assert not result.ok
         assert result.detail.startswith("p=3 a=1 b=2 alpha=4 r=2:"), result
-    result = verify.check_partition(system, 3)
+    result = verify.check_partition(system, verify.formula_rows(system, 3))
     assert not result.ok
     assert result.detail.startswith("p=3 a=1 b=2 n=2:"), result
     assert verify.check_isomorphisms(system).ok
+
+
+def test_run_all_solves_each_element_once_per_triple(monkeypatch):
+    # one formula pass per triple, alpha outer: 9 + 64 solves, where four
+    # passes make 292 and an r-outer pass 219
+    calls = []
+    solve = HammingView.pattern_idx
+
+    def counting(self, alpha):
+        calls.append(alpha)
+        return solve(self, alpha)
+
+    monkeypatch.setattr(HammingView, "pattern_idx", counting)
+    results = verify.run_all([(3, 1, 2), (2, 2, 3)], max_r=2, neps_instances=0)
+    assert all(result.ok for result in results), results
+    assert len(calls) == 9 + 64
+
+
+def test_agreements_compare_whole_rows(monkeypatch):
+    # on GF(9), k = 2: R_2 = {1, 2, 3, 6}, so N_1 is 0 at 4 and 5, and
+    # N_2(0) = 16; a fault a row holds (4, 5) or lacks (0) is found alike
+    system = DiagonalSystem(3, 1, 2)
+    real = system.count_nonzero
+    outside, reached = {(4, 1): 2, (5, 1): 2}, {(0, 2): 0}
+    cases = [
+        ({(5, 1): 2}, "alpha=5 r=1: formula=2 oracle=0", 1),
+        (outside, "alpha=4 r=1: formula=2 oracle=0", 1),
+        (reached, "alpha=0 r=2: formula=0 oracle=16", 2),
+        (outside | reached, "alpha=4 r=1: formula=2 oracle=0", 1),
+    ]
+    for faults, detail, n in cases:
+        monkeypatch.setattr(system, "count_nonzero", lambda alpha, r:
+                            faults.get((alpha, r), real(alpha, r)))
+        rows = verify.formula_rows(system, 2)
+        for check in (verify.check_triple_agreement,
+                      verify.check_convolution_agreement,
+                      verify.check_walk_bridge):
+            result = check(system, rows)
+            assert (result.ok, result.detail) == (
+                False, f"p=3 a=1 b=2 {detail}"), (check, faults)
+        result = verify.check_partition(system, rows)
+        assert not result.ok
+        assert result.detail.startswith(f"p=3 a=1 b=2 n={n}:"), result
 
 
 def test_run_all_defaults_to_the_default_roster(built):
