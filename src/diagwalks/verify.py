@@ -1,9 +1,10 @@
 """Self-verification suites: every closed formula against an independent oracle.
 
 `run_all` builds one `DiagonalSystem` per roster triple, evaluates its
-formula once (`formula_rows`: N_r and M_r at every alpha and r <= max_r,
-each row a dict of the nonzero counts) and hands the rows to the five
-per-triple checks, each returning one CheckResult:
+formula once (`FormulaRows`: N_r at every alpha and r <= max_r, each row
+a dict of the nonzero counts, kept only when an oracle is admitted, and
+the sums of N_r and M_r over alpha) and hands it to the five per-triple
+checks, each returning one CheckResult:
 
 - triple and convolution agreement: the formula's N_r rows against the
   literal enumeration, whose step t extends the nnz bins of its tuples'
@@ -15,7 +16,7 @@ per-triple checks, each returning one CheckResult:
   triple's generalized Paley graph, built once for the check and read at
   every alpha;
 - isomorphism: the system's own `HammingView` against R_k;
-- partition: the sums of the N_r and M_s rows over alpha.
+- partition: the sums of N_r and M_s over alpha.
 
 Two checks do not depend on the roster:
 
@@ -74,31 +75,56 @@ def _triple(system: DiagonalSystem) -> str:
     return f"p={system.p} a={system.a} b={system.b}"
 
 
-def formula_rows(system: DiagonalSystem, max_r: int) -> list[tuple[dict, dict]]:
-    """The formula's rows for r = 0..max_r: one pair (N_r, M_r) per r, each
-    a dict mapping every alpha where the count is nonzero to it, the form
-    `convolution_distribution` returns. One pass over every alpha, with
-    alpha outer, so that the `count_nonzero` and `count_all` calls on one
-    alpha share its solve."""
-    rows = [({}, {}) for _ in range(max_r + 1)]
-    for alpha in range(system.q):
-        for r, (row_n, row_m) in enumerate(rows):
-            count_n, count_m = (system.count_nonzero(alpha, r),
-                                system.count_all(alpha, r))
-            if count_n:
-                row_n[alpha] = count_n
-            if count_m:
-                row_m[alpha] = count_m
-    return rows
+class FormulaRows:
+    """The formula at every alpha and r = 0..max_r of one system, from one
+    pass made on first use, with alpha outer, so that the `count_nonzero`
+    and `count_all` calls on one alpha share its solve. `n[r]` maps every
+    alpha where N_r is nonzero to it, the form `convolution_distribution`
+    returns; `totals[r]` is the pair (sum of N_r, sum of M_r) over alpha.
+
+    Only a pass that `n` starts keeps the rows, up to q*(max_r+1) counts,
+    and `run_all`'s agreements read `n` after their oracle has built rows
+    of the same support under its own cap. A pass that `totals` starts,
+    as the partition's does when every oracle was refused, holds
+    2*(max_r+1) sums."""
+
+    def __init__(self, system: DiagonalSystem, max_r: int):
+        self.system, self.max_r = system, max_r
+        self._n = self._totals = None
+
+    @property
+    def n(self) -> list[dict]:
+        if self._n is None:
+            self._evaluate(keep=True)
+        return self._n
+
+    @property
+    def totals(self) -> list[list[int]]:
+        if self._totals is None:
+            self._evaluate(keep=False)
+        return self._totals
+
+    def _evaluate(self, keep: bool) -> None:
+        system, lengths = self.system, range(self.max_r + 1)
+        rows, totals = [{} for _ in lengths], [[0, 0] for _ in lengths]
+        for alpha in range(system.q):
+            for r in lengths:
+                count_n = system.count_nonzero(alpha, r)
+                totals[r][0] += count_n
+                totals[r][1] += system.count_all(alpha, r)
+                if keep and count_n:
+                    rows[r][alpha] = count_n
+        self._n, self._totals = rows if keep else None, totals
 
 
-def _agreement(system: DiagonalSystem, rows, name: str,
+def _agreement(system: DiagonalSystem, rows: FormulaRows, name: str,
                oracle_rows) -> CheckResult:
     """The one compare of the oracle checks: the formula's N_r row against
     the oracle's row r, for each r; an alpha missing from a row reads 0.
     The failure's detail is the least differing alpha of the least failing
-    r, with both counts."""
-    for r, ((formula, _), oracle) in enumerate(zip(rows, oracle_rows)):
+    r, with both counts. Called once the oracle's rows are built, so a
+    refused oracle leaves the formula's rows unbuilt."""
+    for r, (formula, oracle) in enumerate(zip(rows.n, oracle_rows)):
         alpha = min((alpha for alpha in formula.keys() | oracle.keys()
                      if formula.get(alpha, 0) != oracle.get(alpha, 0)),
                     default=None)
@@ -110,9 +136,10 @@ def _agreement(system: DiagonalSystem, rows, name: str,
     return CheckResult(name, True)
 
 
-def check_triple_agreement(system: DiagonalSystem, rows) -> CheckResult:
+def check_triple_agreement(system: DiagonalSystem,
+                           rows: FormulaRows) -> CheckResult:
     """Formula vs literal enumeration, every alpha."""
-    field, k, q, max_r = system.field, system.k, system.q, len(rows) - 1
+    field, k, q, max_r = system.field, system.k, system.q, rows.max_r
     brute = [{alpha: count for alpha, count in enumerate(row.tolist())
               if count}
              for row in brute_force_distribution(field, k, max_r, True)]
@@ -120,20 +147,22 @@ def check_triple_agreement(system: DiagonalSystem, rows) -> CheckResult:
                       f"(q={q}, k={k}, r<={max_r})", brute)
 
 
-def check_convolution_agreement(system: DiagonalSystem, rows) -> CheckResult:
+def check_convolution_agreement(system: DiagonalSystem,
+                                rows: FormulaRows) -> CheckResult:
     """Formula vs additive convolution, every alpha; the rows map only
     the elements they reach, and any other alpha weighs 0."""
-    field, k, q, max_r = system.field, system.k, system.q, len(rows) - 1
+    field, k, q, max_r = system.field, system.k, system.q, rows.max_r
     conv = convolution_distribution(field, k, max_r, True)
     return _agreement(system, rows, f"convolution-agreement "
                       f"{_triple(system)} (q={q}, k={k}, r<={max_r})", conv)
 
 
-def check_walk_bridge(system: DiagonalSystem, rows) -> CheckResult:
+def check_walk_bridge(system: DiagonalSystem,
+                      rows: FormulaRows) -> CheckResult:
     """k^r * (walks from 0 to alpha on the GP-graph, built once here) must
     equal N_r(alpha)."""
-    graph, k, max_r = gp_graph(system.field, system.k), system.k, len(rows) - 1
-    walks = [{} for _ in rows]
+    graph, k, max_r = gp_graph(system.field, system.k), system.k, rows.max_r
+    walks = [{} for _ in range(max_r + 1)]
     for r, row in enumerate(walks):
         for alpha in range(system.q):
             count = graph.walk_count(r, 0, alpha)
@@ -143,7 +172,8 @@ def check_walk_bridge(system: DiagonalSystem, rows) -> CheckResult:
                       f"(r<={max_r})", walks)
 
 
-def check_isomorphisms(system: DiagonalSystem, rows=None) -> CheckResult:
+def check_isomorphisms(system: DiagonalSystem,
+                       rows: FormulaRows | None = None) -> CheckResult:
     """The system's coordinate map is a GP/Hamming isomorphism; rows is
     unused, so that all five per-triple checks share one signature."""
     return CheckResult(
@@ -153,12 +183,11 @@ def check_isomorphisms(system: DiagonalSystem, rows=None) -> CheckResult:
     )
 
 
-def check_partition(system: DiagonalSystem, rows) -> CheckResult:
+def check_partition(system: DiagonalSystem, rows: FormulaRows) -> CheckResult:
     """Sum over alpha of N_r is (q-1)^r; of M_s is q^s."""
     q = system.q
-    name = f"partition {_triple(system)} (n<={len(rows) - 1})"
-    for n, (row_n, row_m) in enumerate(rows):
-        total_n, total_m = sum(row_n.values()), sum(row_m.values())
+    name = f"partition {_triple(system)} (n<={rows.max_r})"
+    for n, (total_n, total_m) in enumerate(rows.totals):
         if total_n != (q - 1) ** n or total_m != q**n:
             return CheckResult(name, False, (
                 f"{_triple(system)} n={n}: sum N={total_n} "
@@ -167,7 +196,8 @@ def check_partition(system: DiagonalSystem, rows) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _run_capped(check, system: DiagonalSystem, rows) -> CheckResult:
+def _run_capped(check, system: DiagonalSystem,
+                rows: FormulaRows) -> CheckResult:
     """check(system, rows), or, when a cap refuses it, a skipped result
     named after the check and the triple, with the error's class and
     message as its detail."""
@@ -282,8 +312,8 @@ def run_all(roster=None, max_r=3, neps_instances=50,
             seed=0) -> list[CheckResult]:
     """The five per-triple checks on one system per roster triple
     (DEFAULT_ROSTER when roster is None), each through `_run_capped` on the
-    system's `formula_rows`, then the NEPS oracle and the examples. The
-    rows are built once per system, after max_r is admitted, and one
+    system's `FormulaRows`, then the NEPS oracle and the examples. The
+    formula is evaluated once per system, after max_r is admitted, and one
     system's rows are held at a time. Raises BadParameters, before any
     system is built, unless max_r and neps_instances are integers >= 0
     (`check_length`); the errors of `DiagonalSystem` for a triple it
@@ -291,9 +321,10 @@ def run_all(roster=None, max_r=3, neps_instances=50,
     could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built.
 
     That admission bounds the counts, not the work: the partition's M_s
-    rows take q*max_r*(max_r+1)/2 `count_nonzero` calls through
-    `count_all`, which grow as q*max_r^2, and the rows hold up to
-    2*q*(max_r+1) counts. Neither is admitted yet."""
+    sums take q*max_r*(max_r+1)/2 `count_nonzero` calls through
+    `count_all`, which grow as q*max_r^2 and are not admitted yet. The
+    N_r rows, up to q*(max_r+1) counts, are kept only for an agreement
+    whose oracle its cap admitted."""
     max_r = check_length("max_r", max_r)
     neps_instances = check_length("neps_instances", neps_instances)
     if roster is None:
@@ -305,7 +336,7 @@ def run_all(roster=None, max_r=3, neps_instances=50,
     # one system's rows at a time; the lines are listed check by check
     per_system = []
     for system in systems:
-        rows = formula_rows(system, max_r)
+        rows = FormulaRows(system, max_r)
         per_system.append([_run_capped(check, system, rows)
                            for check in checks])
     results = [result for by_check in zip(*per_system) for result in by_check]

@@ -24,13 +24,13 @@ from diagwalks import (
 from diagwalks.neps import NepsBasis, agreement_pattern
 from diagwalks.verify import (
     DEFAULT_ROSTER,
+    FormulaRows,
     check_example_closed_forms,
     check_neps_oracle,
     check_convolution_agreement,
     check_partition,
     check_triple_agreement,
     check_walk_bridge,
-    formula_rows,
 )
 
 # (q, k) of each DEFAULT_ROSTER triple, in roster order
@@ -57,7 +57,7 @@ def test_criterion_1_triple_agreement(systems):
     assert [(s.q, s.k) for s in systems.values()] == ROSTER_QK
     started = time.perf_counter()
     bad = first_failure(
-        check(system, formula_rows(system, 4)) for system in systems.values()
+        check(system, FormulaRows(system, 4)) for system in systems.values()
         for check in (check_triple_agreement, check_convolution_agreement)
     )
     elapsed = time.perf_counter() - started
@@ -70,7 +70,7 @@ def test_criterion_1_triple_agreement(systems):
 
 def test_criterion_2_walk_bridge(systems):
     bad = first_failure(
-        check_walk_bridge(system, formula_rows(system, 4))
+        check_walk_bridge(system, FormulaRows(system, 4))
         for system in systems.values()
     )
     report("2 (walk bridge k^r*w(r,0,alpha) = N_r)", not bad, bad)
@@ -143,7 +143,7 @@ def test_criterion_6_isomorphisms():
 
 def test_criterion_7_partition_identities(systems):
     bad = first_failure(
-        check_partition(system, formula_rows(system, 4))
+        check_partition(system, FormulaRows(system, 4))
         for system in systems.values()
     )
     report("7 (partition: sums over alpha)", not bad, bad)

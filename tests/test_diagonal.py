@@ -32,7 +32,7 @@ from diagwalks.errors import (
     NotPrimitiveDivisor,
 )
 from diagwalks.field import FiniteField
-from diagwalks.verify import check_walk_bridge, formula_rows
+from diagwalks.verify import FormulaRows, check_walk_bridge
 
 from conftest import hamming_distance_walks, reconstruct, subfield_basis
 
@@ -606,7 +606,7 @@ def test_walk_bridge_example(f9):
 def test_walk_bridge_on_gf625_and_gf729():
     for p, a, b in [(5, 1, 4), (3, 3, 2)]:
         system = DiagonalSystem(p, a, b)
-        result = check_walk_bridge(system, formula_rows(system, 3))
+        result = check_walk_bridge(system, FormulaRows(system, 3))
         assert result.ok, result
 
 

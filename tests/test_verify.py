@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from diagwalks import verify
 from diagwalks.diagonal import DiagonalSystem
-from diagwalks.errors import BadParameters, CountTooLarge
+from diagwalks.errors import BadParameters, CountTooLarge, EnumerationTooLarge
 from diagwalks.gp import HammingView
 
 
@@ -64,7 +66,7 @@ def test_triple_agreement_calls_each_oracle_once(monkeypatch):
                 (verify.check_convolution_agreement,
                  "convolution_distribution")):
             calls.clear()
-            assert check(system, verify.formula_rows(system, 3)).ok
+            assert check(system, verify.FormulaRows(system, 3)).ok
             assert calls == [(name, 3)]
 
 
@@ -75,10 +77,10 @@ def test_checks_report_the_first_counterexample(monkeypatch):
                         lambda alpha, r: real(alpha, r) + ((alpha, r) == (4, 2)))
     for check in (verify.check_triple_agreement,
                   verify.check_convolution_agreement, verify.check_walk_bridge):
-        result = check(system, verify.formula_rows(system, 3))
+        result = check(system, verify.FormulaRows(system, 3))
         assert not result.ok
         assert result.detail.startswith("p=3 a=1 b=2 alpha=4 r=2:"), result
-    result = verify.check_partition(system, verify.formula_rows(system, 3))
+    result = verify.check_partition(system, verify.FormulaRows(system, 3))
     assert not result.ok
     assert result.detail.startswith("p=3 a=1 b=2 n=2:"), result
     assert verify.check_isomorphisms(system).ok
@@ -100,6 +102,28 @@ def test_run_all_solves_each_element_once_per_triple(monkeypatch):
     assert len(calls) == 9 + 64
 
 
+def test_run_all_keeps_no_rows_when_every_oracle_is_refused(monkeypatch):
+    # the partition reads only sums: on GF(625) at max_r = 6 the N_r rows
+    # hold 2,374 counts (a run that kept them peaked at 0.21 MB traced);
+    # the sums-only pass peaks near 0.04 MB, the system's tables included
+    def refuse(*args, **kwargs):
+        raise EnumerationTooLarge("refused")
+
+    for name in ("brute_force_distribution", "convolution_distribution",
+                 "gp_graph"):
+        monkeypatch.setattr(verify, name, refuse)
+    verify.run_all([(3, 1, 2)], max_r=1, neps_instances=0)  # warm caches
+    tracemalloc.start()
+    try:
+        results = verify.run_all([(5, 1, 4)], max_r=6, neps_instances=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [result.skipped for result in results[:5]] == [True] * 3 + [False] * 2
+    assert all(result.ok for result in results), results
+    assert peak < 100_000, peak
+
+
 def test_agreements_compare_whole_rows(monkeypatch):
     # on GF(9), k = 2: R_2 = {1, 2, 3, 6}, so N_1 is 0 at 4 and 5, and
     # N_2(0) = 16; a fault a row holds (4, 5) or lacks (0) is found alike
@@ -115,7 +139,7 @@ def test_agreements_compare_whole_rows(monkeypatch):
     for faults, detail, n in cases:
         monkeypatch.setattr(system, "count_nonzero", lambda alpha, r:
                             faults.get((alpha, r), real(alpha, r)))
-        rows = verify.formula_rows(system, 2)
+        rows = verify.FormulaRows(system, 2)
         for check in (verify.check_triple_agreement,
                       verify.check_convolution_agreement,
                       verify.check_walk_bridge):
