@@ -21,17 +21,16 @@ return the counts of every length t = 0..r from one pass.
 from __future__ import annotations
 
 import operator
-import sys
 from typing import TYPE_CHECKING
 
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
 from .errors import (MAX_COUNT_BITS, BadParameters, EnumerationTooLarge,
-                     KNotInteger, NotPrimitiveDivisor, admit, as_integer,
-                     check_length)
+                     KNotInteger, NepsWalkTooLarge, NotPrimitiveDivisor,
+                     admit, as_integer, check_length)
 from .field import (FiniteField, as_index, build_field, check_field,
                     check_k_divides, kth_power_residues)
 from .gp import HammingView, gp_graph
-from .neps import hamming_walks
+from .neps import MAX_NEPS_OPS, hamming_walks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,11 +48,6 @@ MAX_CONVOLUTION_OPS = 10**7
 # largest estimated size of the rows g_0..g_r it returns, whose entries
 # grow by log2(q) bits a step
 MAX_CONVOLUTION_BYTES = 1 << 26
-# bytes a DiagonalSystem's table of small powers k^0, k^1, ... may take,
-# counting each int and its 8-byte list slot: 100 powers of the k = 2 of
-# (3,1,2), 54 of the 12-bit k of (7,1,6), 15 of a 256-bit k. It is built
-# once with the system and never grows; a longer N_r forms k^r itself
-MAX_K_POWERS_BYTES = 1 << 12
 
 
 def diagonal_exponent(p: int, a: int, b: int) -> int:
@@ -104,16 +98,6 @@ class DiagonalSystem:
         # one-slot memo (index, zero pattern) of the last alpha solved; no
         # int equals None, so the first call solves
         self._pattern = (None, ())
-        # k^0, k^1, ... while they fit MAX_K_POWERS_BYTES; every r they
-        # reach is one check_length admits, as r <= _max_n
-        powers, held = [1], 8 + sys.getsizeof(1)
-        while len(powers) <= self._max_n:
-            power = powers[-1] * k
-            held += 8 + sys.getsizeof(power)
-            if held > MAX_K_POWERS_BYTES:
-                break
-            powers.append(power)
-        self._k_powers = powers
 
     def count_nonzero(self, alpha, r: int) -> int:
         """N_r(alpha): k^r times the Hamming walk count for alpha's zero
@@ -123,33 +107,39 @@ class DiagonalSystem:
         admitted by the solve in `pattern_idx` when it misses the memo.
         The pattern is solved only when alpha differs from the previous
         call's, so a run of calls on one alpha solves it once, and a
-        refused alpha leaves the memo as it was. An int r the system's
-        table of small powers (MAX_K_POWERS_BYTES) holds is admitted by
-        the lookup of k^r; any other r goes through `check_length`, and
-        k^r is formed."""
-        powers = self._k_powers
-        if type(r) is int and 0 <= r < len(powers):
-            k_r = powers[r]
-        else:
+        refused alpha leaves the memo as it was. An int r in [0, _max_n]
+        is admitted by that one comparison; any other r goes through
+        `check_length`. `hamming_walks` checks its arguments again only
+        when its memo misses the key."""
+        if type(r) is not int or not 0 <= r <= self._max_n:
             r = check_length("r", r, self.q - 1)
-            k_r = self.k**r
         if type(alpha) is not int:
             alpha = as_index(self.field, alpha)
         memo_idx, pattern = self._pattern
         if alpha != memo_idx:
             pattern = self.view.pattern_idx(alpha)
             self._pattern = (alpha, pattern)
-        return k_r * hamming_walks(self.b, self.Q, r, pattern)
+        return self.k**r * hamming_walks(self.b, self.Q, r, pattern)
 
     def count_all(self, alpha, s: int) -> int:
         """M_s(alpha): sum of binomial(s,i) N_i, plus 1 for the trivial
         solution when alpha = 0. The binomials are taken one from the last,
         C(s,i) = C(s,i-1)(s-i+1)/i, an exact division. It makes one
         `count_nonzero` call per i, bound once before the loop, and the s
-        calls share one solve of alpha's zero pattern."""
+        calls share one solve of alpha's zero pattern. Before the first,
+        once s and alpha are admitted, NepsWalkTooLarge is raised when the
+        s walk sums, each priced as a memo miss, could pass MAX_NEPS_OPS:
+        `_spectral_walks` admits b+1 powers of ceil(i bits / 64) <=
+        (i bits + 63) / 64 words for N_i, bits = bitlen(b(Q-1) - 1)."""
         if type(s) is not int or not 0 <= s <= self._max_n:
             s = check_length("s", s, self.q)
         idx = as_index(self.field, alpha)
+        bits = (self.b * (self.Q - 1) - 1).bit_length()
+        admit(NepsWalkTooLarge, (self.b + 1) * (bits * s * (s + 1) // 2
+                                                + 63 * s) // 64,
+              MAX_NEPS_OPS, "MAX_NEPS_OPS", "M_s for s={} raises the "
+              "eigenvalues of H({},{}) to the powers 1..s, {} words", s,
+              self.b, self.Q)
         count_nonzero = self.count_nonzero
         total = 1 if idx == 0 else 0
         binom = 1

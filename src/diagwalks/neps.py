@@ -11,10 +11,11 @@ walks are a spectral sum of 2^n |B| n-fold products, those of the Hamming
 graph H(b,q) one of b+1 Krawtchouk-weighted terms, and K_m is the
 one-factor case. Each only builds its terms; `_spectral_walks`, the one
 kernel, sums their powers and divides. Every cost passes `errors.admit`
-against MAX_NEPS_OPS before its first step. `hamming_walks` admits its
-arguments on every call, then looks its count up in the one memo, bounded
-by the bytes it holds, which `cache_info` reports and `cache_clear`
-empties. numpy is imported only in `neps_construct`.
+against MAX_NEPS_OPS before its first step. `hamming_walks` looks its
+count up in the one memo, bounded by the bytes it holds, which
+`cache_info` reports and `cache_clear` empties; b, q and r are checked
+only when the memo misses, and a refusal is never stored. numpy is
+imported only in `neps_construct`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import math
 import sys
 from functools import lru_cache
 
-from .errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
-                     LengthTableTooShort, NepsWalkTooLarge, ProductTooLarge,
-                     admit, as_integer, check_length, shown)
+from .errors import (ArityMismatch, BadParameters, LengthTableTooShort,
+                     NepsWalkTooLarge, ProductTooLarge, admit, as_integer,
+                     check_length, shown)
 from .graphs import DenseGraph
 
 # largest int8 adjacency neps_construct builds: 4096 vertices
@@ -273,16 +274,16 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     H(b,q) has eigenvalues b(q-1) - qj for j = 0..b, weighted by the
     Krawtchouk numbers K_j(d) (Delsarte 1973), so the count is
     q^-b * sum_j K_j(d) (b(q-1) - qj)^r: b+1 exact integer terms, at most
-    b(q-1)^r, the bound `check_length` takes past the r its bits admit.
-    The weights, |K_j| <= q^b, come from the three-term recurrence (j+1)
-    K_{j+1} = ((b-j)(q-1) + j - qd) K_j - (q-1)(b-j+1) K_{j-1}, K_0 = 1
-    (MacWilliams & Sloane 5.7), in (b+1) ceil(b bitlen(q) / 64) word
-    operations, admitted by MAX_NEPS_OPS before `_spectral_walks` sums the
-    terms. A repeated (b, q, d, r) is a lookup in `_walks`.
+    b(q-1)^r. The weights, |K_j| <= q^b, come from the three-term
+    recurrence (j+1) K_{j+1} = ((b-j)(q-1) + j - qd) K_j - (q-1)(b-j+1)
+    K_{j-1}, K_0 = 1 (MacWilliams & Sloane 5.7), in (b+1)
+    ceil(b bitlen(q) / 64) word operations, admitted by MAX_NEPS_OPS
+    before `_spectral_walks` sums the terms. The count is read from the
+    memo `_walks`, which checks b, q and r when it misses their key.
 
     `zeros` is any iterable of b entries, read by truth value: a tuple is
-    read as it is and anything else is turned into a tuple once, so a call
-    on a tuple pattern builds nothing before the lookup.
+    read as it is and anything else is turned into a tuple once. Ints b, q
+    and r and a tuple of True/False entries go straight to the memo.
     """
     if type(b) is not int or type(q) is not int:
         b, q = as_integer("b", b), as_integer("q", q)
@@ -294,11 +295,8 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
                 f"pattern {zeros!r} is not a sequence") from None
     if len(zeros) != b:
         raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
-    if b < 1 or q < 2:
-        raise BadParameters(f"bad Hamming parameters b={b}, q={q}")
-    if (type(r) is not int or r < 0
-            or r > MAX_COUNT_BITS // (b * (q - 1)).bit_length()):
-        r = check_length("r", r, b * (q - 1))
+    if type(r) is not int:
+        r = as_integer("r", r)
     # entries equal to False or True (bools, 0/1 ints, numpy bools) are
     # counted by tuple.count; a pattern holding any other value by truth
     d = zeros.count(False)
@@ -329,11 +327,17 @@ def _spectral_walks(what: str, count: int, top: int, terms, r: int,
 
 @lru_cache(maxsize=None)
 def _walks(b: int, q: int, d: int, r: int) -> int:
-    """The count of `hamming_walks` for admitted Python ints b, q, d, r.
-    The memo is unbounded in entries and bounded in bytes: each count and
-    its key are measured as they are stored, and the memo is emptied when
-    the count would take it past MAX_WALK_MEMO_BYTES."""
+    """The count of `hamming_walks` for Python ints b, q, d, r. A key is
+    checked when the memo misses it, and a refusal is not stored:
+    BadParameters unless b >= 1 and q >= 2, then `check_length` of r
+    against b(q-1)^r. The memo is unbounded in entries and bounded in
+    bytes: each count and its key are measured as they are stored, and
+    the memo is emptied when the count would take it past
+    MAX_WALK_MEMO_BYTES."""
     global _walk_memo_bytes
+    if b < 1 or q < 2:
+        raise BadParameters(f"bad Hamming parameters b={b}, q={q}")
+    r = check_length("r", r, b * (q - 1))
     admit(NepsWalkTooLarge, (b + 1) * -(-b * q.bit_length() // 64),
           MAX_NEPS_OPS, "MAX_NEPS_OPS", "the Krawtchouk weights of H({},{}) "
           "take {} word operations", b, q)

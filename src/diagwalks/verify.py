@@ -320,9 +320,10 @@ def run_all(roster=None, max_r=3, neps_instances=50,
     refuses; and CountTooLarge when q^max_r, q the roster's largest field,
     could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built.
 
-    That admission bounds the counts, not the work: the partition's M_s
-    sums take q*max_r*(max_r+1)/2 `count_nonzero` calls through
-    `count_all`, which grow as q*max_r^2 and are not admitted yet. The
+    That admission bounds the counts, not the work: each `count_all`
+    admits its own s walk sums, but the partition's M_s sums take
+    q*max_r*(max_r+1)/2 `count_nonzero` calls in all, which grow as
+    q*max_r^2 and are not admitted as a whole. The
     N_r rows, up to q*(max_r+1) counts, are kept only for an agreement
     whose oracle its cap admitted."""
     max_r = check_length("max_r", max_r)

@@ -175,6 +175,8 @@ ROWS = [
             "--nonzero-only --method convolution", "EnumerationTooLarge"),
     refused("neps-product-cap", "walks --neps 65,65 --basis 11 --from 0 "
             "--to 0 --length 1", "ProductTooLarge"),
+    refused("count-all-work-cap", "count --p 3 --a 1 --b 2 --alpha 0 "
+            "--s 330788", "NepsWalkTooLarge", "MAX_NEPS_OPS", budget=5),
     # lengths of 401 digits: each overflowed a float before its cap
     refused("convolution-huge-s", "count --p 3 --a 1 --b 2 --alpha 0 "
             f"--s {HUGE} --nonzero-only --method convolution",

@@ -29,7 +29,8 @@ from diagwalks.diagonal import diagonal_exponent
 from diagwalks.errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
                               CountTooLarge, EnumerationTooLarge,
                               KDoesNotDivide, LengthTableTooShort,
-                              ProductTooLarge, VertexOutOfRange)
+                              NepsWalkTooLarge, ProductTooLarge,
+                              VertexOutOfRange)
 from diagwalks.field import check_k_divides
 from diagwalks.neps import product_order
 
@@ -57,7 +58,7 @@ def _cases():
         "count_nonzero": Case(lambda n: s716.count_nonzero(1, n), 117648,
                               (diagonal, "hamming_walks")),
         "count_all": Case(lambda n: s716.count_all(1, n), 117649,
-                          (DiagonalSystem, "count_nonzero"), 1),
+                          (DiagonalSystem, "count_nonzero")),
         "walk_solution_count": Case(
             lambda n: walk_solution_count(f9, 2, 0, 1, n), 8,
             (diagonal, "gp_graph"), OneWalkGraph()),
@@ -114,6 +115,12 @@ def test_every_evaluator_admits_its_length(monkeypatch, name):
             case.call(cap + 1)
         assert time.perf_counter() - started < 1
     with monkeypatch.context() as patch:
+        if name == "count_all":
+            # its s walk sums pass MAX_NEPS_OPS, refused before the first N_i
+            patch.setattr(*case.step, refuse)
+            with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_OPS"):
+                case.call(cap)
+            return
         if case.stub is not None:
             patch.setattr(*case.step, lambda *args: case.stub)
         count = case.call(cap)

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import sys
 import time
 import tracemalloc
 
@@ -28,6 +27,7 @@ from diagwalks.errors import (
     FieldTooLarge,
     KDoesNotDivide,
     KNotInteger,
+    NepsWalkTooLarge,
     NotPrime,
     NotPrimitiveDivisor,
 )
@@ -147,18 +147,28 @@ def test_memo_matches_a_memo_free_reference(p, a, b):
             assert system.count_all(alpha, n) == want, (alpha, n)
 
 
-def test_k_powers_are_capped_in_bytes_and_never_grow():
-    system = DiagonalSystem(3, 1, 2)  # k = 2: the byte cap binds
-    k, powers = system.k, system._k_powers
-    size = len(powers)
-    assert powers == [k**r for r in range(size)]
-    held = sum(8 + sys.getsizeof(power) for power in powers)
-    assert held <= diagonal.MAX_K_POWERS_BYTES
-    assert held + 8 + sys.getsizeof(powers[-1] * k) > diagonal.MAX_K_POWERS_BYTES
-    for r in (size - 1, size, 3 * size):
-        want = k**r * hamming_walks(2, 3, r, system.view.pattern_idx(4))
-        assert system.count_nonzero(4, r) == want, r
-    assert system._k_powers is powers and len(powers) == size
+def test_count_all_admits_its_walk_sums_before_the_first_term(monkeypatch):
+    # M_s at the bit cap of (3,1,2) once ran for tens of minutes, s N_i
+    # calls of up to s*log2(q-1) bits each
+    system = DiagonalSystem(3, 1, 2)
+    with monkeypatch.context() as patch:
+        def refuse(*args):
+            raise RuntimeError("N_i was called past the cap")
+
+        patch.setattr(DiagonalSystem, "count_nonzero", refuse)
+        started = time.perf_counter()
+        with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_OPS"):
+            system.count_all(0, 330788)
+        assert time.perf_counter() - started < 0.1
+        # alpha is admitted first, as before the work was priced
+        with pytest.raises(BadParameters, match="element=2.5"):
+            system.count_all(2.5, 330788)
+    s, want, binom = 10000, 1, 1
+    got = system.count_all(0, s)
+    for i in range(1, s + 1):
+        binom = binom * (s - i + 1) // i
+        want += binom * system.count_nonzero(0, i)
+    assert binom == 1 and got == want
 
 
 def test_n1_residue_membership(roster_systems):

@@ -24,6 +24,7 @@ from diagwalks.diagonal import DiagonalSystem
 from diagwalks.errors import (
     ArityMismatch,
     BadParameters,
+    DiagwalksError,
     LengthTableTooShort,
     NepsWalkTooLarge,
     ProductTooLarge,
@@ -489,6 +490,38 @@ def test_hamming_walks_pattern_forms():
     for wrong in ((True, False), [1, 1, 0, 0], (z for z in (1, 0))):
         with pytest.raises(ArityMismatch, match="pattern length"):
             hamming_walks(3, 4, 5, wrong)
+
+
+def test_a_filled_memo_refuses_what_a_cold_one_does():
+    # the memo checks b, q and r only when it misses a key, so a key it
+    # holds must not let a bad argument through
+    bad = [(2, 3, 2.0, (True, False)), (2, 3, 2.5, (True, False)),
+           (2, 3, -1, (True, False)), (2, 3, 10**5000, (True, False)),
+           (2.0, 3, 2, (True, False)), (2, 3, 2, (True,))]
+
+    def refusals():
+        out = []
+        for args in bad:
+            with pytest.raises(DiagwalksError) as info:
+                hamming_walks(*args)
+            out.append((type(info.value), str(info.value)))
+        return out
+
+    neps.cache_clear()
+    cold = refusals()
+    want = hamming_walks(2, 3, 2, (True, False))
+    assert refusals() == cold
+    for r, zeros in ((2, [True, False]), (2, np.array([True, False])),
+                     (2, (1, 0)), (np.int64(2), (True, False))):
+        got = hamming_walks(2, 3, r, zeros)
+        assert type(got) is int and got == want, (r, zeros)
+    # a refusal is never stored: it raises again on the next call
+    size = neps.cache_info()["walks"]["currsize"]
+    for args in ((0, 3, 0, ()), (2, 1, 0, (True, True))):
+        for _ in range(2):
+            with pytest.raises(BadParameters, match="bad Hamming parameters"):
+                hamming_walks(*args)
+    assert neps.cache_info()["walks"]["currsize"] == size
 
 
 def test_hamming_pattern_permutation_invariance():
