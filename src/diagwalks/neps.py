@@ -294,7 +294,7 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
             raise BadParameters(
                 f"pattern {zeros!r} is not a sequence") from None
     if len(zeros) != b:
-        raise ArityMismatch(f"pattern length {len(zeros)} != b={b}")
+        raise ArityMismatch(f"pattern length {len(zeros)} != b={shown(b)}")
     if type(r) is not int:
         r = as_integer("r", r)
     # entries equal to False or True (bools, 0/1 ints, numpy bools) are
@@ -336,7 +336,8 @@ def _walks(b: int, q: int, d: int, r: int) -> int:
     MAX_WALK_MEMO_BYTES."""
     global _walk_memo_bytes
     if b < 1 or q < 2:
-        raise BadParameters(f"bad Hamming parameters b={b}, q={q}")
+        raise BadParameters(f"bad Hamming parameters b={shown(b)}, "
+                             f"q={shown(q)}")
     r = check_length("r", r, b * (q - 1))
     admit(NepsWalkTooLarge, (b + 1) * -(-b * q.bit_length() // 64),
           MAX_NEPS_OPS, "MAX_NEPS_OPS", "the Krawtchouk weights of H({},{}) "

@@ -1,22 +1,25 @@
 """Self-verification suites: every closed formula against an independent oracle.
 
 `run_all` builds one `DiagonalSystem` per roster triple, evaluates its
-formula once (`FormulaRows`: N_r at every alpha and r <= max_r, each row
-a dict of the nonzero counts, kept only when an oracle is admitted, and
-the sums of N_r and M_r over alpha) and hands it to the five per-triple
-checks, each returning one CheckResult:
+formula once by distance class (`FormulaRows`: N_r(alpha) depends only
+on d, the number of nonzero Hamming coordinates of alpha, so one pass
+over alpha records each alpha's class, and N_r and M_r are evaluated at
+the first alpha of each class, (b+1)(max_r+1) calls of each) and hands
+it to the five per-triple checks, each returning one CheckResult:
 
 - triple and convolution agreement: the formula's N_r rows against the
   literal enumeration, whose step t extends the nnz bins of its tuples'
   packed sums by the d distinct packed words in at most nnz*d <= base^t
   additions, and, in a check of its own, the additive convolution; one
   call to each oracle gives every r <= max_r, and `_agreement` compares
-  whole rows, an alpha missing from a row reading 0;
+  whole rows, the formula read through alpha's class, an alpha missing
+  from an oracle row reading 0;
 - walk bridge: the same rows against k^r times matrix-power walks on the
   triple's generalized Paley graph, built once for the check and read at
   every alpha;
 - isomorphism: the system's own `HammingView` against R_k;
-- partition: the sums of N_r and M_s over alpha.
+- partition: the class sizes against C(b,d)(Q-1)^d, and the sums of N_r
+  and M_s over alpha, each class's count weighed by its size.
 
 Two checks do not depend on the roster:
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb, prod
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diagonal import (
@@ -76,63 +80,46 @@ def _triple(system: DiagonalSystem) -> str:
 
 
 class FormulaRows:
-    """The formula at every alpha and r = 0..max_r of one system, from one
-    pass made on first use, with alpha outer, so that the `count_nonzero`
-    and `count_all` calls on one alpha share its solve. `n[r]` maps every
-    alpha where N_r is nonzero to it, the form `convolution_distribution`
-    returns; `totals[r]` is the pair (sum of N_r, sum of M_r) over alpha.
-
-    Only a pass that `n` starts keeps the rows, up to q*(max_r+1) counts,
-    and `run_all`'s agreements read `n` after their oracle has built rows
-    of the same support under its own cap. A pass that `totals` starts,
-    as the partition's does when every oracle was refused, holds
-    2*(max_r+1) sums."""
+    """The formula of one system at every alpha and r = 0..max_r, by
+    distance class: `classes[alpha]` is d, the number of nonzero Hamming
+    coordinates of alpha, `sizes[d]` the number of alpha in class d, and
+    `n[r][d]` and `m[r][d]` are N_r and M_r at the first alpha of class d,
+    b+1 counts per length (0 for a class the map leaves empty). One pass
+    over alpha solves each alpha once; `count_nonzero` solves each class's
+    first alpha once more, and its `count_all` calls share that solve. r
+    runs down from max_r, so `count_all` admits its largest s first."""
 
     def __init__(self, system: DiagonalSystem, max_r: int):
-        self.system, self.max_r = system, max_r
-        self._n = self._totals = None
-
-    @property
-    def n(self) -> list[dict]:
-        if self._n is None:
-            self._evaluate(keep=True)
-        return self._n
-
-    @property
-    def totals(self) -> list[list[int]]:
-        if self._totals is None:
-            self._evaluate(keep=False)
-        return self._totals
-
-    def _evaluate(self, keep: bool) -> None:
-        system, lengths = self.system, range(self.max_r + 1)
-        rows, totals = [{} for _ in lengths], [[0, 0] for _ in lengths]
+        self.max_r = max_r
+        b, pattern_idx = system.b, system.view.pattern_idx
+        self.classes, self.sizes = bytearray(system.q), [0] * (b + 1)
+        self.n = [[0] * (b + 1) for _ in range(max_r + 1)]
+        self.m = [[0] * (b + 1) for _ in range(max_r + 1)]
         for alpha in range(system.q):
-            for r in lengths:
-                count_n = system.count_nonzero(alpha, r)
-                totals[r][0] += count_n
-                totals[r][1] += system.count_all(alpha, r)
-                if keep and count_n:
-                    rows[r][alpha] = count_n
-        self._n, self._totals = rows if keep else None, totals
+            d = self.classes[alpha] = pattern_idx(alpha).count(False)
+            if not self.sizes[d]:
+                for r in reversed(range(max_r + 1)):
+                    self.m[r][d] = system.count_all(alpha, r)
+                    self.n[r][d] = system.count_nonzero(alpha, r)
+            self.sizes[d] += 1
 
 
 def _agreement(system: DiagonalSystem, rows: FormulaRows, name: str,
                oracle_rows) -> CheckResult:
-    """The one compare of the oracle checks: the formula's N_r row against
-    the oracle's row r, for each r; an alpha missing from a row reads 0.
-    The failure's detail is the least differing alpha of the least failing
-    r, with both counts. Called once the oracle's rows are built, so a
-    refused oracle leaves the formula's rows unbuilt."""
-    for r, (formula, oracle) in enumerate(zip(rows.n, oracle_rows)):
-        alpha = min((alpha for alpha in formula.keys() | oracle.keys()
-                     if formula.get(alpha, 0) != oracle.get(alpha, 0)),
-                    default=None)
+    """The one compare of the oracle checks: for each r, the oracle's row
+    r, a dict of its nonzero counts, against the formula's N_r at every
+    alpha, read as n[r][classes[alpha]]; an alpha missing from the
+    oracle's row reads 0. The failure's detail is the least differing
+    alpha of the least failing r, with both counts."""
+    classes = rows.classes
+    for r, (counts, oracle) in enumerate(zip(rows.n, oracle_rows)):
+        get = oracle.get
+        alpha = next((alpha for alpha, d in enumerate(classes)
+                      if counts[d] != get(alpha, 0)), None)
         if alpha is not None:
             return CheckResult(name, False, (
                 f"{_triple(system)} alpha={alpha} r={r}: "
-                f"formula={formula.get(alpha, 0)} "
-                f"oracle={oracle.get(alpha, 0)}"))
+                f"formula={counts[classes[alpha]]} oracle={get(alpha, 0)}"))
     return CheckResult(name, True)
 
 
@@ -184,10 +171,19 @@ def check_isomorphisms(system: DiagonalSystem,
 
 
 def check_partition(system: DiagonalSystem, rows: FormulaRows) -> CheckResult:
-    """Sum over alpha of N_r is (q-1)^r; of M_s is q^s."""
-    q = system.q
+    """Class d has C(b,d)(Q-1)^d members, which checks the map the rows
+    are read through; then the sums over alpha, sum_d sizes[d] n[r][d] of
+    N_r and the same of M_s, are (q-1)^r and q^s."""
+    q, b, Q = system.q, system.b, system.Q
     name = f"partition {_triple(system)} (n<={rows.max_r})"
-    for n, (total_n, total_m) in enumerate(rows.totals):
+    for d, size in enumerate(rows.sizes):
+        want = comb(b, d) * (Q - 1) ** d
+        if size != want:
+            return CheckResult(name, False, (
+                f"{_triple(system)} d={d}: size={size} (want {want})"))
+    for n, (row_n, row_m) in enumerate(zip(rows.n, rows.m)):
+        total_n = sum(map(mul, rows.sizes, row_n))
+        total_m = sum(map(mul, rows.sizes, row_m))
         if total_n != (q - 1) ** n or total_m != q**n:
             return CheckResult(name, False, (
                 f"{_triple(system)} n={n}: sum N={total_n} "
@@ -317,15 +313,14 @@ def run_all(roster=None, max_r=3, neps_instances=50,
     system's rows are held at a time. Raises BadParameters, before any
     system is built, unless max_r and neps_instances are integers >= 0
     (`check_length`); the errors of `DiagonalSystem` for a triple it
-    refuses; and CountTooLarge when q^max_r, q the roster's largest field,
-    could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built.
+    refuses; CountTooLarge when q^max_r, q the roster's largest field,
+    could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built;
+    and NepsWalkTooLarge from a system's first formula call, `count_all`
+    at s = max_r, when its walk sums could pass MAX_NEPS_OPS.
 
-    That admission bounds the counts, not the work: each `count_all`
-    admits its own s walk sums, but the partition's M_s sums take
-    q*max_r*(max_r+1)/2 `count_nonzero` calls in all, which grow as
-    q*max_r^2 and are not admitted as a whole. The
-    N_r rows, up to q*(max_r+1) counts, are kept only for an agreement
-    whose oracle its cap admitted."""
+    The formula takes (b+1)(max_r+1) calls of each evaluator, whatever q
+    is; the `count_all` calls make (b+1)max_r(max_r+1)/2 `count_nonzero`
+    calls among them."""
     max_r = check_length("max_r", max_r)
     neps_instances = check_length("neps_instances", neps_instances)
     if roster is None:

@@ -524,6 +524,15 @@ def test_a_filled_memo_refuses_what_a_cold_one_does():
     assert neps.cache_info()["walks"]["currsize"] == size
 
 
+def test_hamming_refusals_name_huge_arguments_by_bit_length():
+    # str() of an int of over 4,300 digits raises a plain ValueError
+    huge = -10**5000
+    for error, args in ((BadParameters, (2, huge, 2, (True, False))),
+                        (ArityMismatch, (huge, 3, 2, (True, False)))):
+        with pytest.raises(error, match=f"<{huge.bit_length()}-bit integer>"):
+            hamming_walks(*args)
+
+
 def test_hamming_pattern_permutation_invariance():
     for r in range(6):
         patterns = [
