@@ -23,14 +23,14 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING
 
+from . import errors
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
-from .errors import (MAX_COUNT_BITS, BadParameters, EnumerationTooLarge,
-                     KNotInteger, NepsWalkTooLarge, NotPrimitiveDivisor,
-                     admit, as_integer, check_length)
+from .errors import (BadParameters, EnumerationTooLarge, KNotInteger,
+                     NotPrimitiveDivisor, admit, as_integer, check_length)
 from .field import (FiniteField, as_index, build_field, check_field,
                     check_k_divides, kth_power_residues)
 from .gp import HammingView, gp_graph
-from .neps import MAX_NEPS_OPS, hamming_walks
+from .neps import admit_hamming_sums, hamming_walks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,7 +94,7 @@ class DiagonalSystem:
         self.k = k
         self.view = HammingView(self.field, a, b)
         # N_r <= (q-1)^r and M_s <= q^s: past this, check_length decides
-        self._max_n = MAX_COUNT_BITS // self.q.bit_length()
+        self._max_n = errors.MAX_COUNT_BITS // self.q.bit_length()
         # one-slot memo (index, zero pattern) of the last alpha solved; no
         # int equals None, so the first call solves
         self._pattern = (None, ())
@@ -127,19 +127,13 @@ class DiagonalSystem:
         C(s,i) = C(s,i-1)(s-i+1)/i, an exact division. It makes one
         `count_nonzero` call per i, bound once before the loop, and the s
         calls share one solve of alpha's zero pattern. Before the first,
-        once s and alpha are admitted, NepsWalkTooLarge is raised when the
-        s walk sums, each priced as a memo miss, could pass MAX_NEPS_OPS:
-        `_spectral_walks` admits b+1 powers of ceil(i bits / 64) <=
-        (i bits + 63) / 64 words for N_i, bits = bitlen(b(Q-1) - 1)."""
+        once s and alpha are admitted, `neps.admit_hamming_sums` prices
+        the s walk sums, each as a memo miss, and raises NepsWalkTooLarge
+        when they could pass neps.MAX_NEPS_OPS."""
         if type(s) is not int or not 0 <= s <= self._max_n:
             s = check_length("s", s, self.q)
         idx = as_index(self.field, alpha)
-        bits = (self.b * (self.Q - 1) - 1).bit_length()
-        admit(NepsWalkTooLarge, (self.b + 1) * (bits * s * (s + 1) // 2
-                                                + 63 * s) // 64,
-              MAX_NEPS_OPS, "MAX_NEPS_OPS", "M_s for s={} raises the "
-              "eigenvalues of H({},{}) to the powers 1..s, {} words", s,
-              self.b, self.Q)
+        admit_hamming_sums(self.b, self.Q, s)
         count_nonzero = self.count_nonzero
         total = 1 if idx == 0 else 0
         binom = 1

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import field
 from .errors import BadParameters, NotPrime, as_integer, shown
-from .field import MAX_FIELD_ORDER, factorize
+from .field import factorize
 
 
 def multiplicative_order(x: int, n: int, e: int) -> int:
@@ -88,13 +89,14 @@ def remark_cases(p: int, a: int, b: int) -> DivisibilityReport:
     modulo b or a divisor of b, and through gcd(x, b): so x = p^a mod b.
 
     Cases are reported as a set (they overlap), never first-match. p, a
-    and b are admitted first, as in `k_is_integer`; b over MAX_FIELD_ORDER,
-    the bound `check_field` puts on q - 1, is refused before it is factored.
+    and b are admitted first, as in `k_is_integer`; b over
+    field.MAX_FIELD_ORDER, the bound `check_field` puts on q - 1, read when
+    the call runs, is refused before it is factored.
     """
     p, a, b = _admit(p, a, b)
-    if b > MAX_FIELD_ORDER:
+    if b > field.MAX_FIELD_ORDER:
         raise BadParameters(f"b={shown(b)} is over the cap MAX_FIELD_ORDER of "
-                            f"{MAX_FIELD_ORDER}")
+                            f"{field.MAX_FIELD_ORDER}")
     x = pow(p, a, b)
     cases = set()
     fac = factorize(b)

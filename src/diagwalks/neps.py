@@ -11,11 +11,12 @@ walks are a spectral sum of 2^n |B| n-fold products, those of the Hamming
 graph H(b,q) one of b+1 Krawtchouk-weighted terms, and K_m is the
 one-factor case. Each only builds its terms; `_spectral_walks`, the one
 kernel, sums their powers and divides. Every cost passes `errors.admit`
-against MAX_NEPS_OPS before its first step. `hamming_walks` looks its
-count up in the one memo, bounded by the bytes it holds, which
-`cache_info` reports and `cache_clear` empties; b, q and r are checked
-only when the memo misses, and a refusal is never stored. numpy is
-imported only in `neps_construct`.
+against MAX_NEPS_OPS before its first step, those of the s sums of an
+M_s too, in O(1) (`admit_hamming_sums`). `hamming_walks` looks its count
+up in the one memo, bounded by the bytes it holds, which `cache_info`
+reports and `cache_clear` empties; b, q and r are checked only when the
+memo misses, and a refusal is never stored. numpy is imported only in
+`neps_construct`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .graphs import DenseGraph
 # largest int8 adjacency neps_construct builds: 4096 vertices
 MAX_PRODUCT_BYTES = 1 << 24
 # largest cost `errors.admit` lets through here: walk DP state updates,
-# factors of the complete-graph terms, or words of the Krawtchouk recurrence
-# or powers
+# factors of the complete-graph terms, or words of the Krawtchouk recurrence,
+# of the powers of one sum or of the s sums of an M_s
 MAX_NEPS_OPS = 10**7
 # bytes the memo of Hamming walk counts may hold, each count and its key
 # measured by sys.getsizeof as it is stored; the memo is emptied before a
@@ -323,6 +324,19 @@ def _spectral_walks(what: str, count: int, top: int, terms, r: int,
         raise ArithmeticError(f"{what.format(*map(shown, what_args))} at "
                               f"r={r} is not divisible by {shown(divisor)}")
     return walks
+
+
+def admit_hamming_sums(b: int, q: int, s: int) -> None:
+    """Admits the walk sums on H(b,q) of lengths 1..s that M_s adds, each
+    priced as `_spectral_walks` prices a memo miss: b+1 powers of
+    ceil(i bits / 64) <= (i bits + 63) / 64 words for length i, bits =
+    bitlen(b(q-1) - 1), so NepsWalkTooLarge when (b+1)(bits s(s+1)/2 +
+    63s) // 64 words pass MAX_NEPS_OPS."""
+    bits = (b * (q - 1) - 1).bit_length()
+    admit(NepsWalkTooLarge, (b + 1) * (bits * s * (s + 1) // 2
+                                       + 63 * s) // 64,
+          MAX_NEPS_OPS, "MAX_NEPS_OPS", "M_s for s={} raises the "
+          "eigenvalues of H({},{}) to the powers 1..s, {} words", s, b, q)
 
 
 @lru_cache(maxsize=None)

@@ -316,7 +316,8 @@ def run_all(roster=None, max_r=3, neps_instances=50,
     refuses; CountTooLarge when q^max_r, q the roster's largest field,
     could pass MAX_COUNT_BITS, as M_s <= q^s is the largest count built;
     and NepsWalkTooLarge from a system's first formula call, `count_all`
-    at s = max_r, when its walk sums could pass MAX_NEPS_OPS.
+    at s = max_r, when `neps.admit_hamming_sums` prices its walk sums past
+    neps.MAX_NEPS_OPS.
 
     The formula takes (b+1)(max_r+1) calls of each evaluator, whatever q
     is; the `count_all` calls make (b+1)max_r(max_r+1)/2 `count_nonzero`

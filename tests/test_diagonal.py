@@ -17,12 +17,13 @@ from diagwalks import (
     kth_power_residues,
     walk_solution_count,
 )
-from diagwalks import cli, diagonal
+from diagwalks import cli, diagonal, errors, neps
 from diagwalks import field as field_mod
 from diagwalks.cli import parse_element
 from diagwalks.diagonal import diagonal_exponent
 from diagwalks.errors import (
     BadParameters,
+    CountTooLarge,
     EnumerationTooLarge,
     FieldTooLarge,
     KDoesNotDivide,
@@ -169,6 +170,47 @@ def test_count_all_admits_its_walk_sums_before_the_first_term(monkeypatch):
         binom = binom * (s - i + 1) // i
         want += binom * system.count_nonzero(0, i)
     assert binom == 1 and got == want
+
+
+def _refuse_n_i(*args):
+    raise RuntimeError("N_i was called")
+
+
+def test_count_all_is_priced_against_the_kernel_cap(monkeypatch):
+    # M_50 on (3,1,2), b = 2 and bitlen(b(Q-1) - 1) = 2: its 50 sums price
+    # at 3(2*1275 + 63*50)//64 = 267 words, read against neps.MAX_NEPS_OPS
+    # as it is when the call runs
+    system = DiagonalSystem(3, 1, 2)
+    want = system.count_all(0, 50)
+    with monkeypatch.context() as patch:
+        patch.setattr(neps, "MAX_NEPS_OPS", 266)
+        patch.setattr(DiagonalSystem, "count_nonzero", _refuse_n_i)
+        with pytest.raises(NepsWalkTooLarge, match="s=50 .* 267 words, "
+                           "over the cap MAX_NEPS_OPS of 266"):
+            system.count_all(0, 50)
+    neps.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(neps, "MAX_NEPS_OPS", 267)
+        assert system.count_all(0, 50) == want
+
+
+@pytest.mark.parametrize("triple, s", [((3, 1, 2), 14573), ((7, 1, 6), 5509)])
+def test_count_all_admits_up_to_its_last_priced_length(monkeypatch, triple, s):
+    system = DiagonalSystem(*triple)
+    monkeypatch.setattr(DiagonalSystem, "count_nonzero", _refuse_n_i)
+    with pytest.raises(RuntimeError, match="N_i was called"):
+        system.count_all(0, s)
+    with pytest.raises(NepsWalkTooLarge, match=f"s={s + 1} .*MAX_NEPS_OPS"):
+        system.count_all(0, s + 1)
+
+
+def test_max_n_reads_the_count_cap_at_construction(monkeypatch):
+    # with 64 bits, N_30 <= 8^30 could pass the cap: the fast path of
+    # count_nonzero must hand r = 30 to check_length
+    monkeypatch.setattr(errors, "MAX_COUNT_BITS", 64)
+    system = DiagonalSystem(3, 1, 2)
+    with pytest.raises(CountTooLarge, match="r=30 .*MAX_COUNT_BITS of 64"):
+        system.count_nonzero(0, 30)
 
 
 def test_n1_residue_membership(roster_systems):

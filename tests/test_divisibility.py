@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from diagwalks import field as field_mod
 from diagwalks import k_is_integer, remark_cases
 from diagwalks.divisibility import factorize, multiplicative_order, repunit
 from diagwalks.errors import BadParameters, NotPrime
@@ -84,6 +85,13 @@ def test_remark_cases_refuses_b_over_the_field_cap(b):
     # k_is_integer never factors b, so it still takes any b; no b > 1
     # divides 2^b - 1
     assert not k_is_integer(2, 1, 10**15 + 37)
+
+
+def test_remark_cases_reads_the_field_cap_when_it_runs(monkeypatch):
+    monkeypatch.setattr(field_mod, "MAX_FIELD_ORDER", 100)
+    with pytest.raises(BadParameters, match="b=101 is over the cap "
+                                            "MAX_FIELD_ORDER of 100"):
+        remark_cases(3, 1, 101)
 
 
 @pytest.mark.parametrize("call", [k_is_integer, remark_cases])
