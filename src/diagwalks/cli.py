@@ -37,14 +37,13 @@ from .diagonal import (
 from .divisibility import remark_cases
 from .errors import BadParameters, DiagwalksError
 from .field import FiniteField, build_field
-from .graphs import complete_graph
+from .graphs import complete_graph, product_order
 from .neps import (
     NepsBasis,
     agreement_pattern,
     hamming_walks,
     neps_complete_walks,
     neps_construct,
-    product_order,
 )
 from .gp import HammingView, gp_graph, hamming_parameters
 

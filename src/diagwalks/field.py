@@ -13,13 +13,13 @@ formula path never loads numpy.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
-capped at MAX_RESIDUES elements, and `SubfieldMap`, the coordinates of
-an element over GF(p^a) in the basis {omega^{ik}}, solved from two
-tables, one for each half of the element's m digits, of p^ceil(m/2) and
-p^floor(m/2) packed vectors; `gp.HammingView` reads the zero pattern of
-the coordinates from its packed solve in one word test. `as_index` is
-the one element-index check; the solve, the counts and the oracles run
-it.
+capped at MAX_RESIDUES elements, and `SubfieldMap`, the solve: the
+coordinates of an element over GF(p^a) in the basis {omega^{ik}}, solved
+from two tables, one for each half of the element's m digits, of
+p^ceil(m/2) and p^floor(m/2) packed vectors. `gp.HammingView` owns what
+is read from a solve: its flag-word masks and its table of zero
+patterns. `as_index` is the one element-index check; the solve, the
+counts and the oracles run it.
 
 `check_field` is the one admission of GF(p^m): `FiniteField`,
 `diagonal.diagonal_exponent` and `gp.hamming_parameters` run it before
@@ -430,8 +430,9 @@ class SubfieldMap:
     p^ceil(m/2) + p^floor(m/2) ints: 343 + 343 on GF(7^6), 1,024 + 1,024
     on GF(2^20), and at most 10,201 + 101 (GF(101^3)) under
     MAX_FIELD_ORDER. The solve word is the one coordinate form:
-    coordinate i is the word under `block_masks[i]`. No field table is
-    read.
+    coordinate i is the word under `block_masks[i]`, and
+    `gp.HammingView` reads its zero pattern from those blocks. No field
+    table is read.
     """
 
     def __init__(self, field: FiniteField, a: int, b: int, k: int):
@@ -470,15 +471,6 @@ class SubfieldMap:
         block = (1 << (a * width)) - 1
         # coordinate i vanishes iff its a slots, under block_masks[i], do
         self.block_masks = [block << (i * a * width) for i in range(b)]
-        # A block, the a slots of one coordinate, is an aB-bit number whose
-        # slots are each at most p-1 < 2^(B-1), so it is below 2^(aB-1).
-        # Adding 2^(aB-1) - 1 carries nowhere past the block and sets its
-        # top bit exactly when the block is nonzero (Lamport, CACM 1975;
-        # Knuth, TAOCP 4A, 7.1.3): `(word + _block_low) & _block_tops`
-        # reads all b flags of a solve word at once.
-        low = block >> 1
-        self._block_low = sum(low << (i * a * width) for i in range(b))
-        self._block_tops = sum(low + 1 << (i * a * width) for i in range(b))
 
         packed = [sum(inv[i][j] << (i * width) for i in range(m))
                   for j in range(m)]

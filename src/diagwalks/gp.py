@@ -8,10 +8,15 @@ coordinate isomorphism through the basis {1, w^k, ..., w^{(b-1)k}}.
 Without primitivity R_k lies in a proper subfield and the graph is not
 connected: Gamma(10, 81) is 9 copies of K_9, not H(4, 3). `HammingView`
 is the `SubfieldMap` of the caller's (a, b), whose basis decides
-primitivity, and `verify_isomorphism` checks the map from R_k alone.
+primitivity; it builds the zero patterns of all 2^b sets of vanishing
+coordinates once, at construction, and reads an element's from its
+solve in one word test and one table read. `verify_isomorphism` checks
+the map from R_k alone.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .divisibility import multiplicative_order
 from .errors import BadDecomposition, as_integer
@@ -77,22 +82,35 @@ class HammingView(SubfieldMap):
                 f"m={m}, k=(p^m-1)/(b(p^a-1)), a={a}, b={b}: k needs m = ab, "
                 f"b > 1 and b(p^a-1) dividing p^m-1")
         super().__init__(field, a, b, n // (b * (p**a - 1)))
-        self._patterns = {}  # flag word -> zero pattern
+        self._flag_table()
+
+    def _flag_table(self):
+        """The flag-word masks and the zero pattern of every flag word.
+        A block, the a slots of one coordinate under `block_masks[i]`, is
+        an aB-bit number whose slots are each at most p-1 < 2^(B-1) (see
+        `SubfieldMap`), so it is below 2^(aB-1). Adding 2^(aB-1) - 1, the
+        mask's bits but its top one, carries nowhere past the block and
+        sets its top bit exactly when the block is nonzero (Lamport, CACM
+        1975; Knuth, TAOCP 4A, 7.1.3): `(word + _block_low) & _block_tops`
+        reads all b flags of a solve word at once. Each of the 2^b values
+        that can give, one per set of nonzero blocks, maps to the tuple
+        marking the other blocks, the coordinates that vanish."""
+        lows = [mask >> 1 & mask for mask in self.block_masks]
+        tops = [mask - low for mask, low in zip(self.block_masks, lows)]
+        self._block_low, self._block_tops = sum(lows), sum(tops)
+        self._patterns = {
+            sum(itertools.compress(tops, flags)): tuple(not f for f in flags)
+            for flags in itertools.product((False, True), repeat=self.b)}
 
     def pattern_idx(self, x_idx: int) -> tuple[bool, ...]:
         """Zero pattern of [x]: which Hamming coordinates vanish. A
         coordinate vanishes exactly when its block of F_p coefficients
         does, and one addition and one mask of the packed solve set the
-        top bit of every nonzero block at once (see `SubfieldMap`). The
-        tuple of each flag word is built on its first sight and kept, at
-        most 2^b of them, so elements with the same zero set get the same
-        tuple object."""
-        flags = (self.solve_word(x_idx) + self._block_low) & self._block_tops
-        pattern = self._patterns.get(flags)
-        if pattern is None:
-            pattern = self._patterns[flags] = tuple(
-                [not flags & mask for mask in self.block_masks])
-        return pattern
+        top bit of every nonzero block at once; the flag word is a key of
+        the table built at construction, all 2^b zero patterns, so
+        elements with the same zero set get the same tuple object."""
+        return self._patterns[
+            (self.solve_word(x_idx) + self._block_low) & self._block_tops]
 
     def __repr__(self):
         return (f"HammingView(GF({self.field.p}^{self.field.m}), k={self.k}, "

@@ -10,6 +10,9 @@ A^1 are built as int64 arrays only when read through `walk_matrix`;
 `walk_count` answers length 0 as i == j and reads a length-1 count from
 the int8 adjacency itself. The cache of powers is capped at
 MAX_WALK_BYTES, checked through `errors.admit` before any product.
+The int8 adjacencies of `complete_graph` and `neps.neps_construct` are
+capped at MAX_PRODUCT_BYTES by `product_order` before numpy allocates
+them.
 
 numpy is imported where an array is built: in `DenseGraph.__init__`,
 `complete_graph`, and the branch of `walk_matrix` that computes new
@@ -22,8 +25,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import (BadParameters, VertexOutOfRange, WalkCacheTooLarge,
-                     admit, as_integer, check_length, shown)
+from .errors import (BadParameters, ProductTooLarge, VertexOutOfRange,
+                     WalkCacheTooLarge, admit, as_integer, check_length, shown)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,6 +35,9 @@ if TYPE_CHECKING:
 FLOAT_EXACT = 1 << 53
 # largest cache of powers A^0..A^r that walk_matrix will hold
 MAX_WALK_BYTES = 1 << 30
+# largest int8 adjacency complete_graph or neps_construct builds: 4096
+# vertices
+MAX_PRODUCT_BYTES = 1 << 24
 
 
 class DenseGraph:
@@ -149,10 +155,19 @@ class DenseGraph:
         return f"DenseGraph(n={self.n}, {kind}, edges={int(self.adj.sum())})"
 
 
-def complete_graph(m: int) -> DenseGraph:
-    """K_m, admitted by `neps.product_order` before numpy allocates."""
-    from .neps import product_order  # neps imports this module
+def product_order(sizes) -> int:
+    """Vertices of a product of graphs with `sizes` vertices each. Raises
+    ProductTooLarge when its int8 adjacency would take more than
+    MAX_PRODUCT_BYTES, so a caller can check before building a factor."""
+    total = math.prod(sizes)
+    admit(ProductTooLarge, total * total, MAX_PRODUCT_BYTES,
+          "MAX_PRODUCT_BYTES", "the adjacency of a {}-vertex product needs "
+          "{} bytes", total)
+    return total
 
+
+def complete_graph(m: int) -> DenseGraph:
+    """K_m, admitted by `product_order` before numpy allocates."""
     m = as_integer("m", m)
     if m < 1:
         raise BadParameters(f"m={shown(m)} must be >= 1")

@@ -16,7 +16,7 @@ M_s too, in O(1) (`admit_hamming_sums`). `hamming_walks` looks its count
 up in the one memo, bounded by the bytes it holds, which `cache_info`
 reports and `cache_clear` empties; b, q and r are checked only when the
 memo misses, and a refusal is never stored. numpy is imported only in
-`neps_construct`.
+`neps_construct`, whose adjacency `graphs.product_order` admits first.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ import sys
 from functools import lru_cache
 
 from .errors import (ArityMismatch, BadParameters, LengthTableTooShort,
-                     NepsWalkTooLarge, ProductTooLarge, admit, as_integer,
-                     check_length, shown)
-from .graphs import DenseGraph
+                     NepsWalkTooLarge, admit, as_integer, check_length, shown)
+from .graphs import DenseGraph, product_order
 
-# largest int8 adjacency neps_construct builds: 4096 vertices
-MAX_PRODUCT_BYTES = 1 << 24
 # largest cost `errors.admit` lets through here: walk DP state updates,
 # factors of the complete-graph terms, or words of the Krawtchouk recurrence,
 # of the powers of one sum or of the s sums of an M_s
@@ -119,17 +116,6 @@ def agreement_pattern(sizes, vi: int, vj: int) -> tuple[bool, ...]:
     return tuple(a == b for a, b in zip(ti, tj))
 
 
-def product_order(sizes) -> int:
-    """Vertices of a product of graphs with `sizes` vertices each. Raises
-    ProductTooLarge when its int8 adjacency would take more than
-    MAX_PRODUCT_BYTES, so a caller can check before building a factor."""
-    total = math.prod(sizes)
-    admit(ProductTooLarge, total * total, MAX_PRODUCT_BYTES,
-          "MAX_PRODUCT_BYTES", "the adjacency of a {}-vertex product needs "
-          "{} bytes", total)
-    return total
-
-
 def along_axes(matrix, t: int, n: int):
     """A factor-t square matrix reshaped to broadcast along axes t and n + t
     of a 2n-axis array, whose reshape to (N, N) is in the product's
@@ -144,7 +130,7 @@ def neps_construct(factors, basis: NepsBasis) -> DenseGraph:
     products of the factors' adjacencies (1) and identities (0), each
     reshaped by `along_axes`, as `verify.formula_walk_matrix` shapes its
     tables. Raises ProductTooLarge, before any product, through
-    `product_order`."""
+    `graphs.product_order`."""
     n = basis.n
     if n != len(factors):
         raise ArityMismatch(

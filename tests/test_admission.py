@@ -32,7 +32,7 @@ from diagwalks.errors import (MAX_COUNT_BITS, ArityMismatch, BadParameters,
                               NepsWalkTooLarge, ProductTooLarge,
                               VertexOutOfRange)
 from diagwalks.field import check_k_divides
-from diagwalks.neps import product_order
+from diagwalks.graphs import product_order
 
 
 class Case(NamedTuple):

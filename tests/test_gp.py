@@ -258,7 +258,7 @@ def _flag_view(p, a, b):
     2^b - 1)."""
     view = object.__new__(HammingView)
     SubfieldMap.__init__(view, build_field(p, a * b), a, b, 1)
-    view._patterns = {}
+    view._flag_table()
     view.solve_word = lambda word: word
     return view
 
@@ -290,7 +290,24 @@ def test_flag_word_reads_every_block_value(p, a):
     for fill in ([0] * a, [p - 1] * a):
         for i in range(b):
             check([top_only if j == i else fill for j in range(b)])
-    assert len(view._patterns) <= 2**b
+    assert len(view._patterns) == 2**b
+
+
+@pytest.mark.parametrize("p, a, b", [(3, 1, 2), (2, 2, 3), (7, 1, 6),
+                                     (2, 2, 9)])
+def test_hamming_view_holds_every_zero_pattern_from_construction(p, a, b):
+    # all 2^b patterns, one per flag word, before the first read; a sweep
+    # of every element of GF(9) and GF(64) neither adds nor replaces one
+    view = HammingView(build_field(p, a * b), a, b)
+    table = dict(view._patterns)
+    assert sorted(table.values()) == sorted(
+        itertools.product((False, True), repeat=b))
+    if view.field.q <= 64:
+        for x in range(view.field.q):
+            assert view.pattern_idx(x) is table[
+                (view.solve_word(x) + view._block_low) & view._block_tops]
+    assert view._patterns.keys() == table.keys()
+    assert all(view._patterns[flags] is table[flags] for flags in table)
 
 
 def test_pattern_idx_shares_one_tuple_per_zero_set():

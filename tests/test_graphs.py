@@ -9,8 +9,7 @@ from conftest import enumerate_walks
 from diagwalks import DenseGraph, complete_graph, complete_walks
 from diagwalks.errors import (BadParameters, ProductTooLarge, VertexOutOfRange,
                               WalkCacheTooLarge)
-from diagwalks.graphs import MAX_WALK_BYTES
-from diagwalks.neps import MAX_PRODUCT_BYTES
+from diagwalks.graphs import MAX_PRODUCT_BYTES, MAX_WALK_BYTES
 
 
 def test_zero_length_convention():

@@ -29,13 +29,12 @@ from diagwalks.errors import (
     NepsWalkTooLarge,
     ProductTooLarge,
 )
+from diagwalks.graphs import MAX_PRODUCT_BYTES, product_order
 from diagwalks.neps import (
     MAX_NEPS_OPS,
-    MAX_PRODUCT_BYTES,
     _column_sum_multiplicities,
     _dp_updates,
     agreement_pattern,
-    product_order,
     vertex_tuple,
 )
 

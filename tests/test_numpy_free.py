@@ -64,6 +64,11 @@ FORMULA_PATH = {
                                    "--alpha", "pow:3", "--s", "3",
                                    "--nonzero-only", "--method",
                                    "convolution"),
+    "isomorphism": (
+        "from diagwalks import DiagonalSystem, verify_isomorphism\n"
+        "if not verify_isomorphism(DiagonalSystem(2, 2, 3).view):\n"
+        "    raise SystemExit('not isomorphic')"
+    ),
     "neps-closed-form": (
         "from diagwalks import NepsBasis, neps_complete_walks\n"
         "neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 40, (True, True))"
