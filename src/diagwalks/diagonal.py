@@ -15,7 +15,12 @@ additions to extend nnz bins by d distinct words), an r-fold additive
 convolution over the group, walked out from 0 through R_k and holding
 only the elements it reaches, and the walk bridge, k^r times a
 matrix-power walk count on the generalized Paley graph. The first two
-return the counts of every length t = 0..r from one pass.
+return the counts of every length t = 0..r from one pass. Both admit
+their work before the first step, reading each cap when the call runs:
+the convolution's add_idx calls against `errors.MAX_WORK`, the summand
+values either lists (R_k, or one power per value) against
+`field.MAX_SUMMANDS`, and their rows, writes and bins against caps of
+their own.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING
 
-from . import errors
+from . import errors, field as field_mod
 from .divisibility import k_is_integer, multiplicative_order, remark_cases
 from .errors import (BadParameters, EnumerationTooLarge, KNotInteger,
                      NotPrimitiveDivisor, admit, as_integer, check_length)
@@ -39,12 +44,6 @@ if TYPE_CHECKING:
 # bins it counts them in and the entries of the returned rows; a pass also
 # runs fewer lengths than this number has bits
 MAX_ENUM_TUPLES = 10**8
-# largest number of field powers one brute-force pass takes, one pow_idx
-# per summand value, checked before the first and before numpy is loaded:
-# GF(2^16) is refused at once
-MAX_ENUM_POWERS = 1 << 14
-# largest number of add_idx calls the convolution oracle makes
-MAX_CONVOLUTION_OPS = 10**7
 # largest estimated size of the rows g_0..g_r it returns, whose entries
 # grow by log2(q) bits a step
 MAX_CONVOLUTION_BYTES = 1 << 26
@@ -129,7 +128,7 @@ class DiagonalSystem:
         calls share one solve of alpha's zero pattern. Before the first,
         once s and alpha are admitted, `neps.admit_hamming_sums` prices
         the s walk sums, each as a memo miss, and raises NepsWalkTooLarge
-        when they could pass neps.MAX_NEPS_OPS."""
+        when they could pass errors.MAX_WORK."""
         if type(s) is not int or not 0 <= s <= self._max_n:
             s = check_length("s", s, self.q)
         idx = as_index(self.field, alpha)
@@ -185,7 +184,7 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     elements of the row. Raises KDoesNotDivide, and, before numpy is
     loaded, EnumerationTooLarge when the pass runs to
     r >= log2(MAX_ENUM_TUPLES), writes more than MAX_ENUM_TUPLES values or
-    takes more than MAX_ENUM_POWERS powers.
+    takes more than field.MAX_SUMMANDS powers, one per summand value.
     """
     k = check_k_divides(field.q, k)
     r = check_length("r", r)
@@ -203,9 +202,8 @@ def brute_force_distribution(field: FiniteField, k: int, r: int,
     writes = (r + 1) * (q + bins) + sum(base**t for t in range(1, r + 1))
     admit(EnumerationTooLarge, writes, MAX_ENUM_TUPLES, "MAX_ENUM_TUPLES",
           "a pass to r={} writes at least {} values", r)
-    admit(EnumerationTooLarge, base if r else 0, MAX_ENUM_POWERS,
-          "MAX_ENUM_POWERS", "a pass over GF({}^{}) takes {} field powers",
-          p, m)
+    admit(EnumerationTooLarge, base if r else 0, field_mod.MAX_SUMMANDS,
+          "MAX_SUMMANDS", "a pass over GF({}^{}) takes {} field powers", p, m)
     import numpy as np
 
     dist = np.zeros((r + 1, q), dtype=np.int64)
@@ -250,10 +248,11 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     """The t-fold additive convolutions g_0..g_r of f(beta) = k*[beta in
     R_k] (+1 at beta = 0 when zeros are allowed), walked out from 0: row t
     maps each element a t-sum of support values reaches to its exact
-    weight; every other element has weight 0. Raises KDoesNotDivide, and,
-    before R_k is built, EnumerationTooLarge when the add_idx calls could
-    pass MAX_CONVOLUTION_OPS or the rows MAX_CONVOLUTION_BYTES, or, from
-    `kth_power_residues`, when R_k passes field.MAX_RESIDUES."""
+    weight; every other element has weight 0. R_k is built only when
+    r >= 1, as no step of a shorter walk reads it. Raises KDoesNotDivide,
+    and, before R_k is built, EnumerationTooLarge when the add_idx calls
+    could pass errors.MAX_WORK or the rows MAX_CONVOLUTION_BYTES, or, from
+    `kth_power_residues`, when R_k passes field.MAX_SUMMANDS."""
     r = check_length("r", r)
     q, k = field.q, check_k_divides(field.q, k)
     # the support has (q-1)/k values, one more with zeros, so row t holds
@@ -262,9 +261,8 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     size, t0 = (q - 1) // k + (not restrict_nonzero), min(r, q.bit_length())
     reach = [min(size**t, q) for t in range(t0 + 1)]
     ops = size * (sum(reach[:-1]) + (r - t0) * reach[-1])
-    admit(EnumerationTooLarge, ops, MAX_CONVOLUTION_OPS,
-          "MAX_CONVOLUTION_OPS", "{} convolution steps need up to {} add_idx "
-          "calls", r)
+    admit(EnumerationTooLarge, ops, errors.MAX_WORK, "MAX_WORK",
+          "{} convolution steps need up to {} add_idx calls", r)
     # a row is a pointer to a dict of 240 bytes with its 8-slot table; an
     # entry (the support's too) takes at most 60 bytes of a grown table, a
     # 28-byte key unless one of CPython's shared ints below 257, and a
@@ -281,7 +279,7 @@ def convolution_distribution(field: FiniteField, k: int, r: int,
     admit(EnumerationTooLarge, row_bytes, MAX_CONVOLUTION_BYTES,
           "MAX_CONVOLUTION_BYTES", "{} convolution steps need about {} bytes "
           "of rows", r)
-    support = [(beta, k) for beta in kth_power_residues(field, k)]
+    support = [(beta, k) for beta in kth_power_residues(field, k)] if r else []
     if not restrict_nonzero:
         support.append((0, 1))
     rows = [{0: 1}]

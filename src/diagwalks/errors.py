@@ -7,6 +7,11 @@ import operator
 # largest count, in bits, that an evaluator builds: CPython's int-to-decimal
 # conversion is quadratic, and a 2^20-bit count takes about 2 s to print
 MAX_COUNT_BITS = 1 << 20
+# largest work one evaluation may do: Python-level steps or big-int words,
+# read through this module when an admission runs (the NEPS DP, the
+# complete-graph terms, the Krawtchouk weights, the powers of one spectral
+# sum, the s sums of an M_s, and the convolution's add_idx calls)
+MAX_WORK = 10**7
 
 
 class DiagwalksError(Exception):
@@ -75,7 +80,7 @@ class WalkCacheTooLarge(CapExceeded):
 
 class NepsWalkTooLarge(CapExceeded):
     """Raised through `admit` when the DP, the complete-graph terms, the
-    Krawtchouk weights or the powers pass neps.MAX_NEPS_OPS."""
+    Krawtchouk weights or the powers pass MAX_WORK."""
 
 
 class CountTooLarge(CapExceeded):

@@ -13,7 +13,7 @@ formula path never loads numpy.
 
 Besides the field, the module holds the two structures the count reads
 from it: `kth_power_residues`, the set R_k as a frozenset of indices,
-capped at MAX_RESIDUES elements, and `SubfieldMap`, the solve: the
+capped at MAX_SUMMANDS elements, and `SubfieldMap`, the solve: the
 coordinates of an element over GF(p^a) in the basis {omega^{ik}}, solved
 from two tables, one for each half of the element's m digits, of
 p^ceil(m/2) and p^floor(m/2) packed vectors. `gp.HammingView` owns what
@@ -64,10 +64,11 @@ MAX_FIELD_ORDER = 1 << 20
 # allocate; its build holds the table and at most q(p + 1/p) more entries,
 # so this bounds the peak, and the field keeps none of it
 MAX_ADD_TABLE_BYTES = 1 << 28
-# largest R_k, (q-1)/k products, that kth_power_residues builds: over the
-# 11,584 of a GP-graph within MAX_ADD_TABLE_BYTES and the 2,040 of any
-# Hamming k within MAX_FIELD_ORDER
-MAX_RESIDUES = 1 << 14
+# largest number of summand values an oracle lists, one field operation
+# each, before its loop: the (q-1)/k products of R_k in kth_power_residues,
+# over the 11,584 of a GP-graph within MAX_ADD_TABLE_BYTES and the 2,040 of
+# any Hamming k within MAX_FIELD_ORDER, and the powers of a brute-force pass
+MAX_SUMMANDS = 1 << 14
 
 
 def is_prime(n: int) -> bool:
@@ -381,10 +382,10 @@ def check_k_divides(q: int, k: int) -> int:
 def kth_power_residues(field: FiniteField, k: int) -> frozenset[int]:
     """R_k = {x^k : x nonzero} as canonical indices, of size (q-1)/k.
     Raises KDoesNotDivide unless k | q-1, and EnumerationTooLarge, naming
-    k and q, before the first product when (q-1)/k passes MAX_RESIDUES."""
+    k and q, before the first product when (q-1)/k passes MAX_SUMMANDS."""
     k = check_k_divides(field.q, k)
     size = (field.q - 1) // k
-    admit(EnumerationTooLarge, size, MAX_RESIDUES, "MAX_RESIDUES",
+    admit(EnumerationTooLarge, size, MAX_SUMMANDS, "MAX_SUMMANDS",
           "R_k for k={} in GF({}) has (q-1)/k = {} elements", k, field.q)
     step = field.pow_idx(field.omega_idx, k)
     members, x = [], 1

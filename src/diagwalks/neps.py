@@ -11,8 +11,9 @@ walks are a spectral sum of 2^n |B| n-fold products, those of the Hamming
 graph H(b,q) one of b+1 Krawtchouk-weighted terms, and K_m is the
 one-factor case. Each only builds its terms; `_spectral_walks`, the one
 kernel, sums their powers and divides. Every cost passes `errors.admit`
-against MAX_NEPS_OPS before its first step, those of the s sums of an
-M_s too, in O(1) (`admit_hamming_sums`). `hamming_walks` looks its count
+against `errors.MAX_WORK`, read when the call runs, before its first
+step, those of the s sums of an M_s too, in O(1) (`admit_hamming_sums`).
+`hamming_walks` looks its count
 up in the one memo, bounded by the bytes it holds, which `cache_info`
 reports and `cache_clear` empties; b, q and r are checked only when the
 memo misses, and a refusal is never stored. numpy is imported only in
@@ -26,14 +27,11 @@ import math
 import sys
 from functools import lru_cache
 
+from . import errors
 from .errors import (ArityMismatch, BadParameters, LengthTableTooShort,
                      NepsWalkTooLarge, admit, as_integer, check_length, shown)
 from .graphs import DenseGraph, product_order
 
-# largest cost `errors.admit` lets through here: walk DP state updates,
-# factors of the complete-graph terms, or words of the Krawtchouk recurrence,
-# of the powers of one sum or of the s sums of an M_s
-MAX_NEPS_OPS = 10**7
 # bytes the memo of Hamming walk counts may hold, each count and its key
 # measured by sys.getsizeof as it is stored; the memo is emptied before a
 # count would take it past this. An admitted count is at most
@@ -165,10 +163,10 @@ def _dp_updates(n: int, size: int, r: int) -> int:
 def _column_sum_multiplicities(tuples, r):
     """Multiplicity of each column-sum vector over all of B^r. Raises
     NepsWalkTooLarge, before the first step, when the updates could pass
-    MAX_NEPS_OPS."""
+    errors.MAX_WORK."""
     n = len(tuples[0])
-    admit(NepsWalkTooLarge, _dp_updates(n, len(tuples), r), MAX_NEPS_OPS,
-          "MAX_NEPS_OPS", "the NEPS walk sum over {} basis tuples of arity {} "
+    admit(NepsWalkTooLarge, _dp_updates(n, len(tuples), r), errors.MAX_WORK,
+          "MAX_WORK", "the NEPS walk sum over {} basis tuples of arity {} "
           "to length {} may make up to {} state updates", len(tuples), n, r)
     states = {(0,) * n: 1}
     for _ in range(r):
@@ -219,7 +217,7 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     the sum over the 2^n choices of prod_i c_i (sum_B prod_i mu_i^beta_i)^r,
     and the division is exact. Raises NepsWalkTooLarge before the first
     of the 2^n |B| terms, each an n-fold product, when their n 2^n |B|
-    operations pass MAX_NEPS_OPS. `_spectral_walks` sums the terms grouped
+    operations pass errors.MAX_WORK. `_spectral_walks` sums the terms grouped
     by Lambda, once r is checked against the largest |Lambda|."""
     n = basis.n
     if not (hasattr(m_list, "__len__") and hasattr(pattern, "__len__")):
@@ -232,7 +230,7 @@ def neps_complete_walks(m_list, basis: NepsBasis, r: int, pattern) -> int:
     if any(m < 1 for m in m_list):
         raise BadParameters(f"complete graph sizes must be >= 1, got {m_list}")
     terms = 2**n * len(basis)
-    admit(NepsWalkTooLarge, n * terms, MAX_NEPS_OPS, "MAX_NEPS_OPS",
+    admit(NepsWalkTooLarge, n * terms, errors.MAX_WORK, "MAX_WORK",
           "the spectral NEPS walk sum takes {} terms of {} factors each, {} "
           "operations", terms, n)
     weights = {}  # Lambda -> summed coefficients of its terms
@@ -264,7 +262,7 @@ def hamming_walks(b: int, q: int, r: int, zeros) -> int:
     b(q-1)^r. The weights, |K_j| <= q^b, come from the three-term
     recurrence (j+1) K_{j+1} = ((b-j)(q-1) + j - qd) K_j - (q-1)(b-j+1)
     K_{j-1}, K_0 = 1 (MacWilliams & Sloane 5.7), in (b+1)
-    ceil(b bitlen(q) / 64) word operations, admitted by MAX_NEPS_OPS
+    ceil(b bitlen(q) / 64) word operations, admitted by errors.MAX_WORK
     before `_spectral_walks` sums the terms. The count is read from the
     memo `_walks`, which checks b, q and r when it misses their key.
 
@@ -300,7 +298,7 @@ def _spectral_walks(what: str, count: int, top: int, terms, r: int,
     each. `what` names the sum in a refusal, a template filled in with
     `what_args` only then, as `admit` fills its message."""
     admit(NepsWalkTooLarge, count * -(-r * (top - 1).bit_length() // 64),
-          MAX_NEPS_OPS, "MAX_NEPS_OPS", what + " raises {} eigenvalues to "
+          errors.MAX_WORK, "MAX_WORK", what + " raises {} eigenvalues to "
           "the power r={}, {} words", *what_args, count, r)
     total = 0
     for lam, weight in terms:
@@ -317,11 +315,11 @@ def admit_hamming_sums(b: int, q: int, s: int) -> None:
     priced as `_spectral_walks` prices a memo miss: b+1 powers of
     ceil(i bits / 64) <= (i bits + 63) / 64 words for length i, bits =
     bitlen(b(q-1) - 1), so NepsWalkTooLarge when (b+1)(bits s(s+1)/2 +
-    63s) // 64 words pass MAX_NEPS_OPS."""
+    63s) // 64 words pass errors.MAX_WORK."""
     bits = (b * (q - 1) - 1).bit_length()
     admit(NepsWalkTooLarge, (b + 1) * (bits * s * (s + 1) // 2
                                        + 63 * s) // 64,
-          MAX_NEPS_OPS, "MAX_NEPS_OPS", "M_s for s={} raises the "
+          errors.MAX_WORK, "MAX_WORK", "M_s for s={} raises the "
           "eigenvalues of H({},{}) to the powers 1..s, {} words", s, b, q)
 
 
@@ -340,7 +338,7 @@ def _walks(b: int, q: int, d: int, r: int) -> int:
                              f"q={shown(q)}")
     r = check_length("r", r, b * (q - 1))
     admit(NepsWalkTooLarge, (b + 1) * -(-b * q.bit_length() // 64),
-          MAX_NEPS_OPS, "MAX_NEPS_OPS", "the Krawtchouk weights of H({},{}) "
+          errors.MAX_WORK, "MAX_WORK", "the Krawtchouk weights of H({},{}) "
           "take {} word operations", b, q)
     count = _spectral_walks("the sum for H({},{})", b + 1, b * (q - 1),
                             _krawtchouk(b, q, d), r, q**b, b, q)

@@ -170,17 +170,18 @@ ROWS = [
             "FieldTooLarge", budget=20),
     refused("brute-powers-cap", "count --p 2 --a 4 --b 5 --alpha 0 --s 1 "
             "--nonzero-only --method brute", "EnumerationTooLarge",
-            budget=20),
+            "MAX_SUMMANDS", budget=20),
     refused("convolution-ops-cap", "count --p 7 --a 1 --b 6 --alpha 0 --s 6 "
-            "--nonzero-only --method convolution", "EnumerationTooLarge"),
+            "--nonzero-only --method convolution", "EnumerationTooLarge",
+            "MAX_WORK"),
     refused("neps-product-cap", "walks --neps 65,65 --basis 11 --from 0 "
             "--to 0 --length 1", "ProductTooLarge"),
     refused("count-all-work-cap", "count --p 3 --a 1 --b 2 --alpha 0 "
-            "--s 330788", "NepsWalkTooLarge", "MAX_NEPS_OPS", budget=5),
+            "--s 330788", "NepsWalkTooLarge", "MAX_WORK", budget=5),
     # lengths of 401 digits: each overflowed a float before its cap
     refused("convolution-huge-s", "count --p 3 --a 1 --b 2 --alpha 0 "
             f"--s {HUGE} --nonzero-only --method convolution",
-            "EnumerationTooLarge", "MAX_CONVOLUTION_OPS", budget=20),
+            "EnumerationTooLarge", "MAX_WORK", budget=20),
     refused("neps-walks-huge-length", f"walks --neps 3 --basis 1 --from 0 "
             f"--to 1 --length {HUGE}", "WalkCacheTooLarge", "MAX_WALK_BYTES",
             budget=20),

@@ -116,9 +116,9 @@ def test_every_evaluator_admits_its_length(monkeypatch, name):
         assert time.perf_counter() - started < 1
     with monkeypatch.context() as patch:
         if name == "count_all":
-            # its s walk sums pass MAX_NEPS_OPS, refused before the first N_i
+            # its s walk sums pass MAX_WORK, refused before the first N_i
             patch.setattr(*case.step, refuse)
-            with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_OPS"):
+            with pytest.raises(NepsWalkTooLarge, match="MAX_WORK"):
                 case.call(cap)
             return
         if case.stub is not None:

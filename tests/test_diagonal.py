@@ -158,7 +158,7 @@ def test_count_all_admits_its_walk_sums_before_the_first_term(monkeypatch):
 
         patch.setattr(DiagonalSystem, "count_nonzero", refuse)
         started = time.perf_counter()
-        with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_OPS"):
+        with pytest.raises(NepsWalkTooLarge, match="MAX_WORK"):
             system.count_all(0, 330788)
         assert time.perf_counter() - started < 0.1
         # alpha is admitted first, as before the work was priced
@@ -178,19 +178,19 @@ def _refuse_n_i(*args):
 
 def test_count_all_is_priced_against_the_kernel_cap(monkeypatch):
     # M_50 on (3,1,2), b = 2 and bitlen(b(Q-1) - 1) = 2: its 50 sums price
-    # at 3(2*1275 + 63*50)//64 = 267 words, read against neps.MAX_NEPS_OPS
+    # at 3(2*1275 + 63*50)//64 = 267 words, read against errors.MAX_WORK
     # as it is when the call runs
     system = DiagonalSystem(3, 1, 2)
     want = system.count_all(0, 50)
     with monkeypatch.context() as patch:
-        patch.setattr(neps, "MAX_NEPS_OPS", 266)
+        patch.setattr(errors, "MAX_WORK", 266)
         patch.setattr(DiagonalSystem, "count_nonzero", _refuse_n_i)
         with pytest.raises(NepsWalkTooLarge, match="s=50 .* 267 words, "
-                           "over the cap MAX_NEPS_OPS of 266"):
+                           "over the cap MAX_WORK of 266"):
             system.count_all(0, 50)
     neps.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(neps, "MAX_NEPS_OPS", 267)
+        patch.setattr(errors, "MAX_WORK", 267)
         assert system.count_all(0, 50) == want
 
 
@@ -200,7 +200,7 @@ def test_count_all_admits_up_to_its_last_priced_length(monkeypatch, triple, s):
     monkeypatch.setattr(DiagonalSystem, "count_nonzero", _refuse_n_i)
     with pytest.raises(RuntimeError, match="N_i was called"):
         system.count_all(0, s)
-    with pytest.raises(NepsWalkTooLarge, match=f"s={s + 1} .*MAX_NEPS_OPS"):
+    with pytest.raises(NepsWalkTooLarge, match=f"s={s + 1} .*MAX_WORK"):
         system.count_all(0, s + 1)
 
 
@@ -518,6 +518,15 @@ def test_convolution_caps_checked_before_the_residues(monkeypatch):
     with pytest.raises(EnumerationTooLarge, match="add_idx calls"):
         convolution_distribution(field, 1, 10)
     assert time.perf_counter() - started < 1
+
+
+def test_convolution_builds_no_support_at_length_zero():
+    # GF(2^16) with k = 1: R_k's 65,535 elements pass field.MAX_SUMMANDS,
+    # but no step of a walk of length 0 reads them, so none is built
+    field = build_field(2, 16)
+    for restrict_nonzero in (True, False):
+        assert convolution_distribution(field, 1, 0, restrict_nonzero) == \
+            [{0: 1}]
 
 
 def test_convolution_rows_hold_only_the_reached_elements():

@@ -347,13 +347,13 @@ def test_residues_capped_before_the_first_product(monkeypatch):
     field = build_field(2, 20)
     started = time.perf_counter()
     with pytest.raises(EnumerationTooLarge, match=(
-            f"k=1 in GF\\(1048576\\).*1048575.*{field_mod.MAX_RESIDUES}")):
+            f"k=1 in GF\\(1048576\\).*1048575.*{field_mod.MAX_SUMMANDS}")):
         kth_power_residues(field, 1)
     assert time.perf_counter() - started < 0.1
     f25 = build_field(5, 2)
-    monkeypatch.setattr(field_mod, "MAX_RESIDUES", 24 // 3)
+    monkeypatch.setattr(field_mod, "MAX_SUMMANDS", 24 // 3)
     assert len(kth_power_residues(f25, 3)) == 8
-    monkeypatch.setattr(field_mod, "MAX_RESIDUES", 24 // 3 - 1)
+    monkeypatch.setattr(field_mod, "MAX_SUMMANDS", 24 // 3 - 1)
     with pytest.raises(EnumerationTooLarge):
         kth_power_residues(f25, 3)
 

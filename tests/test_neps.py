@@ -19,9 +19,10 @@ from diagwalks import (
     neps_construct,
     neps_walks,
 )
-from diagwalks import neps, verify
+from diagwalks import errors, neps, verify
 from diagwalks.diagonal import DiagonalSystem
 from diagwalks.errors import (
+    MAX_WORK,
     ArityMismatch,
     BadParameters,
     DiagwalksError,
@@ -31,7 +32,6 @@ from diagwalks.errors import (
 )
 from diagwalks.graphs import MAX_PRODUCT_BYTES, product_order
 from diagwalks.neps import (
-    MAX_NEPS_OPS,
     _column_sum_multiplicities,
     _dp_updates,
     agreement_pattern,
@@ -261,7 +261,7 @@ class NoSteps(tuple):
 def test_dp_cap_refuses_before_any_step():
     # K2 x K2 x K2 with all seven tuples: about r^4 updates, 4.9e6 at r = 40
     tuples = NoSteps(t for t in itertools.product((0, 1), repeat=3) if any(t))
-    with pytest.raises(NepsWalkTooLarge, match="MAX_NEPS_OPS"):
+    with pytest.raises(NepsWalkTooLarge, match="MAX_WORK"):
         _column_sum_multiplicities(tuples, 200)
     with pytest.raises(RuntimeError, match="a DP step ran"):
         _column_sum_multiplicities(tuples, 3)  # under the cap: steps run
@@ -280,17 +280,17 @@ def test_dp_bound_covers_every_update():
     # the K3 x K4 tensor product at length 40 and the verify instances
     # (3 factors, r <= 5) stay far under the cap
     assert _dp_updates(2, 1, 40) == 40
-    assert _dp_updates(3, 7, 5) < MAX_NEPS_OPS // 1000
-    assert _dp_updates(3, 7, 40) < MAX_NEPS_OPS < _dp_updates(3, 7, 200)
+    assert _dp_updates(3, 7, 5) < MAX_WORK // 1000
+    assert _dp_updates(3, 7, 40) < MAX_WORK < _dp_updates(3, 7, 200)
 
 
 def test_dp_cap_changes_no_count(monkeypatch):
     basis = NepsBasis([(1, 0), (0, 1), (1, 1)])
     tables = [[1, 0, 2, 2, 6], [1, 0, 3, 6, 21]]
     want = naive_neps_walks(tables, basis, 4)
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", _dp_updates(2, 3, 4))
+    monkeypatch.setattr(errors, "MAX_WORK", _dp_updates(2, 3, 4))
     assert neps_walks(tables, basis, 4) == want
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", _dp_updates(2, 3, 4) - 1)
+    monkeypatch.setattr(errors, "MAX_WORK", _dp_updates(2, 3, 4) - 1)
     with pytest.raises(NepsWalkTooLarge):
         neps_walks(tables, basis, 4)
 
@@ -357,10 +357,10 @@ class NoTerms(NepsBasis):
 def test_spectral_cap_refuses_before_any_term(monkeypatch):
     # 4 sign choices of 3 basis tuples, 2 factors each
     basis = NoTerms([(1, 0), (0, 1), (1, 1)])
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 2 * 4 * 3 - 1)
-    with pytest.raises(NepsWalkTooLarge, match="12 terms.*MAX_NEPS_OPS"):
+    monkeypatch.setattr(errors, "MAX_WORK", 2 * 4 * 3 - 1)
+    with pytest.raises(NepsWalkTooLarge, match="12 terms.*MAX_WORK"):
         neps_complete_walks([3, 4], basis, 5, (True, False))
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 2 * 4 * 3)
+    monkeypatch.setattr(errors, "MAX_WORK", 2 * 4 * 3)
     with pytest.raises(RuntimeError, match="a term was taken"):
         neps_complete_walks([3, 4], basis, 5, (True, False))
 
@@ -615,10 +615,10 @@ def test_krawtchouk_cap_refuses_before_any_step(monkeypatch):
     zeros = (True,) * 4 + (False,) * 2
     want = hamming_walks(6, 7, 5, zeros)
     neps.cache_clear()
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 6)
+    monkeypatch.setattr(errors, "MAX_WORK", 6)
     with pytest.raises(NepsWalkTooLarge, match="take 7 word operations"):
         hamming_walks(6, 7, 5, zeros)
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 7)
+    monkeypatch.setattr(errors, "MAX_WORK", 7)
     assert hamming_walks(6, 7, 5, zeros) == want
 
 
@@ -648,10 +648,10 @@ def test_eigenvalue_powers_refused_before_any_power(monkeypatch):
     wants = [call() for call, _ in calls]
     neps.cache_clear()
     for (call, words), want in zip(calls, wants):
-        monkeypatch.setattr(neps, "MAX_NEPS_OPS", words - 1)
+        monkeypatch.setattr(errors, "MAX_WORK", words - 1)
         with pytest.raises(NepsWalkTooLarge, match=f" {words} words"):
             call()
-        monkeypatch.setattr(neps, "MAX_NEPS_OPS", words)
+        monkeypatch.setattr(errors, "MAX_WORK", words)
         assert call() == want
     # an eigenvalue of absolute value at most 1 keeps its powers one word
     assert complete_walks(2, 10**9, True) == 1
@@ -667,10 +667,10 @@ def test_complete_spectral_sum_counts_every_factor_of_its_terms(monkeypatch):
         neps_complete_walks([2] * 18, NepsBasis.standard(18), 1, (True,) * 18)
     assert time.perf_counter() - started < 1
     # K_3 x K_4 under 11: 4 sign choices of one 2-fold product
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 7)
+    monkeypatch.setattr(errors, "MAX_WORK", 7)
     with pytest.raises(NepsWalkTooLarge, match=" 8 operations"):
         neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 2, (True, True))
-    monkeypatch.setattr(neps, "MAX_NEPS_OPS", 8)
+    monkeypatch.setattr(errors, "MAX_WORK", 8)
     assert neps_complete_walks([3, 4], NepsBasis([(1, 1)]), 2,
                                (True, True)) == 6
 

@@ -102,7 +102,7 @@ def test_oracles_load_numpy(name):
 
 
 def test_brute_force_refuses_its_powers_cap_before_numpy_loads():
-    # GF(2^20) takes 2^20 - 1 powers, over MAX_ENUM_POWERS
+    # GF(2^20) takes 2^20 - 1 powers, over field.MAX_SUMMANDS
     assert not numpy_loaded_after(
         "from diagwalks import brute_force_distribution, build_field\n"
         "from diagwalks.errors import EnumerationTooLarge\n"

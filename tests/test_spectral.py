@@ -1,5 +1,6 @@
-"""The one spectral kernel and the one MAX_NEPS_OPS gate, through the three
-spectral entry points, against references that share no code with them."""
+"""The one spectral kernel and its admission against errors.MAX_WORK,
+through the three spectral entry points, against references that share
+no code with them."""
 
 import math
 import time
@@ -17,7 +18,7 @@ from diagwalks import (
     neps_complete_walks,
     neps_construct,
 )
-from diagwalks import neps
+from diagwalks import errors, neps
 from diagwalks.errors import DiagwalksError, NepsWalkTooLarge
 from diagwalks.neps import agreement_pattern
 
@@ -38,7 +39,7 @@ def test_a_refusal_names_a_work_past_the_digit_limit():
     started = time.perf_counter()
     with pytest.raises(NepsWalkTooLarge,
                        match=f"<{(n * 2**n).bit_length()}-bit integer> "
-                             "operations, over the cap MAX_NEPS_OPS"):
+                             "operations, over the cap MAX_WORK"):
         neps_complete_walks([2] * n, NepsBasis([(1,) * n]), 1, (True,) * n)
     assert time.perf_counter() - started < 0.5
 
@@ -101,14 +102,14 @@ CASES = {
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_spectral_entry_points_count_or_refuse_across_the_cap(name, data):
-    # MAX_NEPS_OPS lowered to a cap drawn log-uniform, and the arguments
+    # MAX_WORK lowered to a cap drawn log-uniform, and the arguments
     # drawn log-uniform on both sides of it: each call returns its
     # reference count or raises a typed error
     call, cases = CASES[name]
-    cap = data.draw(_log_uniform(1, 1 << 14), label="MAX_NEPS_OPS")
+    cap = data.draw(_log_uniform(1, 1 << 14), label="MAX_WORK")
     args, reference = data.draw(cases, label="args")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(neps, "MAX_NEPS_OPS", cap)
+        patch.setattr(errors, "MAX_WORK", cap)
         neps.cache_clear()  # a memo hit would skip the gate
         try:
             got = call(*args)
