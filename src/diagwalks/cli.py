@@ -36,7 +36,7 @@ from .diagonal import (
 )
 from .divisibility import remark_cases
 from .errors import BadParameters, DiagwalksError
-from .field import FiniteField, build_field
+from .field import FiniteField, build_field, check_k_divides
 from .graphs import complete_graph, product_order
 from .neps import (
     NepsBasis,
@@ -192,10 +192,14 @@ def cmd_walks(args) -> int:
     elif args.gp:
         require_options(args, "--gp", "p", "m", "k")
         field = build_field(args.p, args.m)
-        graph = gp_graph(field, args.k)
+        # k is refused before the literals are read, and a zero-length
+        # walk reads no graph
+        k = check_k_divides(field.q, args.k)
+        graph = gp_graph(field, k) if args.length else None
         vi = parse_element(field, args.from_vertex, "--from")
         vj = parse_element(field, args.to_vertex, "--to")
-        power = graph.walk_count(args.length, vi, vj)
+        power = (graph.walk_count(args.length, vi, vj) if args.length
+                 else int(vi == vj))
         payload = {
             "graph": f"Gamma({args.k},{field.q})",
             "from": vi,

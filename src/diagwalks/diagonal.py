@@ -152,13 +152,17 @@ class DiagonalSystem:
 
 def walk_solution_count(field: FiniteField, k: int, x, y, s: int) -> int:
     """k^s times the s-walk count from x to y on the GP-graph; equals the
-    number of nonzero tuples with x + sum(x_i^k) = y. Builds the graph on
-    every call, after `gp_graph` has checked k; a caller asking for many
-    counts builds it once with `gp_graph` and reads `walk_count` on it."""
+    number of nonzero tuples with x + sum(x_i^k) = y. s, x and y are
+    admitted, then k (`check_k_divides`). A zero-length walk reads no
+    graph: it counts x == y. Any other length builds the graph on every
+    call; a caller asking for many counts builds it once with `gp_graph`
+    and reads `walk_count` on it."""
     s = check_length("s", s, field.q - 1)
     xi = as_index(field, x)
     yi = as_index(field, y)
-    return k**s * gp_graph(field, k).walk_count(s, xi, yi)
+    k = check_k_divides(field.q, k)
+    return (k**s * gp_graph(field, k).walk_count(s, xi, yi) if s
+            else int(xi == yi))
 
 
 # --- oracle 1: literal enumeration ---

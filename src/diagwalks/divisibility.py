@@ -1,7 +1,8 @@
 """Integrality of k = (p^{ab}-1)/(b(p^a-1)) and sufficient-condition catalogue.
 
-k is an integer exactly when b divides 1 + x + ... + x^{b-1} with x = p^a,
-a repunit taken mod b in O(log b) steps from x mod b alone. The catalogue
+k is an integer exactly when b divides 1 + x + ... + x^{b-1} with x = p^a.
+As (x - 1)(1 + x + ... + x^{b-1}) = x^b - 1, that is one modular power of
+x mod b, modulo b(x - 1) < b^2, in O(log a + log b) steps. The catalogue
 evaluates six published sufficient conditions for that divisibility;
 each fired case must imply integrality (tested as a sweep). The order
 test factors only an exponent its caller knows, never n or phi(n).
@@ -51,19 +52,17 @@ def _admit(p: int, a: int, b: int) -> tuple[int, int, int]:
 
 
 def k_is_integer(p: int, a: int, b: int) -> bool:
-    """Whether b divides (p^{ab}-1)/(p^a-1) = 1 + x + ... + x^{b-1} with
-    x = p^a. That repunit mod b depends only on x mod b, so it is taken
-    mod b by doubling, R(2n) = R(n)(1 + x^n) and R(n+1) = 1 + x R(n), in
-    O(log b) steps from the top bit of b down; p^a is never formed. p, a
-    and b are admitted first (`_admit`)."""
+    """Whether b divides R = (p^{ab}-1)/(p^a-1) = 1 + x + ... + x^{b-1}
+    with x = p^a. R mod b depends only on x mod b, so x is taken mod b:
+    - if x = 1 mod b (so whenever b = 1), then R = b = 0 mod b;
+    - if x = 0 and b >= 2, then R = 1 mod b;
+    - if x >= 2, then (x - 1)R = x^b - 1, so b | R exactly when
+      b(x - 1) | x^b - 1, one modular power.
+    The modulus stays below b^2, p^a is never formed, and the cost is
+    O(log a + log b) steps. p, a and b are admitted first (`_admit`)."""
     p, a, b = _admit(p, a, b)
     x = pow(p, a, b)
-    total, power = 0, 1  # R(n) and x^n mod b, n the bits of b read so far
-    for bit in bin(b)[2:]:
-        total, power = total * (1 + power) % b, power * power % b
-        if bit == "1":
-            total, power = (1 + x * total) % b, power * x % b
-    return total == 0
+    return x == 1 % b or (x > 1 and pow(x, b, b * (x - 1)) == 1)
 
 
 def _order_below(x: int, r: int, t: int) -> bool:

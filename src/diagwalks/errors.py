@@ -5,7 +5,10 @@ import math
 import operator
 
 # largest count, in bits, that an evaluator builds: CPython's int-to-decimal
-# conversion is quadratic, and a 2^20-bit count takes about 2 s to print
+# conversion is quadratic, and a 2^20-bit count takes about 2 s to print.
+# `check_length` reads it when it runs, but a DiagonalSystem fixes its
+# length bound `_max_n` when it is built, and `hamming_walks` checks only on
+# a memo miss: a value lowered later does not reach those two
 MAX_COUNT_BITS = 1 << 20
 # largest work one evaluation may do: Python-level steps or big-int words,
 # read through this module when an admission runs (the NEPS DP, the

@@ -202,13 +202,25 @@ def test_walks_neps_example(capsys):
     assert record["result"]["agree"] is True
 
 
-def test_walks_gp_zero_length(capsys):
-    code, out, _ = run_cli(
-        capsys, "walks", "--gp", "--p", "3", "--m", "2", "--k", "2",
-        "--from", "0", "--to", "0", "--length", "0",
-    )
-    assert code == 0
-    assert json.loads(out)["result"]["matrix_power"] == "1"
+def test_walks_gp_zero_length(capsys, monkeypatch):
+    # a zero-length walk reads no graph; k is still refused before the
+    # vertex literals are read
+    def refuse(field, k):
+        raise RuntimeError("built the GP-graph for a zero-length walk")
+
+    monkeypatch.setattr(cli_mod, "gp_graph", refuse)
+    gp = ["walks", "--gp", "--p", "3", "--m", "2", "--length", "0"]
+    for to, power in (("0", "1"), ("pow:0", "0")):
+        code, out, _ = run_cli(capsys, *gp, "--k", "2", "--from", "0",
+                               "--to", to)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["matrix_power"], result["formula"]) == (power, power)
+        assert result["agree"] is True
+    code, out, err = run_cli(capsys, *gp, "--k", "3", "--from", "x",
+                             "--to", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "KDoesNotDivide"
 
 
 def test_walks_gp_reports_formula_and_power(capsys):

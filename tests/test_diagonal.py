@@ -647,9 +647,7 @@ def test_oracles_agree_f64(f64):
     assert list(brute) == dense(conv, 64)
 
 
-def test_walk_solution_count_conventions(f9):
-    assert walk_solution_count(f9, 2, 3, 3, 0) == 1
-    assert walk_solution_count(f9, 2, 3, 5, 0) == 0
+def test_walk_solution_count_conventions(f9, monkeypatch):
     residues = kth_power_residues(f9, 2)
     for y in range(9):
         expect = 2 if y in residues else 0
@@ -658,6 +656,23 @@ def test_walk_solution_count_conventions(f9):
     for alpha in range(9):
         assert walk_solution_count(f9, 2, 0, alpha, 2) == \
             system.count_nonzero(alpha, 2)
+
+    # a zero-length walk reads no graph, whose q^2 addition table and
+    # adjacency would only answer x == y; s, x, y and then k are admitted
+    # all the same, in that order
+    def refuse(field, k):
+        raise RuntimeError("built the GP-graph for a zero-length walk")
+
+    monkeypatch.setattr(diagonal, "gp_graph", refuse)
+    assert walk_solution_count(f9, 2, 3, 3, 0) == 1
+    assert walk_solution_count(f9, 2, 3, 5, 0) == 0
+    assert walk_solution_count(f9, 8, 0, 0, 0) == 1
+    with pytest.raises(KDoesNotDivide, match="k=3 "):
+        walk_solution_count(f9, 3, 3, 3, 0)
+    with pytest.raises(BadParameters, match="element index 9 "):
+        walk_solution_count(f9, 3, 9, 3, 0)
+    with pytest.raises(BadParameters, match="s=-1 "):
+        walk_solution_count(f9, 3, 9, 3, -1)
 
 
 def test_walk_bridge_example(f9):

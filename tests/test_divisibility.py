@@ -19,12 +19,19 @@ def test_k_is_integer_examples():
 
 
 def test_k_is_integer_against_the_repunit():
-    # b(x-1) | x^b - 1 by one modular power, against b | 1 + x + ... + x^{b-1}
-    for p in filter(is_prime, range(50)):
-        for a in range(1, 5):
-            for b in range(1, 200):
-                assert k_is_integer(p, a, b) == (repunit(p**a, b) % b == 0), \
-                    (p, a, b)
+    # b(x-1) | x^b - 1 by one modular power, against b | 1 + x + ... + x^{b-1},
+    # with x = p^a mod b. The grid holds b = 1 and composite p, which
+    # `_admit` accepts; then the branch points at b = 2^j: x = 0, x = 1
+    # (p = b + 1, and (-1)^2), and x = 2, where 2^b = 0 mod b(x-1) = b
+    triples = [(p, a, b) for p in range(2, 50) for a in range(1, 5)
+               for b in range(1, 200 if is_prime(p) else 100)]
+    for j in range(1, 11):
+        b = 2**j
+        triples += [(b, 1, b), (2, j, b), (b + 1, 1, b), (2 * b - 1, 2, b),
+                    (2, 1, b), (b + 2, 1, b), (b + 2, 3, b)]
+    for p, a, b in triples:
+        assert k_is_integer(p, a, b) == (repunit(p**a, b) % b == 0), \
+            (p, a, b)
 
 
 def test_k_is_integer_never_builds_the_repunit():
@@ -37,8 +44,8 @@ def test_k_is_integer_never_builds_the_repunit():
 
 def test_k_is_integer_never_forms_p_to_the_a():
     # a modulus b(p^a - 1) of a million bits took 48.8 s; x = p^a mod b
-    # and the repunit by doubling take O(log a + log b) steps. 2^6 divides
-    # b and x, so the repunit 1 + x + ... is 1 mod 2^6
+    # and one power modulo b(x - 1) < b^2 take O(log a + log b) steps.
+    # 2^6 divides b and x, so the repunit 1 + x + ... is 1 mod 2^6
     started = time.perf_counter()
     assert not k_is_integer(2, 10**6, 10**6)
     assert time.perf_counter() - started < 0.1
