@@ -1,8 +1,8 @@
 """Integrality of k = (p^{ab}-1)/(b(p^a-1)) and sufficient-condition catalogue.
 
 k is an integer exactly when b divides 1 + x + ... + x^{b-1} with x = p^a.
-As (x - 1)(1 + x + ... + x^{b-1}) = x^b - 1, that is one modular power of
-x mod b, modulo b(x - 1) < b^2, in O(log a + log b) steps. The catalogue
+By lifting the exponent, that holds exactly when p^{ab} = 1 mod b: one
+modular power, modulo b, in O(log a + log b) steps. The catalogue
 evaluates six published sufficient conditions for that divisibility;
 each fired case must imply integrality (tested as a sweep). The order
 test factors only an exponent its caller knows, never n or phi(n).
@@ -32,12 +32,6 @@ def multiplicative_order(x: int, n: int, e: int) -> int:
     return order
 
 
-def repunit(x: int, b: int) -> int:
-    """1 + x + ... + x^{b-1}, evaluated exactly; the reference the tests
-    hold `k_is_integer` to."""
-    return sum(x**j for j in range(b))
-
-
 def _admit(p: int, a: int, b: int) -> tuple[int, int, int]:
     """p, a and b as Python ints: BadParameters unless each is an integer,
     NotPrime for p < 2, as `check_field` refuses it, and BadParameters,
@@ -53,16 +47,19 @@ def _admit(p: int, a: int, b: int) -> tuple[int, int, int]:
 
 def k_is_integer(p: int, a: int, b: int) -> bool:
     """Whether b divides R = (p^{ab}-1)/(p^a-1) = 1 + x + ... + x^{b-1}
-    with x = p^a. R mod b depends only on x mod b, so x is taken mod b:
-    - if x = 1 mod b (so whenever b = 1), then R = b = 0 mod b;
-    - if x = 0 and b >= 2, then R = 1 mod b;
-    - if x >= 2, then (x - 1)R = x^b - 1, so b | R exactly when
-      b(x - 1) | x^b - 1, one modular power.
-    The modulus stays below b^2, p^a is never formed, and the cost is
-    O(log a + log b) steps. p, a and b are admitted first (`_admit`)."""
+    with x = p^a, decided as p^{ab} = x^b = 1 mod b. For each prime
+    power l^e exactly dividing b, l^e | R exactly when l^e | x^b - 1:
+    - if l | x, then R = 1 and x^b - 1 = -1 modulo l, so neither holds;
+    - if l does not divide x(x - 1), then x - 1 is a unit mod l^e and
+      (x - 1)R = x^b - 1, so one holds exactly when the other does;
+    - if l | x - 1, lifting the exponent gives both: v_l(R) = v_l(b) for
+      odd l, and v_2(R) = v_2(x + 1) + v_2(b) - 1 >= v_2(b) for l = 2
+      (b is even), while v_l(x^b - 1) > v_l(b).
+    b = 1 divides everything, and 1 % 1 = 0. The modulus is b, p^a is
+    never formed, and the cost is O(log a + log b) steps. p, a and b are
+    admitted first (`_admit`)."""
     p, a, b = _admit(p, a, b)
-    x = pow(p, a, b)
-    return x == 1 % b or (x > 1 and pow(x, b, b * (x - 1)) == 1)
+    return pow(p, a * b, b) == 1 % b
 
 
 def _order_below(x: int, r: int, t: int) -> bool:

@@ -73,6 +73,12 @@ def order_mod(x, n):
     return order_by_multiplication(x % n, lambda s, t: s * t % n, 1 % n)
 
 
+def repunit(x, b):
+    """1 + x + ... + x^{b-1}, evaluated exactly: the reference for
+    `k_is_integer`, which holds exactly when b divides it with x = p^a."""
+    return sum(x**j for j in range(b))
+
+
 def divisors(n):
     """The divisors of n >= 1, by trial up to its square root."""
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]

@@ -140,6 +140,13 @@ ROWS = [
     # parameter errors
     *(refused(f"p-not-prime-{p}", f"count --p {p} --a 1 --b 2 --alpha 0 "
               "--s 1", "NotPrime") for p in ("1", "-3", "0")),
+    # k not an integer: 2 | p^a at (2,1,4), 3 | p^a at (3,1,3), and
+    # p^{ab} = 2 mod 3 at (2,1,3)
+    *(refused(f"k-not-integer-{p}-{a}-{b}-{method}", f"count --p {p} --a {a} "
+              f"--b {b} --alpha 0 --s 1 --method {method}", "KNotInteger",
+              f"is not an integer for p={p}, a={a}, b={b}$")
+      for p, a, b in ((2, 1, 3), (3, 1, 3), (2, 1, 4))
+      for method in ("formula", "brute")),
     # a count admits p in `divisibility` too; a GP graph only in check_field
     refused("gp-p-not-prime-1", "walks --gp --p 1 --m 2 --k 1 --from 0 "
             "--to 0 --length 1", "NotPrime", "^p=1 is not prime$"),

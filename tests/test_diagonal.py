@@ -290,8 +290,9 @@ def test_p_must_be_prime_before_any_arithmetic(p):
                                      (3, 1000, 2)])
 def test_field_order_refused_before_any_number_theory(no_number_theory,
                                                       p, a, b):
-    # unpatched, trial division of p, the b-term repunit and the factoring
-    # of phi(2(3^1000-1)) each ran for more than 5 s before this refusal
+    # unpatched, trial division of p and the factoring of phi(2(3^1000-1))
+    # each ran for more than 5 s before this refusal; patched, no
+    # primality, integrality or order test runs before it
     with pytest.raises(FieldTooLarge, match=f"m={a * b} exceeds"):
         diagonal_exponent(p, a, b)
     with pytest.raises(FieldTooLarge, match=f"m={a * b} exceeds"):

@@ -1,15 +1,16 @@
 import math
+import random
 import time
 
 import pytest
 
 from diagwalks import field as field_mod
 from diagwalks import k_is_integer, remark_cases
-from diagwalks.divisibility import factorize, multiplicative_order, repunit
+from diagwalks.divisibility import factorize, multiplicative_order
 from diagwalks.errors import BadParameters, NotPrime
 from diagwalks.field import MAX_FIELD_ORDER, is_prime
 
-from conftest import order_mod
+from conftest import order_mod, repunit
 
 
 def test_k_is_integer_examples():
@@ -19,16 +20,17 @@ def test_k_is_integer_examples():
 
 
 def test_k_is_integer_against_the_repunit():
-    # b(x-1) | x^b - 1 by one modular power, against b | 1 + x + ... + x^{b-1},
-    # with x = p^a mod b. The grid holds b = 1 and composite p, which
-    # `_admit` accepts; then the branch points at b = 2^j: x = 0, x = 1
-    # (p = b + 1, and (-1)^2), and x = 2, where 2^b = 0 mod b(x-1) = b
+    # p^{ab} = 1 mod b by one modular power, against b | 1 + x + ... +
+    # x^{b-1} with x = p^a. The grid holds b = 1 and composite p, which
+    # `_admit` accepts; then the valuation cases at b = 2^j: 2 | x (x = 0,
+    # 2 or 8 mod b), x = 1 mod b (p = b + 1, and (-1)^2), and x = -1 mod
+    # b, which is 3 mod 4 from j = 2 on
     triples = [(p, a, b) for p in range(2, 50) for a in range(1, 5)
                for b in range(1, 200 if is_prime(p) else 100)]
     for j in range(1, 11):
         b = 2**j
         triples += [(b, 1, b), (2, j, b), (b + 1, 1, b), (2 * b - 1, 2, b),
-                    (2, 1, b), (b + 2, 1, b), (b + 2, 3, b)]
+                    (2, 1, b), (b + 2, 1, b), (b + 2, 3, b), (2 * b - 1, 1, b)]
     for p, a, b in triples:
         assert k_is_integer(p, a, b) == (repunit(p**a, b) % b == 0), \
             (p, a, b)
@@ -43,13 +45,95 @@ def test_k_is_integer_never_builds_the_repunit():
 
 
 def test_k_is_integer_never_forms_p_to_the_a():
-    # a modulus b(p^a - 1) of a million bits took 48.8 s; x = p^a mod b
-    # and one power modulo b(x - 1) < b^2 take O(log a + log b) steps.
+    # a modulus b(p^a - 1) of a million bits took 48.8 s; one power
+    # p^{ab} modulo b takes O(log a + log b) steps.
     # 2^6 divides b and x, so the repunit 1 + x + ... is 1 mod 2^6
     started = time.perf_counter()
     assert not k_is_integer(2, 10**6, 10**6)
     assert time.perf_counter() - started < 0.1
     assert k_is_integer(3, 10**6, 2) and not k_is_integer(2, 10**6, 2)
+
+
+def two_power_k_is_integer(p, a, b):
+    """Reference for `k_is_integer` at any b, whose proof needs no
+    valuations: with x = p^a mod b, R = 1 + x + ... + x^{b-1} is b = 0 mod
+    b at x = 1, 1 mod b at x = 0 (b >= 2), and otherwise (x - 1)R = x^b - 1,
+    so b | R exactly when b(x - 1) | x^b - 1."""
+    x = pow(p, a, b)
+    return x == 1 % b or (x > 1 and pow(x, b, b * (x - 1)) == 1)
+
+
+def valuation_cases():
+    """(p, a, b, whether k is an integer) at b the repunit cannot reach,
+    for each case of the proof in `k_is_integer` on a prime power l^e | b:
+    l | x - 1, where lifting the exponent gives l^e | R; l | x; and l
+    coprime to x(x - 1). b = 1 divides every R."""
+    cases = [(p, a, 1, True) for p in (2, 3, 2**61 - 1) for a in (1, 10**6)]
+    for l in (2, 3, 5, 7):
+        b = l * l
+        while b < 2**64:
+            # l | x - 1, with v_l(x - 1) = 1 + v_l(a), e - 1 or e
+            cases += [(1 + l * t, a, b, True) for t in (1, l + 1)
+                      for a in (1, 3)]
+            cases += [(1 + b // l, 1, b, True), (b + 1, 1, b, True)]
+            # l | x, so R = 1 mod l
+            cases += [(l, 1, b, False), (l * (b + 1), 2, b, False)]
+            # x = 2 mod l^e: the order of 2 mod l is over 1 and divides
+            # l - 1, so it does not divide b and x^b is not 1 mod l
+            if l > 2:
+                cases.append((l * b + 2, 1, b, False))
+            b *= l
+    for j in range(2, 65):
+        b = 2**j
+        # x odd, 3 or 1 mod 4: v_2(R) = v_2(x + 1) + j - 1 >= j
+        cases += [(b - 1, 1, b, True), (4 * b + 3, 3, b, True),
+                  (3, 1, b, True), (5, 1, b, True)]
+    # mixed prime powers: x = 1 mod the radical of b; and, for each prime
+    # l of b, x = 0 mod l and 1 mod the others
+    for b in (2**3 * 3**2 * 5 * 7**2, 2**10 * 3**7 * 5**3 * 11**2 * 13,
+              3**5 * 5**4 * 7**3 * 17 * 19**2,
+              math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                         47))):
+        rad = math.prod(factorize(b))
+        cases += [(1 + rad, 1, b, True), (1 + 5 * rad, 7, b, True),
+                  (1 + rad * (b + 1), 2, b, True)]
+        cases += [(l * pow(l, -1, rad // l), 1, b, False)
+                  for l in factorize(b)]
+    # one prime l of b coprime to x(x - 1), x = 1 mod the others:
+    # 2 has order 21 mod 7^2, which divides b = 17640; it has order 8 mod
+    # 17, which does not divide the odd b = 3^5 5^4 7^3 17 19^2
+    cases += [(next(x for x in range(2, 49 * 30, 49) if x % 30 == 1), 1,
+               17640, True),
+              (next(x for x in range(2, 17 * 1995, 17) if x % 1995 == 1), 1,
+               3**5 * 5**4 * 7**3 * 17 * 19**2, False)]
+    return cases
+
+
+def test_k_is_integer_past_the_repunit():
+    # b up to 2^64, where the b-term repunit cannot be summed: the one
+    # power against the two-power reference, on each valuation case and
+    # on draws that reach both answers (p = 1 mod the primes of b, and p
+    # uniform)
+    started = time.perf_counter()
+    for p, a, b, k_integer in valuation_cases():
+        assert k_is_integer(p, a, b) is k_integer, (p, a, b)
+        assert two_power_k_is_integer(p, a, b) is k_integer, (p, a, b)
+    rng, answers = random.Random(52), set()
+    for _ in range(2000):
+        b = rng.randrange(1, 2**64)
+        if rng.random() < 0.5:  # high powers of small primes
+            b = math.prod(rng.choice((2, 3, 5, 7))
+                          for _ in range(rng.randrange(1, 23)))
+        p = rng.randrange(2, 2**64)
+        if rng.random() < 0.5:  # 1 mod the small primes of b, or mod b
+            primes = [l for l in (2, 3, 5, 7) if b % l == 0]
+            p = 1 + rng.randrange(1, 2**32) * math.prod(primes or [b])
+        a = rng.randrange(1, 2**20)
+        want = two_power_k_is_integer(p, a, b)
+        assert k_is_integer(p, a, b) is want, (p, a, b)
+        answers.add(want)
+    assert answers == {True, False}
+    assert time.perf_counter() - started < 0.5
 
 
 def test_remark_cases_never_forms_p_to_the_a():
